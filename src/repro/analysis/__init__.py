@@ -56,29 +56,3 @@ __all__ = [
     "run_accuracy_study",
     "short_pulse_filtration",
 ]
-
-
-def __getattr__(name: str):
-    """Deprecation shim forwarding ``EXPERIMENTS`` to its old home.
-
-    .. deprecated:: 1.5.0
-        The module-level experiment registry is replaced by the
-        session facade (:mod:`repro.api`); the forward keeps
-        ``from repro.analysis import EXPERIMENTS`` importable during
-        the migration window.
-    """
-    if name == "EXPERIMENTS":
-        import warnings
-
-        from . import experiments
-        # Warn here (not via experiments.EXPERIMENTS) so the
-        # DeprecationWarning is attributed to the caller's import
-        # site rather than to this shim.
-        warnings.warn(
-            "repro.analysis.EXPERIMENTS is deprecated; use "
-            "repro.api.Session().run(ExperimentRequest(name)) "
-            "and repro.api.experiment_names()",
-            DeprecationWarning, stacklevel=2)
-        return dict(experiments._EXPERIMENTS)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

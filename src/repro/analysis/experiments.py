@@ -943,44 +943,3 @@ def experiment_faithfulness(params: NorGateParameters = PAPER_TABLE_I,
                        title="Short-pulse filtration of the hybrid "
                              "channel (continuous shrink-to-zero)")
     return AblationResult(rows=rows, text=text)
-
-
-#: Legacy registry, kept behind a deprecation shim (see
-#: ``__getattr__``): the session facade of :mod:`repro.api` is the
-#: dispatch seam now.
-_EXPERIMENTS = {
-    "fig2": experiment_fig2,
-    "fig4": experiment_fig4,
-    "fig5": experiment_fig5,
-    "fig6": experiment_fig6,
-    "fig7": experiment_fig7,
-    "fig8": experiment_fig8,
-    "table1": experiment_table1,
-    "analytic": experiment_analytic,
-    "engines": experiment_engines,
-    "library": experiment_library,
-    "runtime": experiment_runtime,
-    "sta": experiment_sta,
-    "faithfulness": experiment_faithfulness,
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the module-level experiment registry.
-
-    .. deprecated:: 1.5.0
-        ``EXPERIMENTS`` is replaced by the session facade: run an
-        experiment with ``repro.api.Session().run(
-        ExperimentRequest(name))`` and enumerate the names with
-        ``repro.api.experiment_names()``.
-    """
-    if name == "EXPERIMENTS":
-        import warnings
-        warnings.warn(
-            "repro.analysis.experiments.EXPERIMENTS is deprecated; "
-            "use repro.api.Session().run(ExperimentRequest(name)) "
-            "and repro.api.experiment_names()",
-            DeprecationWarning, stacklevel=2)
-        return dict(_EXPERIMENTS)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

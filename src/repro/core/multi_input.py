@@ -207,14 +207,11 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
     weights : array_like of float
         Per-row exponential coefficients, shape ``(rows, modes)``.
     rates : array_like of float
-        Exponential rates: shape ``(modes,)`` when shared across the
-        batch (the n-input kernel), or ``(rows, modes)`` when every
-        row carries its own eigenvalues (the parameter-block kernels
-        of :mod:`repro.engine.blocks`).
+        Exponential rates shared across the batch, shape ``(modes,)``.
     lo, hi : array_like of float
         Bracket endpoints per row (finite; ``lo < hi``).
-    threshold : float or array_like of float
-        Crossing level — scalar, or one level per row.
+    threshold : float
+        Crossing level.
     downward : bool
         Crossing direction (decides which bracket side an iterate
         updates).
@@ -231,11 +228,8 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
         newton_steps = _NEWTON_STEPS
     weights = np.asarray(weights, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    threshold = np.asarray(threshold, dtype=float)
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    # Shared (modes,) and per-row (rows, modes) rates broadcast the
-    # same way against the (rows, modes) weights and (rows, 1) times.
     wr = weights * rates
     t = 0.5 * (lo + hi)
     step = np.full(t.shape, math.inf)
@@ -265,13 +259,11 @@ def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
     pending = np.nonzero(step > 1e-15 * np.abs(t) + 1e-26)[0]
     if pending.size:
         la, ha, w = lo[pending], hi[pending], weights[pending]
-        r = rates[pending] if rates.ndim == 2 else rates
-        level = threshold[pending] if threshold.ndim else threshold
         for _ in range(_BATCH_BISECT_STEPS):
             mid = 0.5 * (la + ha)
             value = np.einsum(
                 "rk,rk->r", w,
-                np.exp(mid[:, None] * r)) - level
+                np.exp(mid[:, None] * rates)) - threshold
             upper = value > 0.0 if downward else value <= 0.0
             la = np.where(upper, mid, la)
             ha = np.where(upper, ha, mid)
@@ -447,12 +439,13 @@ class GeneralizedNorModel:
     # per-mode linear systems
     # ------------------------------------------------------------------
 
-    @functools.lru_cache(maxsize=64)
     def _mode_matrices(self, inputs: tuple[int, ...]
                        ) -> tuple[np.ndarray, np.ndarray]:
         """System matrix ``A = −C⁻¹G`` and forcing ``f = C⁻¹b``.
 
-        States are the chain nodes rail-side first, output last.
+        States are the chain nodes rail-side first, output last.  Not
+        cached: a rebuild takes microseconds, and the eigendecompositions
+        built from it are cached in ``_eig_cache``.
         """
         p = self.params
         n = self._n
@@ -479,9 +472,7 @@ class GeneralizedNorModel:
             if value:
                 g[n - 1, n - 1] += 1.0 / resistance
         caps = np.array(list(p.c_internal) + [p.co])
-        a = -g / caps[:, None]
-        f = b / caps
-        return a, f
+        return -g / caps[:, None], b / caps
 
     def _solve_segment(self, inputs: tuple[int, ...],
                        state0: np.ndarray) -> _SegmentSolution:

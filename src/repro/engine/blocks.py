@@ -15,9 +15,10 @@ memoize — the mode constants α, β, λ₁, λ₂ of
 solutions, the settle cutoff — is an elementary closed form in
 ``(r1..r4, cn, co, vdd)``, so it vectorizes over the sample axis
 directly.  The only iterative piece, the two-exponential threshold
-crossing, runs through the same safeguarded lockstep Newton as the
-n-input kernel (:func:`repro.core.multi_input._newton_bisect_refine`),
-generalized to per-row eigenvalues.
+crossing, is :func:`_two_term_crossing`: a closed-form bracket, an
+asymptotic first guess and a lockstep Newton iteration with a
+bisection fallback.  It broadcasts per-row rates as readily as shared
+ones, so the vectorized engine's rising path solves with it too.
 
 The branch structure (sign of Δ, the ``settle_time`` cutoff, early
 first-segment crossings) mirrors :mod:`repro.engine.vectorized`
@@ -40,7 +41,7 @@ import math
 import numpy as np
 
 from ..core.hybrid_model import _SETTLE_FACTOR
-from ..core.multi_input import _newton_bisect_refine
+from ..core.multi_input import _BATCH_BISECT_STEPS, _NEWTON_STEPS
 from ..core.parameters import NorGateParameters
 from ..errors import NoCrossingError, ParameterError
 
@@ -65,10 +66,6 @@ PARAM_FIELDS = ("r1", "r2", "r3", "r4", "cn", "co", "vdd",
 
 #: Structured dtype of a sample block: one float64 per parameter.
 BLOCK_DTYPE = np.dtype([(name, np.float64) for name in PARAM_FIELDS])
-
-#: Expansion attempts when bracketing a crossing towards t → ∞ (same
-#: budget as the vectorized engine).
-_BRACKET_STEPS = 200
 
 
 # ----------------------------------------------------------------------
@@ -262,42 +259,103 @@ def _settle(block: np.ndarray) -> np.ndarray:
     return _SETTLE_FACTOR * taus.max(axis=0)
 
 
-def _expand_brackets(k1, k2, l1, l2, lo, level, upward: bool
-                     ) -> np.ndarray:
-    """Bracket ``k1 e^{λ1 t} + k2 e^{λ2 t}`` across *level* per row.
+# ----------------------------------------------------------------------
+# the two-exponential threshold crossing (shared or per-row constants)
+# ----------------------------------------------------------------------
 
-    Expands from ``lo`` in growing steps (the scalar bracketing
-    schedule) until the exp-sum reaches *level* from the requested
-    side; the callers guarantee the limit does, so failure to bracket
-    within the step budget is a defect, not an input condition.
+def _two_term_crossing(k1, k2, l1, l2, level, downward: bool
+                       ) -> np.ndarray:
+    """First directed crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` through
+    *level* at ``t ≥ 0``, elementwise.
+
+    The one threshold-crossing solver of the 2-input closed forms.
+    *k1* and *k2* carry one coefficient pair per element; *l1*, *l2*
+    and *level* broadcast against them, so they may be scalars shared
+    by the whole batch (the vectorized engine's cached mode constants)
+    or per-element arrays (the parameter-block kernels) — equal values
+    give identical bytes either way.  The rates must be ordered
+    ``λ2 ≤ λ1 < 0``, as the mode constants ``γ ∓ β`` give them, so
+    ``λ1`` is the slow one.
+
+    The sum has at most one stationary point ``ts``, which splits it
+    into monotone pieces: the crossing lies in ``[0, ts]`` when the
+    sum reaches *level* by ``ts``, else in ``[max(ts, 0), hi]``.  The
+    bound ``|k1 e^{λ1 t} + k2 e^{λ2 t}| ≤ (|k1| + |k2|)·e^{λ1 t}``
+    closes that piece: past ``hi = ln(|level| / (|k1| + |k2|)) / λ1``
+    the sum stays within ``|level|`` of its zero tail, so on the far
+    side of *level*.  Newton starts from the slow-term asymptote
+    ``ln(level / k1) / λ1`` and runs in lockstep; every step first
+    shrinks the bracket with the current iterate, and a candidate
+    outside the bracket takes the midpoint instead.  Elements still
+    moving by more than ``1e-15·|t| + 1e-26`` after
+    :data:`~repro.core.multi_input._NEWTON_STEPS` iterations finish
+    under plain bisection.
+
+    Raises
+    ------
+    NoCrossingError
+        If an element starts on the far side of *level*, or its sum
+        never reaches *level* in the requested direction.
     """
-    slowest = np.maximum(l1, l2)  # both negative; decays slowest
-    step = 2.0 / np.abs(slowest)
-    hi = np.full_like(lo, math.inf)
-    cur = lo + step
-    pending = np.arange(lo.shape[0])
-    for _ in range(_BRACKET_STEPS):
-        value = (k1[pending] * np.exp(l1[pending] * cur[pending])
-                 + k2[pending] * np.exp(l2[pending] * cur[pending]))
-        done = (value >= level[pending] if upward
-                else value <= level[pending])
-        hi[pending[done]] = cur[pending[done]]
-        pending = pending[~done]
-        if not pending.size:
-            return hi
-        step[pending] *= 1.5
-        cur[pending] += step[pending]
-    raise NoCrossingError(  # pragma: no cover - defensive
-        "failed to bracket a crossing that the limit analysis "
-        "promised")
+    if downward:
+        # A downward crossing of the sum is an upward one of its
+        # negation; negating is exact, so both share one code path.
+        k1, k2, level = -k1, -k2, -level
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        if np.any(k1 + k2 > level):
+            raise NoCrossingError(
+                "two-exponential sum starts beyond the threshold; it "
+                "never crosses it in the requested direction")
+        ts = np.log(-(k2 * l2) / (k1 * l1)) / (l1 - l2)
+        has_ts = (ts > 0.0) & (ts < math.inf)
+        at = np.where(has_ts, ts, 0.0)
+        closed = has_ts & (k1 * np.exp(l1 * at) + k2 * np.exp(l2 * at)
+                           >= level)
+        if np.any(~closed & (level >= 0.0)):
+            raise NoCrossingError(
+                "two-exponential sum settles short of the threshold; "
+                "it never crosses it in the requested direction")
+        lo = np.where(has_ts & ~closed, ts, 0.0)
+        bound = np.log(-level / (np.abs(k1) + np.abs(k2))) / l1
+        hi = np.where(closed, ts, np.maximum(lo, bound))
+        t = np.log(level / k1) / l1
+        t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
 
+        step = np.full_like(t, math.inf)
+        for _ in range(_NEWTON_STEPS):
+            a = k1 * np.exp(l1 * t)
+            b = k2 * np.exp(l2 * t)
+            f = a + b - level
+            below = f <= 0.0
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            candidate = t - f / (l1 * a + l2 * b)
+            # Non-strict bounds: a candidate tying the bracket end it
+            # just updated is the converged root, not an escape (NaN
+            # and ±inf candidates compare False and take the
+            # midpoint).
+            inside = (candidate >= lo) & (candidate <= hi)
+            candidate = np.where(inside, candidate, 0.5 * (lo + hi))
+            step = np.abs(candidate - t)
+            t = candidate
+            if np.all(step <= 1e-15 * np.abs(t) + 1e-26):
+                return t
 
-def _refine(k1, k2, l1, l2, lo, hi, level, downward: bool
-            ) -> np.ndarray:
-    """Per-row Newton refinement of a bracketed 2-exp crossing."""
-    return _newton_bisect_refine(
-        np.stack([k1, k2], axis=-1), np.stack([l1, l2], axis=-1),
-        lo, hi, level, downward=downward)
+        pending = step > 1e-15 * np.abs(t) + 1e-26
+        k1, k2, l1, l2, level = (np.broadcast_to(x, t.shape)[pending]
+                                 for x in (k1, k2, l1, l2, level))
+        lo, hi = lo[pending], hi[pending]
+        for _ in range(_BATCH_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            below = (k1 * np.exp(l1 * mid) + k2 * np.exp(l2 * mid)
+                     <= level)
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+            if np.all(hi - lo <= 1e-15 * np.abs(hi) + 1e-26):
+                break
+        t[pending] = 0.5 * (lo + hi)
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -344,12 +402,8 @@ def falling_delays_block(block, deltas) -> np.ndarray:
     k2 = c2 * (alpha - beta)
 
     # First downward Vth crossing inside pure mode (1,0): vo starts
-    # at VDD with negative slope and the level sits above the late
-    # tail, so the root is unique — bracket by expansion, refine in
-    # lockstep with per-row eigenvalues.
-    zeros = np.zeros(block.shape[0])
-    hi = _expand_brackets(k1, k2, l1, l2, zeros, vth, upward=False)
-    t10 = _refine(k1, k2, l1, l2, zeros, hi, vth, downward=True)
+    # at VDD and the level sits above the late tail.
+    t10 = _two_term_crossing(k1, k2, l1, l2, vth, downward=True)
 
     tau_r4 = co * r4
     t01 = tau_r4 * math.log(2.0)  # vo(t) = VDD e^{−t/τ_R4}
@@ -379,50 +433,20 @@ def falling_delays_block(block, deltas) -> np.ndarray:
 
 def _crossing_00(alpha, beta, l1, l2, vn_comp, vdd, vth, vn0, vo0
                  ) -> np.ndarray:
-    """First upward Vth crossing of mode (0,0), per-row constants.
+    """First upward Vth crossing of mode (0,0) entered at ``(vn0, vo0)``.
 
-    The parameter-axis generalization of the vectorized engine's
-    ``_batch_crossing_00``: every element carries its own
-    eigenvalues, eigenvector components and threshold.  All elements
-    must start below the threshold (guaranteed by the callers).
+    Maps the entry state onto the mode's exp-sum coefficients (paper
+    eqs. (4)–(7)) and hands them to :func:`_two_term_crossing`.  The
+    mode constants broadcast against the state arrays: the vectorized
+    engine passes its cached scalars, the block kernels per-row
+    columns.  Every element must enter below the threshold.
     """
     total = (vn0 - vdd) / vn_comp
     c1 = ((vo0 - vdd) - total * (alpha - beta)) / (2.0 * beta)
     c2 = total - c1
-    k1 = c1 * (alpha + beta)
-    k2 = c2 * (alpha - beta)
-    offset = vdd - vth  # > 0: the settled output sits above Vth
-
-    if np.any(offset + k1 + k2 > 0.0):
-        raise NoCrossingError(
-            "mode (0,0) entered above threshold; output never "
-            "crosses Vth upwards")
-
-    # At most one stationary point splits each element into monotone
-    # pieces: the crossing lies in [0, ts] if f(ts) >= 0, else in
-    # [max(ts, 0), inf).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -(k2 * l2) / (k1 * l1)
-        ts = np.log(ratio) / (l1 - l2)
-    has_ts = np.isfinite(ts) & (ts > 0.0)
-    lo = np.zeros_like(vn0)
-    hi = np.full_like(vn0, math.inf)
-    if has_ts.any():
-        t_eval = np.where(has_ts, ts, 0.0)
-        f_ts = (offset + k1 * np.exp(l1 * t_eval)
-                + k2 * np.exp(l2 * t_eval))
-        first_piece = has_ts & (f_ts >= 0.0)
-        second_piece = has_ts & ~first_piece
-        hi[first_piece] = ts[first_piece]
-        lo[second_piece] = ts[second_piece]
-
-    open_ended = ~np.isfinite(hi)
-    if open_ended.any():
-        sel = np.nonzero(open_ended)[0]
-        hi[sel] = _expand_brackets(k1[sel], k2[sel], l1[sel],
-                                   l2[sel], lo[sel], -offset[sel],
-                                   upward=True)
-    return _refine(k1, k2, l1, l2, lo, hi, -offset, downward=False)
+    # vo(t) − VDD = k1·e^{λ1 t} + k2·e^{λ2 t} rises through Vth − VDD.
+    return _two_term_crossing(c1 * (alpha + beta), c2 * (alpha - beta),
+                              l1, l2, vth - vdd, downward=False)
 
 
 def rising_delays_block(block, deltas,
@@ -486,9 +510,8 @@ def rising_delays_block(block, deltas,
                     + ko2 * np.exp(l2 * t_eval))
             sel = np.nonzero(has_peak & (peak > vth))[0]
             if sel.size:
-                t_up[sel] = _refine(
-                    ko1[sel], ko2[sel], l1[sel], l2[sel],
-                    np.zeros(sel.size), ts[sel], vth[sel],
+                t_up[sel] = _two_term_crossing(
+                    ko1[sel], ko2[sel], l1[sel], l2[sel], vth[sel],
                     downward=False)
 
     # Final mode (0,0) constants, per row.
@@ -508,29 +531,19 @@ def rising_delays_block(block, deltas,
         e2 = np.exp(l2[col] * mag)
         vn10 = kn1[col] * e1 + kn2[col] * e2
         vo10 = ko1[col] * e1 + ko2[col] * e2
-    vn0 = np.where(pos, vn01, vn10)
-    vo0 = np.where(pos, 0.0, vo10)
 
     # The rising delay is referenced to the *later* input: final-
     # segment crossings equal the (0,0)-local crossing time; only an
     # early upward crossing inside (1,0) gives a Δ-dependent offset.
-    early = (~pos) & (mag >= t_up[col])
-    delay = np.empty_like(d)
-    delay[early] = np.broadcast_to(t_up[col], d.shape)[early] \
-        - mag[early]
-    late = ~early
-    if late.any():
-        grid = np.broadcast_to
-        idx = np.nonzero(late)
-        delay[late] = _crossing_00(
-            grid(a00[col], d.shape)[idx],
-            grid(b00[col], d.shape)[idx],
-            grid(l100[col], d.shape)[idx],
-            grid(l200[col], d.shape)[idx],
-            grid(vn_comp00[col], d.shape)[idx],
-            grid(vdd[col], d.shape)[idx],
-            grid(vth[col], d.shape)[idx],
-            vn0[late], vo0[late])
+    # Early elements enter (0,0) with the output at GND instead, so
+    # one solver call covers the grid; their crossing is discarded.
+    early = ~pos & (mag >= t_up[col])
+    vn0 = np.where(pos, vn01, vn10)
+    vo0 = np.where(pos | early, 0.0, vo10)
+    crossing = _crossing_00(a00[col], b00[col], l100[col], l200[col],
+                            vn_comp00[col], vdd[col], vth[col], vn0,
+                            vo0)
+    delay = np.where(early, t_up[col] - mag, crossing)
     out = delay + block["delta_min"][col]
     return out[:, 0] if squeeze else out
 

@@ -14,8 +14,12 @@ root search.  But for a Δ sweep almost everything is shared:
 * the second segment's crossing is either a closed-form logarithm
   (falling transitions end in the single-exponential mode (1,1)) or a
   two-exponential root with **shared rates** across the whole batch
-  (rising transitions end in mode (0,0)), solved here by a vectorized
-  bracketed bisection to machine precision.
+  (rising transitions end in mode (0,0)).  All lanes of a call go to
+  one call of the safeguarded two-term Newton solver the
+  parameter-block kernels use too
+  (:func:`repro.engine.blocks._two_term_crossing`): closed-form
+  bracket, asymptotic first guess, bisection fallback, machine
+  precision.
 
 Per-parameter-set contexts (mode solutions, first-segment crossing
 times, coupled-mode constants) are memoised with ``lru_cache``; the
@@ -35,18 +39,16 @@ import numpy as np
 from ..core.hybrid_model import settle_time
 from ..core.modes import CoupledModeConstants, Mode, mode_00_constants
 from ..core.multi_input import (GeneralizedNorParameters,
-                                _newton_bisect_refine,
                                 compiled_nor_kernel)
 from ..core.parameters import NorGateParameters
 from ..core.solutions import ExpSum, solve_mode
 from ..core.trajectory import all_crossings
 from ..errors import NoCrossingError, ParameterError
 from .base import register_engine, traced_entry_point
+from .blocks import (_crossing_00, falling_delays_block,
+                     rising_delays_block)
 
 __all__ = ["VectorizedEngine"]
-
-#: Expansion attempts when bracketing a crossing towards t → ∞.
-_BRACKET_STEPS = 200
 
 
 def _first_directed_crossing(expsum: ExpSum, threshold: float,
@@ -138,86 +140,6 @@ def _rising_context(params: NorGateParameters,
 
 
 # ----------------------------------------------------------------------
-# vectorized two-exponential crossing (shared rates, per-element
-# coefficients) — the only iterative piece of the backend
-# ----------------------------------------------------------------------
-
-def _batch_crossing_00(ctx: _RisingContext, vn0: np.ndarray,
-                       vo0: np.ndarray) -> np.ndarray:
-    """First upward Vth crossing of mode (0,0) entered at ``(vn0, vo0)``.
-
-    All elements share the eigenvalues ``λ1, λ2``; only the two
-    exponential coefficients vary, so the whole batch is refined in
-    lockstep by the safeguarded Newton iteration of the n-input
-    kernel (:func:`repro.core.multi_input._newton_bisect_refine`,
-    bisection fallback included).  Every element must start below the
-    threshold (guaranteed by the callers: the output either never
-    left GND or was handed over before its first upward crossing).
-    """
-    c = ctx.c00
-    l1, l2 = c.lambda1, c.lambda2
-    vdd, vth = ctx.vdd, ctx.vth
-    total = (vn0 - vdd) / c.vn_component
-    c1 = ((vo0 - vdd) - total * (c.alpha - c.beta)) / (2.0 * c.beta)
-    c2 = total - c1
-    k1 = c1 * (c.alpha + c.beta)
-    k2 = c2 * (c.alpha - c.beta)
-    offset = vdd - vth  # > 0: the settled output sits above threshold
-
-    def f(t: np.ndarray, sel=slice(None)) -> np.ndarray:
-        return (offset + k1[sel] * np.exp(l1 * t)
-                + k2[sel] * np.exp(l2 * t))
-
-    f0 = f(np.zeros_like(vn0))
-    if np.any(f0 > 0.0):
-        raise NoCrossingError(
-            "mode (0,0) entered above threshold; output never crosses "
-            "Vth upwards")
-
-    # At most one stationary point splits each element into monotone
-    # pieces: the crossing lies in [0, ts] if f(ts) >= 0, else in
-    # [max(ts, 0), inf).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = -(k2 * l2) / (k1 * l1)
-        ts = np.log(ratio) / (l1 - l2)
-    has_ts = np.isfinite(ts) & (ts > 0.0)
-    lo = np.zeros_like(vn0)
-    hi = np.full_like(vn0, math.inf)
-    if has_ts.any():
-        f_ts = f(np.where(has_ts, ts, 0.0))
-        first_piece = has_ts & (f_ts >= 0.0)
-        second_piece = has_ts & ~first_piece
-        hi[first_piece] = ts[first_piece]
-        lo[second_piece] = ts[second_piece]
-
-    # Bracket the open-ended pieces: the limit (offset > 0) guarantees
-    # a sign change, so expand in growing steps like the scalar path.
-    open_ended = np.nonzero(~np.isfinite(hi))[0]
-    if open_ended.size:
-        slowest = max(l1, l2)  # both negative; this one decays slowest
-        step = np.full(open_ended.size, 2.0 / abs(slowest))
-        cur = lo[open_ended] + step
-        pending = np.arange(open_ended.size)
-        for _ in range(_BRACKET_STEPS):
-            done = f(cur[pending], open_ended[pending]) >= 0.0
-            hi[open_ended[pending[done]]] = cur[pending[done]]
-            pending = pending[~done]
-            if not pending.size:
-                break
-            step[pending] *= 1.5
-            cur[pending] += step[pending]
-        else:  # pragma: no cover - defensive
-            raise NoCrossingError("failed to bracket a (0,0) crossing "
-                                  "that the limit analysis promised")
-
-    # Newton refinement to adjacent-float precision: the exp-sum is
-    # k1·e^{λ1 t} + k2·e^{λ2 t}, crossing the level −offset upwards.
-    return _newton_bisect_refine(
-        np.stack([k1, k2], axis=-1), np.array([l1, l2]), lo, hi,
-        -offset, downward=False)
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 
@@ -305,38 +227,27 @@ class VectorizedEngine:
         """
         ctx = _rising_context(params, float(vn_init))
         d, shape = _prepare(deltas)
+        pos = d >= 0.0
+        mag = np.minimum(np.abs(d), ctx.settle)
+        # Δ ≥ 0: (0,1) from (X, 0) pins the output at GND, only V_N
+        # moves.  Δ < 0: (1,0) from (X, 0) moves both nodes, and
+        # charge sharing can lift the output across Vth before the
+        # second input arrives (t_up).
+        t_up = math.inf if ctx.t_up is None else ctx.t_up
+        early = ~pos & (mag >= t_up)
+        vn0 = np.where(pos, ctx.vn01(mag), ctx.vn10(mag))
+        vo0 = np.where(pos | early, 0.0, ctx.vo10(mag))
         # The rising delay is referenced to the *later* input, so for
         # final-segment crossings it equals the (0,0)-local crossing
-        # time; only an early upward crossing in the intermediate
-        # (1,0) mode produces a Δ-dependent offset.
-        delay = np.empty_like(d)
-
-        pos = d >= 0.0
-        if pos.any():
-            # (0,1) from (X, 0): the output pins at GND, only V_N moves.
-            dp = np.minimum(d[pos], ctx.settle)
-            vn_d = np.asarray(ctx.vn01(dp), dtype=float)
-            delay[pos] = _batch_crossing_00(ctx, vn_d,
-                                            np.zeros_like(vn_d))
-        neg = ~pos
-        if neg.any():
-            # (1,0) from (X, 0): charge sharing can lift the output —
-            # possibly across Vth before the second input arrives.
-            dn = np.minimum(-d[neg], ctx.settle)
-            res = np.empty_like(dn)
-            if ctx.t_up is not None:
-                early = dn >= ctx.t_up
-                res[early] = ctx.t_up - dn[early]
-            else:
-                early = np.zeros(dn.shape, dtype=bool)
-            late = ~early
-            if late.any():
-                dl = dn[late]
-                vn_d = np.asarray(ctx.vn10(dl), dtype=float)
-                vo_d = np.asarray(ctx.vo10(dl), dtype=float)
-                res[late] = _batch_crossing_00(ctx, vn_d, vo_d)
-            delay[neg] = res
-
+        # time; only the early crossing gives a Δ-dependent offset.
+        # Early lanes enter (0,0) with the output at GND instead, so
+        # one solver call covers every lane; their crossing is
+        # discarded.
+        c = ctx.c00
+        crossing = _crossing_00(c.alpha, c.beta, c.lambda1, c.lambda2,
+                                c.vn_component, ctx.vdd, ctx.vth, vn0,
+                                vo0)
+        delay = np.where(early, t_up - mag, crossing)
         return (delay + ctx.delta_min).reshape(shape)
 
     @traced_entry_point("engine.delays_block", "falling")
@@ -364,7 +275,6 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import falling_delays_block
         return falling_delays_block(block, deltas)
 
     @traced_entry_point("engine.delays_block", "rising")
@@ -390,7 +300,6 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import rising_delays_block
         return rising_delays_block(block, deltas, vn_init)
 
     @traced_entry_point("engine.delays_n", "falling")

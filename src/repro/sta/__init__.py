@@ -40,8 +40,7 @@ from .circuits import (STA_CIRCUITS, demo_corners, demo_wire_fanout,
                        single_nor, single_nor3, sta_circuit)
 from .graph import (TimingArc, TimingGraph, TimingNode,
                     build_timing_graph, input_unateness)
-from .report import (render_report, render_sweep_summary,
-                     result_to_json, sta_payload)
+from .report import render_report, render_sweep_summary, sta_payload
 from .sweep import (CornerSweepResult, sweep_corners,
                     sweep_corners_scalar)
 
@@ -73,7 +72,6 @@ __all__ = [
     "nor_tree_wire",
     "render_report",
     "render_sweep_summary",
-    "result_to_json",
     "single_nor",
     "single_nor3",
     "sta_circuit",

@@ -11,7 +11,6 @@ in :class:`repro.api.StaRunResult` (and written by
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any
 
 from ..units import to_ps
@@ -19,8 +18,7 @@ from .analysis import StaResult
 from .graph import TimingNode
 from .sweep import CornerSweepResult
 
-__all__ = ["render_report", "result_to_json", "render_sweep_summary",
-           "sta_payload"]
+__all__ = ["render_report", "render_sweep_summary", "sta_payload"]
 
 
 def _fmt(value: float, signed: bool = False) -> str:
@@ -126,20 +124,3 @@ def sta_payload(result: StaResult,
                 for key, value in sweep.summary().items()},
         }
     return payload
-
-
-def result_to_json(result: StaResult,
-                   sweep: CornerSweepResult | None = None
-                   ) -> dict[str, Any]:
-    """Deprecated alias of :func:`sta_payload`.
-
-    .. deprecated:: 1.5.0
-        Use :func:`repro.sta.sta_payload`, or go through the session
-        facade — ``Session().run(StaRequest(...)).analysis`` carries
-        the same payload.
-    """
-    warnings.warn(
-        "repro.sta.result_to_json is deprecated; use "
-        "repro.sta.sta_payload (or Session.run(StaRequest(...))"
-        ".analysis from repro.api)", DeprecationWarning, stacklevel=2)
-    return sta_payload(result, sweep)

@@ -19,14 +19,6 @@ class TestRegistry:
                 "table1", "analytic", "runtime", "library",
                 "faithfulness"} <= set(experiment_names())
 
-    def test_legacy_registry_is_deprecation_shimmed(self):
-        from repro.analysis import experiments
-        with pytest.warns(DeprecationWarning,
-                          match="repro.api"):
-            registry = experiments.EXPERIMENTS
-        assert set(experiment_names()) - {"multi_input"} \
-            <= set(registry)
-
 
 class TestLibraryExperiment:
     def test_accuracy_audit_under_acceptance(self):

@@ -1,23 +1,14 @@
-"""The legacy entry points warn and name their replacement."""
+"""The retired legacy entry points stay retired.
+
+The module-level experiment registry gave way to the session facade
+(:mod:`repro.api`) and the STA JSON alias to
+:func:`repro.sta.sta_payload`; neither old name resolves any more.
+"""
 
 import pytest
 
 
 class TestExperimentsRegistry:
-    def test_module_attribute_warns(self):
-        from repro.analysis import experiments
-        with pytest.warns(DeprecationWarning) as captured:
-            registry = experiments.EXPERIMENTS
-        assert "repro.api" in str(captured[0].message)
-        assert "ExperimentRequest" in str(captured[0].message)
-        assert "fig4" in registry
-
-    def test_package_reexport_still_works_and_warns(self):
-        import repro.analysis
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            registry = repro.analysis.EXPERIMENTS
-        assert "table1" in registry
-
     def test_other_attributes_raise_attribute_error(self):
         from repro.analysis import experiments
         with pytest.raises(AttributeError):
@@ -27,14 +18,18 @@ class TestExperimentsRegistry:
             repro.analysis.EXPERIMENT
 
 
-class TestResultToJson:
-    def test_warns_and_matches_sta_payload(self):
-        from repro.sta import (analyze, build_timing_graph,
-                               result_to_json, sta_circuit,
-                               sta_payload)
-        graph = build_timing_graph(sta_circuit("nor2"))
-        result = analyze(graph, top_paths=1)
-        with pytest.warns(DeprecationWarning) as captured:
-            legacy = result_to_json(result)
-        assert "sta_payload" in str(captured[0].message)
-        assert legacy == sta_payload(result)
+class TestRemovedNames:
+    @pytest.mark.parametrize("module,name", [
+        ("repro.analysis", "EXPERIMENTS"),
+        ("repro.analysis.experiments", "EXPERIMENTS"),
+        ("repro.sta", "result_to_json"),
+    ])
+    def test_name_is_gone(self, module, name):
+        import importlib
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
+
+    def test_sta_exports_only_the_payload(self):
+        import repro.sta
+        assert "result_to_json" not in repro.sta.__all__
+        assert "sta_payload" in repro.sta.__all__

@@ -10,7 +10,9 @@ by forcing zero Newton iterations and comparing against the
 converged result.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multi_input import (CompiledNorKernel,
+                                    GeneralizedNorModel,
                                     GeneralizedNorParameters,
                                     _newton_bisect_refine,
                                     compiled_nor_kernel,
@@ -158,6 +161,16 @@ class TestKernelObject:
         with pytest.raises(ParameterError):
             compiled_nor_kernel(params).evaluate(np.zeros((1, 2)),
                                                  "sideways")
+
+    def test_dropped_model_is_freed(self):
+        """Building a kernel leaves no process-wide reference to the
+        model: its per-mode caches live on the instance."""
+        model = GeneralizedNorModel(paper_generalized(3))
+        model.kernel()
+        alive = weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None
 
 
 class TestNewtonRefinement:

@@ -3,7 +3,9 @@
 The vectorized engine must reproduce the scalar reference to ≤1e-12 s
 absolute on *randomized* parameter sets and Δ grids — including the
 ``±inf`` SIS limits and the ``Δ = 0`` MIS point — for both output
-directions and for every studied internal-node initial voltage.
+directions and for every studied internal-node initial voltage.  The
+parameter-block kernels of :mod:`repro.engine.blocks` are held to the
+same bound against the per-sample reference loop.
 """
 
 import math
@@ -20,6 +22,9 @@ from repro.core.parameters import PAPER_TABLE_I, NorGateParameters
 from repro.engine import (DEFAULT_ENGINE, DelayEngine, ReferenceEngine,
                           VectorizedEngine, available_engines,
                           get_engine, register_engine)
+from repro.engine.blocks import (block_delays_loop, block_from_parameters,
+                                 falling_delays_block,
+                                 rising_delays_block)
 from repro.units import PS
 
 #: Absolute backend-parity bound, seconds (ISSUE acceptance).
@@ -83,6 +88,74 @@ class TestRandomizedParity:
         expected = reference.delays_falling(PAPER_TABLE_I, deltas)
         actual = vectorized.delays_falling(PAPER_TABLE_I, deltas)
         assert np.max(np.abs(actual - expected)) <= PARITY_TOL
+
+
+def _row_grids(deltas: np.ndarray, rows: int) -> np.ndarray:
+    """One Δ row per sample: the grid rolled by the row index, so each
+    record meets the ``±inf`` and ``Δ = 0`` probes at another column."""
+    return np.stack([np.roll(deltas, row) for row in range(rows)])
+
+
+class TestBlockKernelParity:
+    """The parameter-block kernels called directly, record by record
+    against the reference engine's per-sample loop — including the
+    charge-sharing early crossing of the rising block, which only
+    ``vn_init`` above Vth reaches."""
+
+    @given(params=st.lists(gate_params(), min_size=1, max_size=4),
+           deltas=delta_grids())
+    def test_falling(self, reference, params, deltas):
+        block = block_from_parameters(params)
+        grid = _row_grids(deltas, len(params))
+        expected = block_delays_loop(reference, "falling", block, grid)
+        actual = falling_delays_block(block, grid)
+        assert actual.shape == grid.shape
+        assert np.max(np.abs(actual - expected)) <= PARITY_TOL
+
+    @given(params=st.lists(gate_params(), min_size=1, max_size=4),
+           deltas=delta_grids(),
+           x_fraction=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_rising(self, reference, params, deltas, x_fraction):
+        block = block_from_parameters(params)
+        grid = _row_grids(deltas, len(params))
+        vn_init = x_fraction * params[0].vdd
+        expected = block_delays_loop(reference, "rising", block, grid,
+                                     vn_init)
+        actual = rising_delays_block(block, grid, vn_init)
+        assert actual.shape == grid.shape
+        assert np.max(np.abs(actual - expected)) <= PARITY_TOL
+
+    def test_rising_early_crossing(self, reference, vectorized):
+        """CN well above CO, a weak R3 and N precharged to VDD lift
+        the output across Vth inside mode (1,0): at Δ far below zero
+        the delay is the early crossing, negative against the later
+        input.  The vectorized engine takes the same branch."""
+        params = [PAPER_TABLE_I.replace(cn=4.0 * PAPER_TABLE_I.co,
+                                        r3=10.0 * PAPER_TABLE_I.r3),
+                  PAPER_TABLE_I]
+        block = block_from_parameters(params)
+        grid = _row_grids(
+            np.array([-math.inf, -200.0 * PS, -5.0 * PS, 0.0,
+                      30.0 * PS, math.inf]), 2)
+        vdd = PAPER_TABLE_I.vdd
+        expected = block_delays_loop(reference, "rising", block, grid,
+                                     vdd)
+        actual = rising_delays_block(block, grid, vdd)
+        assert np.max(np.abs(actual - expected)) <= PARITY_TOL
+        assert np.any(actual[0] < 0.0)
+        lone = vectorized.delays_rising(params[0], grid[0], vdd)
+        assert np.max(np.abs(lone - expected[0])) <= PARITY_TOL
+
+    def test_single_record_squeezes(self, reference):
+        block = block_from_parameters(PAPER_TABLE_I)
+        deltas = np.array([12.0 * PS])
+        for direction, kernel in (("falling", falling_delays_block),
+                                  ("rising", rising_delays_block)):
+            actual = kernel(block, deltas)
+            expected = block_delays_loop(reference, direction, block,
+                                         deltas)
+            assert actual.shape == (1,)
+            assert abs(actual[0] - expected[0]) <= PARITY_TOL
 
 
 class TestDenseGridParity:
