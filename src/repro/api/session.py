@@ -71,10 +71,9 @@ class Session:
     cache_dir : str or Path, optional
         Root directory of the *persistent* cross-process cache (see
         :mod:`repro.cache`): eigendecompositions and characterized
-        tables are stored there and shared with parallel workers and
-        other processes.  ``None`` (default) leaves the process-wide
-        setting alone — the ``REPRO_CACHE_DIR`` environment variable
-        still applies.
+        tables are stored there and shared with other processes.
+        ``None`` (default) leaves the process-wide setting alone —
+        the ``REPRO_CACHE_DIR`` environment variable still applies.
     trace : str or Tracer, optional
         Enable span tracing process-wide (see
         :mod:`repro.obs.trace`): ``"jsonl:<path>"`` (or a bare path)

@@ -4,10 +4,10 @@ Every expensive artifact of the package is a pure function of plain
 content — an eigendecomposition bundle is determined by the electrical
 parameter set, a characterized :class:`~repro.library.GateLibrary` by
 its job grid and engine.  That makes all of them safe to share through
-a content-hash-keyed on-disk store: any process (a parallel worker, a
-second CLI invocation, a server restart) that computes the same
-content writes the same key, and any other process reads it back
-instead of recomputing.
+a content-hash-keyed on-disk store: any process (a second CLI
+invocation, a server restart) that computes the same content writes
+the same key, and any other process reads it back instead of
+recomputing.
 
 Store layout (under the cache root)::
 
@@ -31,8 +31,8 @@ Activation
 ----------
 The cache is **off** unless a root directory is given:
 
-* ``REPRO_CACHE_DIR=<dir>`` in the environment (inherited by parallel
-  workers and subprocesses), or
+* ``REPRO_CACHE_DIR=<dir>`` in the environment (inherited by
+  subprocesses), or
 * :func:`configure` — what ``Session(cache_dir=...)`` calls; explicit
   configuration wins over the environment.
 
@@ -331,8 +331,8 @@ def configure(cache_dir: "str | Path | None"):
     Notes
     -----
     Explicit configuration is process-wide — it is what
-    ``Session(cache_dir=...)`` uses, and parallel workers started
-    *after* the call inherit it on fork platforms.  Call
+    ``Session(cache_dir=...)`` uses, and worker processes forked
+    *after* the call inherit it.  Call
     :func:`unconfigure` to fall back to the environment.
     """
     global _CONFIGURED

@@ -230,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--engine", choices=available_engines(),
                      default=None,
                      help="delay evaluation backend shared by every "
-                          "request (default: "
-                          f"{DEFAULT_ENGINE}; parallel shards heavy "
-                          "requests across the shared-memory worker "
-                          "pool)")
+                          f"request (default: {DEFAULT_ENGINE})")
     cmd.add_argument("--tech", choices=sorted(TECHNOLOGIES),
                      default="finfet15",
                      help="technology card bound to the session")

@@ -37,7 +37,7 @@ import numpy as np
 from ..errors import NoCrossingError, ParameterError
 from .charlie import CharacteristicDelays, MisCurve
 from .modes import Mode
-from .parameters import NorGateParameters
+from .parameters import NorGateParameters, finite_voltage
 from .trajectory import PiecewiseTrajectory
 
 __all__ = ["HybridNorModel", "DelayComputation", "settle_time"]
@@ -185,9 +185,14 @@ class HybridNorModel:
         vn_init`` (invariant in that mode); the first falling input
         arrives at ``t = 0``, the second at ``t = |Δ|``.  The delay is
         referenced to the *later* input.
+
+        Raises
+        ------
+        ParameterError
+            If *vn_init* is NaN or infinite.
         """
         p = self.params
-        initial = (float(vn_init), 0.0)
+        initial = (finite_voltage(vn_init, "vn_init"), 0.0)
 
         if self._is_effectively_infinite(delta):
             # Let the intermediate mode settle completely, then (0,0).

@@ -52,7 +52,7 @@ from scipy.optimize import brentq
 
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
-from .parameters import PAPER_TABLE_I, NorGateParameters
+from .parameters import PAPER_TABLE_I, NorGateParameters, finite_voltage
 from .solutions import ExpSum
 
 __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
@@ -857,7 +857,8 @@ class GeneralizedNorModel:
 
         All inputs start high (gate resting low); input ``i`` falls at
         ``fall_times[i]``.  Referenced to the latest input.  Internal
-        chain nodes rest at *internal_init* (GND worst case).
+        chain nodes rest at *internal_init* (GND worst case); NaN and
+        ``±inf`` are rejected with :class:`ParameterError`.
         """
         if len(fall_times) != self._n:
             raise ParameterError(f"expected {self._n} fall times")
@@ -866,7 +867,8 @@ class GeneralizedNorModel:
         events = [[(t + shift, 0)] for t in fall_times]
         if internal_init is None:
             internal_init = [0.0] * (self._n - 1)
-        state0 = np.array(list(internal_init) + [0.0])
+        state0 = np.array([finite_voltage(v, "internal_init")
+                           for v in internal_init] + [0.0])
         crossings = self.output_crossings_for_inputs(
             events, initial_inputs=[1] * self._n,
             initial_state=state0)
@@ -1081,7 +1083,7 @@ class CompiledNorKernel:
             Output transition searched for.
         internal_init : float, optional
             Rising-only: initial voltage of every internal chain
-            node, volts.
+            node, volts; NaN and ``±inf`` rejected.
 
         Returns
         -------
@@ -1089,8 +1091,10 @@ class CompiledNorKernel:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        model = self._model
         n = self.num_inputs
+        if direction == "rising":
+            internal_init = finite_voltage(internal_init,
+                                           "internal_init")
         flat, shape = offset_rows(n, deltas)
         with _span("kernel.evaluate", n=n, direction=direction,
                    rows=int(flat.shape[0])):
@@ -1179,7 +1183,7 @@ def compiled_nor_kernel(params: GeneralizedNorParameters
     """The shared :class:`CompiledNorKernel` of a parameter set.
 
     Resolves through :func:`generalized_model` so every caller — the
-    engine backends, parallel workers, characterization — shares one
+    engine backends, characterization — shares one
     compiled kernel (and its stacked eigen tensors) per parameter set.
     """
     return generalized_model(params).kernel()

@@ -135,6 +135,25 @@ class NorGateParameters:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
+def finite_voltage(value, name: str) -> float:
+    """An initial node voltage as a float, NaN and ``±inf`` rejected.
+
+    The rising-direction entry points of every backend check their
+    ``vn_init`` / ``internal_init`` with this, so a non-finite value
+    fails the same way everywhere instead of surfacing as a missed
+    crossing or a NaN delay.
+
+    Raises
+    ------
+    ParameterError
+        If *value* is NaN or infinite.
+    """
+    volts = float(value)
+    if not math.isfinite(volts):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return volts
+
+
 #: Pure delay the paper empirically determined in Section V.
 PAPER_DELTA_MIN = 18.0 * PS
 

@@ -5,13 +5,10 @@ separations should run at array speed.  This package provides the
 backend seam that makes that a deployment choice instead of a rewrite:
 
 * :data:`~repro.engine.base.DEFAULT_ENGINE` (``"vectorized"``) —
-  NumPy batch evaluation of the closed-form mode chains with
-  per-parameter-set solution caching;
+  NumPy batch evaluation of the closed-form mode chains through the
+  parameter-block kernels, with per-parameter-set memoized constants;
 * ``"reference"`` — the scalar per-Δ trajectory computation, kept as
-  the parity baseline;
-* ``"parallel"`` — Δ arrays sharded across a :mod:`multiprocessing`
-  pool, each worker running an inner backend (``vectorized`` by
-  default); small sweeps fall through to the inner backend inline.
+  the parity baseline.
 
 Every backend serves both arities of the protocol: scalar-Δ entry
 points (``delays_falling`` / ``delays_rising``) for the paper's
@@ -43,7 +40,6 @@ from .base import (DEFAULT_ENGINE, DelayEngine, available_engines,
                    delays_for_direction, get_engine, register_engine)
 from .blocks import (BLOCK_DTYPE, block_delays, block_from_parameters,
                      parameters_at)
-from .parallel import ParallelEngine
 from .reference import ReferenceEngine
 from .vectorized import VectorizedEngine
 
@@ -51,7 +47,6 @@ __all__ = [
     "BLOCK_DTYPE",
     "DEFAULT_ENGINE",
     "DelayEngine",
-    "ParallelEngine",
     "ReferenceEngine",
     "VectorizedEngine",
     "available_engines",

@@ -14,8 +14,8 @@ served by very different implementations:
 
 Engines register themselves by name; sweeps all over the package accept
 an ``engine=`` keyword (and the CLI an ``--engine`` flag) that is
-resolved here.  Later backends (sharded, multi-process, GPU) only need
-to implement the protocol and call :func:`register_engine`.
+resolved here.  A new backend only needs to implement the protocol and
+call :func:`register_engine`.
 """
 
 from __future__ import annotations
@@ -176,10 +176,9 @@ def delays_for_direction(engine: "DelayEngine", direction: str,
     """Dispatch a delay sweep by direction and parameter kind.
 
     The single place the ``falling``/``rising`` branch and the
-    2-input-vs-n-input entry-point choice live: the parallel engine's
-    worker shards, the STA timing arcs of :mod:`repro.sta` and the
-    pairwise sweeps of :mod:`repro.core.multi_input` all route
-    through here.
+    2-input-vs-n-input entry-point choice live: the STA timing arcs of
+    :mod:`repro.sta` and the pairwise sweeps of
+    :mod:`repro.core.multi_input` route through here.
 
     Parameters
     ----------
@@ -250,7 +249,7 @@ def traced_entry_point(span_name: str, direction: str):
     the ``repro_engine_calls_total{engine,direction}`` counter and —
     when tracing is enabled — runs inside a span carrying the engine
     name, direction, batch size, and (for n-input entry points) the
-    gate width.  All three backends decorate their public methods
+    gate width.  Both backends decorate their public methods
     with this, so traces and metrics stay uniform across engines.
 
     Parameters
@@ -312,8 +311,7 @@ def available_engines() -> tuple[str, ...]:
     Returns
     -------
     tuple of str
-        The registry keys, e.g. ``('parallel', 'reference',
-        'vectorized')``.
+        The registry keys, e.g. ``('reference', 'vectorized')``.
     """
     return tuple(sorted(_FACTORIES))
 

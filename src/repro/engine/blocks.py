@@ -1,60 +1,68 @@
-"""Parameter-block evaluation: one call, thousands of parameter sets.
+"""The 2-input closed forms: one call, one or thousands of parameter sets.
 
-The closed forms of :mod:`repro.engine.vectorized` batch over Δ for
-**one** parameter set — the right shape for sweeps and STA, but not
-for Monte-Carlo, where every sample is a *different* parameter set.
-This module flattens the other axis: a **sample block** is a
-structured NumPy array with one record per parameter set
-(:data:`BLOCK_DTYPE`), and the kernels below evaluate the whole block
-against a per-sample Δ matrix in one NumPy pass.
+A **sample block** is a structured NumPy array with one record per
+parameter set (:data:`BLOCK_DTYPE`).  Every 2-input MIS delay the
+package evaluates in bulk runs through the two kernels of this module,
+each split into two steps:
 
-Everything the per-parameter-set contexts of the vectorized engine
-memoize — the mode constants α, β, λ₁, λ₂ of
-:func:`repro.core.modes.mode_10_constants` /
-:func:`~repro.core.modes.mode_00_constants`, the first-segment
-solutions, the settle cutoff — is an elementary closed form in
-``(r1..r4, cn, co, vdd)``, so it vectorizes over the sample axis
-directly.  The only iterative piece, the two-exponential threshold
-crossing, is :func:`_two_term_crossing`: a closed-form bracket, an
-asymptotic first guess and a lockstep Newton iteration with a
-bisection fallback.  It broadcasts per-row rates as readily as shared
-ones, so the vectorized engine's rising path solves with it too.
+* a **constants step** (:func:`falling_constants` /
+  :func:`rising_constants`) — the mode constants α, β, λ₁, λ₂ of paper
+  eqs. (1)–(7), the first-segment solutions and crossing times, the
+  settle cutoff — elementary closed forms in ``(r1..r4, cn, co,
+  vdd)`` computed as ``(N, 1)`` columns over the sample axis;
+* one **Δ evaluation** (:func:`falling_delays` /
+  :func:`rising_delays`) of an ``(N, M)`` Δ matrix against those
+  columns.
+
+Monte-Carlo (:mod:`repro.stats.montecarlo`) and the collocation
+surrogate call the block kernels with thousands of records; the
+vectorized engine (:mod:`repro.engine.vectorized`) memoizes the
+constants of a one-record block per parameter set and runs the same
+Δ evaluation for every Δ sweep.  The only iterative piece, the
+two-exponential threshold crossing, is :func:`_two_term_crossing`: a
+closed-form bracket, an asymptotic first guess and a lockstep Newton
+iteration with a bisection fallback.
 
 The branch structure (sign of Δ, the ``settle_time`` cutoff, early
-first-segment crossings) mirrors :mod:`repro.engine.vectorized`
-exactly, so block results match the scalar reference to the same
-≤ 1e-12 s parity bound (asserted by the stats kernel tests).
+first-segment crossings) mirrors the scalar
+:class:`~repro.core.hybrid_model.HybridNorModel` exactly, so results
+match the scalar reference to the ≤ 1e-12 s parity bound (asserted by
+the engine parity suite).
 
 Entry points
 ------------
 Engines expose the block kernels as ``delays_falling_block`` /
 ``delays_rising_block`` methods; :func:`block_delays` is the
 dispatcher (with a per-sample loop fallback for backends without
-native block support).  :mod:`repro.stats.montecarlo` is the primary
-consumer.
+native block support).
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 
 from ..core.hybrid_model import _SETTLE_FACTOR
 from ..core.multi_input import _BATCH_BISECT_STEPS, _NEWTON_STEPS
-from ..core.parameters import NorGateParameters
+from ..core.parameters import NorGateParameters, finite_voltage
 from ..errors import NoCrossingError, ParameterError
 
 __all__ = [
     "BLOCK_DTYPE",
     "PARAM_FIELDS",
+    "FallingConstants",
+    "RisingConstants",
     "block_delays",
     "block_delays_loop",
-    "block_from_matrix",
     "block_from_parameters",
+    "falling_constants",
+    "falling_delays",
     "falling_delays_block",
-    "field_matrix",
     "parameters_at",
+    "rising_constants",
+    "rising_delays",
     "rising_delays_block",
     "validate_block",
 ]
@@ -92,56 +100,6 @@ def block_from_parameters(params) -> np.ndarray:
     for i, p in enumerate(params):
         block[i] = tuple(getattr(p, name) for name in PARAM_FIELDS)
     return block
-
-
-def block_from_matrix(matrix) -> np.ndarray:
-    """Rebuild a sample block from its plain-float field matrix.
-
-    The inverse of viewing a block as an ``(N, len(PARAM_FIELDS))``
-    float array — the shape the parallel engine ships through shared
-    memory.
-
-    Parameters
-    ----------
-    matrix : array_like of float
-        Field values, shape ``(N, len(PARAM_FIELDS))``, columns in
-        :data:`PARAM_FIELDS` order.
-
-    Returns
-    -------
-    numpy.ndarray
-        Structured array of dtype :data:`BLOCK_DTYPE`, shape
-        ``(N,)``.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != len(PARAM_FIELDS):
-        raise ParameterError(
-            f"field matrix must have {len(PARAM_FIELDS)} columns, "
-            f"got shape {matrix.shape}")
-    return matrix.view(BLOCK_DTYPE).reshape(matrix.shape[0])
-
-
-def field_matrix(block: np.ndarray) -> np.ndarray:
-    """View a sample block as a plain ``(N, len(PARAM_FIELDS))`` float
-    matrix.
-
-    The inverse of :func:`block_from_matrix` — the homogeneous shape
-    the parallel engine stages through shared memory.  Zero-copy when
-    the block is contiguous.
-
-    Parameters
-    ----------
-    block : numpy.ndarray
-        Sample block of dtype :data:`BLOCK_DTYPE`, shape ``(N,)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Float64 matrix, columns in :data:`PARAM_FIELDS` order.
-    """
-    block = np.ascontiguousarray(block)
-    return block.view(np.float64).reshape(block.shape[0],
-                                          len(PARAM_FIELDS))
 
 
 def parameters_at(block: np.ndarray, index: int) -> NorGateParameters:
@@ -270,10 +228,9 @@ def _two_term_crossing(k1, k2, l1, l2, level, downward: bool
 
     The one threshold-crossing solver of the 2-input closed forms.
     *k1* and *k2* carry one coefficient pair per element; *l1*, *l2*
-    and *level* broadcast against them, so they may be scalars shared
-    by the whole batch (the vectorized engine's cached mode constants)
-    or per-element arrays (the parameter-block kernels) — equal values
-    give identical bytes either way.  The rates must be ordered
+    and *level* broadcast against them, so they may be scalars or
+    per-row columns (the kernels' constants) — equal values give
+    identical bytes either way.  The rates must be ordered
     ``λ2 ≤ λ1 < 0``, as the mode constants ``γ ∓ β`` give them, so
     ``λ1`` is the slow one.
 
@@ -359,16 +316,228 @@ def _two_term_crossing(k1, k2, l1, l2, level, downward: bool
 
 
 # ----------------------------------------------------------------------
-# falling transition (inputs rise, output VDD → GND)
+# per-row constants (the Δ-independent half of each kernel)
+# ----------------------------------------------------------------------
+
+def _columns(*values) -> list:
+    """Per-row ``(N,)`` constants as ``(N, 1)`` column views that
+    broadcast against an ``(N, M)`` Δ matrix.  A one-record block gets
+    plain floats instead: they broadcast the same at a third less
+    NumPy overhead per operation, which is most of the cost of a small
+    sweep, and being immutable they are safe to memoize."""
+    if np.shape(values[0])[0] == 1:
+        return [float(value[0]) for value in values]
+    return [value[:, None] for value in values]
+
+
+#: Δ-independent constants of the falling transition (inputs rise):
+#: vo of mode (1,0) entered at (VDD, VDD) is ``k1·e^{l1 t} +
+#: k2·e^{l2 t}`` and crosses Vth at ``t10``; mode (0,1) crosses at
+#: ``t01 = τ_R4·ln 2``; mode (1,1) decays at ``rate11 = −(1/τ_R3 +
+#: 1/τ_R4)``; separations beyond ``settle`` count as ±inf.
+FallingConstants = collections.namedtuple(
+    "FallingConstants",
+    "k1 k2 l1 l2 t10 t01 rate11 tau_r4 vdd vth settle delta_min")
+
+#: Δ-independent constants of the rising transition (inputs fall) for
+#: one mode-(1,1) internal-node voltage X: mode (1,0) entered at
+#: (X, 0) has rates ``l1, l2`` and coefficients ``kn*`` (vn), ``ko*``
+#: (vo), and lifts vo across Vth at ``t_up`` (``inf`` where it never
+#: does); mode (0,1) entered at (X, 0) keeps vo at GND and moves
+#: ``vn = VDD + swing·e^{−t/tau_n}``; mode (0,0) maps an entry state to
+#: its exp-sum with ``vn_comp00`` and α ± β, 2β (paper eqs. (4)–(7)).
+RisingConstants = collections.namedtuple(
+    "RisingConstants",
+    "l1 l2 kn1 kn2 ko1 ko2 t_up swing tau_n vn_comp00 "
+    "alpha_minus_beta00 alpha_plus_beta00 two_beta00 l100 l200 vdd vth "
+    "settle delta_min")
+
+
+def falling_constants(block: np.ndarray) -> FallingConstants:
+    """:data:`FallingConstants` of a validated ``(N,)`` block."""
+    r2, r3, r4 = block["r2"], block["r3"], block["r4"]
+    cn, co, vdd = block["cn"], block["co"], block["vdd"]
+    vth = 0.5 * vdd
+    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+
+    # vo of mode (1,0) entered at (VDD, VDD):  c1 + c2 = VDD·CN·R2,
+    # vo(t) = c1 (α+β) e^{λ1 t} + c2 (α−β) e^{λ2 t}  from VDD.
+    total = vdd * cn * r2
+    c1 = (vdd - total * (alpha - beta)) / (2.0 * beta)
+    c2 = total - c1
+    k1 = c1 * (alpha + beta)
+    k2 = c2 * (alpha - beta)
+
+    # First downward Vth crossing inside pure mode (1,0): vo starts
+    # at VDD and the level sits above the late tail.
+    t10 = _two_term_crossing(k1, k2, l1, l2, vth, downward=True)
+    tau_r4 = co * r4
+    return FallingConstants(*_columns(
+        k1, k2, l1, l2, t10, tau_r4 * math.log(2.0),
+        -(1.0 / (co * r3) + 1.0 / tau_r4), tau_r4, vdd, vth,
+        _settle(block), block["delta_min"]))
+
+
+def rising_constants(block: np.ndarray,
+                     vn_init: float) -> RisingConstants:
+    """:data:`RisingConstants` of a validated ``(N,)`` block at
+    ``X = vn_init`` volts (``ParameterError`` if it is not finite)."""
+    x = finite_voltage(vn_init, "vn_init")
+    r1, r2, r3 = block["r1"], block["r2"], block["r3"]
+    cn, co, vdd = block["cn"], block["co"], block["vdd"]
+    vth = 0.5 * vdd
+
+    # Mode (1,0) entered at (X, 0) — B fell first.  Charge sharing
+    # can lift the output, possibly across Vth before A falls.
+    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+    vn_comp10 = 1.0 / (cn * r2)
+    total = x / vn_comp10
+    c1 = (0.0 - total * (alpha - beta)) / (2.0 * beta)
+    c2 = total - c1
+    ko1 = c1 * (alpha + beta)
+    ko2 = c2 * (alpha - beta)
+
+    # First *upward* Vth crossing of vo10, where one exists: vo10
+    # starts at 0, peaks at its single stationary point, then decays
+    # — the crossing exists iff the peak tops Vth.
+    t_up = np.full(block.shape[0], math.inf)
+    if x > 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -(ko2 * l2) / (ko1 * l1)
+            ts = np.log(ratio) / (l1 - l2)
+        has_peak = np.isfinite(ts) & (ts > 0.0)
+        if has_peak.any():
+            t_eval = np.where(has_peak, ts, 0.0)
+            peak = (ko1 * np.exp(l1 * t_eval)
+                    + ko2 * np.exp(l2 * t_eval))
+            sel = np.nonzero(has_peak & (peak > vth))[0]
+            if sel.size:
+                t_up[sel] = _two_term_crossing(
+                    ko1[sel], ko2[sel], l1[sel], l2[sel], vth[sel],
+                    downward=False)
+
+    a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
+    return RisingConstants(*_columns(
+        l1, l2, c1 * vn_comp10, c2 * vn_comp10, ko1, ko2, t_up,
+        x - vdd, cn * r1, 1.0 / (cn * r2), a00 - b00, a00 + b00,
+        2.0 * b00, l100, l200, vdd, vth, _settle(block),
+        block["delta_min"]))
+
+
+# ----------------------------------------------------------------------
+# the Δ evaluations: full-width buffers are reused through ``out=`` and
+# in-place ufuncs, so a call allocates little beyond the crossing
+# solver's working set
+# ----------------------------------------------------------------------
+
+def falling_delays(constants: FallingConstants,
+                   d: np.ndarray) -> np.ndarray:
+    """Falling delays (``δ_min`` included) of an ``(N, M)`` NaN-free Δ
+    matrix against ``N`` rows of :data:`FallingConstants`."""
+    c = constants
+    pos = d >= 0.0
+    mag = np.abs(d)
+    np.minimum(mag, c.settle, out=mag)
+    with np.errstate(divide="ignore", invalid="ignore",
+                     over="ignore", under="ignore"):
+        # Output voltage when the later input rises: mode (1,0) from
+        # (VDD, VDD) for Δ ≥ 0, mode (0,1) — vo = VDD·e^{−t/τ_R4} —
+        # for Δ < 0.
+        vo = np.multiply(c.l1, mag)
+        np.exp(vo, out=vo)
+        vo *= c.k1
+        term = np.multiply(c.l2, mag)
+        np.exp(term, out=term)
+        term *= c.k2
+        vo += term
+        np.negative(mag, out=term)
+        term /= c.tau_r4
+        np.exp(term, out=term)
+        term *= c.vdd
+        np.copyto(vo, term, where=~pos)
+        # Mode (1,1) then decays with one exponential: the crossing is
+        # a logarithm, unless the output crossed in the first mode.
+        crossing = np.divide(c.vth, vo, out=vo)
+        np.log(crossing, out=crossing)
+        crossing /= c.rate11
+        crossing += mag
+        first = term
+        np.copyto(first, c.t01)
+        np.copyto(first, c.t10, where=pos)
+        np.copyto(crossing, first, where=mag >= first)
+    crossing += c.delta_min
+    return crossing
+
+
+def rising_delays(constants: RisingConstants,
+                  d: np.ndarray) -> np.ndarray:
+    """Rising delays (``δ_min`` included) of an ``(N, M)`` NaN-free Δ
+    matrix against ``N`` rows of :data:`RisingConstants`."""
+    c = constants
+    pos = d >= 0.0
+    mag = np.abs(d)
+    np.minimum(mag, c.settle, out=mag)
+    early = mag >= c.t_up
+    early &= ~pos
+    # State entering (0,0) when the later input falls.  Δ < 0: mode
+    # (1,0) from (X, 0) moves both nodes.
+    vo0 = np.multiply(c.l1, mag)
+    np.exp(vo0, out=vo0)
+    vn0 = vo0 * c.kn1
+    vo0 *= c.ko1
+    term = np.multiply(c.l2, mag)
+    np.exp(term, out=term)
+    vn0 += term * c.kn2
+    term *= c.ko2
+    vo0 += term
+    # Δ ≥ 0: mode (0,1) from (X, 0) pins the output at GND, only V_N
+    # moves.
+    np.negative(mag, out=term)
+    term /= c.tau_n
+    np.exp(term, out=term)
+    term *= c.swing
+    term += c.vdd
+    np.copyto(vn0, term, where=pos)
+    del term
+    # Early elements crossed Vth inside (1,0) already; they enter (0,0)
+    # with the output at GND instead, so one solver call covers every
+    # element, and their crossing is discarded below.
+    np.copyto(vo0, 0.0, where=pos | early)
+
+    # Map the entry state onto mode (0,0)'s coefficients in place:
+    # vo(t) − VDD = k1·e^{λ1 t} + k2·e^{λ2 t} rises through Vth − VDD.
+    total = vn0
+    total -= c.vdd
+    total /= c.vn_comp00
+    k1 = vo0
+    k1 -= c.vdd
+    k1 -= total * c.alpha_minus_beta00
+    k1 /= c.two_beta00
+    k2 = np.subtract(total, k1, out=total)
+    k1 *= c.alpha_plus_beta00
+    k2 *= c.alpha_minus_beta00
+    delay = _two_term_crossing(k1, k2, c.l100, c.l200, c.vth - c.vdd,
+                               downward=False)
+
+    # The rising delay is referenced to the *later* input: final-
+    # segment crossings equal the (0,0)-local crossing time; only an
+    # early upward crossing inside (1,0) gives a Δ-dependent offset.
+    np.copyto(delay, np.subtract(c.t_up, mag, out=mag), where=early)
+    delay += c.delta_min
+    return delay
+
+
+# ----------------------------------------------------------------------
+# the block kernels
 # ----------------------------------------------------------------------
 
 def falling_delays_block(block, deltas) -> np.ndarray:
     """Falling MIS delays for a whole sample block at once.
 
-    The parameter-axis twin of
-    :meth:`repro.engine.vectorized.VectorizedEngine.delays_falling`:
-    sample ``i`` is evaluated at Δ row ``deltas[i]``, every segment
-    constant computed as an array over the sample axis.
+    Sample ``i`` is evaluated at Δ row ``deltas[i]``: every segment
+    constant is an array over the sample axis
+    (:func:`falling_constants`), then one :func:`falling_delays` pass
+    covers the grid.
 
     Parameters
     ----------
@@ -387,76 +556,17 @@ def falling_delays_block(block, deltas) -> np.ndarray:
     """
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
-
-    r2, r3, r4 = block["r2"], block["r3"], block["r4"]
-    cn, co, vdd = block["cn"], block["co"], block["vdd"]
-    vth = 0.5 * vdd
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
-
-    # vo of mode (1,0) entered at (VDD, VDD):  c1 + c2 = VDD·CN·R2,
-    # vo(t) = c1 (α+β) e^{λ1 t} + c2 (α−β) e^{λ2 t}  from VDD.
-    total = vdd * cn * r2
-    c1 = (vdd - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    k1 = c1 * (alpha + beta)
-    k2 = c2 * (alpha - beta)
-
-    # First downward Vth crossing inside pure mode (1,0): vo starts
-    # at VDD and the level sits above the late tail.
-    t10 = _two_term_crossing(k1, k2, l1, l2, vth, downward=True)
-
-    tau_r4 = co * r4
-    t01 = tau_r4 * math.log(2.0)  # vo(t) = VDD e^{−t/τ_R4}
-    rate11 = -(1.0 / (co * r3) + 1.0 / tau_r4)
-
-    col = (slice(None), None)  # broadcast row constants over Δ
-    settle = _settle(block)[col]
-    pos = d >= 0.0
-    mag = np.minimum(np.abs(d), settle)
-    with np.errstate(divide="ignore", invalid="ignore",
-                     over="ignore", under="ignore"):
-        # (1,0) then (1,1) for Δ ≥ 0; (0,1) then (1,1) for Δ < 0.
-        vo_pos = k1[col] * np.exp(l1[col] * mag) \
-            + k2[col] * np.exp(l2[col] * mag)
-        vo_neg = vdd[col] * np.exp(-mag / tau_r4[col])
-        vo_d = np.where(pos, vo_pos, vo_neg)
-        first = np.where(pos, t10[col], t01[col])
-        late = mag + np.log(vth[col] / vo_d) / rate11[col]
-        crossing = np.where(mag >= first, first, late)
-    out = crossing + block["delta_min"][col]
+    out = falling_delays(falling_constants(block), d)
     return out[:, 0] if squeeze else out
-
-
-# ----------------------------------------------------------------------
-# rising transition (inputs fall, output GND → VDD)
-# ----------------------------------------------------------------------
-
-def _crossing_00(alpha, beta, l1, l2, vn_comp, vdd, vth, vn0, vo0
-                 ) -> np.ndarray:
-    """First upward Vth crossing of mode (0,0) entered at ``(vn0, vo0)``.
-
-    Maps the entry state onto the mode's exp-sum coefficients (paper
-    eqs. (4)–(7)) and hands them to :func:`_two_term_crossing`.  The
-    mode constants broadcast against the state arrays: the vectorized
-    engine passes its cached scalars, the block kernels per-row
-    columns.  Every element must enter below the threshold.
-    """
-    total = (vn0 - vdd) / vn_comp
-    c1 = ((vo0 - vdd) - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    # vo(t) − VDD = k1·e^{λ1 t} + k2·e^{λ2 t} rises through Vth − VDD.
-    return _two_term_crossing(c1 * (alpha + beta), c2 * (alpha - beta),
-                              l1, l2, vth - vdd, downward=False)
 
 
 def rising_delays_block(block, deltas,
                         vn_init: float = 0.0) -> np.ndarray:
     """Rising MIS delays for a whole sample block at once.
 
-    The parameter-axis twin of
-    :meth:`repro.engine.vectorized.VectorizedEngine.delays_rising`,
-    including the early charge-sharing crossing of the intermediate
-    (1,0) mode for ``vn_init > 0``.
+    The rising twin of :func:`falling_delays_block`, including the
+    early charge-sharing crossing of the intermediate (1,0) mode for
+    ``vn_init > 0``.
 
     Parameters
     ----------
@@ -467,7 +577,8 @@ def rising_delays_block(block, deltas,
         ``±inf`` allowed, NaN rejected.
     vn_init : float, optional
         Mode-(1,1) internal-node voltage ``X`` in volts, shared by
-        the block (default 0.0, the GND worst case).
+        the block (default 0.0, the GND worst case); NaN and ``±inf``
+        rejected.
 
     Returns
     -------
@@ -477,74 +588,7 @@ def rising_delays_block(block, deltas,
     """
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
-    x = float(vn_init)
-
-    r1, r2, r3 = block["r1"], block["r2"], block["r3"]
-    cn, co, vdd = block["cn"], block["co"], block["vdd"]
-    vth = 0.5 * vdd
-    rows = block.shape[0]
-
-    # Mode (1,0) entered at (X, 0) — B fell first.  Charge sharing
-    # can lift the output, possibly across Vth before A falls.
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
-    vn_comp10 = 1.0 / (cn * r2)
-    total = x / vn_comp10
-    c1 = (0.0 - total * (alpha - beta)) / (2.0 * beta)
-    c2 = total - c1
-    kn1, kn2 = c1 * vn_comp10, c2 * vn_comp10  # vn10 coefficients
-    ko1 = c1 * (alpha + beta)                  # vo10 coefficients
-    ko2 = c2 * (alpha - beta)
-
-    # First *upward* Vth crossing of vo10, where one exists: vo10
-    # starts at 0, peaks at its single stationary point, then decays
-    # — the crossing exists iff the peak tops Vth.
-    t_up = np.full(rows, math.inf)
-    if x > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = -(ko2 * l2) / (ko1 * l1)
-            ts = np.log(ratio) / (l1 - l2)
-        has_peak = np.isfinite(ts) & (ts > 0.0)
-        if has_peak.any():
-            t_eval = np.where(has_peak, ts, 0.0)
-            peak = (ko1 * np.exp(l1 * t_eval)
-                    + ko2 * np.exp(l2 * t_eval))
-            sel = np.nonzero(has_peak & (peak > vth))[0]
-            if sel.size:
-                t_up[sel] = _two_term_crossing(
-                    ko1[sel], ko2[sel], l1[sel], l2[sel], vth[sel],
-                    downward=False)
-
-    # Final mode (0,0) constants, per row.
-    a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
-    vn_comp00 = 1.0 / (cn * r2)
-
-    col = (slice(None), None)
-    settle = _settle(block)[col]
-    pos = d >= 0.0
-    mag = np.minimum(np.abs(d), settle)
-    with np.errstate(over="ignore", under="ignore"):
-        # (0,1) from (X, 0): output pinned at GND, only V_N moves.
-        vn01 = vdd[col] + (x - vdd[col]) \
-            * np.exp(-mag / (cn * r1)[col])
-        # (1,0) from (X, 0): both nodes move.
-        e1 = np.exp(l1[col] * mag)
-        e2 = np.exp(l2[col] * mag)
-        vn10 = kn1[col] * e1 + kn2[col] * e2
-        vo10 = ko1[col] * e1 + ko2[col] * e2
-
-    # The rising delay is referenced to the *later* input: final-
-    # segment crossings equal the (0,0)-local crossing time; only an
-    # early upward crossing inside (1,0) gives a Δ-dependent offset.
-    # Early elements enter (0,0) with the output at GND instead, so
-    # one solver call covers the grid; their crossing is discarded.
-    early = ~pos & (mag >= t_up[col])
-    vn0 = np.where(pos, vn01, vn10)
-    vo0 = np.where(pos | early, 0.0, vo10)
-    crossing = _crossing_00(a00[col], b00[col], l100[col], l200[col],
-                            vn_comp00[col], vdd[col], vth[col], vn0,
-                            vo0)
-    delay = np.where(early, t_up[col] - mag, crossing)
-    out = delay + block["delta_min"][col]
+    out = rising_delays(rising_constants(block, vn_init), d)
     return out[:, 0] if squeeze else out
 
 
@@ -628,14 +672,10 @@ def block_delays(engine, direction: str, block, deltas,
     if direction not in ("falling", "rising"):
         raise ValueError(f"direction must be 'falling' or 'rising', "
                          f"got {direction!r}")
-    if direction == "falling":
-        method = getattr(engine, "delays_falling_block", None)
-        if method is None:
-            return block_delays_loop(engine, direction, block,
-                                     deltas)
-        return method(block, deltas)
-    method = getattr(engine, "delays_rising_block", None)
+    method = getattr(engine, f"delays_{direction}_block", None)
     if method is None:
         return block_delays_loop(engine, direction, block, deltas,
                                  vn_init)
+    if direction == "falling":
+        return method(block, deltas)
     return method(block, deltas, vn_init)

@@ -7,8 +7,7 @@ NLDM-style standard-cell libraries but with the input-separation axis
 
 * :mod:`repro.library.characterize` sweeps a grid of
   ``(gate, parameters, Δ range, state grid)`` jobs through a delay
-  engine (:mod:`repro.engine` — the ``parallel`` backend shards the
-  sweeps across processes);
+  engine (:mod:`repro.engine`);
 * :mod:`repro.library.tables` holds the resulting
   :class:`GateDelayTable` surfaces — bilinear ``(state, Δ)`` lookup
   for the paper's 2-input cells, multilinear Δ-vector lookup

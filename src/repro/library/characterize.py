@@ -1,6 +1,6 @@
 """Batch timing-library characterization through the engine seam.
 
-This is the scenario the vectorized/parallel engines exist for: sweep
+This is the scenario the vectorized engine exists for: sweep
 a grid of ``(gate, parameter set, Δ range, state grid)`` jobs through
 a delay engine and produce :class:`~repro.library.tables.GateDelayTable`
 entries that an event simulator can consume — the flow standard-cell
@@ -337,8 +337,7 @@ def characterize_gate(job: CharacterizationJob,
         Cell name, gate type, parameters and grids.
     engine : str or DelayEngine, optional
         Evaluation backend (name, instance, or ``None`` for the
-        vectorized default).  The ``parallel`` backend shards the
-        per-state Δ sweeps across worker processes.
+        vectorized default).
 
     Returns
     -------
@@ -428,8 +427,8 @@ def _characterize_vector_gate(job: CharacterizationJob, backend,
     The tensor-product Δ-vector grid is evaluated through the
     engine's Δ-vector entry points — one batched call per direction,
     which is exactly the workload the batched
-    :class:`~repro.core.multi_input.GeneralizedNorModel` solver and
-    the sharded parallel backend exist for.
+    :class:`~repro.core.multi_input.GeneralizedNorModel` solver
+    exists for.
     """
     params = job.params
     if not isinstance(params, GeneralizedNorParameters):

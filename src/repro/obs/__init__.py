@@ -5,10 +5,10 @@ subsystem reports into:
 
 :mod:`repro.obs.trace`
     Hierarchical span tracer — ``with span("engine.delays_n", n=3):``
-    context managers instrument the session dispatch, all engine
-    backends (including parallel shard fan-out), the compiled-kernel
-    phases, disk-cache reads/writes, and every server route.  Off by
-    default with a no-op-level disabled path; enable with
+    context managers instrument the session dispatch, both engine
+    backends, the compiled-kernel phases, disk-cache reads/writes,
+    and every server route.  Off by default with a no-op-level
+    disabled path; enable with
     ``REPRO_TRACE=jsonl:<path>``, ``Session(trace=...)``, or
     ``repro ... --trace PATH``.
 

@@ -1,17 +1,16 @@
 """Hierarchical span tracing with a no-op-level disabled path.
 
 A *span* is one timed region of work — ``session.run`` dispatching a
-request, the parallel engine staging shared memory, one eigensolve of
-the compiled kernel.  Spans nest: entering a span while another is
-open on the same thread records the open one as its parent, so a
-trace reconstructs the call tree of a request across every
-instrumented layer.
+request, one engine call, one eigensolve of the compiled kernel.
+Spans nest: entering a span while another is open on the same thread
+records the open one as its parent, so a trace reconstructs the call
+tree of a request across every instrumented layer.
 
 The instrumentation style everywhere in the package is::
 
     from ..obs.trace import span
 
-    with span("engine.parallel.run", direction=direction) as s:
+    with span("kernel.evaluate", direction=direction) as s:
         ...
         s.set(rows=rows)          # attach data learned mid-flight
 
@@ -24,9 +23,9 @@ overhead).
 Activation mirrors :mod:`repro.cache`:
 
 * ``REPRO_TRACE=jsonl:<path>`` in the environment — every finished
-  span is appended to *path* as one JSON line (inherited by parallel
-  workers, whose spans land in the same file tagged with their own
-  pid);
+  span is appended to *path* as one JSON line (inherited by forked
+  worker processes, whose spans land in the same file tagged with
+  their own pid);
 * ``REPRO_TRACE=mem`` — record into the bounded in-memory buffer
   only;
 * :func:`configure` — what ``Session(trace=...)`` and the CLI's
@@ -80,7 +79,7 @@ class Span:
     tracer : Tracer
         The tracer that records the span when it closes.
     name : str
-        Dotted span name (``"engine.parallel.run"``); the
+        Dotted span name (``"kernel.evaluate"``); the
         aggregation key of per-request timing breakdowns.
     attrs : dict
         Initial attributes (JSON-safe values).

@@ -351,8 +351,7 @@ class ReproServer:
         Technology card name for the implicit session.
     engine : str, optional
         Delay-engine backend name for the implicit session (``None``
-        picks the package default; ``"parallel"`` shards heavy
-        requests across the shared-memory process pool).
+        picks the package default).
     job_dir : str or Path, optional
         Root of the on-disk batch-job store (default:
         ``repro_jobs`` under the working directory).

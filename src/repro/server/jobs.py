@@ -2,10 +2,8 @@
 
 The :class:`BatchRunner` owns a small pool of daemon threads pulling
 job ids off a queue.  Each job executes one JSONL line at a time
-through the shared :class:`repro.api.Session` — so a session bound to
-the ``parallel`` backend shards each heavy line across the
-shared-memory process pool of :mod:`repro.engine.parallel`, while the
-thread pool here only bounds how many *jobs* run concurrently.
+through the shared :class:`repro.api.Session`; the thread pool here
+only bounds how many *jobs* run concurrently.
 
 Failure isolation is per line: a line that fails to parse, decode, or
 execute yields an :class:`repro.api.ErrorResult` envelope in the

@@ -32,9 +32,9 @@ vectorized-vs-scalar throughput and the surrogate error/speedup.
 Determinism contract: every public entry point takes an explicit
 ``seed`` and reduces over :func:`~repro.stats.montecarlo.quantize`-d
 samples, so identical seeds give byte-identical results across
-processes *and* across the ``reference`` / ``vectorized`` /
-``parallel`` engines (shard-order differences sit ~10 orders of
-magnitude below the quantization step).
+processes *and* across the ``reference`` / ``vectorized`` engines
+(their raw-delay differences sit ~8 orders of magnitude below the
+quantization step).
 """
 
 from .distributions import VARIABLE_PARAMS, ParameterDistribution

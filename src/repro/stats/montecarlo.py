@@ -12,15 +12,14 @@ parameter sets); the 2-input block path is the throughput story.
 Determinism
 -----------
 Raw delays are snapped to the canonical grid :data:`QUANT_STEP`
-(0.1 fs) before *any* reduction.  Backend-to-backend and
-shard-composition differences in the lockstep Newton refinement sit
-at ~1e-24 s — eight orders of magnitude below the grid — so the
-quantized sample matrix, and therefore every moment, percentile and
-histogram derived from it, is byte-identical across the
-``reference`` / ``vectorized`` / ``parallel`` engines and across
-processes.  The grid costs ~1e-5 relative accuracy on picosecond
-delays, far below the 1 % tolerances of the statistical acceptance
-criteria.
+(0.1 fs) before *any* reduction.  Backend-to-backend differences in
+the lockstep Newton refinement sit at ~1e-24 s — eight orders of
+magnitude below the grid — so the quantized sample matrix, and
+therefore every moment, percentile and histogram derived from it, is
+byte-identical across the ``reference`` / ``vectorized`` engines and
+across processes.  The grid costs ~1e-5 relative accuracy on
+picosecond delays, far below the 1 % tolerances of the statistical
+acceptance criteria.
 """
 
 from __future__ import annotations

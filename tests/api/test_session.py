@@ -1,12 +1,14 @@
 """Behavior of the :class:`repro.api.Session` facade."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.api import (DelayRequest, DescribeRequest,
                        ExperimentRequest, LibraryRequest, Session,
-                       StaRequest, VersionRequest, VersionResult,
-                       from_json)
+                       StaRequest, StatsRequest, VersionRequest,
+                       VersionResult, from_json)
 from repro.core.parameters import PAPER_TABLE_I
 from repro.engine import get_engine
 from repro.errors import ParameterError
@@ -115,6 +117,29 @@ class TestDispatch:
         with pytest.raises(ParameterError, match="sibling offset"):
             Session().run(DelayRequest(gate="nor3",
                                        deltas=((1e-12,),)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+class TestNonFiniteInitialVoltage:
+    """A NaN or infinite ``vn_init`` is a typed parameter error on
+    every path through ``Session.run`` — never a wrong-kind error or a
+    result full of NaN."""
+
+    @pytest.mark.parametrize("gate, deltas",
+                             [("nor2", ((5e-12,),)),
+                              ("nor3", ((5e-12, 0.0),))])
+    def test_delay_request(self, engine, value, gate, deltas):
+        request = DelayRequest(gate=gate, direction="rising",
+                               deltas=deltas, vn_init=value)
+        with pytest.raises(ParameterError, match="must be finite"):
+            Session(engine=engine).run(request)
+
+    def test_stats_request(self, engine, value):
+        request = StatsRequest(method="mc", direction="rising",
+                               samples=8, vn_init=value)
+        with pytest.raises(ParameterError, match="vn_init"):
+            Session(engine=engine).run(request)
 
 
 class TestCaching:

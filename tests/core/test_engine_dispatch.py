@@ -1,12 +1,12 @@
-"""`delays_for_direction` dispatch over the n-input entry points and
-the parallel backend's Δ-matrix sharding (ISSUE 4 satellite)."""
+"""`delays_for_direction` dispatch over the n-input entry points, and
+Δ-matrix validation on every backend."""
 
 import numpy as np
 import pytest
 
 from repro.core import PAPER_TABLE_I
 from repro.core.multi_input import paper_generalized
-from repro.engine import (ParallelEngine, delays_for_direction,
+from repro.engine import (available_engines, delays_for_direction,
                           get_engine)
 from repro.errors import ParameterError
 from repro.units import PS
@@ -67,51 +67,16 @@ class TestBackendAgreement:
             assert float(np.max(np.abs(slow - fast))) <= 1e-15
 
 
-class TestParallelMatrixSharding:
-    def test_inline_fallback_counts_rows_not_floats(self, p3, grid):
-        # 24 rows x 2 offsets = 48 floats; the threshold sees 24
-        # evaluations, so the call must stay inline (no pool).
-        engine = ParallelEngine(processes=4, min_shard_points=25)
-        result = engine.delays_falling_n(p3, grid)
-        assert engine._pool is None
-        expected = get_engine("vectorized").delays_falling_n(p3, grid)
-        assert np.array_equal(result, expected)
-
-    def test_threshold_boundary_shards(self, p3, grid):
-        engine = ParallelEngine(processes=2, min_shard_points=24)
-        try:
-            result = engine.delays_falling_n(p3, grid)
-            assert engine._pool is not None
-        finally:
-            engine.close()
-        expected = get_engine("vectorized").delays_falling_n(p3, grid)
-        assert float(np.max(np.abs(result - expected))) <= 1e-15
-
-    def test_sharded_rising_matches_inline(self, p3, grid):
-        engine = ParallelEngine(processes=2, min_shard_points=4)
-        try:
-            sharded = engine.delays_rising_n(p3, grid, 0.1)
-        finally:
-            engine.close()
-        inline = get_engine("vectorized").delays_rising_n(p3, grid,
-                                                          0.1)
-        assert float(np.max(np.abs(sharded - inline))) <= 1e-15
-
-    def test_single_process_never_spawns(self, p3, grid):
-        engine = ParallelEngine(processes=1, min_shard_points=1)
-        result = engine.delays_falling_n(p3, grid)
-        assert engine._pool is None
-        assert result.shape == (24,)
-
-    def test_nan_rejected_before_sharding(self, p3):
-        engine = ParallelEngine(processes=2, min_shard_points=1)
+@pytest.mark.parametrize("backend", available_engines())
+class TestMatrixValidation:
+    def test_nan_rejected(self, backend, p3):
+        engine = get_engine(backend)
         bad = np.full((8, 2), np.nan)
-        with pytest.raises(ParameterError):
-            engine.delays_falling_n(p3, bad)
-        engine.close()
+        for direction in ("falling", "rising"):
+            with pytest.raises(ParameterError):
+                delays_for_direction(engine, direction, p3, bad)
 
-    def test_wrong_width_rejected(self, p3):
-        engine = ParallelEngine(processes=2, min_shard_points=1)
+    def test_wrong_width_rejected(self, backend, p3):
+        engine = get_engine(backend)
         with pytest.raises(ParameterError):
             engine.delays_falling_n(p3, np.zeros((4, 3)))
-        engine.close()

@@ -125,6 +125,23 @@ class TestBlockKernelParity:
         assert actual.shape == grid.shape
         assert np.max(np.abs(actual - expected)) <= PARITY_TOL
 
+    @given(params=gate_params(), deltas=delta_grids(),
+           vn_init=st.one_of(st.just(0.0),
+                             st.floats(min_value=0.0, max_value=0.8,
+                                       exclude_min=True)))
+    def test_vectorized_engine_is_the_one_record_block(
+            self, vectorized, params, deltas, vn_init):
+        """The vectorized engine runs the block kernels' Δ evaluation
+        on memoized one-record constants, so it returns the very bytes
+        of a one-record block call."""
+        block = block_from_parameters(params)
+        assert np.array_equal(
+            vectorized.delays_falling(params, deltas),
+            falling_delays_block(block, deltas[None, :])[0])
+        assert np.array_equal(
+            vectorized.delays_rising(params, deltas, vn_init),
+            rising_delays_block(block, deltas[None, :], vn_init)[0])
+
     def test_rising_early_crossing(self, reference, vectorized):
         """CN well above CO, a weak R3 and N precharged to VDD lift
         the output across Vth inside mode (1,0): at Δ far below zero
@@ -210,6 +227,13 @@ class TestEngineRegistry:
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="unknown delay engine"):
             get_engine("gpu")
+
+    def test_exactly_two_backends(self):
+        assert available_engines() == ("reference", "vectorized")
+        with pytest.raises(ValueError, match="unknown delay engine "
+                           "'parallel'; available: reference, "
+                           "vectorized"):
+            get_engine("parallel")
 
     def test_protocol_runtime_check(self):
         assert isinstance(VectorizedEngine(), DelayEngine)

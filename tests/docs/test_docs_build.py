@@ -47,7 +47,7 @@ def test_api_pages_cover_all_packages(build_module, site):
 
 def test_api_reference_mentions_key_symbols(site):
     engine = (site / "api" / "repro.engine.html").read_text()
-    for symbol in ("DelayEngine", "ParallelEngine", "register_engine",
+    for symbol in ("DelayEngine", "VectorizedEngine", "register_engine",
                    "available_engines"):
         assert symbol in engine
     library = (site / "api" / "repro.library.html").read_text()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.hybrid_model import settle_time
 from repro.core.parameters import PAPER_TABLE_I, NorGateParameters
-from repro.engine import ParallelEngine, get_engine
+from repro.engine import get_engine
 from repro.errors import ParameterError
 from repro.library import (CharacterizationJob, GateLibrary,
                            characterize_gate, characterize_library,
@@ -163,20 +163,6 @@ class TestRandomizedAccuracy:
 
 
 class TestEngines:
-    def test_parallel_backend_matches_vectorized(self):
-        job = CharacterizationJob("nor2_paper", PAPER_TABLE_I)
-        sharded = ParallelEngine(processes=2, min_shard_points=64)
-        try:
-            via_parallel = characterize_gate(job, sharded)
-        finally:
-            sharded.close()
-        via_vectorized = characterize_gate(job, "vectorized")
-        for direction in ("falling", "rising"):
-            a = getattr(via_parallel, direction)
-            b = getattr(via_vectorized, direction)
-            assert np.max(np.abs(np.asarray(a.delays)
-                                 - np.asarray(b.delays))) <= 1e-12
-
     def test_engine_name_recorded(self):
         job = CharacterizationJob("nor2_paper", PAPER_TABLE_I)
         table = characterize_gate(job, "reference")

@@ -13,6 +13,18 @@ import pytest
 from repro.obs import trace
 
 
+def _engine_calls(count: int) -> None:
+    """Run *count* instrumented engine calls (one span each)."""
+    import numpy as np
+
+    from repro.core.parameters import PAPER_TABLE_I
+    from repro.engine import get_engine
+
+    engine = get_engine("vectorized")
+    for _ in range(count):
+        engine.delays_falling(PAPER_TABLE_I, np.linspace(-4e-11, 4e-11, 8))
+
+
 @pytest.fixture(autouse=True)
 def _clean_activation(monkeypatch):
     """Each test starts (and ends) with tracing fully disabled."""
@@ -136,37 +148,39 @@ class TestThreadIsolation:
         for record in outers.values():
             assert record["parent"] is None
 
-    def test_parallel_engine_workers_append_to_the_same_sink(
-            self, monkeypatch, tmp_path):
-        """Forked shard workers inherit ``REPRO_TRACE`` and append
-        their own spans (tagged with their own pid) to the sink —
-        without corrupting the parent's lines."""
+    def test_forked_workers_append_to_the_same_sink(self, monkeypatch,
+                                                    tmp_path):
+        """Forked workers inherit ``REPRO_TRACE`` and append their own
+        spans (tagged with their own pid) to the sink the parent had
+        already opened — without corrupting the parent's lines."""
+        import multiprocessing
         import os
 
-        import numpy as np
-
-        from repro.core.parameters import PAPER_TABLE_I
-        from repro.engine import ParallelEngine
-
-        path = tmp_path / "parallel.jsonl"
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        path = tmp_path / "forked.jsonl"
         monkeypatch.setenv(trace.ENV_VAR, f"jsonl:{path}")
-        engine = ParallelEngine(processes=2, min_shard_points=8)
-        try:
-            deltas = np.linspace(-4e-11, 4e-11, 64)
-            engine.delays_falling(PAPER_TABLE_I, deltas)
-        finally:
-            engine.close()
+        _engine_calls(1)  # opens the sink before the fork
+        context = multiprocessing.get_context("fork")
+        workers = [context.Process(target=_engine_calls, args=(20,))
+                   for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+        assert [worker.exitcode for worker in workers] == [0, 0]
         records = trace.read_jsonl(path)
-        names = {record["name"] for record in records}
-        assert "engine.delays" in names  # the parent's entry point
-        shards = [record for record in records
-                  if record["name"] == "engine.parallel.shard"]
-        assert len(shards) >= 2
-        # Span ids are "<pid>-<thread>-<seq>": shard spans come from
-        # worker processes, not the parent, and never collide.
-        pids = {record["id"].split("-")[0] for record in shards}
-        assert pids and f"{os.getpid():x}" not in pids
-        assert len({record["id"] for record in shards}) == len(shards)
+        assert len(records) == 41
+        assert {record["name"] for record in records} \
+            == {"engine.delays"}
+        # Span ids are "<pid>-<thread>-<seq>": 20 spans from each
+        # worker process, none colliding with another.
+        pids = [record["id"].split("-")[0] for record in records]
+        parent = f"{os.getpid():x}"
+        assert pids.count(parent) == 1
+        assert sorted(pids.count(pid) for pid in set(pids)
+                      if pid != parent) == [20, 20]
+        assert len({record["id"] for record in records}) == 41
 
     def test_capture_is_per_thread(self):
         tracer = trace.Tracer()

@@ -28,13 +28,13 @@ class TestParser:
     def test_options(self):
         args = build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "0",
-             "--engine", "parallel", "--tech", "bulk65",
+             "--engine", "reference", "--tech", "bulk65",
              "--jobs-dir", "/tmp/jobs", "--run-workers", "4",
              "--batch-workers", "1", "--timeout", "5.5",
              "--access-log"])
         assert args.host == "0.0.0.0"
         assert args.port == 0
-        assert args.engine == "parallel"
+        assert args.engine == "reference"
         assert args.tech == "bulk65"
         assert args.jobs_dir == "/tmp/jobs"
         assert args.run_workers == 4

@@ -1,8 +1,8 @@
 """ISSUE 9 determinism acceptance: seeds pin bytes, not just values.
 
 An identical seed must produce a **byte-identical** ``StatsResult``
-envelope across the ``reference`` / ``vectorized`` / ``parallel``
-backends *and* across processes.  Backends agree only to ~1e-24 s at
+envelope across the ``reference`` / ``vectorized`` backends *and*
+across processes.  Backends agree only to ~1e-24 s at
 the raw-delay level (lockstep-Newton rounding), so the contract holds
 because every reduction happens on the canonical 1e-16 s quantization
 grid — and because the envelope deliberately carries no engine name.
@@ -26,7 +26,7 @@ from repro.stats import (ParameterDistribution, fit_surrogate,
 from repro.units import PS
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
-BACKENDS = ("reference", "vectorized", "parallel")
+BACKENDS = ("reference", "vectorized")
 
 REQUEST = StatsRequest(deltas=(-15.0 * PS, 0.0, 15.0 * PS),
                        samples=96, seed=21,

@@ -241,7 +241,6 @@ class TestCharacterizationPersistence:
             "print(json.dumps(payload))\n")
         env = dict(os.environ, PYTHONPATH=SRC_DIR,
                    REPRO_CACHE_DIR=str(tmp_path))
-        env.pop("REPRO_PARALLEL_PROCESSES", None)
 
         def run() -> dict:
             result = subprocess.run([sys.executable, "-c", script],

@@ -35,18 +35,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig5", "--engine", "gpu"])
 
-    def test_parallel_engine_selectable(self):
-        args = build_parser().parse_args(["fig5", "--engine",
-                                          "parallel"])
-        assert args.engine == "parallel"
+    def test_parallel_engine_is_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig5", "--engine", "parallel"])
 
     def test_characterize_options(self):
         args = build_parser().parse_args(
             ["characterize", "--out", "x.json", "--core-points",
-             "129", "--engine", "parallel"])
+             "129", "--engine", "reference"])
         assert args.out == "x.json"
         assert args.core_points == 129
-        assert args.engine == "parallel"
+        assert args.engine == "reference"
 
     def test_library_accepts_optional_path(self):
         args = build_parser().parse_args(["library"])
