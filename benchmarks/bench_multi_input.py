@@ -31,7 +31,8 @@ import time
 
 import numpy as np
 
-from repro.api import MultiInputRequest, Session
+from repro.analysis.experiments import experiment_multi_input
+from repro.api import Session
 from repro.core.multi_input import delta_vector_grid
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -102,10 +103,8 @@ def measure_batch(axis_points: int, num_inputs: int = 3) -> dict:
 
 def test_multi_input_record(benchmark, write_result):
     """Rendered n-input generalization record (landscape + parity)."""
-    session = Session()
-    result = benchmark.pedantic(
-        lambda: session.run(MultiInputRequest()), rounds=1,
-        iterations=1)
+    result = benchmark.pedantic(experiment_multi_input, rounds=1,
+                                iterations=1)
     write_result("multi_input", result.text)
     benchmark.extra_info["reduction_error_s"] = result.reduction_error
     assert result.reduction_error <= 1e-12

@@ -23,8 +23,8 @@ import sys
 import pytest
 
 from repro.analysis.accuracy import build_model_suite
-from repro.analysis.experiments import experiment_runtime
-from repro.api import Session, SweepRequest
+from repro.analysis.experiments import (experiment_engines,
+                                        experiment_runtime)
 from repro.spice.technology import FINFET15
 from repro.timing.tracegen import WaveformConfig, generate_traces
 from repro.units import PS
@@ -41,10 +41,8 @@ _JSON_PATH = pathlib.Path(__file__).parents[1] / "BENCH_runtime.json"
 
 def test_engine_sweep_throughput(benchmark, write_result):
     """10k-point MIS sweep: reference vs vectorized, JSON record."""
-    session = Session()
     result = benchmark.pedantic(
-        lambda: session.run(SweepRequest(points=_SWEEP_POINTS,
-                                         repeats=3)),
+        lambda: experiment_engines(points=_SWEEP_POINTS, repeats=3),
         rounds=1, iterations=1)
     write_result("engines", result.text)
 

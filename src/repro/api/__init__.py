@@ -37,14 +37,12 @@ from .catalog import (EXPERIMENT_DESCRIPTIONS, GATE_CHOICES,
                       experiment_names)
 from .requests import (CharacterizeRequest, DelayRequest,
                        DescribeRequest, ExperimentRequest,
-                       LibraryRequest, MultiInputRequest, Request,
-                       StaRequest, StatsRequest, SweepRequest,
-                       VersionRequest, WireRequest)
+                       LibraryRequest, Request, StaRequest,
+                       StatsRequest, VersionRequest, WireRequest)
 from .results import (CharacterizeResult, DelayResult, DescribeResult,
                       ErrorResult, ExperimentResult,
-                      LibraryInspectResult, MultiInputResult, Result,
-                      StaRunResult, StatsResult, SweepResult,
-                      VersionResult, WireResult)
+                      LibraryInspectResult, Result, StaRunResult,
+                      StatsResult, VersionResult, WireResult)
 from .serialization import (API_SCHEMA, API_SCHEMA_VERSION, ApiRecord,
                             check_schema, from_json, known_kinds)
 from .session import Session
@@ -66,8 +64,6 @@ __all__ = [
     "GATE_CHOICES",
     "LibraryInspectResult",
     "LibraryRequest",
-    "MultiInputRequest",
-    "MultiInputResult",
     "Request",
     "Result",
     "Session",
@@ -75,8 +71,6 @@ __all__ = [
     "StaRunResult",
     "StatsRequest",
     "StatsResult",
-    "SweepRequest",
-    "SweepResult",
     "TECHNOLOGIES",
     "VersionRequest",
     "VersionResult",

@@ -62,7 +62,7 @@ WORKFLOW_DESCRIPTIONS: dict[str, str] = {
     "version": "print the package version",
 }
 
-#: Gate widths ``characterize`` / ``delay`` / ``multi_input`` accept
+#: Gate widths ``characterize`` / ``delay`` / ``stats`` accept
 #: (the n-input flow covers NOR3/NOR4; ``nor2`` is the paper's
 #: closed-form cell).
 GATE_CHOICES = ("nor2", "nor3", "nor4")

@@ -26,13 +26,11 @@ from .catalog import (EXPERIMENT_DESCRIPTIONS, GATE_CHOICES,
                       WORKFLOW_DESCRIPTIONS)
 from .requests import (CharacterizeRequest, DelayRequest,
                        DescribeRequest, ExperimentRequest,
-                       LibraryRequest, MultiInputRequest, Request,
-                       StaRequest, StatsRequest, SweepRequest,
-                       VersionRequest, WireRequest)
+                       LibraryRequest, Request, StaRequest,
+                       StatsRequest, VersionRequest, WireRequest)
 from .results import (CharacterizeResult, DelayResult, DescribeResult,
-                      ExperimentResult, LibraryInspectResult,
-                      MultiInputResult, Result, StaRunResult,
-                      StatsResult, SweepResult, VersionResult,
+                      ExperimentResult, LibraryInspectResult, Result,
+                      StaRunResult, StatsResult, VersionResult,
                       WireResult)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -148,43 +146,8 @@ def _delay(session: "Session", request: DelayRequest) -> DelayResult:
 
 
 # ----------------------------------------------------------------------
-# engine sweep / n-input probe / experiments
+# experiments
 # ----------------------------------------------------------------------
-
-def _sweep(session: "Session", request: SweepRequest) -> SweepResult:
-    from ..analysis import experiments as exp
-
-    outcome = exp.experiment_engines(params=session.parameters,
-                                     points=request.points,
-                                     repeats=request.repeats)
-    return SweepResult(
-        points=outcome.points,
-        seconds=dict(outcome.seconds),
-        points_per_second=dict(outcome.points_per_second),
-        speedup=outcome.speedup,
-        max_abs_difference=outcome.max_abs_difference,
-        text=outcome.text)
-
-
-def _multi_input(session: "Session",
-                 request: MultiInputRequest) -> MultiInputResult:
-    from ..analysis import experiments as exp
-
-    width = _gate_width(request.gate)
-    if width < 3:
-        raise ParameterError(
-            "multi_input probes the generalized path; use nor3 or "
-            "nor4")
-    outcome = exp.experiment_multi_input(params=session.parameters,
-                                         num_inputs=width,
-                                         grid_points=request.points,
-                                         engine=session.engine)
-    return MultiInputResult(gate=request.gate,
-                            reduction_error=outcome.reduction_error,
-                            batch_error=outcome.batch_error,
-                            speedup=outcome.speedup,
-                            text=outcome.text)
-
 
 def _experiment(session: "Session",
                 request: ExperimentRequest) -> ExperimentResult:
@@ -223,13 +186,9 @@ def _experiment(session: "Session",
     elif name == "library":
         text = exp.experiment_library(engine=session.engine).text
     elif name == "engines":
-        # Also reachable as SweepRequest, which carries the grid
-        # options and returns the structured comparison.
         text = exp.experiment_engines(
             params=session.parameters).text
     elif name == "multi_input":
-        # Also reachable as MultiInputRequest (gate / grid options,
-        # structured parity fields).
         text = exp.experiment_multi_input(
             params=session.parameters, engine=session.engine).text
     else:
@@ -286,11 +245,14 @@ def _characterize(session: "Session",
                 or request.state_points is not None):
             deltas = tuple(default_delta_grid(
                 params,
-                core_points=(request.core_points
-                             or DEFAULT_CORE_POINTS)))
+                core_points=(DEFAULT_CORE_POINTS
+                             if request.core_points is None
+                             else request.core_points)))
             states = tuple(default_state_grid(
                 params,
-                points=request.state_points or DEFAULT_STATE_POINTS))
+                points=(DEFAULT_STATE_POINTS
+                        if request.state_points is None
+                        else request.state_points)))
             jobs = tuple(dataclasses.replace(job, deltas=deltas,
                                              state_grid=states)
                          for job in jobs)
@@ -711,8 +673,6 @@ HANDLERS: dict[type[Request],
     DescribeRequest: _describe,
     VersionRequest: _version,
     DelayRequest: _delay,
-    SweepRequest: _sweep,
-    MultiInputRequest: _multi_input,
     ExperimentRequest: _experiment,
     CharacterizeRequest: _characterize,
     LibraryRequest: _library,

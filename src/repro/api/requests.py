@@ -26,11 +26,9 @@ __all__ = [
     "DescribeRequest",
     "ExperimentRequest",
     "LibraryRequest",
-    "MultiInputRequest",
     "Request",
     "StaRequest",
     "StatsRequest",
-    "SweepRequest",
     "VersionRequest",
     "WireRequest",
 ]
@@ -84,44 +82,6 @@ class DelayRequest(Request):
     deltas: tuple[tuple[float, ...], ...] = ((0.0,),)
     gate: str = "nor2"
     vn_init: float = 0.0
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepRequest(Request):
-    """Backend parity/throughput sweep across every registered engine.
-
-    The CLI's ``repro engines``: one falling+rising Δ sweep of
-    *points* per direction through each backend, timed and checked
-    against the scalar reference.
-
-    Parameters
-    ----------
-    points : int
-        Δ grid size per direction.
-    repeats : int
-        Timing repetitions (best-effort smoothing).
-    """
-
-    kind: ClassVar[str] = "sweep"
-    points: int = 4096
-    repeats: int = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiInputRequest(Request):
-    """n-input NOR generalization probe (``repro multi_input``).
-
-    Parameters
-    ----------
-    gate : str
-        Probed gate width, ``"nor3"`` or ``"nor4"``.
-    points : int
-        Per-axis Δ-vector grid size of the batched-vs-scalar probe.
-    """
-
-    kind: ClassVar[str] = "multi_input"
-    gate: str = "nor3"
-    points: int = 25
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,9 +183,9 @@ class ExperimentRequest(Request):
     """Run one of the paper's reproduction experiments by name.
 
     Covers the figure/table subcommands (``fig2`` … ``faithfulness``)
-    plus the ``library`` characterization-accuracy experiment; the
-    engine-comparison and n-input probes have their own richer
-    request types (:class:`SweepRequest`, :class:`MultiInputRequest`).
+    plus the ``library`` characterization-accuracy, ``engines``
+    backend-comparison and ``multi_input`` n-input probes, each at
+    its default size.
 
     Parameters
     ----------

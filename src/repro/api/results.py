@@ -27,11 +27,9 @@ __all__ = [
     "ErrorResult",
     "ExperimentResult",
     "LibraryInspectResult",
-    "MultiInputResult",
     "Result",
     "StaRunResult",
     "StatsResult",
-    "SweepResult",
     "VersionResult",
     "WireResult",
 ]
@@ -200,64 +198,6 @@ class DelayResult(Result):
     engine: str = ""
     deltas: tuple[tuple[float, ...], ...] = ()
     delays: tuple[float, ...] = ()
-    text: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepResult(Result):
-    """Backend parity and throughput of one MIS-sweep workload.
-
-    Parameters
-    ----------
-    points : int
-        Δ grid size per direction.
-    seconds : dict of str to float
-        Backend name -> wall time of a falling+rising sweep.
-    points_per_second : dict of str to float
-        Backend name -> sweep throughput.
-    speedup : float
-        Reference time / vectorized time.
-    max_abs_difference : float
-        Worst |backend − reference| delay, seconds.
-    text : str
-        Rendered comparison table.
-    """
-
-    kind: ClassVar[str] = "sweep_result"
-    points: int = 0
-    seconds: dict[str, float] = dataclasses.field(default_factory=dict)
-    points_per_second: dict[str, float] = dataclasses.field(
-        default_factory=dict)
-    speedup: float = 0.0
-    max_abs_difference: float = 0.0
-    text: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiInputResult(Result):
-    """Outcome of the n-input Δ-vector generalization probe.
-
-    Parameters
-    ----------
-    gate : str
-        Probed gate width (``nor3`` / ``nor4``).
-    reduction_error : float
-        Worst |generalized − closed-form| disagreement on the n = 2
-        sweep, seconds.
-    batch_error : float
-        Worst |batched − scalar| disagreement on the Δ-vector grid,
-        seconds.
-    speedup : float
-        Batched-vs-scalar throughput ratio.
-    text : str
-        Rendered summary.
-    """
-
-    kind: ClassVar[str] = "multi_input_result"
-    gate: str = "nor3"
-    reduction_error: float = 0.0
-    batch_error: float = 0.0
-    speedup: float = 0.0
     text: str = ""
 
 

@@ -28,7 +28,6 @@ when that matters.
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from typing import Any
 
@@ -191,8 +190,8 @@ class Session:
         Raises
         ------
         ValueError
-            With a one-line message if the file is missing or is not
-            a gate-library payload.
+            With a one-line message if the file is missing,
+            unreadable, or not a gate-library payload.
         """
         key = str(path)
         if key in self._libraries:
@@ -201,7 +200,7 @@ class Session:
             library = GateLibrary.load(key)
         except FileNotFoundError:
             raise ValueError(f"no such file: {key}") from None
-        except (ParameterError, json.JSONDecodeError) as error:
+        except (OSError, ValueError) as error:
             raise ValueError(f"cannot read {key}: {error}") from None
         if self._cache_enabled:
             self._libraries[key] = library

@@ -58,9 +58,8 @@ from collections.abc import Sequence
 from ._version import __version__
 from .api import (CharacterizeRequest, DelayRequest, DescribeRequest,
                   ExperimentRequest, GATE_CHOICES, LibraryRequest,
-                  MultiInputRequest, Request, Session, StaRequest,
-                  StatsRequest, SweepRequest, TECHNOLOGIES,
-                  VersionRequest, WireRequest)
+                  Request, Session, StaRequest, StatsRequest,
+                  TECHNOLOGIES, VersionRequest, WireRequest)
 from .engine import DEFAULT_ENGINE, available_engines
 from .errors import ReproError
 from .obs import trace as obs_trace
@@ -133,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default=DEFAULT_ENGINE,
                              help="delay evaluation backend for the "
                                   "model sweeps")
-        if name == "engines":
-            cmd.add_argument("--points", type=_positive_int,
-                             default=4096,
-                             help="Δ grid size per direction")
         if name == "library":
             cmd.add_argument("path", nargs="?", default=None,
                              help="characterized library JSON to "
@@ -160,15 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="random repetitions (paper: 20)")
             cmd.add_argument("--seed", type=int, default=0)
         if name == "multi_input":
-            cmd.add_argument("--gate", choices=GATE_CHOICES[1:],
-                             default="nor3",
-                             help="gate width probed (default: nor3)")
             cmd.add_argument("--engine", choices=available_engines(),
                              default=DEFAULT_ENGINE,
                              help="batched evaluation backend")
-            cmd.add_argument("--points", type=_positive_int,
-                             default=25,
-                             help="per-axis Δ-vector grid size")
 
     cmd = sub.add_parser("delay", help=WORKFLOW_DESCRIPTIONS["delay"])
     _add_json_flag(cmd)
@@ -430,10 +419,6 @@ def request_from_args(args: argparse.Namespace) -> Request:
                             deltas=_parse_delta_vectors(args.deltas),
                             gate=args.gate,
                             vn_init=args.vn_init)
-    if command == "engines":
-        return SweepRequest(points=args.points)
-    if command == "multi_input":
-        return MultiInputRequest(gate=args.gate, points=args.points)
     if command == "characterize":
         return CharacterizeRequest(gate=args.gate, fit=args.fit,
                                    core_points=args.core_points,

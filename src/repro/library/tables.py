@@ -729,6 +729,10 @@ class GateLibrary:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "GateLibrary":
         """Inverse of :meth:`to_dict`, with format validation."""
+        if not isinstance(payload, dict):
+            raise ParameterError(
+                "not a gate-library payload (expected a JSON object, "
+                f"got {type(payload).__name__})")
         if payload.get("format") != LIBRARY_FORMAT:
             raise ParameterError(
                 "not a gate-library payload (format="
@@ -739,8 +743,13 @@ class GateLibrary:
                 f"unsupported library format version {version!r} "
                 f"(this build reads versions "
                 f"{SUPPORTED_FORMAT_VERSIONS})")
+        cells = payload.get("cells", {})
+        if not isinstance(cells, dict):
+            raise ParameterError(
+                "library 'cells' must be a JSON object, got "
+                f"{type(cells).__name__}")
         tables = {cell: GateDelayTable.from_dict(table)
-                  for cell, table in payload.get("cells", {}).items()}
+                  for cell, table in cells.items()}
         return cls(name=str(payload.get("name", "")),
                    tables=tables,
                    description=str(payload.get("description", "")))

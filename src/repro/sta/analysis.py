@@ -503,6 +503,8 @@ def _required_times(graph: TimingGraph,
                 f"{list(graph.endpoints)}")
         constraint = {signal: float(value)
                       for signal, value in required.items()}
+    if any(math.isnan(value) for value in constraint.values()):
+        raise ParameterError("required time must not be NaN")
     for signal, value in constraint.items():
         for transition in ("rise", "fall"):
             req[TimingNode(signal, transition)] = value
@@ -630,6 +632,8 @@ def analyze(graph: TimingGraph, arrivals=None, required=None,
     SimulationError
         If the propagation produced a NaN arrival (malformed ±inf
         input-arrival combination).
+    ParameterError
+        If a required time is NaN.
     """
     node_arrivals = input_arrival_nodes(graph, arrivals)
     arrays = {node: np.asarray([value], dtype=float)

@@ -37,15 +37,18 @@ __all__ = ["CornerSweepResult", "sweep_corners",
            "sweep_corners_scalar"]
 
 
-def _resolve_corner_axes(graph: TimingGraph, params, arrivals):
+def _resolve_corner_axes(graph: TimingGraph, params, arrivals,
+                         required):
     """Broadcast the params / arrival axes to one corner count.
 
     Returns ``(count, corner_params, node_arrays)`` where
     *corner_params* is ``None``, a list with one parameter set per
     corner, or — for per-instance variation — a dict of such lists
     keyed by instance name, and *node_arrays* maps every input node
-    to a ``(count,)`` arrival array.
+    to a ``(count,)`` arrival array.  A NaN *required* is rejected.
     """
+    if required is not None and math.isnan(required):
+        raise ParameterError("required time must not be NaN")
     count: int | None = None
 
     def merge(n: int, what: str) -> None:
@@ -251,10 +254,11 @@ def sweep_corners(graph: TimingGraph, params=None, arrivals=None,
     Raises
     ------
     ParameterError
-        If the corner axes do not broadcast to one length.
+        If the corner axes do not broadcast to one length, or
+        *required* is NaN.
     """
     count, corner_params, node_arrays = _resolve_corner_axes(
-        graph, params, arrivals)
+        graph, params, arrivals, required)
     arrival_arrays, _records = _propagate(
         graph, node_arrays, mode, corner_params=corner_params,
         keep_records=False)
@@ -277,7 +281,7 @@ def sweep_corners_scalar(graph: TimingGraph, params=None,
     override.
     """
     count, corner_params, node_arrays = _resolve_corner_axes(
-        graph, params, arrivals)
+        graph, params, arrivals, required)
     columns: dict[TimingNode, list[float]] = {}
     for corner in range(count):
         spec = {node: np.asarray([array[corner]])

@@ -134,9 +134,10 @@ def timing_yield(graph, distribution, *, samples: int,
     if samples < 1:
         raise ParameterError(
             f"need at least one sample, got {samples}")
-    if arrival_sigma < 0.0:
+    if not (np.isfinite(arrival_sigma) and arrival_sigma >= 0.0):
         raise ParameterError(
-            f"arrival_sigma must be >= 0, got {arrival_sigma}")
+            f"arrival_sigma must be finite and >= 0, got "
+            f"{arrival_sigma}")
     if per_instance:
         names = [inst.name for inst in graph.circuit.instances]
         if names:

@@ -319,32 +319,51 @@ class TestStubbedParity:
             text="ENGINE TABLE GOLDEN")
         calls = []
 
-        def fake(params=None, points=4096, span=None, repeats=1):
-            calls.append(points)
+        def fake(**kwargs):
+            calls.append(sorted(kwargs))
             return stub
 
         monkeypatch.setattr(exp, "experiment_engines", fake)
-        out = run_cli(capsys, ["engines", "--points", "64"])
+        out = run_cli(capsys, ["engines"])
         assert out == stub.text + "\n"
-        assert calls == [64]
+        # The experiment runs at its own default size.
+        assert calls == [["params"]]
+        payload = json.loads(run_cli(capsys, ["engines", "--json"]))
+        assert payload["kind"] == "experiment_result"
+        assert payload["data"] == {"name": "engines",
+                                   "text": stub.text}
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engines", "--points", "64"])
+        assert exit_info.value.code == 2
+        assert calls == [["params"]] * 2
 
     def test_multi_input(self, capsys, monkeypatch):
-        stub = exp.MultiInputResult(num_inputs=4,
+        stub = exp.MultiInputResult(num_inputs=3,
                                     reduction_error=1e-13,
                                     batch_error=1e-16, speedup=18.0,
-                                    text="NOR4 GOLDEN")
+                                    text="NOR3 GOLDEN")
         calls = []
 
-        def fake(params=None, num_inputs=3, grid_points=25,
-                 engine=None):
-            calls.append((num_inputs, grid_points))
+        def fake(**kwargs):
+            calls.append(sorted(kwargs))
             return stub
 
         monkeypatch.setattr(exp, "experiment_multi_input", fake)
-        out = run_cli(capsys, ["multi_input", "--gate", "nor4",
-                               "--points", "7"])
+        out = run_cli(capsys, ["multi_input"])
         assert out == stub.text + "\n"
-        assert calls == [(4, 7)]
+        # The probe runs at its own default width and grid size; only
+        # the session's engine binding is passed through.
+        assert calls == [["engine", "params"]]
+        payload = json.loads(run_cli(capsys, ["multi_input", "--json"]))
+        assert payload["kind"] == "experiment_result"
+        assert payload["data"] == {"name": "multi_input",
+                                   "text": stub.text}
+        for argv in (["multi_input", "--gate", "nor4"],
+                     ["multi_input", "--points", "7"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        assert calls == [["engine", "params"]] * 2
 
     def test_runtime(self, capsys, monkeypatch):
         stub = types.SimpleNamespace(text="RUNTIME GOLDEN")
@@ -404,8 +423,8 @@ class TestJsonMode:
         ["fig6"],
         ["fig8"],
         ["delay", "--delta", "10", "--delta", "0"],
-        ["engines", "--points", "64"],
-        ["multi_input", "--points", "5"],
+        ["engines"],
+        ["multi_input"],
         ["sta", "--circuit", "nor2"],
         ["sta", "--circuit", "chain", "--corners", "4"],
         ["stats", "--delta", "0", "--samples", "64"],

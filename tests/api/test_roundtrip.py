@@ -19,10 +19,8 @@ from repro.api import (API_SCHEMA, API_SCHEMA_VERSION, ApiRecord,
                        DescribeResult, ErrorResult,
                        ExperimentRequest,
                        ExperimentResult, LibraryInspectResult,
-                       LibraryRequest, MultiInputRequest,
-                       MultiInputResult, StaRequest, StaRunResult,
-                       StatsRequest, StatsResult, SweepRequest,
-                       SweepResult, VersionRequest,
+                       LibraryRequest, StaRequest, StaRunResult,
+                       StatsRequest, StatsResult, VersionRequest,
                        VersionResult, WireRequest, WireResult,
                        from_json, known_kinds)
 from repro.errors import ParameterError
@@ -53,7 +51,6 @@ json_payload = st.dictionaries(
     max_size=4)
 
 str_dicts = st.dictionaries(names, names, max_size=4)
-float_dicts = st.dictionaries(names, maybe_inf, max_size=4)
 name_tuples = st.lists(names, max_size=4).map(tuple)
 float_tuples = st.lists(maybe_inf, max_size=5).map(tuple)
 gates = st.sampled_from(["nor2", "nor3", "nor4"])
@@ -65,10 +62,6 @@ STRATEGIES = {
         DelayRequest,
         direction=st.sampled_from(["falling", "rising"]),
         deltas=delta_vectors, gate=gates, vn_init=finite),
-    SweepRequest: st.builds(SweepRequest, points=counts,
-                            repeats=counts),
-    MultiInputRequest: st.builds(MultiInputRequest, gate=gates,
-                                 points=counts),
     CharacterizeRequest: st.builds(
         CharacterizeRequest, gate=gates, fit=st.booleans(),
         core_points=st.none() | counts,
@@ -100,13 +93,6 @@ STRATEGIES = {
         direction=st.sampled_from(["falling", "rising"]),
         engine=names, deltas=delta_vectors, delays=float_tuples,
         text=names),
-    SweepResult: st.builds(
-        SweepResult, points=counts, seconds=float_dicts,
-        points_per_second=float_dicts, speedup=maybe_inf,
-        max_abs_difference=maybe_inf, text=names),
-    MultiInputResult: st.builds(
-        MultiInputResult, gate=gates, reduction_error=maybe_inf,
-        batch_error=maybe_inf, speedup=maybe_inf, text=names),
     CharacterizeResult: st.builds(
         CharacterizeResult, cells=name_tuples,
         worst_error=maybe_inf, engine=names, library=json_payload,
@@ -188,8 +174,21 @@ def test_roundtrip_identity(cls, data):
 
 def test_every_kind_is_registered():
     kinds = known_kinds()
-    assert len(kinds) == len(ALL_TYPES)
+    assert len(kinds) == len(ALL_TYPES) == 19
     assert {cls.kind for cls in ALL_TYPES} == set(kinds)
+
+
+@pytest.mark.parametrize("kind", ["sweep", "multi_input",
+                                  "sweep_result",
+                                  "multi_input_result"])
+def test_removed_benchmark_kinds_are_unknown(kind):
+    """The engine-sweep and n-input probe envelopes left the API;
+    the two workloads run as ``ExperimentRequest`` names."""
+    assert kind not in known_kinds()
+    payload = {"schema": f"{API_SCHEMA}/{API_SCHEMA_VERSION}",
+               "kind": kind, "data": {}}
+    with pytest.raises(ParameterError, match="unknown payload kind"):
+        from_json(payload)
 
 
 def test_error_result_wraps_exceptions():
@@ -233,15 +232,15 @@ def test_unknown_kind_and_fields_are_rejected():
     payload["kind"] = "teleport"
     with pytest.raises(ParameterError, match="unknown payload kind"):
         from_json(payload)
-    payload = json.loads(SweepRequest().to_json())
+    payload = json.loads(StaRequest().to_json())
     payload["data"]["burst"] = 3
     with pytest.raises(ParameterError, match="unknown field"):
         from_json(payload)
 
 
 def test_kind_mismatch_in_typed_decode():
-    with pytest.raises(ParameterError, match="expected a 'sweep'"):
-        SweepRequest.from_json(VersionRequest().to_json())
+    with pytest.raises(ParameterError, match="expected a 'sta'"):
+        StaRequest.from_json(VersionRequest().to_json())
 
 
 def test_malformed_json_is_a_parameter_error():
@@ -252,8 +251,8 @@ def test_malformed_json_is_a_parameter_error():
 
 
 def test_field_type_enforcement():
-    payload = json.loads(SweepRequest().to_json())
-    payload["data"]["points"] = "many"
+    payload = json.loads(StaRequest().to_json())
+    payload["data"]["top"] = "many"
     with pytest.raises(ParameterError):
         from_json(payload)
 

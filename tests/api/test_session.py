@@ -1,14 +1,16 @@
 """Behavior of the :class:`repro.api.Session` facade."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from repro.api import (DelayRequest, DescribeRequest,
-                       ExperimentRequest, LibraryRequest, Session,
-                       StaRequest, StatsRequest, VersionRequest,
-                       VersionResult, from_json)
+from repro.api import (CharacterizeRequest, DelayRequest,
+                       DescribeRequest, ExperimentRequest,
+                       LibraryRequest, Session, StaRequest,
+                       StatsRequest, VersionRequest, VersionResult,
+                       from_json)
 from repro.core.parameters import PAPER_TABLE_I
 from repro.engine import get_engine
 from repro.errors import ParameterError
@@ -142,6 +144,37 @@ class TestNonFiniteInitialVoltage:
             Session(engine=engine).run(request)
 
 
+class TestNonFiniteTimingInputs:
+    """Statistical and plain STA reject a NaN requirement and a
+    non-finite arrival jitter instead of reporting a wrong yield or
+    unconstrained slacks."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_sigma", math.inf), ("arrival_sigma", math.nan),
+        ("required", math.nan)])
+    def test_stats_yield_request(self, field, value):
+        fields = {"required": 250e-12, field: value}
+        request = StatsRequest(method="yield", samples=8, **fields)
+        with pytest.raises(ParameterError, match=f"{field}|NaN"):
+            Session().run(request)
+
+    def test_sta_request(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            Session().run(StaRequest(circuit="nor2",
+                                     required=math.nan))
+
+
+class TestCharacterizeGridSizes:
+    @pytest.mark.parametrize("field, message", [
+        ("core_points", "core_points must be >= 3"),
+        ("state_points", "at least 2 points")])
+    def test_zero_reaches_the_grid_checks(self, field, message):
+        """0 is a grid size, not "use the default grid"."""
+        request = CharacterizeRequest(**{field: 0})
+        with pytest.raises(ParameterError, match=message):
+            Session().run(request)
+
+
 class TestCaching:
     def test_repeats_are_cache_hits(self):
         session = Session()
@@ -207,6 +240,42 @@ class TestLibraryAccess:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="cannot read"):
             Session().load_library(path)
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]", '"str"',
+        '{"format": "repro-gate-library", "format_version": 2, '
+        '"cells": [1]}'])
+    def test_non_object_json_is_one_line_value_error(self, tmp_path,
+                                                     content):
+        path = tmp_path / "odd.json"
+        path.write_text(content)
+        with pytest.raises(ValueError, match="cannot read") as info:
+            Session().load_library(path)
+        assert "\n" not in str(info.value)
+
+    def test_directory_is_one_line_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read"):
+            Session().load_library(tmp_path)
+        # The LibraryRequest default path "" names the working
+        # directory.
+        with pytest.raises(ValueError, match="cannot read"):
+            Session().run(LibraryRequest())
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                        reason="needs a procfs file that fails to read")
+    def test_unreadable_file_is_one_line_value_error(self):
+        with pytest.raises(ValueError, match="cannot read"):
+            Session().load_library("/proc/self/mem")
+
+    def test_sta_library_path_errors_are_value_errors(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        for library_path in (str(path), str(tmp_path)):
+            request = StaRequest(circuit="nor2",
+                                 library_path=library_path,
+                                 cell="nor2_paper")
+            with pytest.raises(ValueError, match="cannot read"):
+                Session().run(request)
 
     def test_sta_library_requires_cell(self, tmp_path):
         request = StaRequest(circuit="nor2",

@@ -132,6 +132,19 @@ class TestGateLibrary:
         with pytest.raises(ParameterError, match="format"):
             GateLibrary.load(path)
 
+    @pytest.mark.parametrize("payload", [[1, 2], "str", 3, None])
+    def test_rejects_non_object_payload(self, payload):
+        with pytest.raises(ParameterError, match="JSON object"):
+            GateLibrary.from_dict(payload)
+
+    @pytest.mark.parametrize("cells", [[1], "nor2", 7])
+    def test_rejects_non_object_cells(self, nor_table, cells):
+        payload = GateLibrary("lib", {nor_table.cell: nor_table}) \
+            .to_dict()
+        payload["cells"] = cells
+        with pytest.raises(ParameterError, match="'cells'"):
+            GateLibrary.from_dict(payload)
+
     def test_rejects_future_format_version(self, nor_table, tmp_path):
         lib = GateLibrary("lib", {nor_table.cell: nor_table})
         payload = lib.to_dict()

@@ -53,6 +53,29 @@ class TestBadBodies:
         assert "is a result" in payload["data"]["error"]
         _alive(client)
 
+    @pytest.mark.parametrize("content", [
+        None, "[1, 2]", '"str"',
+        '{"format": "repro-gate-library", "format_version": 2, '
+        '"cells": [1]}'])
+    def test_unreadable_library_is_400(self, client, tmp_path,
+                                       content):
+        """A library path that is a directory (``None``: the default
+        ``path=""``) or a file holding no library object is a typed
+        client error, for LibraryRequest and StaRequest alike."""
+        from repro.api import LibraryRequest, StaRequest
+        path = ""
+        if content is not None:
+            path = str(tmp_path / "odd.json")
+            (tmp_path / "odd.json").write_text(content)
+        for record in (LibraryRequest(path=path),
+                       StaRequest(library_path=path, cell="nor2")):
+            status, body = client.run(record)
+            assert status == 400
+            payload = json.loads(body)
+            assert payload["kind"] == "error"
+            assert "cannot read" in payload["data"]["error"]
+        _alive(client)
+
     def test_invalid_utf8_is_400(self, client):
         status, _, body = client.request("POST", "/v1/run",
                                          body=b"\xff\xfe{}")

@@ -12,9 +12,8 @@ import pytest
 from repro._version import __version__
 from repro.api import (CharacterizeRequest, DelayRequest,
                        DescribeRequest, ExperimentRequest,
-                       LibraryRequest, MultiInputRequest, Request,
-                       Session, StaRequest, StatsRequest,
-                       SweepRequest, VersionRequest, WireRequest,
+                       LibraryRequest, Request, Session, StaRequest,
+                       StatsRequest, VersionRequest, WireRequest,
                        from_json)
 
 #: (request, expected result envelope kind) for every request kind.
@@ -25,8 +24,9 @@ CASES = [
      "delay_result"),
     (DelayRequest(gate="nor3", direction="rising",
                   deltas=((0.0, 2e-12),)), "delay_result"),
-    (SweepRequest(points=8), "sweep_result"),
-    (MultiInputRequest(gate="nor3", points=3), "multi_input_result"),
+    (ExperimentRequest(name="engines"), "experiment_result"),
+    (DelayRequest(gate="nor4", deltas=((0.0, 3e-12, -2e-12),)),
+     "delay_result"),
     (CharacterizeRequest(core_points=5, state_points=2),
      "characterize_result"),
     (StaRequest(circuit="tree", top=1), "sta_result"),
@@ -63,6 +63,28 @@ def test_round_trip(client, request_record, result_kind):
     record = from_json(body.decode("utf-8"))
     assert type(record).kind == result_kind
     assert record.text
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("sweep", {"points": 8}),
+    ("multi_input", {"gate": "nor3", "points": 3}),
+])
+def test_removed_benchmark_kinds_are_typed_400(client, kind, data):
+    """The engine-sweep and n-input probe kinds are not requests.
+
+    Their workloads run as ``ExperimentRequest`` names at a fixed
+    size, so a client cannot size the work.
+    """
+    body = json.dumps({"schema": "repro.api/1", "kind": kind,
+                       "data": data})
+    status, payload = client.post("/v1/run", body)
+    assert status == 400
+    error = from_json(payload)
+    assert error.kind == "error"
+    assert error.status == 400
+    assert error.request_kind == kind
+    assert "unknown payload kind" in error.error
+    assert repr(kind) in error.error
 
 
 def test_library_round_trip(client, tmp_path):

@@ -146,6 +146,13 @@ class TestRequiredAndSlack:
         with pytest.raises(ParameterError, match="non-endpoint"):
             analyze(tree_graph, required={"n1": 100.0 * PS})
 
+    @pytest.mark.parametrize("required", [math.nan, {"y": math.nan}])
+    def test_required_rejects_nan(self, tree_graph, required):
+        """NaN would otherwise report every slack as unconstrained."""
+        for mode in ("max", "min"):
+            with pytest.raises(ParameterError, match="NaN"):
+                analyze(tree_graph, required=required, mode=mode)
+
     def test_min_mode_slack_is_hold_signed(self, nor_graph, model):
         """min mode: required is the *earliest allowed* arrival, so
         slack = arrival − required (positive = met)."""

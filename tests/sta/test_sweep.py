@@ -155,3 +155,10 @@ class TestValidation:
     def test_empty_params_axis(self, tree_graph):
         with pytest.raises(ParameterError, match="empty"):
             sweep_corners(tree_graph, params=[])
+
+    @pytest.mark.parametrize("sweep", [sweep_corners,
+                                       sweep_corners_scalar])
+    def test_nan_required(self, tree_graph, sweep):
+        with pytest.raises(ParameterError, match="NaN"):
+            sweep(tree_graph, arrivals={"a": np.zeros(3)},
+                  required=math.nan)

@@ -6,6 +6,8 @@ per-corner scalar loop byte-for-byte, and the yield fraction to its
 definition.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,17 @@ class TestErrors:
         with pytest.raises(ParameterError, match="arrival_sigma"):
             timing_yield(tree_graph, DIST, samples=4,
                          arrival_sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_jitter(self, tree_graph, sigma):
+        """inf gave a NaN mean with yield 1.0; NaN meant no jitter."""
+        with pytest.raises(ParameterError, match="arrival_sigma"):
+            timing_yield(tree_graph, DIST, samples=4,
+                         arrival_sigma=sigma, required=260.0 * PS)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_nan_requirement(self, tree_graph, scalar):
+        """NaN used to fail every corner: yield 0.0."""
+        with pytest.raises(ParameterError, match="NaN"):
+            timing_yield(tree_graph, DIST, samples=4,
+                         required=math.nan, scalar=scalar)

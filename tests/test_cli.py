@@ -162,11 +162,18 @@ class TestMain:
         assert reference == vectorized
 
     def test_engines_command(self, capsys):
-        assert main(["engines", "--points", "256"]) == 0
+        assert main(["engines"]) == 0
         out = capsys.readouterr().out
         assert "vectorized" in out
         assert "reference" in out
         assert "points/s" in out
+        assert "4096-point" in out
+        # The grid size is not a CLI option: the sweep is a fixed-size
+        # experiment (benchmarks call experiment_engines directly).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engines", "--points", "8"])
+        assert exit_info.value.code == 2
+        assert "--points" in capsys.readouterr().err
 
     def test_faithfulness(self, capsys):
         assert main(["faithfulness"]) == 0
@@ -323,17 +330,22 @@ class TestErrorExitCodes:
 
 
 class TestMultiInput:
-    def test_parser_options(self):
+    def test_parser_options(self, capsys):
         args = build_parser().parse_args(
-            ["multi_input", "--gate", "nor4", "--points", "9"])
-        assert args.gate == "nor4"
-        assert args.points == 9
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["multi_input", "--gate",
-                                       "nor2"])
+            ["multi_input", "--engine", "reference"])
+        assert args.engine == "reference"
+        # Gate width and grid size are not CLI options: the probe is a
+        # fixed NOR3 experiment (benchmarks call
+        # experiment_multi_input directly).
+        for argv in (["multi_input", "--gate", "nor4"],
+                     ["multi_input", "--points", "9"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert argv[1] in capsys.readouterr().err
 
     def test_experiment_runs(self, capsys):
-        assert main(["multi_input", "--points", "9"]) == 0
+        assert main(["multi_input"]) == 0
         out = capsys.readouterr().out
         assert "NOR3" in out
         assert "n=2 reduction" in out
