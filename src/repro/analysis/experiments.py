@@ -692,6 +692,7 @@ def experiment_sta(params: NorGateParameters = PAPER_TABLE_I,
     """
     from ..sta import TimingNode, analyze, build_timing_graph, \
         sta_circuit
+    from ..timing.channels.hybrid import HybridNorChannel
     from ..timing.circuit import MultiInputInstance
     from ..timing.event_simulator import simulate_events
     from ..timing.simulator import simulate as simulate_traces
@@ -703,10 +704,11 @@ def experiment_sta(params: NorGateParameters = PAPER_TABLE_I,
         result = analyze(graph, arrivals=arrivals, top_paths=1)
         t_stop = 100.0 * PS + 4.0 * settle_time(params)
         if any(isinstance(instance, MultiInputInstance)
+               and not isinstance(instance.channel, HybridNorChannel)
                for instance in circuit.instances):
             # n-input MIS elements run under the feed-forward
             # trace-transform engine (the event-driven engine keeps
-            # its scope at the paper's two-input automaton).
+            # its scope at the paper's two-input hybrid automaton).
             simulated = simulate_traces(circuit, traces)
         else:
             simulated = simulate_events(circuit, traces,

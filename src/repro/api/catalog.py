@@ -9,6 +9,7 @@ validates against them — so the two can never drift apart.
 
 from __future__ import annotations
 
+from ..library.tables import GATE_CHOICES
 from ..spice.technology import BULK65, FINFET15, TechnologyCard
 
 __all__ = [
@@ -61,12 +62,6 @@ WORKFLOW_DESCRIPTIONS: dict[str, str] = {
                "from a running server with --url)",
     "version": "print the package version",
 }
-
-#: Gate widths ``characterize`` / ``delay`` / ``stats`` accept
-#: (the n-input flow covers NOR3/NOR4; ``nor2`` is the paper's
-#: closed-form cell).
-GATE_CHOICES = ("nor2", "nor3", "nor4")
-
 
 def experiment_names() -> tuple[str, ...]:
     """Names :class:`~repro.api.ExperimentRequest` (and the CLI

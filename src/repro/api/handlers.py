@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .._version import __version__
-from ..engine import available_engines
+from ..engine import available_engines, delays_for_direction
 from ..errors import ParameterError
+from ..library.tables import gate_width
 from ..units import to_ps
-from .catalog import (EXPERIMENT_DESCRIPTIONS, GATE_CHOICES,
-                      WORKFLOW_DESCRIPTIONS)
+from .catalog import EXPERIMENT_DESCRIPTIONS, WORKFLOW_DESCRIPTIONS
 from .requests import (CharacterizeRequest, DelayRequest,
                        DescribeRequest, ExperimentRequest,
                        LibraryRequest, Request, StaRequest,
@@ -37,14 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import Session
 
 __all__ = ["HANDLERS"]
-
-
-def _gate_width(gate: str) -> int:
-    if gate not in GATE_CHOICES:
-        raise ParameterError(
-            f"unknown gate {gate!r}; available: "
-            f"{', '.join(GATE_CHOICES)}")
-    return int(gate[len("nor"):])
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +96,7 @@ def _delay(session: "Session", request: DelayRequest) -> DelayResult:
             f"{request.direction!r}")
     if not request.deltas:
         raise ParameterError("at least one Δ-vector is required")
-    width = _gate_width(request.gate)
+    width = gate_width(request.gate)
     wanted = width - 1
     for entry in request.deltas:
         if len(entry) != wanted:
@@ -114,19 +106,11 @@ def _delay(session: "Session", request: DelayRequest) -> DelayResult:
     engine = session.engine
     rows = np.asarray(request.deltas, dtype=float)
     if width == 2:
-        axis = rows[:, 0]
-        if request.direction == "falling":
-            delays = engine.delays_falling(session.parameters, axis)
-        else:
-            delays = engine.delays_rising(session.parameters, axis,
-                                          request.vn_init)
+        params, grid = session.parameters, rows[:, 0]
     else:
-        wide = paper_generalized(width, session.parameters)
-        if request.direction == "falling":
-            delays = engine.delays_falling_n(wide, rows)
-        else:
-            delays = engine.delays_rising_n(wide, rows,
-                                            request.vn_init)
+        params, grid = paper_generalized(width, session.parameters), rows
+    delays = delays_for_direction(engine, request.direction, params,
+                                  grid, request.vn_init)
 
     def _axis(entry: tuple[float, ...]) -> str:
         return ", ".join(f"{to_ps(value):+.2f}" for value in entry)
@@ -214,7 +198,7 @@ def _characterize(session: "Session",
     from ..library.characterize import (DEFAULT_CORE_POINTS,
                                         DEFAULT_STATE_POINTS)
 
-    width = _gate_width(request.gate)
+    width = gate_width(request.gate)
     if request.fit:
         from ..analysis.characterization import characterize_nor
         from ..analysis.fitting import fit_from_characterization

@@ -39,6 +39,8 @@ __all__ = [
     "API_SCHEMA_VERSION",
     "ApiRecord",
     "check_schema",
+    "decode_envelope",
+    "envelope_kind",
     "from_json",
     "known_kinds",
 ]
@@ -259,18 +261,45 @@ class ApiRecord:
         Raises
         ------
         ParameterError
-            If the text is not JSON, or :meth:`from_dict` rejects the
-            envelope.
+            If :func:`decode_envelope` or :meth:`from_dict` rejects
+            the payload.
         """
-        if isinstance(payload, str):
-            try:
-                payload = json.loads(payload)
-            except json.JSONDecodeError as error:
-                raise ParameterError(
-                    f"not a JSON payload: {error}") from None
-        if not isinstance(payload, dict):
-            raise ParameterError("payload must be a JSON object")
-        return cls.from_dict(payload)
+        return cls.from_dict(decode_envelope(payload))
+
+
+def decode_envelope(payload: "str | dict[str, Any]") -> dict[str, Any]:
+    """Parse envelope JSON text into its dict (a dict passes through).
+
+    The one place envelopes are decoded: :meth:`ApiRecord.from_json`,
+    the server's ``/v1/run`` route and its batch lines all call it,
+    so every malformed body is the same typed error.
+
+    Raises
+    ------
+    ParameterError
+        If the text is not JSON — nesting past the decoder's
+        recursion limit included — or not a JSON object.
+    """
+    if isinstance(payload, str):
+        try:
+            payload = json.loads(payload)
+        except json.JSONDecodeError as error:
+            raise ParameterError(
+                f"not a JSON payload: {error}") from None
+        except RecursionError:
+            raise ParameterError(
+                "not a JSON payload: nested too deeply to "
+                "decode") from None
+    if not isinstance(payload, dict):
+        raise ParameterError("payload must be a JSON object")
+    return payload
+
+
+def envelope_kind(envelope: dict[str, Any]) -> "str | None":
+    """The decoded envelope's ``kind`` tag, or ``None`` when it is
+    missing or not a string (used to label error envelopes)."""
+    kind = envelope.get("kind")
+    return kind if isinstance(kind, str) else None
 
 
 def from_json(payload: "str | dict[str, Any]") -> ApiRecord:

@@ -54,8 +54,8 @@ from ..errors import ParameterError
 from ..units import to_ps
 
 __all__ = ["DelaySurface", "GateDelayTable", "GateLibrary",
-           "VectorDelaySurface", "LIBRARY_FORMAT",
-           "LIBRARY_FORMAT_VERSION", "mis_gate_inputs"]
+           "VectorDelaySurface", "GATE_CHOICES", "LIBRARY_FORMAT",
+           "LIBRARY_FORMAT_VERSION", "gate_width", "mis_gate_inputs"]
 
 #: On-disk format identifier of serialized libraries.
 LIBRARY_FORMAT = "repro-gate-library"
@@ -98,6 +98,27 @@ def mis_gate_inputs(gate: str) -> int:
             f"gate must be 'nand2' or 'nor<n>' (n >= 2), got "
             f"{gate!r}")
     return int(match.group(1))
+
+
+#: Gate widths ``characterize`` / ``delay`` / ``stats`` accept (the
+#: n-input flow covers NOR3/NOR4; ``nor2`` is the paper's closed-form
+#: cell); :mod:`repro.api.catalog` re-exports it for the front ends.
+GATE_CHOICES = ("nor2", "nor3", "nor4")
+
+
+def gate_width(gate: str) -> int:
+    """Input count of a request-surface gate name.
+
+    Raises
+    ------
+    ParameterError
+        If *gate* is not one of :data:`GATE_CHOICES`.
+    """
+    if gate not in GATE_CHOICES:
+        raise ParameterError(
+            f"unknown gate {gate!r}; available: "
+            f"{', '.join(GATE_CHOICES)}")
+    return mis_gate_inputs(gate)
 
 
 def _check_grid(values: tuple[float, ...], label: str,

@@ -43,7 +43,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .._version import __version__
 from ..api import ErrorResult, Session
-from ..errors import ReproError
+from ..api.serialization import decode_envelope, envelope_kind
+from ..errors import ParameterError, ReproError
 from ..obs import metrics as _obs_metrics
 from ..obs.trace import span as _span
 from .jobs import BatchRunner
@@ -61,23 +62,6 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 
 #: Chunk size for streaming results downloads.
 _STREAM_CHUNK = 64 * 1024
-
-#: Sentinel for "caller did not pre-parse the request kind".
-_UNSET = object()
-
-
-def _request_kind(text: str) -> "str | None":
-    """The ``kind`` field of a request envelope, if it decodes."""
-    try:
-        decoded = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(decoded, dict):
-        kind = decoded.get("kind")
-        if isinstance(kind, str):
-            return kind
-    return None
-
 
 class _Disconnect(Exception):
     """The client went away mid-response (normalized marker)."""
@@ -246,15 +230,18 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return error_status, False
         try:
-            text = body.decode("utf-8")
+            envelope = decode_envelope(body.decode("utf-8"))
         except UnicodeDecodeError as exc:
             self._send_error(400, exc)
             return 400, False
-        kind = _request_kind(text)
-        if kind is not None:
-            self.log_fields["kind"] = kind
-        result, status, timed_out = self.app.run_envelope(
-            text, request_kind=kind)
+        except ParameterError as exc:
+            result, status, timed_out = (
+                ErrorResult.from_exception(exc, status=400), 400, False)
+        else:
+            kind = envelope_kind(envelope)
+            if kind is not None:
+                self.log_fields["kind"] = kind
+            result, status, timed_out = self.app.run_envelope(envelope)
         if isinstance(result, ErrorResult):
             self._send_bytes(status,
                              (result.to_json() + "\n").encode("utf-8"))
@@ -484,17 +471,17 @@ class ReproServer:
     # request execution
     # ------------------------------------------------------------------
 
-    def run_envelope(self, text: str, request_kind=_UNSET):
-        """Execute one ``/v1/run`` envelope on the bounded pool.
+    def run_envelope(self, envelope: dict):
+        """Execute one decoded ``/v1/run`` envelope on the bounded
+        pool.
 
         Parameters
         ----------
-        text : str
-            The request envelope JSON.
-        request_kind : str or None, optional
-            The envelope's already-parsed ``kind`` (the HTTP layer
-            passes it so the body is only decoded once); omitted,
-            it is parsed here.  Used to label error envelopes.
+        envelope : dict
+            The request envelope, already decoded by
+            :func:`~repro.api.serialization.decode_envelope` (so the
+            body is parsed once); its ``kind`` labels error
+            envelopes.
 
         Returns
         -------
@@ -503,9 +490,8 @@ class ReproServer:
             the typed result on success or an :class:`ErrorResult`
             on failure.
         """
-        if request_kind is _UNSET:
-            request_kind = _request_kind(text)
-        future = self._pool.submit(self.session.run_json, text)
+        request_kind = envelope_kind(envelope)
+        future = self._pool.submit(self.session.run_json, envelope)
         try:
             return future.result(self.request_timeout), 200, False
         except concurrent.futures.TimeoutError:

@@ -17,12 +17,12 @@ re-enqueued and resume exactly at the first line without a result.
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
 
 from ..api import ErrorResult, Session
+from ..api.serialization import decode_envelope, envelope_kind
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 from .store import TERMINAL_STATUSES, JobStore
@@ -194,15 +194,9 @@ class BatchRunner:
         request_kind = None
         with _span("server.batch.line", line=number) as live:
             try:
-                try:
-                    decoded = json.loads(text)
-                except json.JSONDecodeError:
-                    decoded = None
-                if isinstance(decoded, dict):
-                    kind = decoded.get("kind")
-                    request_kind = (kind if isinstance(kind, str)
-                                    else None)
-                result = self.session.run_json(text)
+                envelope = decode_envelope(text)
+                request_kind = envelope_kind(envelope)
+                result = self.session.run_json(envelope)
                 _line_counter("ok").inc()
                 live.set(kind=request_kind, status="ok")
                 return {"line": number, "status": "ok",

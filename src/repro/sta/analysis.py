@@ -164,32 +164,28 @@ def _grouped_delays(arc: TimingArc, deltas: np.ndarray,
 
     *deltas* is the scalar separation per lane (2-input and
     single-input arcs) or a ``(lanes, n−1)`` Δ-vector matrix
-    (n-input arcs) — the matching model entry point is picked here.
-    ``corner_groups`` is ``None`` (no re-targeting) or the
+    (n-input arcs); the model's one ``delays`` entry point takes
+    either.  ``corner_groups`` is ``None`` (no re-targeting) or the
     :func:`_corner_groups` precompute — per-instance (dict) groupings
     re-target each arc with its own instance's axis; lanes sharing a
     parameter set are evaluated in a single model call.  NaN lanes
     (no crossing to condition on) are left NaN.
     """
     direction = DIRECTION[arc.target.transition]
-    if deltas.ndim == 2:
-        valid = ~np.isnan(deltas).any(axis=1)
-        evaluate = arc.model.delays_n
-    else:
-        valid = ~np.isnan(deltas)
-        evaluate = arc.model.delays
+    nan = np.isnan(deltas)
+    valid = ~(nan.any(axis=1) if nan.ndim == 2 else nan)
     delays = np.full(valid.shape, math.nan)
     groups = (corner_groups.get(arc.instance)
               if isinstance(corner_groups, dict) else corner_groups)
     if groups is None or not arc.model.retargetable:
         if valid.any():
-            delays[valid] = evaluate(direction, deltas[valid])
+            delays[valid] = arc.model.delays(direction, deltas[valid])
         return delays
     for params, lanes in groups:
         index = lanes[valid[lanes]]
         if index.size:
-            delays[index] = evaluate(direction, deltas[index],
-                                     params=params)
+            delays[index] = arc.model.delays(direction, deltas[index],
+                                             params=params)
     return delays
 
 

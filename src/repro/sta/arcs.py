@@ -18,9 +18,11 @@ answer, packaged behind one small protocol so that a
   fallback for gates driven by single-input channels (pure, inertial,
   involution), read off the channel's stable-history delay.
 
-All models are array-native: ``delays(direction, deltas)`` takes an
-array of sibling separations and returns delays of the same shape, so
-one arc evaluation can serve a thousand corners in a single call.
+All models are array-native: ``delays(direction, deltas)`` takes the
+sibling separations of many lanes — ``(lanes,)`` for 2-pin and
+single-input arcs, ``(lanes, n−1)`` Δ-vectors for wider gates — and
+returns one delay per lane, so one arc evaluation can serve a
+thousand corners in a single call.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class ArcDelayModel(Protocol):
     retargetable: bool
 
     def delays(self, direction: str, deltas,
-               params: NorGateParameters | None = None) -> np.ndarray:
-        """MIS delays of the arc's output transition.
+               params=None) -> np.ndarray:
+        """MIS delays of the arc's output transition, one per lane.
 
         Parameters
         ----------
@@ -77,33 +79,12 @@ class ArcDelayModel(Protocol):
             ``"falling"`` or ``"rising"`` — the output transition the
             arc drives.
         deltas : array_like of float
-            Sibling-input separations ``Δ = t_B − t_A`` in seconds;
-            ``±inf`` selects the SIS plateaus.  Ignored by
-            Δ-independent models.
-        params : NorGateParameters, optional
-            Corner override; only honoured when
-            :attr:`retargetable` is true.
-
-        Returns
-        -------
-        numpy.ndarray
-            Delays in seconds, same shape as *deltas*.
-        """
-        ...
-
-    def delays_n(self, direction: str, deltas,
-                 params=None) -> np.ndarray:
-        """MIS delays of an n-input arc over Δ-vector matrices.
-
-        Parameters
-        ----------
-        direction : str
-            ``"falling"`` or ``"rising"`` — the output transition
-            the arc drives.
-        deltas : array_like of float
-            Sibling offsets relative to pin 0, shape ``(..., n−1)``;
-            ``±inf`` selects the SIS plateaus.  Ignored by
-            Δ-independent models.
+            Sibling-input separations in seconds, one row per lane:
+            shape ``(lanes,)`` holding ``Δ = t_B − t_A`` for 2-pin
+            (and single-input) arcs, ``(lanes, n−1)`` holding the
+            offsets relative to pin 0 for n-input gates; ``±inf``
+            selects the SIS plateaus.  Δ-independent models read
+            only the lane count.
         params : NorGateParameters or GeneralizedNorParameters, optional
             Corner override; only honoured when
             :attr:`retargetable` is true.
@@ -111,14 +92,9 @@ class ArcDelayModel(Protocol):
         Returns
         -------
         numpy.ndarray
-            Delays in seconds, shape ``deltas.shape[:-1]``.
+            Delays in seconds, shape ``(lanes,)``.
         """
         ...
-
-
-def _check_mis_gate(gate: str) -> str:
-    mis_gate_inputs(gate)  # raises on unknown gate type names
-    return gate
 
 
 class EngineArcModel:
@@ -151,8 +127,8 @@ class EngineArcModel:
 
     def __init__(self, params, gate: str = "nor2",
                  engine=None, state: float | None = None):
-        self.gate = _check_mis_gate(gate)
         self.num_inputs = mis_gate_inputs(gate)
+        self.gate = gate
         if self.gate in MIS_GATE_TYPES:
             if not isinstance(params, NorGateParameters):
                 raise ParameterError(
@@ -201,37 +177,17 @@ class EngineArcModel:
         return 0.0 if self.state is None else self.state
 
     def delays(self, direction: str, deltas,
-               params: NorGateParameters | None = None) -> np.ndarray:
+               params=None) -> np.ndarray:
         """Evaluate ``δ(Δ)`` for the arc's output *direction*.
 
         See :meth:`ArcDelayModel.delays`; *params* re-targets the
-        evaluation to another corner.  2-input gate types only — the
-        Δ-vector arcs of wider gates go through :meth:`delays_n`.
+        evaluation to another corner (2-input corner sets are widened
+        through ``paper_generalized`` for n-input arcs).
         """
-        if self.gate not in MIS_GATE_TYPES:
-            raise ParameterError(
-                f"{self.gate!r} arcs carry Δ-vector delays; call "
-                "delays_n with an (..., n-1) offset matrix")
         resolved = self._resolve(params)
         if self.gate == "nand2":
             # Mirror duality: swap directions, mirror the state axis.
             direction = "rising" if direction == "falling" else "falling"
-        return delays_for_direction(self.engine, direction, resolved,
-                                    deltas, self._vn_init(resolved))
-
-    def delays_n(self, direction: str, deltas,
-                 params=None) -> np.ndarray:
-        """Evaluate ``δ(Δ-vector)`` for an n-input NOR arc.
-
-        See :meth:`ArcDelayModel.delays_n`; *params* re-targets the
-        evaluation to another corner (2-input corner sets are widened
-        through ``paper_generalized``).
-        """
-        if self.gate in MIS_GATE_TYPES:
-            raise ParameterError(
-                f"{self.gate!r} arcs carry scalar-Δ delays; call "
-                "delays")
-        resolved = self._resolve(params)
         return delays_for_direction(self.engine, direction, resolved,
                                     deltas, self._vn_init(resolved))
 
@@ -281,8 +237,12 @@ class TableArcModel:
         return self.table.num_inputs
 
     def delays(self, direction: str, deltas,
-               params: NorGateParameters | None = None) -> np.ndarray:
+               params=None) -> np.ndarray:
         """Interpolated ``δ(Δ)`` from the characterized surfaces.
+
+        Clamped bilinear ``(state, Δ)`` lookups on a 2-input table,
+        clamped multilinear Δ-vector lookups on an n-input one; see
+        :meth:`ArcDelayModel.delays`.
 
         Raises
         ------
@@ -296,42 +256,16 @@ class TableArcModel:
                 f"table-backed arc ({self.table.cell!r}) cannot be "
                 "re-targeted to another parameter corner; "
                 "characterize a library for that corner instead")
-        if isinstance(self.table.falling, VectorDelaySurface):
-            raise ParameterError(
-                f"{self.table.cell!r} carries Δ-vector surfaces; "
-                "call delays_n with an (..., n-1) offset matrix")
         if direction == "falling":
-            return self.table.falling.delays_at(deltas, self.state,
-                                                clamp=True)
-        if direction == "rising":
-            return self.table.rising.delays_at(deltas, self.state,
-                                               clamp=True)
-        raise ParameterError(f"direction must be 'falling' or "
-                             f"'rising', got {direction!r}")
-
-    def delays_n(self, direction: str, deltas,
-                 params=None) -> np.ndarray:
-        """Interpolated ``δ(Δ-vector)`` from an n-input table.
-
-        Clamped multilinear lookups on the characterized
-        :class:`~repro.library.tables.VectorDelaySurface` pair; see
-        :meth:`ArcDelayModel.delays_n`.
-        """
-        if params is not None and params != self.table.params:
-            raise ParameterError(
-                f"table-backed arc ({self.table.cell!r}) cannot be "
-                "re-targeted to another parameter corner; "
-                "characterize a library for that corner instead")
-        if not isinstance(self.table.falling, VectorDelaySurface):
-            raise ParameterError(
-                f"{self.table.cell!r} carries scalar-Δ surfaces; "
-                "call delays")
-        if direction == "falling":
-            return self.table.falling.delays_at(deltas, clamp=True)
-        if direction == "rising":
-            return self.table.rising.delays_at(deltas, clamp=True)
-        raise ParameterError(f"direction must be 'falling' or "
-                             f"'rising', got {direction!r}")
+            surface = self.table.falling
+        elif direction == "rising":
+            surface = self.table.rising
+        else:
+            raise ParameterError(f"direction must be 'falling' or "
+                                 f"'rising', got {direction!r}")
+        if isinstance(surface, VectorDelaySurface):
+            return surface.delays_at(deltas, clamp=True)
+        return surface.delays_at(deltas, self.state, clamp=True)
 
     def __repr__(self) -> str:
         return f"TableArcModel({self.table.cell!r})"
@@ -390,8 +324,8 @@ class FixedArcModel:
         return cls(delay_rise=rise, delay_fall=fall)
 
     def delays(self, direction: str, deltas,
-               params: NorGateParameters | None = None) -> np.ndarray:
-        """Constant delays broadcast to the shape of *deltas*."""
+               params=None) -> np.ndarray:
+        """The constant delay, once per lane of *deltas*."""
         if direction == "falling":
             value = self.delay_fall
         elif direction == "rising":
@@ -399,15 +333,7 @@ class FixedArcModel:
         else:
             raise ParameterError(f"direction must be 'falling' or "
                                  f"'rising', got {direction!r}")
-        return np.full(np.shape(np.asarray(deltas, dtype=float)),
-                       value)
-
-    def delays_n(self, direction: str, deltas,
-                 params=None) -> np.ndarray:
-        """Constant delays broadcast to the Δ-matrix row shape."""
-        d = np.asarray(deltas, dtype=float)
-        return self.delays(direction, d[..., 0] if d.ndim else d,
-                           params)
+        return np.full(np.shape(deltas)[:1], value)
 
     def __repr__(self) -> str:
         return (f"FixedArcModel(rise={self.delay_rise!r}, "
@@ -461,22 +387,14 @@ class WireArcModel:
                    sink=instance.sink, model=instance.delay_model)
 
     def delays(self, direction: str, deltas,
-               params: NorGateParameters | None = None) -> np.ndarray:
-        """The sink delay broadcast to the shape of *deltas*."""
+               params=None) -> np.ndarray:
+        """The sink delay, once per lane of *deltas*."""
         if direction not in ("falling", "rising"):
             raise ParameterError(f"direction must be 'falling' or "
                                  f"'rising', got {direction!r}")
         with span("sta.wire_arc", sink=self.sink,
                   model=self.model, direction=direction):
-            return np.full(np.shape(np.asarray(deltas, dtype=float)),
-                           self.delay)
-
-    def delays_n(self, direction: str, deltas,
-                 params=None) -> np.ndarray:
-        """The sink delay broadcast to the Δ-matrix row shape."""
-        d = np.asarray(deltas, dtype=float)
-        return self.delays(direction, d[..., 0] if d.ndim else d,
-                           params)
+            return np.full(np.shape(deltas)[:1], self.delay)
 
     def __repr__(self) -> str:
         return (f"WireArcModel(sink={self.sink!r}, "

@@ -8,26 +8,20 @@ circuit is described once and analyzed both ways.
 
 Arc construction per instance kind:
 
-* :class:`~repro.timing.circuit.HybridInstance` (the paper's fused
-  NOR element) — two **MIS arc pairs**: output-falling fed by both
-  rising inputs through the parallel nMOS network (delay ``δ↓(Δ)``
-  referenced to the *earlier* input) and output-rising fed by both
-  falling inputs through the series pMOS stack (``δ↑(Δ)``, referenced
-  to the *later* input).  Delays come from an
-  :class:`~repro.sta.arcs.EngineArcModel` unless overridden.
-* :class:`~repro.timing.circuit.MultiInputInstance` (the generalized
-  n-input NOR element) — one MIS arc per pin and output transition,
-  each carrying the full ordered ``pin_nodes`` tuple so the analyzer
-  can condition the group's delay on the (n−1)-dimensional Δ-vector
-  of sibling arrival offsets in one batched model call
-  (:class:`~repro.sta.arcs.EngineArcModel` over
-  ``GeneralizedNorParameters``, or a Δ-vector
-  :class:`~repro.sta.arcs.TableArcModel`).
-* :class:`~repro.timing.circuit.GateInstance` holding a two-input
-  :class:`~repro.timing.channels.TableDelayChannel` — the same MIS
-  pairs, with a :class:`~repro.sta.arcs.TableArcModel` reading the
-  characterized library surfaces (NAND swaps which transition is the
-  parallel one, per the mirror duality).
+* :class:`~repro.timing.circuit.MultiInputInstance` (the fused MIS
+  element, any width) — one **MIS arc** per distinct pin and output
+  transition: output-falling fed by the rising inputs through the
+  parallel nMOS network (referenced to the *earlier* input) and
+  output-rising fed by the falling inputs through the series pMOS
+  stack (referenced to the *later* input); NAND swaps which
+  transition is the parallel one, per the mirror duality.  Each arc
+  carries the full ordered ``pin_nodes`` tuple, so the analyzer
+  conditions the group's delay on the sibling arrival offsets — a
+  scalar ``Δ`` for two pins, an (n−1)-dimensional Δ-vector for wider
+  gates — in one batched model call.  Delays come from an
+  :class:`~repro.sta.arcs.EngineArcModel` (hybrid and generalized
+  channels) or a :class:`~repro.sta.arcs.TableArcModel` reading the
+  characterized library surfaces (table channels), unless overridden.
 * :class:`~repro.timing.circuit.WireInstance` (one sink of an RC
   wire tree) — a positive-unate, direction-symmetric arc pair
   (rise→rise, fall→fall) carrying the reduced-order interconnect
@@ -47,9 +41,8 @@ from typing import NamedTuple
 from ..errors import NetlistError
 from ..timing.channels.multi_input import GeneralizedNorChannel
 from ..timing.channels.table import TableDelayChannel
-from ..timing.circuit import (GateInstance, HybridInstance,
-                              MultiInputInstance, TimingCircuit,
-                              WireInstance)
+from ..timing.circuit import (GateInstance, MultiInputInstance,
+                              TimingCircuit, WireInstance)
 from .arcs import (ArcDelayModel, EngineArcModel, FixedArcModel,
                    TableArcModel, WireArcModel)
 
@@ -99,12 +92,6 @@ class TimingArc:
     siblings : tuple of TimingNode
         The partner inputs' transitions for MIS arcs, in pin order
         with the source pin removed (empty for single-input arcs).
-    pin : str
-        Which pin the source sits on: ``"a"`` / ``"b"`` for the
-        paper's 2-input elements, ``"p<i>"`` for wider gates
-        (``"a"`` for single-input arcs).
-    pin_index : int
-        Position of the source pin in the instance's input order.
     pin_nodes : tuple of TimingNode
         For MIS arcs: *all* input transitions of the MIS group in
         pin order (the source included) — the Δ-vector the delay is
@@ -121,8 +108,6 @@ class TimingArc:
     target: TimingNode
     model: ArcDelayModel
     siblings: tuple[TimingNode, ...] = ()
-    pin: str = "a"
-    pin_index: int = 0
     pin_nodes: tuple[TimingNode, ...] = ()
     reference: str = "input"
 
@@ -130,12 +115,6 @@ class TimingArc:
     def is_mis(self) -> bool:
         """Whether the arc carries a sibling-conditioned MIS delay."""
         return bool(self.siblings)
-
-    @property
-    def sibling(self) -> TimingNode | None:
-        """The single partner transition of a 2-input MIS arc
-        (``None`` for single-input arcs and wider gates)."""
-        return self.siblings[0] if len(self.siblings) == 1 else None
 
     def __str__(self) -> str:
         return (f"{self.source} -> {self.target} "
@@ -212,7 +191,7 @@ class TimingGraph:
             self._incoming.setdefault(arc.target, []).append(arc)
         consumed = {signal
                     for instance in circuit.instances
-                    for signal in circuit.instance_inputs(instance)}
+                    for signal in instance.inputs}
         self.endpoints: tuple[str, ...] = tuple(
             signal for signal in signal_order if signal not in consumed)
 
@@ -235,18 +214,6 @@ class TimingGraph:
         """Arcs driving *node* (empty for primary-input nodes)."""
         return self._incoming.get(node, [])
 
-    def mis_pairs(self) -> list[tuple[TimingArc, ...]]:
-        """MIS arcs grouped per (instance, target), in pin order —
-        pairs for two-input elements (a single arc for tied-input
-        gates), wider tuples for n-input gates."""
-        pairs: dict[tuple[str, TimingNode], dict[int, TimingArc]] = {}
-        for arc in self.arcs:
-            if arc.is_mis:
-                slot = pairs.setdefault((arc.instance, arc.target), {})
-                slot[arc.pin_index] = arc
-        return [tuple(slot[index] for index in sorted(slot))
-                for slot in pairs.values()]
-
     def describe(self) -> str:
         """One-line structural summary (used by the CLI report)."""
         mis = sum(1 for arc in self.arcs if arc.is_mis)
@@ -255,15 +222,30 @@ class TimingGraph:
                 f"endpoints: {', '.join(self.endpoints)}")
 
 
-def _mis_arcs(instance_name: str, inputs, output: str, gate: str,
+def _mis_model(channel, engine) -> ArcDelayModel:
+    """The default arc model of a fused MIS element's channel."""
+    if isinstance(channel, TableDelayChannel):
+        return TableArcModel(channel.table, state=channel.state)
+    gate = (f"nor{channel.inputs}"
+            if isinstance(channel, GeneralizedNorChannel) else "nor2")
+    return EngineArcModel(channel.params, gate, engine=engine)
+
+
+def _mis_arcs(instance: MultiInputInstance,
               model: ArcDelayModel) -> list[TimingArc]:
     """The MIS arcs of one fused NOR/NAND element (any width)."""
+    width = getattr(model, "num_inputs", len(instance.inputs))
+    if width != len(instance.inputs):
+        raise NetlistError(
+            f"instance {instance.name!r} has {len(instance.inputs)} "
+            f"inputs; its arc model {model!r} times {width}-input "
+            "gates")
     # Negative-unate both ways: rising inputs drive the falling
     # output and vice versa.  Which output transition runs through
     # the parallel network (referenced to the earlier input) depends
     # on the gate type — NOR falls in parallel, NAND rises in
     # parallel (mirror duality).
-    inputs = tuple(inputs)
+    gate = getattr(model, "gate", "nor2")
     parallel_target = "rise" if gate == "nand2" else "fall"
     arcs = []
     for target_transition in TRANSITIONS:
@@ -271,29 +253,25 @@ def _mis_arcs(instance_name: str, inputs, output: str, gate: str,
                              else "rise")
         reference = ("earlier" if target_transition == parallel_target
                      else "later")
-        target = TimingNode(output, target_transition)
+        target = TimingNode(instance.output, target_transition)
         pin_nodes = tuple(TimingNode(signal, source_transition)
-                          for signal in inputs)
+                          for signal in instance.inputs)
         seen: set[str] = set()
-        for index, signal in enumerate(inputs):
+        for index, signal in enumerate(instance.inputs):
             if signal in seen:
                 # Tied inputs: one arc per distinct signal suffices
                 # (Δ = 0 between tied pins by construction).
                 continue
             seen.add(signal)
-            pin = (("a", "b")[index] if len(inputs) == 2
-                   else f"p{index}")
             siblings = tuple(node for position, node
                              in enumerate(pin_nodes)
                              if position != index)
             arcs.append(TimingArc(
-                instance=instance_name,
+                instance=instance.name,
                 source=TimingNode(signal, source_transition),
                 target=target,
                 model=model,
                 siblings=siblings,
-                pin=pin,
-                pin_index=index,
                 pin_nodes=pin_nodes,
                 reference=reference,
             ))
@@ -367,8 +345,9 @@ def build_timing_graph(circuit: TimingCircuit,
     Raises
     ------
     NetlistError
-        If an override names an unknown instance, or a gate's
-        boolean output depends on none of its inputs.
+        If an override names an unknown instance or times a MIS gate
+        of another width, or a gate's boolean output depends on none
+        of its inputs.
     """
     models = dict(models or {})
     unknown = set(models) - {inst.name for inst in circuit.instances}
@@ -380,24 +359,9 @@ def build_timing_graph(circuit: TimingCircuit,
     arcs: list[TimingArc] = []
     for instance in circuit.topological_order():
         override = models.get(instance.name)
-        if isinstance(instance, (HybridInstance, MultiInputInstance)):
-            channel = instance.channel
-            if override is not None:
-                model = override
-            elif isinstance(channel, TableDelayChannel):
-                model = TableArcModel(channel.table,
-                                      state=channel.state)
-            elif isinstance(channel, GeneralizedNorChannel):
-                model = EngineArcModel(
-                    channel.params, f"nor{channel.inputs}",
-                    engine=engine)
-            else:
-                model = EngineArcModel(channel.params, "nor2",
-                                       engine=engine)
-            arcs.extend(_mis_arcs(instance.name, instance.inputs,
-                                  instance.output,
-                                  getattr(model, "gate", "nor2"),
-                                  model))
+        if isinstance(instance, MultiInputInstance):
+            model = override or _mis_model(instance.channel, engine)
+            arcs.extend(_mis_arcs(instance, model))
         elif isinstance(instance, WireInstance):
             model = override or WireArcModel.from_instance(instance)
             arcs.extend(_wire_arcs(instance, model))

@@ -31,6 +31,7 @@ import numpy as np
 from ..engine.base import delays_for_direction, get_engine
 from ..engine.blocks import block_delays, parameters_at
 from ..errors import ParameterError
+from ..library.tables import gate_width
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 
@@ -62,14 +63,24 @@ def quantize(values, step: float = QUANT_STEP) -> np.ndarray:
     return np.round(np.asarray(values, dtype=float) / step) * step
 
 
-def _gate_width(gate: str) -> int:
-    """Validate a gate name and return its input count."""
-    choices = ("nor2", "nor3", "nor4")
-    if gate not in choices:
+def _delta_grid(deltas) -> np.ndarray:
+    """Validate a statistics Δ grid: a scalar or a non-empty 1-D
+    array of separations in seconds, no NaN.
+
+    Raises
+    ------
+    ParameterError
+        On any other shape, an empty grid, or a NaN separation.
+    """
+    d = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if d.ndim != 1:
         raise ParameterError(
-            f"unknown gate {gate!r}; available: "
-            f"{', '.join(choices)}")
-    return int(gate[len("nor"):])
+            f"deltas must be a scalar or 1-D, got shape {d.shape}")
+    if d.size == 0:
+        raise ParameterError("at least one Δ is required")
+    if np.isnan(d).any():
+        raise ParameterError("input separations must not be NaN")
+    return d
 
 
 def _counter(method: str):
@@ -119,7 +130,7 @@ def evaluate_block(engine, gate: str, direction: str,
     numpy.ndarray
         Raw delays, shape ``(N, M)``.
     """
-    width = _gate_width(gate)
+    width = gate_width(gate)
     if direction not in ("falling", "rising"):
         raise ParameterError(
             f"direction must be 'falling' or 'rising', got "
@@ -172,12 +183,7 @@ def sample_delays(distribution, deltas, *, samples: int,
         Quantized delays, shape ``(N, M)``, ``δ_min`` included.
     """
     engine = get_engine(engine)
-    d = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if d.ndim != 1:
-        raise ParameterError(
-            f"deltas must be a scalar or 1-D, got shape {d.shape}")
-    if np.isnan(d).any():
-        raise ParameterError("input separations must not be NaN")
+    d = _delta_grid(deltas)
     block = distribution.sample_block(samples, seed)
     grid = np.broadcast_to(d, (block.shape[0], d.shape[0]))
     with _span("stats.mc", samples=int(samples),

@@ -48,8 +48,8 @@ from ..engine.base import get_engine
 from ..errors import ParameterError
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
-from .montecarlo import (DelaySummary, _counter, evaluate_block,
-                         quantize, summarize)
+from .montecarlo import (DelaySummary, _counter, _delta_grid,
+                         evaluate_block, quantize, summarize)
 
 __all__ = ["DelaySurrogate", "fit_surrogate"]
 
@@ -348,12 +348,7 @@ def fit_surrogate(distribution, deltas, *,
     """
     from ..cache import content_key, get_store
 
-    d = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if d.ndim != 1:
-        raise ParameterError(
-            f"deltas must be a scalar or 1-D, got shape {d.shape}")
-    if np.isnan(d).any():
-        raise ParameterError("input separations must not be NaN")
+    d = _delta_grid(deltas)
     if direction not in ("falling", "rising"):
         raise ParameterError(
             f"direction must be 'falling' or 'rising', got "

@@ -21,9 +21,8 @@ from .channels import (
     TableDelayChannel,
     WaveformChannel,
 )
-from .circuit import (GateInstance, HybridInstance,
-                      MultiInputInstance, TimingCircuit,
-                      WireInstance)
+from .circuit import (GateInstance, MultiInputInstance,
+                      TimingCircuit, WireInstance)
 from .digitize import digitize, digitize_result
 from .event_simulator import EventDrivenSimulator, simulate_events
 from .events import Event, EventQueue
@@ -46,7 +45,6 @@ __all__ = [
     "ExpChannel",
     "GATE_FUNCTIONS",
     "GateInstance",
-    "HybridInstance",
     "HybridNorChannel",
     "InertialDelayChannel",
     "MultiInputInstance",

@@ -2,8 +2,9 @@
 
 A :class:`TimingCircuit` is a feed-forward netlist of zero-time boolean
 gates, each followed by a delay channel (the involution-model circuit
-structure), plus the paper's two-input hybrid NOR instances which fuse
-gate and channel into one element.
+structure), plus fused multi-input (MIS) elements — the paper's hybrid
+NOR, its n-input generalization, or a characterized-table replay —
+which fuse gate and channel into one element.
 
 Feed-forward is all the paper's evaluation needs (a single NOR gate in
 Section VI; inverter chains and trees in the Involution Tool paper), and
@@ -28,8 +29,8 @@ from .channels.pure import PureDelayChannel
 from .channels.table import TableDelayChannel
 from .gates import gate_function
 
-__all__ = ["GateInstance", "HybridInstance", "MultiInputInstance",
-           "WireInstance", "TimingCircuit"]
+__all__ = ["GateInstance", "MultiInputInstance", "WireInstance",
+           "TimingCircuit"]
 
 #: Channel types usable as fused MIS elements: they consume all input
 #: traces directly via ``simulate(*traces)`` and report their boolean
@@ -50,42 +51,20 @@ class GateInstance:
 
 
 @dataclasses.dataclass(frozen=True)
-class HybridInstance:
-    """A fused two-input MIS element (gate and channel in one).
-
-    The channel consumes both input traces directly — either the
-    paper's hybrid ODE NOR (:class:`HybridNorChannel`) or a
-    characterized-table replay (:class:`TableDelayChannel`, NOR or
-    NAND conventions per its table).
-    """
-
-    name: str
-    input_a: str
-    input_b: str
-    output: str
-    channel: HybridNorChannel | TableDelayChannel
-
-    @property
-    def inputs(self) -> tuple[str, ...]:
-        """The input signal pair (n-input-instance-compatible view)."""
-        return (self.input_a, self.input_b)
-
-
-@dataclasses.dataclass(frozen=True)
 class MultiInputInstance:
-    """A fused n-input MIS element (gate and channel in one).
+    """A fused MIS element of any width (gate and channel in one).
 
-    The generalization of :class:`HybridInstance` beyond two inputs:
-    the channel consumes all n input traces directly — the exact
-    eigen-solved automaton (:class:`GeneralizedNorChannel`) or an
-    n-input characterized-table replay (:class:`TableDelayChannel`
-    with a ``nor<n>`` table).
+    The channel consumes all input traces directly: the paper's
+    two-input hybrid ODE NOR (:class:`HybridNorChannel`), the exact
+    eigen-solved n-input automaton (:class:`GeneralizedNorChannel`),
+    or a characterized-table replay (:class:`TableDelayChannel`, NOR
+    or NAND conventions per its table).
     """
 
     name: str
     inputs: tuple[str, ...]
     output: str
-    channel: GeneralizedNorChannel | TableDelayChannel
+    channel: HybridNorChannel | GeneralizedNorChannel | TableDelayChannel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,11 +133,9 @@ class TimingCircuit:
         self.inputs: tuple[str, ...] = tuple(inputs)
         if len(set(self.inputs)) != len(self.inputs):
             raise NetlistError("duplicate primary input names")
-        self.instances: list[GateInstance | HybridInstance
-                             | MultiInputInstance
+        self.instances: list[GateInstance | MultiInputInstance
                              | WireInstance] = []
-        self._drivers: dict[str, GateInstance | HybridInstance
-                            | MultiInputInstance
+        self._drivers: dict[str, GateInstance | MultiInputInstance
                             | WireInstance] = {}
 
     # ------------------------------------------------------------------
@@ -185,47 +162,23 @@ class TimingCircuit:
         self._register(instance)
         return instance
 
-    def add_mis_gate(self, name: str, input_a, input_b=None,
-                     output=None, channel=None
-                     ) -> HybridInstance | MultiInputInstance:
+    def add_mis_gate(self, name: str, inputs: Sequence[str],
+                     output: str, channel) -> MultiInputInstance:
         """Add a fused MIS element (hybrid, generalized or table).
 
-        Two call forms::
-
-            circuit.add_mis_gate("g0", "a", "b", "y", channel)
-            circuit.add_mis_gate("g0", ["a", "b", "c"], "y", channel)
-
-        The first is the paper's two-input form; the second passes a
-        *sequence* of input signals and builds an n-input instance
-        (an :class:`HybridInstance` for exactly two inputs, a
-        :class:`MultiInputInstance` otherwise) — ``output`` and
-        ``channel`` may be given positionally or as keywords.  The
-        channel's input count must match.
+        ``circuit.add_mis_gate("g0", ("a", "b", "c"), "y", channel)``;
+        the channel's input count must match the signals.
 
         Raises:
-            NetlistError: if the channel is not a MIS channel type,
-                its input count does not match the signals, or the
-                arguments are incomplete/ambiguous.
+            NetlistError: if *inputs* is a bare string or names fewer
+                than two signals, the channel is not a MIS channel
+                type, or its input count does not match the signals.
         """
-        if isinstance(input_a, str):
-            inputs = (input_a, input_b)
-        else:
-            # n-input form: (name, inputs, output, channel).  With
-            # all-positional arguments the values arrive shifted one
-            # slot left; with keywords they land on their names.
-            inputs = tuple(input_a)
-            if channel is None:
-                output, channel = input_b, output
-            elif output is None:
-                output, input_b = input_b, None
-            elif input_b is not None:
-                raise NetlistError(
-                    f"MIS gate {name!r}: got both positional and "
-                    "keyword placements for output/channel")
-            if not isinstance(output, str) or channel is None:
-                raise NetlistError(
-                    f"MIS gate {name!r}: the n-input form needs "
-                    "(inputs, output, channel)")
+        if isinstance(inputs, str):
+            raise NetlistError(
+                f"MIS gate {name!r}: inputs must be a sequence of "
+                f"signal names, got the string {inputs!r}")
+        inputs = tuple(inputs)
         if not isinstance(channel, MIS_CHANNEL_TYPES):
             raise NetlistError(
                 f"MIS gate {name!r} needs a MIS channel "
@@ -241,24 +194,16 @@ class TimingCircuit:
             raise NetlistError(
                 f"MIS gate {name!r}: channel expects {expected} "
                 f"inputs, got {len(inputs)} signals")
-        if len(inputs) == 2 and isinstance(
-                channel, (HybridNorChannel, TableDelayChannel)):
-            instance: HybridInstance | MultiInputInstance = \
-                HybridInstance(name=name, input_a=inputs[0],
-                               input_b=inputs[1], output=output,
-                               channel=channel)
-        else:
-            instance = MultiInputInstance(name=name, inputs=inputs,
-                                          output=output,
-                                          channel=channel)
+        instance = MultiInputInstance(name=name, inputs=inputs,
+                                      output=output, channel=channel)
         self._register(instance)
         return instance
 
     def add_hybrid_nor(self, name: str, input_a: str, input_b: str,
                        output: str,
-                       channel: HybridNorChannel) -> HybridInstance:
+                       channel: HybridNorChannel) -> MultiInputInstance:
         """Add a two-input hybrid NOR element."""
-        return self.add_mis_gate(name, input_a, input_b, output,
+        return self.add_mis_gate(name, (input_a, input_b), output,
                                  channel)
 
     def add_wire(self, name: str, input_signal: str, tree: WireTree,
@@ -349,10 +294,6 @@ class TimingCircuit:
         """All signal names (inputs + gate outputs)."""
         return list(self.inputs) + [inst.output for inst in self.instances]
 
-    def instance_inputs(self, instance) -> tuple[str, ...]:
-        """Input signal names of any instance kind."""
-        return tuple(instance.inputs)
-
     def topological_order(self) -> list:
         """Instances sorted so that drivers precede consumers.
 
@@ -365,7 +306,7 @@ class TimingCircuit:
         by_output = {inst.output: inst for inst in self.instances}
         known = set(self.inputs) | set(by_output)
         for instance in self.instances:
-            for signal in self.instance_inputs(instance):
+            for signal in instance.inputs:
                 if signal not in known:
                     raise NetlistError(
                         f"signal {signal!r} used by {instance.name!r} "

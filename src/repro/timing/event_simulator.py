@@ -25,8 +25,8 @@ from ..core.solutions import ModeSolution, solve_mode
 from ..core.trajectory import all_crossings
 from ..errors import SimulationError
 from .channels.base import SingleInputChannel
-from .circuit import (GateInstance, HybridInstance,
-                      MultiInputInstance, TimingCircuit)
+from .channels.hybrid import HybridNorChannel
+from .circuit import GateInstance, MultiInputInstance, TimingCircuit
 from .events import EventQueue
 from .trace import DigitalTrace
 
@@ -113,9 +113,10 @@ class _HybridRuntime:
     """Incremental hybrid automaton for a two-input NOR instance."""
 
     def __init__(self, simulator: "EventDrivenSimulator",
-                 instance: HybridInstance):
+                 instance: MultiInputInstance):
         self.simulator = simulator
         self.instance = instance
+        self.input_a, self.input_b = instance.inputs
         self.params = instance.channel.params
         self.inputs: dict[str, int] = {}
         self.mode: Mode | None = None
@@ -124,8 +125,7 @@ class _HybridRuntime:
         self.crossing_events: list[object] = []
 
     def initialize(self, a_value: int, b_value: int) -> None:
-        self.inputs = {self.instance.input_a: a_value,
-                       self.instance.input_b: b_value}
+        self.inputs = {self.input_a: a_value, self.input_b: b_value}
         self.mode = Mode.from_inputs(a_value, b_value)
         params = self.params
         if self.mode is Mode.BOTH_LOW:
@@ -140,8 +140,8 @@ class _HybridRuntime:
     def on_input(self, signal: str, time: float, value: int) -> None:
         """Input transition: defer the mode switch by δ_min."""
         self.inputs[signal] = value
-        new_mode = Mode.from_inputs(self.inputs[self.instance.input_a],
-                                    self.inputs[self.instance.input_b])
+        new_mode = Mode.from_inputs(self.inputs[self.input_a],
+                                    self.inputs[self.input_b])
         self.simulator.queue.schedule(
             time + self.params.delta_min,
             lambda t, m=new_mode: self._switch(t, m))
@@ -212,8 +212,7 @@ class EventDrivenSimulator:
             for instance in self.circuit.instances:
                 if instance.output in self._initial_overrides:
                     continue
-                if isinstance(instance, (HybridInstance,
-                                         MultiInputInstance)):
+                if isinstance(instance, MultiInputInstance):
                     new = instance.channel.initial_output(
                         *(values[s] for s in instance.inputs))
                 else:
@@ -234,28 +233,19 @@ class EventDrivenSimulator:
         bootstrap: list[tuple[_ChannelRuntime, int]] = []
         for instance in self.circuit.instances:
             if isinstance(instance, MultiInputInstance):
-                raise SimulationError(
-                    f"instance {instance.name!r}: the event-driven "
-                    "engine runs the paper's two-input hybrid "
-                    "automaton; n-input MIS gates are served by the "
-                    "feed-forward simulator (repro.timing.simulator"
-                    ".simulate)")
-            if isinstance(instance, HybridInstance):
-                if not hasattr(instance.channel, "params"):
+                if not isinstance(instance.channel, HybridNorChannel):
                     raise SimulationError(
                         f"instance {instance.name!r}: the event-driven "
-                        "engine runs the hybrid ODE automaton; table-"
-                        "backed MIS gates are served by the "
-                        "feed-forward simulator (repro.timing."
-                        "simulator.simulate)")
+                        "engine runs the paper's two-input hybrid ODE "
+                        "automaton; n-input and table-backed MIS gates "
+                        "are served by the feed-forward simulator "
+                        "(repro.timing.simulator.simulate)")
                 runtime = _HybridRuntime(self, instance)
-                runtime.initialize(values[instance.input_a],
-                                   values[instance.input_b])
+                runtime.initialize(*(values[s] for s in instance.inputs))
                 runtime._reschedule_crossings(0.0)
-                self.signals[instance.input_a].consumers.append(
-                    (runtime, instance.input_a))
-                self.signals[instance.input_b].consumers.append(
-                    (runtime, instance.input_b))
+                for signal in instance.inputs:
+                    self.signals[signal].consumers.append(
+                        (runtime, signal))
             else:
                 runtime = _ChannelRuntime(self, instance)
                 # Anchor the channel at the *signal* value; if the

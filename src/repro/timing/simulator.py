@@ -2,8 +2,8 @@
 
 For feed-forward circuits the exact simulation is a topological sweep:
 compute each gate's zero-time output trace from its (already computed)
-input traces, then push it through the gate's delay channel.  Hybrid
-two-input instances transform their input traces directly.
+input traces, then push it through the gate's delay channel.  Fused
+MIS instances transform their input traces directly.
 
 This mirrors what the Involution Tool does inside QuestaSim, minus the
 VHDL/FLI plumbing — see DESIGN.md §2.
@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from ..errors import NetlistError
 from .channels.base import SingleInputChannel
-from .circuit import (GateInstance, HybridInstance,
-                      MultiInputInstance, TimingCircuit)
+from .circuit import MultiInputInstance, TimingCircuit
 from .gates import zero_time_gate
 from .trace import DigitalTrace
 
@@ -43,7 +42,7 @@ def simulate(circuit: TimingCircuit,
 
     traces: dict[str, DigitalTrace] = dict(input_traces)
     for instance in circuit.topological_order():
-        if isinstance(instance, (HybridInstance, MultiInputInstance)):
+        if isinstance(instance, MultiInputInstance):
             traces[instance.output] = instance.channel.simulate(
                 *(traces[name] for name in instance.inputs))
         else:

@@ -22,7 +22,7 @@ from repro.api import (API_SCHEMA, API_SCHEMA_VERSION, ApiRecord,
                        LibraryRequest, StaRequest, StaRunResult,
                        StatsRequest, StatsResult, VersionRequest,
                        VersionResult, WireRequest, WireResult,
-                       from_json, known_kinds)
+                       Session, from_json, known_kinds)
 from repro.errors import ParameterError
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -248,6 +248,23 @@ def test_malformed_json_is_a_parameter_error():
         from_json("{nope")
     with pytest.raises(ParameterError, match="JSON object"):
         from_json("[1, 2]")
+
+
+def _deep(depth: int) -> str:
+    """A delay envelope whose Δ grid nests *depth* arrays deep."""
+    return ('{"schema": "repro.api/1", "kind": "delay", "data": '
+            '{"deltas": ' + "[" * depth + "]" * depth + "}}")
+
+
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_deep_nesting_is_a_parameter_error(depth):
+    """Nesting past the decoder's recursion limit is malformed JSON:
+    a typed ParameterError, never an untyped RecursionError."""
+    for text in (_deep(depth), "[" * depth + "]" * depth):
+        with pytest.raises(ParameterError, match="not a JSON payload"):
+            from_json(text)
+    with pytest.raises(ParameterError, match="not a JSON payload"):
+        Session().run_json(_deep(depth))
 
 
 def test_field_type_enforcement():

@@ -164,6 +164,22 @@ class TestNonFiniteTimingInputs:
                                      required=math.nan))
 
 
+class TestEmptyDeltaGrid:
+    @pytest.mark.parametrize("method", ["mc", "surrogate"])
+    def test_empty_grid_is_rejected(self, method):
+        """An empty Δ grid is a typed error, not a result with empty
+        columns."""
+        request = StatsRequest(method=method, deltas=(), samples=8)
+        with pytest.raises(ParameterError, match="at least one Δ"):
+            Session().run(request)
+
+    def test_yield_ignores_deltas(self):
+        """Statistical STA has no Δ grid, so an empty one is fine."""
+        result = Session().run(StatsRequest(method="yield", deltas=(),
+                                            samples=8))
+        assert len(result.mean) == 1
+
+
 class TestCharacterizeGridSizes:
     @pytest.mark.parametrize("field, message", [
         ("core_points", "core_points must be >= 3"),

@@ -17,6 +17,11 @@ from repro.api.handlers import HANDLERS
 from repro.server import JobStore
 
 
+#: A delay envelope nested far past the JSON decoder's recursion limit.
+_DEEP = ('{"schema": "repro.api/1", "kind": "delay", "data": '
+         '{"deltas": ' + "[" * 5000 + "]" * 5000 + "}}")
+
+
 def _alive(client) -> None:
     """The server must still answer after whatever just happened."""
     status, payload = client.get("/v1/health")
@@ -74,6 +79,26 @@ class TestBadBodies:
             payload = json.loads(body)
             assert payload["kind"] == "error"
             assert "cannot read" in payload["data"]["error"]
+        _alive(client)
+
+    def test_deep_nesting_is_400(self, client):
+        """An envelope nested past the JSON decoder's recursion limit
+        is a typed client error."""
+        status, payload = client.post("/v1/run", _DEEP)
+        assert status == 400
+        assert payload["kind"] == "error"
+        assert payload["data"]["exception"] == "ParameterError"
+        _alive(client)
+
+    def test_deep_nesting_batch_line_is_typed(self, client):
+        upload = "\n".join([VersionRequest().to_json(), _DEEP]) + "\n"
+        _, meta = client.post("/v1/batches", upload)
+        final = client.wait_job(meta["id"])
+        assert (final["ok"], final["errors"]) == (1, 1)
+        records = {record["line"]: record for record in
+                   client.server.store.result_records(meta["id"])}
+        assert records[2]["envelope"]["data"]["exception"] \
+            == "ParameterError"
         _alive(client)
 
     def test_invalid_utf8_is_400(self, client):

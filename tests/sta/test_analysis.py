@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.hybrid_model import HybridNorModel
 from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import ParameterError
-from repro.sta import (TimingNode, analyze, build_timing_graph,
-                       nor_tree, single_nor)
+from repro.sta import (FixedArcModel, TimingNode, WireArcModel,
+                       analyze, build_timing_graph, nor_tree,
+                       single_nor, sta_circuit, sweep_corners)
 from repro.units import PS
 
 INF = math.inf
@@ -253,3 +255,52 @@ class TestValidation:
         # Unconstrained run: every non-finite slot must be null.
         free = analyze(tree_graph)
         json.dumps(free.to_dict(), allow_nan=False)
+
+
+class TestDeltaIndependentOverrides:
+    """A Δ-independent model overriding an MIS instance adds its
+    constant delay to the referenced input arrival, whatever the
+    gate width (2-pin arcs see Δ per lane, NOR3 arcs a Δ-vector)."""
+
+    MODELS = {"fixed": (FixedArcModel(9.0 * PS, 7.0 * PS),
+                        9.0 * PS, 7.0 * PS),
+              "wire": (WireArcModel(5.0 * PS), 5.0 * PS, 5.0 * PS)}
+
+    @pytest.mark.parametrize("circuit", ["nor2", "nor3"])
+    @pytest.mark.parametrize("kind", ["fixed", "wire"])
+    def test_analyze(self, circuit, kind):
+        model, rise, fall = self.MODELS[kind]
+        graph = build_timing_graph(sta_circuit(circuit),
+                                   models={"g0": model})
+        t_in = 10.0 * PS
+        result = analyze(graph, arrivals={signal: t_in
+                                          for signal in graph.inputs})
+        assert result.arrivals[TimingNode("y", "fall")] == \
+            pytest.approx(t_in + fall, abs=1e-18)
+        assert result.arrivals[TimingNode("y", "rise")] == \
+            pytest.approx(t_in + rise, abs=1e-18)
+        assert result.arrivals[TimingNode("y", "fall")] == \
+            pytest.approx((17.0 if kind == "fixed" else 15.0) * PS,
+                          abs=1e-18)
+
+    @pytest.mark.parametrize("circuit", ["nor2", "nor3"])
+    @pytest.mark.parametrize("kind", ["fixed", "wire"])
+    def test_sweep_corners(self, circuit, kind):
+        model, rise, fall = self.MODELS[kind]
+        graph = build_timing_graph(sta_circuit(circuit),
+                                   models={"g0": model})
+        corners = [10.0 * PS, 20.0 * PS]
+        sweep = sweep_corners(graph, arrivals={signal: corners
+                                               for signal
+                                               in graph.inputs})
+        t_in = np.asarray(corners)
+        np.testing.assert_allclose(
+            sweep.arrivals[TimingNode("y", "fall")], t_in + fall,
+            rtol=0.0, atol=1e-18)
+        np.testing.assert_allclose(
+            sweep.arrivals[TimingNode("y", "rise")], t_in + rise,
+            rtol=0.0, atol=1e-18)
+        if kind == "fixed":
+            np.testing.assert_allclose(
+                sweep.arrivals[TimingNode("y", "rise")],
+                [19.0 * PS, 29.0 * PS], rtol=0.0, atol=1e-18)

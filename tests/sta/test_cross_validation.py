@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.experiments import experiment_sta, sta_scenarios
 from repro.core.parameters import PAPER_TABLE_I
 from repro.library import CharacterizationJob, characterize_gate
-from repro.sta import TimingNode, analyze, build_timing_graph
+from repro.sta import TimingNode, analyze, build_timing_graph, sta_circuit
 from repro.timing import (DigitalTrace, TableDelayChannel,
                           TimingCircuit, simulate)
 from repro.units import PS
@@ -52,6 +52,28 @@ class TestExperimentSta:
         reference = experiment_sta(engine="reference")
         assert reference.max_error <= AGREEMENT_TOL
 
+    def test_hybrid_circuits_run_the_event_simulator(self, monkeypatch):
+        """Circuits built only from the paper's two-input hybrid NOR
+        are checked against the event-driven simulator; only the
+        n-input scenarios fall back to the feed-forward engine."""
+        from repro.timing import event_simulator
+
+        def signature(circuit):
+            return (tuple(circuit.inputs),
+                    tuple(instance.name for instance in circuit.instances))
+
+        seen = []
+        real = event_simulator.simulate_events
+
+        def spy(circuit, *args, **kwargs):
+            seen.append(signature(circuit))
+            return real(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(event_simulator, "simulate_events", spy)
+        experiment_sta()
+        assert set(seen) == {signature(sta_circuit(name))
+                             for name in ("nor2", "chain", "tree")}
+
 
 class TestTableBackedCrossValidation:
     def test_table_circuit_matches_table_simulation(self):
@@ -62,9 +84,9 @@ class TestTableBackedCrossValidation:
         nand_table = characterize_gate(
             CharacterizationJob("nand2_t", PAPER_TABLE_I, "nand2"))
         circuit = TimingCircuit(["a", "b", "c"])
-        circuit.add_mis_gate("g0", "a", "b", "n1",
+        circuit.add_mis_gate("g0", ("a", "b"), "n1",
                              TableDelayChannel(nor_table))
-        circuit.add_mis_gate("g1", "n1", "c", "y",
+        circuit.add_mis_gate("g1", ("n1", "c"), "y",
                              TableDelayChannel(nand_table))
         graph = build_timing_graph(circuit)
 

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core.multi_input import paper_generalized
 from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import NetlistError
 from repro.library import CharacterizationJob, characterize_gate
-from repro.sta import (FixedArcModel, TimingNode, build_timing_graph,
-                       input_unateness, nor_chain, nor_tree,
-                       single_nor, sta_circuit)
+from repro.sta import (EngineArcModel, FixedArcModel, TimingNode,
+                       build_timing_graph, input_unateness, nor_chain,
+                       nor_tree, single_nor, sta_circuit)
 from repro.timing import (PureDelayChannel, TableDelayChannel,
                           TimingCircuit)
 from repro.timing.channels.hybrid import HybridNorChannel
@@ -44,7 +45,7 @@ class TestHybridLowering:
         graph = build_timing_graph(nor_chain(stages=2))
         # One arc per output transition per stage.
         assert len(graph.arcs) == 4
-        assert all(arc.sibling == arc.source for arc in graph.arcs)
+        assert all(arc.siblings == (arc.source,) for arc in graph.arcs)
 
     def test_tree_topology(self):
         graph = build_timing_graph(nor_tree())
@@ -54,13 +55,26 @@ class TestHybridLowering:
         assert order.index("n1") < order.index("y")
         assert order.index("n2") < order.index("y")
 
-    def test_mis_pairs_grouping(self):
+    def test_mis_groups_share_pin_nodes(self):
         graph = build_timing_graph(nor_tree())
-        pairs = graph.mis_pairs()
-        assert len(pairs) == 6  # 3 gates x 2 transitions
-        assert all(len(pair) == 2 for pair in pairs)
-        for pair in pairs:
-            assert {arc.pin for arc in pair} == {"a", "b"}
+        groups = {}
+        for arc in graph.arcs:
+            groups.setdefault((arc.instance, arc.target), []).append(arc)
+        assert len(groups) == 6  # 3 gates x 2 transitions
+        for group in groups.values():
+            assert len(group) == 2
+            assert all(arc.pin_nodes == group[0].pin_nodes
+                       for arc in group)
+            assert [arc.source for arc in group] == \
+                list(group[0].pin_nodes)
+
+    def test_override_width_must_match(self):
+        three = EngineArcModel(paper_generalized(3), "nor3")
+        with pytest.raises(NetlistError, match="3-input"):
+            build_timing_graph(single_nor(), models={"g0": three})
+        two = EngineArcModel(PAPER_TABLE_I, "nor2")
+        with pytest.raises(NetlistError, match="2-input"):
+            build_timing_graph(sta_circuit("nor3"), models={"g0": two})
 
 
 class TestTableLowering:
@@ -71,7 +85,7 @@ class TestTableLowering:
 
     def test_nand_table_references_are_mirrored(self, nand_table):
         circuit = TimingCircuit(["a", "b"])
-        circuit.add_mis_gate("g0", "a", "b", "y",
+        circuit.add_mis_gate("g0", ("a", "b"), "y",
                              TableDelayChannel(nand_table))
         graph = build_timing_graph(circuit)
         by_target = {}
@@ -87,7 +101,7 @@ class TestTableLowering:
     def test_mis_gate_rejects_single_input_channel(self):
         circuit = TimingCircuit(["a", "b"])
         with pytest.raises(NetlistError):
-            circuit.add_mis_gate("g0", "a", "b", "y",
+            circuit.add_mis_gate("g0", ("a", "b"), "y",
                                  PureDelayChannel(5.0 * PS))
 
 

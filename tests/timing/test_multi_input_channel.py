@@ -12,8 +12,7 @@ from repro.library import CharacterizationJob, characterize_gate
 from repro.timing.channels import (GeneralizedNorChannel,
                                    HybridNorChannel,
                                    TableDelayChannel)
-from repro.timing.circuit import (HybridInstance, MultiInputInstance,
-                                  TimingCircuit)
+from repro.timing.circuit import MultiInputInstance, TimingCircuit
 from repro.timing.event_simulator import simulate_events
 from repro.timing.simulator import simulate
 from repro.timing.trace import DigitalTrace
@@ -140,7 +139,7 @@ class TestCircuitInstances:
         instance = circuit.add_mis_gate("g0", ["a", "b", "c"], "y",
                                         channel3)
         assert isinstance(instance, MultiInputInstance)
-        assert circuit.instance_inputs(instance) == ("a", "b", "c")
+        assert instance.inputs == ("a", "b", "c")
 
     def test_n_input_form_accepts_keywords(self, channel3):
         circuit = TimingCircuit(["a", "b", "c"])
@@ -150,21 +149,29 @@ class TestCircuitInstances:
                                      channel=channel3)
         assert isinstance(kw, MultiInputInstance)
         assert (kw.output, mixed.output) == ("y", "z")
-        with pytest.raises(NetlistError):
+        with pytest.raises(TypeError):
             circuit.add_mis_gate("g2", ["a", "b", "c"],
                                  channel=channel3)
 
-    def test_legacy_form_still_builds_hybrid_instance(self):
+    def test_two_input_gate_is_multi_input(self):
         circuit = TimingCircuit(["a", "b"])
-        instance = circuit.add_mis_gate(
-            "g0", "a", "b", "y", HybridNorChannel(PAPER_TABLE_I))
-        assert isinstance(instance, HybridInstance)
-        assert instance.inputs == ("a", "b")
+        channel = HybridNorChannel(PAPER_TABLE_I)
+        instance = circuit.add_mis_gate("g0", ("a", "b"), "y", channel)
+        wrapped = circuit.add_hybrid_nor("g1", "a", "b", "z", channel)
+        for built in (instance, wrapped):
+            assert isinstance(built, MultiInputInstance)
+            assert built.inputs == ("a", "b")
+
+    def test_bare_string_inputs_rejected(self):
+        circuit = TimingCircuit(["a", "b"])
+        with pytest.raises(NetlistError, match="sequence"):
+            circuit.add_mis_gate("g0", "ab", "y",
+                                 HybridNorChannel(PAPER_TABLE_I))
 
     def test_channel_width_mismatch_rejected(self, channel3):
         circuit = TimingCircuit(["a", "b"])
         with pytest.raises(NetlistError):
-            circuit.add_mis_gate("g0", "a", "b", "y", channel3)
+            circuit.add_hybrid_nor("g0", "a", "b", "y", channel3)
         with pytest.raises(NetlistError):
             circuit.add_mis_gate("g1", ["a", "b"], "y", channel3)
 
@@ -191,4 +198,16 @@ class TestCircuitInstances:
         traces = {"a": DigitalTrace(0, []), "b": DigitalTrace(0, []),
                   "c": DigitalTrace(0, [])}
         with pytest.raises(SimulationError):
+            simulate_events(circuit, traces, t_stop=1000 * PS)
+
+    def test_event_simulator_rejects_two_input_generalized(self):
+        """Only the hybrid NOR channel runs the incremental automaton;
+        a 2-input generalized channel also carries ``params`` but is
+        still served by the feed-forward simulator only."""
+        narrow = GeneralizedNorParameters.from_two_input(PAPER_TABLE_I)
+        circuit = TimingCircuit(["a", "b"])
+        circuit.add_mis_gate("g0", ("a", "b"), "y",
+                             GeneralizedNorChannel(narrow))
+        traces = {"a": DigitalTrace(0, []), "b": DigitalTrace(0, [])}
+        with pytest.raises(SimulationError, match="feed-forward"):
             simulate_events(circuit, traces, t_stop=1000 * PS)

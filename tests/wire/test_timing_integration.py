@@ -93,9 +93,9 @@ class TestWireArcModel:
             out = model.delays(direction, deltas)
             assert np.all(out == 4.8 * PS)
 
-    def test_delays_n_shape(self):
+    def test_delta_vector_shape(self):
         model = WireArcModel(1.0 * PS)
-        out = model.delays_n("falling", np.zeros((5, 2)))
+        out = model.delays("falling", np.zeros((5, 2)))
         assert out.shape == (5,)
 
     def test_not_retargetable(self):
