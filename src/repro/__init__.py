@@ -18,7 +18,7 @@ Package layout (see DESIGN.md for the full inventory):
   keyword of every sweep API or the CLI's ``--engine`` flag.
 * :mod:`repro.library` — batch timing-library characterization:
   sweeps gate/parameter grids through an engine into serializable
-  per-gate MIS delay tables (JSON) with bilinear interpolated lookup,
+  per-gate MIS delay tables (JSON) with multilinear interpolated lookup,
   consumed by :class:`repro.timing.TableDelayChannel`.
 * :mod:`repro.sta` — MIS-aware static timing analysis: circuits
   lowered into pin-to-pin timing arcs (engine / table / fixed delay

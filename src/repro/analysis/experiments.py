@@ -550,7 +550,7 @@ def experiment_library(params: NorGateParameters = PAPER_TABLE_I,
         table = library[job.cell]
         rows.append([
             job.cell, job.gate,
-            str(len(table.falling.deltas)),
+            str(len(table.falling.axes[0])),
             str(len(table.falling.state_grid)
                 + len(table.rising.state_grid)),
             f"{to_ps(accuracy.falling_error) * 1000.0:.2f}",

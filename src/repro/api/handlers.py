@@ -273,7 +273,7 @@ def _characterize(session: "Session",
 
 def _library(session: "Session",
              request: LibraryRequest) -> LibraryInspectResult:
-    from ..library import VectorDelaySurface, verify_table
+    from ..library import verify_table
 
     library = session.load_library(request.path)
     lines = [f"library '{library.name}' "
@@ -289,22 +289,19 @@ def _library(session: "Session",
             raise ValueError(error.args[0]) from None
         lines.append(f"  {table.describe()}")
         if request.cell:
-            if isinstance(table.falling, VectorDelaySurface):
-                zero = [0.0] * table.falling.num_siblings
-                for direction in ("falling", "rising"):
-                    surface = getattr(table, direction)
-                    lo, hi = surface.delta_ranges[0]
-                    lines.append(
-                        f"    {direction}: {surface.num_siblings}-D "
-                        f"Δ-vector surface, axes "
-                        f"[{to_ps(lo):.0f}, {to_ps(hi):.0f}] ps, "
-                        f"δ(0) {to_ps(surface.delay_at(zero)):.2f} "
-                        f"ps")
-            else:
-                fall = table.falling.characteristic()
-                rise = table.rising.characteristic()
-                lines.append("    " + fall.describe("delta_fall"))
-                lines.append("    " + rise.describe("delta_rise"))
+            for direction, label in (("falling", "delta_fall"),
+                                     ("rising", "delta_rise")):
+                surface = getattr(table, direction)
+                delays = surface.characteristic()
+                if table.num_inputs == 2:
+                    lines.append("    " + delays.describe(label))
+                    continue
+                axis = surface.axes[0]
+                lines.append(
+                    f"    {direction}: {len(surface.axes)}-D "
+                    f"Δ-vector surface, axes [{to_ps(axis[0]):.0f}, "
+                    f"{to_ps(axis[-1]):.0f}] ps, "
+                    f"δ(0) {to_ps(delays.zero):.2f} ps")
             lines.append(f"    characterized by engine "
                          f"'{table.engine}'")
         if request.verify:

@@ -9,10 +9,11 @@ NLDM-style standard-cell libraries but with the input-separation axis
   ``(gate, parameters, Δ range, state grid)`` jobs through a delay
   engine (:mod:`repro.engine`);
 * :mod:`repro.library.tables` holds the resulting
-  :class:`GateDelayTable` surfaces — bilinear ``(state, Δ)`` lookup
-  for the paper's 2-input cells, multilinear Δ-vector lookup
-  (:class:`VectorDelaySurface`) for n-input NOR cells — with a
-  versioned JSON on-disk format;
+  :class:`GateDelayTable` entries — one multilinear
+  :class:`DelaySurface` per output direction over
+  ``(state, Δ₁ … Δₙ₋₁)``, one Δ axis for the paper's 2-input cells and
+  ``n − 1`` for n-input NOR cells — with a versioned JSON on-disk
+  format;
 * :class:`repro.timing.channels.TableDelayChannel` replays a table in
   event-driven simulation, replacing the closed-form model with pure
   lookups.
@@ -41,7 +42,7 @@ from .characterize import (CharacterizationJob, TableAccuracy,
                            generalized_jobs, paper_jobs, verify_table)
 from .tables import (LIBRARY_FORMAT, LIBRARY_FORMAT_VERSION,
                      DelaySurface, GateDelayTable, GateLibrary,
-                     VectorDelaySurface, mis_gate_inputs)
+                     mis_gate_inputs)
 
 __all__ = [
     "CharacterizationJob",
@@ -51,7 +52,6 @@ __all__ = [
     "LIBRARY_FORMAT",
     "LIBRARY_FORMAT_VERSION",
     "TableAccuracy",
-    "VectorDelaySurface",
     "characterize_gate",
     "characterize_library",
     "default_delta_grid",

@@ -34,10 +34,10 @@ from ..core.hybrid_model import settle_time
 from ..core.multi_input import (GeneralizedNorParameters,
                                 generalized_model, paper_generalized)
 from ..core.parameters import PAPER_TABLE_I, NorGateParameters
-from ..engine import get_engine
+from ..engine import delays_for_direction, get_engine
 from ..errors import ParameterError
 from .tables import (GATE_TYPES, DelaySurface, GateDelayTable,
-                     GateLibrary, VectorDelaySurface, mis_gate_inputs)
+                     GateLibrary, check_gate_params, mis_gate_inputs)
 
 __all__ = [
     "CharacterizationJob",
@@ -354,7 +354,7 @@ def characterize_gate(job: CharacterizationJob,
     stored table without touching the engine.
     """
     backend = get_engine(engine)
-    mis_gate_inputs(job.gate)  # reject unknown gate types early
+    check_gate_params(job.gate, job.params)  # reject bad jobs early
     deltas = job.resolved_deltas()
     store = cache.get_store()
     key = None
@@ -373,86 +373,59 @@ def characterize_gate(job: CharacterizationJob,
     return table
 
 
+def _direct_delays(backend, gate: str, params, direction: str,
+                   deltas, state: float) -> np.ndarray:
+    """Engine delays of one output direction of a *gate* cell.
+
+    NAND cells go through the CMOS mirror duality: NAND falling
+    ``(Δ, V_M)`` is NOR rising ``(Δ, VDD − V_M)`` and NAND rising is
+    NOR falling.
+    """
+    if gate == "nand2":
+        direction = "rising" if direction == "falling" else "falling"
+        state = params.vdd - state
+    return delays_for_direction(backend, direction, params, deltas,
+                                state)
+
+
+def _surface_states(job: CharacterizationJob,
+                    direction: str) -> tuple[float, ...]:
+    """State rows one surface is sampled at.
+
+    The job's grid on the series-stack transition of a 2-input gate
+    (NOR rising, NAND falling), one 0 V row on its state-free
+    parallel transition, and the characterized chain state on both
+    n-input surfaces.
+    """
+    if job.gate not in GATE_TYPES:
+        return (float(job.internal_state),)
+    series = "falling" if job.gate == "nand2" else "rising"
+    if direction == series:
+        return tuple(float(s) for s in job.resolved_state_grid())
+    return (0.0,)
+
+
 def _characterize_gate_direct(job: CharacterizationJob, backend,
                               deltas: np.ndarray) -> GateDelayTable:
-    """Evaluate one job through the engine (no persistent cache)."""
-    params = job.params
-    if job.gate not in GATE_TYPES:
-        return _characterize_vector_gate(job, backend, deltas)
-    states = job.resolved_state_grid()
-    grid = tuple(float(d) for d in deltas)
+    """Evaluate one job through the engine (no persistent cache).
 
-    def falling_row() -> tuple[float, ...]:
-        return tuple(float(v)
-                     for v in backend.delays_falling(params, deltas))
-
-    def rising_row(vn: float) -> tuple[float, ...]:
-        return tuple(float(v)
-                     for v in backend.delays_rising(params, deltas,
-                                                    float(vn)))
-
-    if job.gate == "nor2":
-        falling = DelaySurface("falling", grid, (0.0,),
-                               (falling_row(),))
-        rising = DelaySurface(
-            "rising", grid, tuple(float(s) for s in states),
-            tuple(rising_row(vn) for vn in states))
-    elif job.gate == "nand2":
-        # Mirror duality: NAND falling(Δ, V_M) = NOR rising(Δ, VDD−V_M)
-        # and NAND rising(Δ) = NOR falling(Δ).
-        falling = DelaySurface(
-            "falling", grid, tuple(float(s) for s in states),
-            tuple(rising_row(params.vdd - vm) for vm in states))
-        rising = DelaySurface("rising", grid, (0.0,),
-                              (falling_row(),))
-    else:
-        raise ParameterError(f"unsupported gate type {job.gate!r}")
-
-    return GateDelayTable(cell=job.cell, gate=job.gate, params=params,
-                          falling=falling, rising=rising,
-                          engine=backend.name)
-
-
-def _nested_tuple(values):
-    """Recursively freeze nested lists (ndarray.tolist output)."""
-    if isinstance(values, list):
-        return tuple(_nested_tuple(v) for v in values)
-    return float(values)
-
-
-def _characterize_vector_gate(job: CharacterizationJob, backend,
-                              axis: np.ndarray) -> GateDelayTable:
-    """Grid an n-input NOR into a :class:`VectorDelaySurface` pair.
-
-    The tensor-product Δ-vector grid is evaluated through the
-    engine's Δ-vector entry points — one batched call per direction,
-    which is exactly the workload the batched
-    :class:`~repro.core.multi_input.GeneralizedNorModel` solver
-    exists for.
+    The tensor grid of ``n − 1`` copies of the Δ axis goes through
+    the engine once per state row of each surface.
     """
-    params = job.params
-    if not isinstance(params, GeneralizedNorParameters):
-        raise ParameterError(
-            f"{job.gate!r} jobs need GeneralizedNorParameters")
     siblings = job.num_inputs - 1
-    axes = tuple(tuple(float(d) for d in axis)
-                 for _ in range(siblings))
-    mesh = np.stack(np.meshgrid(*([axis] * siblings),
-                                indexing="ij"), axis=-1)
-    state = float(job.internal_state)
-    falling = VectorDelaySurface(
-        "falling", axes,
-        _nested_tuple(backend.delays_falling_n(params,
-                                               mesh).tolist()),
-        internal_state=state)
-    rising = VectorDelaySurface(
-        "rising", axes,
-        _nested_tuple(backend.delays_rising_n(params, mesh,
-                                              state).tolist()),
-        internal_state=state)
-    return GateDelayTable(cell=job.cell, gate=job.gate, params=params,
-                          falling=falling, rising=rising,
-                          engine=backend.name)
+    axes = (tuple(float(d) for d in deltas),) * siblings
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    shape = (len(deltas),) * siblings
+    surfaces = {}
+    for direction in ("falling", "rising"):
+        states = _surface_states(job, direction)
+        surfaces[direction] = DelaySurface(direction, axes, states, [
+            _direct_delays(backend, job.gate, job.params, direction,
+                           points, state).reshape(shape)
+            for state in states])
+    return GateDelayTable(cell=job.cell, gate=job.gate,
+                          params=job.params, engine=backend.name,
+                          **surfaces)
 
 
 def characterize_library(jobs: Iterable[CharacterizationJob],
@@ -547,63 +520,30 @@ def verify_table(table: GateDelayTable, engine=None,
         Per-direction worst-case absolute errors in seconds.
     """
     backend = get_engine(engine)
-    params = table.params
-    if isinstance(table.falling, VectorDelaySurface):
-        return _verify_vector_table(table, backend, oversample)
-    lo, hi = table.falling.delta_range
-    probes = np.linspace(lo, hi,
-                         oversample * len(table.falling.deltas) + 1)
-
-    def direct(direction: str, state: float) -> np.ndarray:
-        if table.gate == "nor2":
-            if direction == "falling":
-                return backend.delays_falling(params, probes)
-            return backend.delays_rising(params, probes, state)
-        if direction == "falling":
-            return backend.delays_rising(params, probes,
-                                         params.vdd - state)
-        return backend.delays_falling(params, probes)
-
-    errors = {"falling": 0.0, "rising": 0.0}
-    for direction in ("falling", "rising"):
-        surface = getattr(table, direction)
-        for state in surface.state_grid:
-            interpolated = surface.delays_at(probes, state)
-            exact = direct(direction, float(state))
-            errors[direction] = max(
-                errors[direction],
-                float(np.max(np.abs(interpolated - exact))))
-    return TableAccuracy(cell=table.cell,
-                         falling_error=errors["falling"],
-                         rising_error=errors["rising"])
-
-
-def _verify_vector_table(table: GateDelayTable, backend,
-                         oversample: int) -> TableAccuracy:
-    """Probe an n-input table at random + diagonal-center vectors."""
-    params = table.params
-    surface = table.falling
-    lows = np.array([axis[0] for axis in surface.axes])
-    highs = np.array([axis[-1] for axis in surface.axes])
-    rng = np.random.default_rng(0)
-    count = max(1, oversample) * VECTOR_PROBES_PER_OVERSAMPLE
-    probes = lows + (highs - lows) * rng.random((count, lows.size))
-    # Cell centers along the main diagonal: the Δ_i = Δ_j kink band.
-    centers = 0.5 * (np.asarray(surface.axes[0])[:-1]
-                     + np.asarray(surface.axes[0])[1:])
-    diagonal = np.stack([np.clip(centers, low, high)
-                         for low, high in zip(lows, highs)], axis=-1)
-    probes = np.concatenate([probes, diagonal])
-    state = float(surface.internal_state)
+    axes = [np.asarray(axis) for axis in table.falling.axes]
+    if len(axes) == 1:
+        probes = np.linspace(axes[0][0], axes[0][-1],
+                             oversample * len(axes[0]) + 1)
+    else:
+        lows = np.array([axis[0] for axis in axes])
+        highs = np.array([axis[-1] for axis in axes])
+        rng = np.random.default_rng(0)
+        count = max(1, oversample) * VECTOR_PROBES_PER_OVERSAMPLE
+        probes = lows + (highs - lows) * rng.random((count, lows.size))
+        # Cell centers along the main diagonal: the Δ_i = Δ_j kink band.
+        centers = 0.5 * (axes[0][:-1] + axes[0][1:])
+        diagonal = np.stack([np.clip(centers, low, high)
+                             for low, high in zip(lows, highs)], axis=-1)
+        probes = np.concatenate([probes, diagonal])
     errors = {}
     for direction in ("falling", "rising"):
-        interpolated = getattr(table, direction).delays_at(probes)
-        if direction == "falling":
-            exact = backend.delays_falling_n(params, probes)
-        else:
-            exact = backend.delays_rising_n(params, probes, state)
-        errors[direction] = float(np.max(np.abs(interpolated
-                                                - exact)))
+        surface = getattr(table, direction)
+        errors[direction] = max(
+            float(np.max(np.abs(
+                surface.delays_at(probes, state)
+                - _direct_delays(backend, table.gate, table.params,
+                                 direction, probes, state))))
+            for state in surface.state_grid)
     return TableAccuracy(cell=table.cell,
                          falling_error=errors["falling"],
                          rising_error=errors["rising"])

@@ -3,32 +3,31 @@
 A :class:`GateDelayTable` is the lookup-table form of one gate's MIS
 delay surfaces — what an NLDM-style standard-cell library stores per
 cell, here with the input-separation axis ``Δ`` the paper shows is
-required for multi-input gates.  Each output direction is a
-:class:`DelaySurface`: delays sampled over a rectangular
-``(state, Δ)`` grid, bilinearly interpolated, where *state* is the
-initial internal-node voltage of the transition that depends on one
-(paper Section IV):
+required for multi-input gates.  Each output direction is one
+:class:`DelaySurface` for every gate width: delays sampled over a
+rectangular ``(state, Δ₁ … Δₙ₋₁)`` grid and multilinearly
+interpolated, where *state* is the initial internal-node voltage of
+the transition that depends on one (paper Section IV):
 
 * a ``nor2`` cell's **rising** surface carries the ``V_N(0)`` axis
   (series pMOS stack); its falling surface is state-free (one row);
 * a ``nand2`` cell — characterized through the CMOS mirror duality of
   :mod:`repro.core.duality` — carries the axis on its **falling**
-  surface (``V_M(0)``, series nMOS stack) instead.
+  surface (``V_M(0)``, series nMOS stack) instead;
+* an n-input NOR cell (``"nor3"``, ``"nor4"``, …) has ``n − 1``
+  sibling-offset axes and a one-point state grid: the chain-node
+  voltage it was characterized at.  Axis-aligned tensor grids cannot
+  align with its kink bands (the diagonal ``Δ_i = Δ_j`` planes where
+  the input ordering changes), so the interpolation error there
+  scales with the grid pitch — pick the grid density for the
+  accuracy you need; :func:`repro.library.characterize.verify_table`
+  measures it.
 
 Lookups *clamp* to the characterized ranges: the grids produced by
 :func:`repro.library.characterize.default_delta_grid` extend past the
 settling region, where the curves sit on their SIS plateaus, so
 clamping returns the ``δ(±∞)`` values instead of raising like
 :meth:`~repro.core.charlie.MisCurve.delay_at` does mid-sweep.
-
-n-input NOR cells (``"nor3"``, ``"nor4"``, …) store one
-:class:`VectorDelaySurface` per direction instead: delays sampled over
-an (n−1)-dimensional tensor grid of sibling offsets, multilinearly
-interpolated.  Axis-aligned tensor grids cannot align with the
-surface's kink bands (the diagonal ``Δ_i = Δ_j`` planes where the
-input ordering changes), so the interpolation error there scales with
-the grid pitch — pick the grid density for the accuracy you need;
-:func:`repro.library.characterize.verify_table` measures it.
 
 A :class:`GateLibrary` is a named collection of tables with a
 versioned on-disk JSON format (all quantities SI: seconds, volts,
@@ -39,8 +38,9 @@ files still load.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import itertools
 import json
+import math
 import pathlib
 import re
 from typing import Any
@@ -48,14 +48,14 @@ from typing import Any
 import numpy as np
 
 from ..core.charlie import CharacteristicDelays, MisCurve
-from ..core.multi_input import GeneralizedNorParameters
+from ..core.multi_input import GeneralizedNorParameters, offset_rows
 from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from ..units import to_ps
 
 __all__ = ["DelaySurface", "GateDelayTable", "GateLibrary",
-           "VectorDelaySurface", "GATE_CHOICES", "LIBRARY_FORMAT",
-           "LIBRARY_FORMAT_VERSION", "gate_width", "mis_gate_inputs"]
+           "GATE_CHOICES", "LIBRARY_FORMAT", "LIBRARY_FORMAT_VERSION",
+           "gate_width", "mis_gate_inputs"]
 
 #: On-disk format identifier of serialized libraries.
 LIBRARY_FORMAT = "repro-gate-library"
@@ -100,6 +100,29 @@ def mis_gate_inputs(gate: str) -> int:
     return int(match.group(1))
 
 
+def check_gate_params(gate: str, params) -> int:
+    """Input count of *gate*, checking *params* is its parameter kind.
+
+    Raises
+    ------
+    ParameterError
+        If *gate* is unknown, or *params* is not
+        :class:`NorGateParameters` for ``nor2`` / ``nand2`` or an
+        n-input :class:`GeneralizedNorParameters` set for ``nor<n>``.
+    """
+    inputs = mis_gate_inputs(gate)
+    if gate in GATE_TYPES:
+        if not isinstance(params, NorGateParameters):
+            raise ParameterError(f"{gate!r} cells take "
+                                 "NorGateParameters")
+    elif (not isinstance(params, GeneralizedNorParameters)
+            or params.num_inputs != inputs):
+        raise ParameterError(
+            f"{gate!r} cells take a {inputs}-input "
+            "GeneralizedNorParameters set")
+    return inputs
+
+
 #: Gate widths ``characterize`` / ``delay`` / ``stats`` accept (the
 #: n-input flow covers NOR3/NOR4; ``nor2`` is the paper's closed-form
 #: cell); :mod:`repro.api.catalog` re-exports it for the front ends.
@@ -121,51 +144,59 @@ def gate_width(gate: str) -> int:
     return mis_gate_inputs(gate)
 
 
-def _check_grid(values: tuple[float, ...], label: str,
-                minimum: int) -> None:
-    if len(values) < minimum:
-        raise ParameterError(f"{label} grid needs at least {minimum} "
-                             f"point(s), got {len(values)}")
-    if len(values) > 1 and not np.all(
-            np.diff(np.asarray(values)) > 0.0):
+def _grid(values, label: str, minimum: int) -> tuple[float, ...]:
+    """Validate one sample grid: finite, strictly increasing, and at
+    least *minimum* points long."""
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        grid = np.empty((0, 0))
+    if grid.ndim != 1 or grid.size < minimum:
+        raise ParameterError(f"{label} grid must be a sequence of at "
+                             f"least {minimum} point(s)")
+    if not np.isfinite(grid).all():
+        raise ParameterError(f"{label} grid must be finite")
+    if (np.diff(grid) <= 0.0).any():
         raise ParameterError(f"{label} grid must be strictly "
                              "increasing")
+    return tuple(grid.tolist())
 
 
-def _check_range(values: np.ndarray, lo: float, hi: float,
-                 label: str) -> None:
-    """Reject NaN and finite out-of-range lookups with a clear
-    message (``±inf`` deliberately reads the SIS edges)."""
-    if np.isnan(values).any():
-        raise ParameterError(f"{label} lookups must not be NaN")
-    bad = np.isfinite(values) & ((values < lo) | (values > hi))
-    if bad.any():
-        worst = float(np.asarray(values)[bad].flat[0])
-        raise ParameterError(
-            f"{label} separation {worst!r} s is outside the "
-            f"characterized range [{lo!r}, {hi!r}] s; pass "
-            "clamp=True to read the plateau edges instead of "
-            "extrapolating (±inf always reads them)")
+def _frozen(values: list) -> tuple:
+    """Nested tuples from ``ndarray.tolist()`` output (ndim >= 1)."""
+    if values and isinstance(values[0], list):
+        return tuple(map(_frozen, values))
+    return tuple(values)
 
 
 @dataclasses.dataclass(frozen=True)
 class DelaySurface:
     """Sampled MIS delays of one output direction over ``(state, Δ)``.
 
+    One multilinear surface serves every gate width: a 2-input cell
+    has one Δ axis, an n-input NOR has ``n − 1`` (one offset per
+    sibling input, the Δ-vector of
+    :func:`repro.engine.delays_for_direction`).
+
     Parameters
     ----------
     direction : str
         ``"falling"`` or ``"rising"`` (the output transition).
-    deltas : tuple of float
-        Strictly increasing input separations ``Δ = t_B − t_A`` in
-        seconds (at least two points).
-    state_grid : tuple of float
+    axes : sequence of sequence of float
+        One strictly increasing separation grid per sibling input,
+        seconds, each with at least two points — ``(deltas,)`` with
+        ``Δ = t_B − t_A`` for 2-input cells.
+    state_grid : sequence of float
         Strictly increasing initial internal-node voltages in volts.
-        A single-point grid marks a state-free surface.
-    delays : tuple of tuple of float
-        Delays in seconds, ``delays[i][j]`` for ``state_grid[i]`` and
-        ``deltas[j]``; they include the pure delay ``δ_min`` exactly
-        like the model's delay functions.
+        A one-point grid marks a state-free surface, or records the
+        chain-node voltage an n-input surface was characterized at;
+        only one-axis surfaces carry more than one state.
+    delays : array_like of float
+        Finite delays in seconds, shape
+        ``(len(state_grid), *(len(axis) for axis in axes))``; they
+        include the pure delay ``δ_min`` exactly like the model's
+        delay functions.  Stored as nested tuples; the lookups read
+        an ndarray copy made once at construction.
 
     Notes
     -----
@@ -174,51 +205,70 @@ class DelaySurface:
     *finite* out-of-range separations raise unless ``clamp=True`` is
     passed, matching :meth:`repro.core.charlie.MisCurve.delay_at` —
     a silent edge-clamp would report a plateau that was never
-    measured.  The state axis always clamps.
+    measured.  The state axis always clamps.  Interpolation is
+    linear along each Δ axis in turn (on one axis exactly
+    :func:`numpy.interp`), then between the two bracketing state
+    rows.  Axis-aligned grids cannot align with the n-input
+    surfaces' diagonal kink bands (``Δ_i = Δ_j``), so the error
+    there scales with the grid pitch — density is the accuracy dial.
     """
 
     direction: str
-    deltas: tuple[float, ...]
+    axes: tuple[tuple[float, ...], ...]
     state_grid: tuple[float, ...]
-    delays: tuple[tuple[float, ...], ...]
+    delays: tuple
 
     def __post_init__(self) -> None:
         if self.direction not in ("falling", "rising"):
             raise ParameterError("direction must be 'falling' or "
                                  "'rising'")
-        _check_grid(self.deltas, "delta", 2)
-        _check_grid(self.state_grid, "state", 1)
-        if len(self.delays) != len(self.state_grid):
-            raise ParameterError("need one delay row per state grid "
-                                 "point")
-        for row in self.delays:
-            if len(row) != len(self.deltas):
-                raise ParameterError("delay rows must have one entry "
-                                     "per delta")
+        label = f"{self.direction} surface"
+        axes = tuple(_grid(axis, f"{label} delta axis {j}", 2)
+                     for j, axis in enumerate(self.axes))
+        states = _grid(self.state_grid, f"{label} state", 1)
+        if not axes:
+            raise ParameterError(f"{label} needs at least one delta "
+                                 "axis")
+        if len(axes) > 1 and len(states) > 1:
+            raise ParameterError(
+                f"{label}: only one-axis surfaces carry a state axis "
+                "(n-input surfaces record one chain state)")
+        shape = (len(states), *(len(axis) for axis in axes))
+        try:
+            table = np.array(self.delays, dtype=float)
+        except (TypeError, ValueError):
+            table = np.empty(0)
+        if table.shape != shape:
+            raise ParameterError(
+                f"{label} delays must have shape (states, *axes) = "
+                f"{shape}, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ParameterError(f"{label} delays must be finite")
+        table.flags.writeable = False
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "state_grid", states)
+        object.__setattr__(self, "delays", _frozen(table.tolist()))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_axes",
+                           tuple(np.asarray(axis) for axis in axes))
+        object.__setattr__(self, "_states", np.asarray(states))
 
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
 
-    @property
-    def delta_range(self) -> tuple[float, float]:
-        """Characterized ``(Δ_min, Δ_max)`` in seconds."""
-        return (self.deltas[0], self.deltas[-1])
-
-    @property
-    def state_dependent(self) -> bool:
-        """Whether the surface actually carries a state axis."""
-        return len(self.state_grid) > 1
-
     def delays_at(self, deltas, state: float = 0.0,
                   clamp: bool = False) -> np.ndarray:
-        """Bilinearly interpolated delays for an array of separations.
+        """Multilinearly interpolated delays for an array of lookups.
 
         Parameters
         ----------
         deltas : array_like of float
-            Separations in seconds; ``±inf`` reads the table edges
-            (the SIS plateaus with the default grids).
+            Separations in seconds, as
+            :func:`repro.engine.delays_for_direction` takes them:
+            any shape on a one-axis surface, ``(..., n−1)``
+            Δ-vectors on an (n−1)-axis one.  ``±inf`` reads the
+            table edges (the SIS plateaus with the default grids).
         state : float, optional
             Initial internal-node voltage in volts, clamped to the
             state grid (default 0.0).
@@ -230,262 +280,150 @@ class DelaySurface:
         Returns
         -------
         numpy.ndarray
-            Delays in seconds, same shape as *deltas*.
+            Delays in seconds: the shape of *deltas* on a one-axis
+            surface, ``deltas.shape[:-1]`` otherwise.
 
         Raises
         ------
         ParameterError
-            For NaN lookups, or finite separations outside the
+            For NaN separations, a non-finite *state*, Δ-vectors of
+            the wrong width, or finite separations outside the
             characterized range when *clamp* is false.
         """
+        k = len(self.axes)
         d = np.asarray(deltas, dtype=float)
-        if not clamp:
-            _check_range(d, self.deltas[0], self.deltas[-1], "delta")
-        d = np.clip(d, self.deltas[0], self.deltas[-1])
-        grid = np.asarray(self.state_grid)
-        s = min(max(float(state), grid[0]), grid[-1])
+        points, shape = offset_rows(k + 1, d[..., None] if k == 1
+                                    else d)
+        rows, weight = self._state_rows(state)
+        cells, offsets, widths, tops = [], [], [], []
+        for j, axis in enumerate(self._axes):
+            x = points[:, j]
+            outside = np.isfinite(x) & ((x < axis[0]) | (x > axis[-1]))
+            if not clamp and outside.any():
+                raise ParameterError(
+                    f"axis-{j} separation {float(x[outside][0])!r} s "
+                    f"is outside the characterized range "
+                    f"[{self.axes[j][0]!r}, {self.axes[j][-1]!r}] s; "
+                    "pass clamp=True to read the plateau edges "
+                    "instead of extrapolating (±inf always reads "
+                    "them)")
+            x = np.clip(x, axis[0], axis[-1])
+            cell = np.minimum(np.searchsorted(axis, x, side="right") - 1,
+                              len(axis) - 2)
+            cells.append(cell)
+            offsets.append(x - axis[cell])
+            widths.append(axis[cell + 1] - axis[cell])
+            tops.append(x >= axis[-1])
+        # Gather the 2**k cell corners of every point, shaped
+        # (2,) * k + (state rows, points), then reduce one axis at a
+        # time with np.interp's formula — a top-edge point reads its
+        # sample exactly, as np.interp does — so one-axis lookups
+        # match np.interp bit for bit.
+        state_rows = np.asarray(rows)[:, None]
+        values = np.stack([
+            self._table[(state_rows,
+                         *(cell + bit for cell, bit in zip(cells, bits)))]
+            for bits in itertools.product((0, 1), repeat=k)])
+        values = values.reshape((2,) * k + values.shape[1:])
+        for offset, width, top in zip(offsets, widths, tops):
+            low, high = values[0], values[1]
+            values = np.where(top, high,
+                              low + (high - low) / width * offset)
+        if weight is None:
+            return values[0].reshape(shape)
+        return (values[0] * (1.0 - weight)
+                + values[1] * weight).reshape(shape)
+
+    def _state_rows(self, state: float) -> tuple[tuple[int, ...],
+                                                  float | None]:
+        """State rows bracketing *state* (clamped) and the weight of
+        the upper one (``None``: read one row)."""
+        s = float(state)
+        if not math.isfinite(s):
+            raise ParameterError(
+                f"state lookups must be finite, got {state!r}")
+        grid = self._states
+        s = min(max(s, grid[0]), grid[-1])
         hi = int(np.searchsorted(grid, s, side="left"))
-        if hi == 0 or len(grid) == 1:
-            return np.interp(d, self.deltas, self.delays[0])
-        if hi == len(grid):
-            return np.interp(d, self.deltas, self.delays[-1])
-        lo = hi - 1
-        low = np.interp(d, self.deltas, self.delays[lo])
-        high = np.interp(d, self.deltas, self.delays[hi])
-        weight = (s - grid[lo]) / (grid[hi] - grid[lo])
-        return low * (1.0 - weight) + high * weight
+        if hi == 0:
+            return (0,), None
+        return (hi - 1, hi), (s - grid[hi - 1]) / (grid[hi]
+                                                    - grid[hi - 1])
 
-    def delay_at(self, delta: float, state: float = 0.0,
+    def delay_at(self, delta, state: float = 0.0,
                  clamp: bool = False) -> float:
-        """Scalar :meth:`delays_at` (one separation, one state)."""
-        return float(self.delays_at(float(delta), state, clamp=clamp))
-
-    def curve(self, state: float = 0.0, label: str = "") -> MisCurve:
-        """A constant-state cut of the surface as a :class:`MisCurve`."""
-        delays = tuple(float(v) for v in
-                       self.delays_at(np.asarray(self.deltas), state))
-        return MisCurve(self.deltas, delays, self.direction,
-                        label=label or f"table ({self.direction})")
+        """Scalar :meth:`delays_at`: one separation or Δ-vector."""
+        return self.delays_at(delta, state, clamp=clamp).item()
 
     def characteristic(self,
                        state: float = 0.0) -> CharacteristicDelays:
-        """``(δ(−∞), δ(0), δ(∞))`` read from the clamped table edges."""
+        """``(δ(−∞), δ(0), δ(∞))`` with every sibling at that
+        separation; the ``±∞`` entries read the table edges."""
+        k = len(self.axes)
         return CharacteristicDelays(
-            minus_inf=self.delay_at(self.deltas[0], state),
-            zero=self.delay_at(0.0, state),
-            plus_inf=self.delay_at(self.deltas[-1], state))
+            *(self.delay_at([delta] * k, state)
+              for delta in (-math.inf, 0.0, math.inf)))
+
+    def curve(self, state: float = 0.0, label: str = "") -> MisCurve:
+        """A constant-state cut of a one-axis surface as a
+        :class:`MisCurve`."""
+        if len(self.axes) != 1:
+            raise ParameterError("curve() cuts one-axis surfaces only")
+        deltas = self.axes[0]
+        return MisCurve(deltas,
+                        tuple(self.delays_at(deltas, state).tolist()),
+                        self.direction,
+                        label=label or f"table ({self.direction})")
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation (seconds / volts)."""
+        """Plain-JSON representation (seconds / volts).
+
+        One Δ axis writes ``deltas_s`` / ``state_grid_v``; more axes
+        write ``axes_s`` and their one state as ``internal_state_v``.
+        """
+        if len(self.axes) == 1:
+            return {
+                "direction": self.direction,
+                "deltas_s": list(self.axes[0]),
+                "state_grid_v": list(self.state_grid),
+                "delays_s": self._table.tolist(),
+            }
         return {
             "direction": self.direction,
-            "deltas_s": list(self.deltas),
-            "state_grid_v": list(self.state_grid),
-            "delays_s": [list(row) for row in self.delays],
+            "axes_s": [list(axis) for axis in self.axes],
+            "delays_s": self._table[0].tolist(),
+            "internal_state_v": self.state_grid[0],
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "DelaySurface":
-        """Inverse of :meth:`to_dict`."""
-        try:
-            return cls(
-                direction=str(payload["direction"]),
-                deltas=tuple(float(v) for v in payload["deltas_s"]),
-                state_grid=tuple(float(v)
-                                 for v in payload["state_grid_v"]),
-                delays=tuple(tuple(float(v) for v in row)
-                             for row in payload["delays_s"]),
-            )
-        except KeyError as missing:
-            raise ParameterError(
-                f"delay surface payload is missing {missing}") from None
-
-
-@dataclasses.dataclass(frozen=True)
-class VectorDelaySurface:
-    """Sampled n-input MIS delays over an (n−1)-D Δ-vector grid.
-
-    The Δ-vector generalization of :class:`DelaySurface`: one output
-    direction of an n-input NOR, sampled on the tensor product of
-    per-sibling offset grids and *multilinearly* interpolated.  The
-    state axis of the 2-input surfaces is replaced by a single
-    recorded ``internal_state`` — the chain-node voltage the rising
-    surface was characterized at (the paper's GND worst case by
-    default).
-
-    Parameters
-    ----------
-    direction : str
-        ``"falling"`` or ``"rising"`` (the output transition).
-    axes : tuple of tuple of float
-        One strictly increasing sibling-offset grid per sibling
-        input (``n − 1`` axes, each with at least two points),
-        seconds.
-    delays : nested tuple of float
-        Delays in seconds on the tensor grid:
-        ``delays[i0][i1]…`` for ``axes[0][i0], axes[1][i1], …`` —
-        ``δ_min`` included, exactly like the model's delay
-        functions.
-    internal_state : float, optional
-        Internal chain-node voltage the surface was characterized
-        at, volts (default 0.0).
-
-    Notes
-    -----
-    ``±inf`` offsets read the grid edges; *finite* out-of-range
-    offsets raise unless ``clamp=True``, like
-    :meth:`DelaySurface.delays_at`.  Multilinear interpolation on an
-    axis-aligned grid cannot align with the surface's diagonal kink
-    bands (``Δ_i = Δ_j``), so the error there scales with the grid
-    pitch — density is the accuracy dial.
-    """
-
-    direction: str
-    axes: tuple[tuple[float, ...], ...]
-    delays: tuple
-    internal_state: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("falling", "rising"):
-            raise ParameterError("direction must be 'falling' or "
-                                 "'rising'")
-        if not self.axes:
-            raise ParameterError("need at least one sibling axis")
-        for j, axis in enumerate(self.axes):
-            _check_grid(tuple(axis), f"axis {j}", 2)
-        shape = np.asarray(self.delays, dtype=float).shape
-        expected = tuple(len(axis) for axis in self.axes)
-        if shape != expected:
-            raise ParameterError(
-                f"delay grid shape {shape} does not match the axes "
-                f"{expected}")
-
-    # ------------------------------------------------------------------
-    # lookup
-    # ------------------------------------------------------------------
-
-    @functools.cached_property
-    def _grid(self) -> np.ndarray:
-        """The sampled delays as an ndarray (lookup workhorse)."""
-        return np.asarray(self.delays, dtype=float)
-
-    @property
-    def num_siblings(self) -> int:
-        """Number of sibling offsets a lookup takes (``n − 1``)."""
-        return len(self.axes)
-
-    @property
-    def delta_ranges(self) -> tuple[tuple[float, float], ...]:
-        """Characterized ``(Δ_min, Δ_max)`` per sibling axis."""
-        return tuple((axis[0], axis[-1]) for axis in self.axes)
-
-    def delays_at(self, deltas, clamp: bool = False) -> np.ndarray:
-        """Multilinearly interpolated delays for Δ-vector arrays.
-
-        Parameters
-        ----------
-        deltas : array_like of float
-            Sibling offsets, shape ``(..., n−1)``; ``±inf`` reads
-            the grid edges.
-        clamp : bool, optional
-            When true, finite out-of-range offsets clamp to the
-            grid edges instead of raising.
-
-        Returns
-        -------
-        numpy.ndarray
-            Delays in seconds, shape ``deltas.shape[:-1]``.
+        """Inverse of :meth:`to_dict` (either layout).
 
         Raises
         ------
         ParameterError
-            On NaN lookups, Δ-vectors of the wrong width, or finite
-            out-of-range offsets when *clamp* is false.
+            If keys are missing or a field is malformed.
         """
-        k = self.num_siblings
-        d = np.asarray(deltas, dtype=float)
-        if d.ndim == 0 or d.shape[-1] != k:
-            raise ParameterError(
-                f"delta vectors must have a trailing axis of length "
-                f"{k} (one offset per sibling input), got shape "
-                f"{d.shape}")
-        points = d.reshape(-1, k).copy()
-        rows = points.shape[0]
-        index = np.empty((rows, k), dtype=int)
-        frac = np.empty((rows, k))
-        for j, axis in enumerate(self.axes):
-            ax = np.asarray(axis)
-            column = points[:, j]
-            if not clamp:
-                _check_range(column, ax[0], ax[-1], f"axis-{j}")
-            elif np.isnan(column).any():
-                raise ParameterError(
-                    f"axis-{j} lookups must not be NaN")
-            column = np.clip(column, ax[0], ax[-1])
-            cell = np.clip(
-                np.searchsorted(ax, column, side="right") - 1,
-                0, len(ax) - 2)
-            index[:, j] = cell
-            frac[:, j] = (column - ax[cell]) / (ax[cell + 1]
-                                                - ax[cell])
-        out = np.zeros(rows)
-        for corner in range(2 ** k):
-            select = index.copy()
-            weight = np.ones(rows)
-            for j in range(k):
-                if corner >> j & 1:
-                    select[:, j] += 1
-                    weight *= frac[:, j]
-                else:
-                    weight *= 1.0 - frac[:, j]
-            out += self._grid[tuple(select.T)] * weight
-        return out.reshape(d.shape[:-1])
-
-    def delay_at(self, delta, clamp: bool = False) -> float:
-        """Scalar :meth:`delays_at` (one Δ-vector)."""
-        return float(self.delays_at(np.asarray(delta, dtype=float),
-                                    clamp=clamp))
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON representation (seconds / volts)."""
-        return {
-            "direction": self.direction,
-            "axes_s": [list(axis) for axis in self.axes],
-            "delays_s": np.asarray(self.delays,
-                                   dtype=float).tolist(),
-            "internal_state_v": self.internal_state,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "VectorDelaySurface":
-        """Inverse of :meth:`to_dict`."""
-
-        def nest(values):
-            if isinstance(values, (int, float)):
-                return float(values)
-            return tuple(nest(v) for v in values)
-
         try:
-            return cls(
-                direction=str(payload["direction"]),
-                axes=tuple(tuple(float(v) for v in axis)
-                           for axis in payload["axes_s"]),
-                delays=nest(payload["delays_s"]),
-                internal_state=float(
-                    payload.get("internal_state_v", 0.0)),
-            )
+            if "axes_s" in payload:
+                axes = payload["axes_s"]
+                states = [payload.get("internal_state_v", 0.0)]
+                delays = [payload["delays_s"]]
+            else:
+                axes = [payload["deltas_s"]]
+                states = payload["state_grid_v"]
+                delays = payload["delays_s"]
+            return cls(str(payload["direction"]), axes, states, delays)
         except KeyError as missing:
             raise ParameterError(
-                f"vector delay surface payload is missing "
-                f"{missing}") from None
+                f"delay surface payload is missing {missing}") from None
+        except TypeError as error:
+            raise ParameterError(
+                f"malformed delay surface payload: {error}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -498,17 +436,17 @@ class GateDelayTable:
         Cell name the table is stored under (e.g. ``"nor2_paper"``).
     gate : str
         Gate type — ``"nor2"`` / ``"nand2"`` (the paper's 2-input
-        cells, :class:`DelaySurface` pairs) or ``"nor<n>"`` for the
-        generalized n-input NOR (:class:`VectorDelaySurface` pairs).
-        Fixes the boolean function and the delay reference
-        conventions consumed by
+        cells) or ``"nor<n>"`` for the generalized n-input NOR.
+        Fixes the boolean function, the number of Δ axes of the
+        surfaces (``n − 1``) and the delay reference conventions
+        consumed by
         :class:`repro.timing.channels.TableDelayChannel`.
     params : NorGateParameters or GeneralizedNorParameters
         The electrical parameter set the table was characterized from
         (kept for provenance and re-verification); the generalized
         kind for n-input cells.
-    falling, rising : DelaySurface or VectorDelaySurface
-        The two output-transition surfaces (both of the same kind).
+    falling, rising : DelaySurface
+        The two output-transition surfaces.
     engine : str, optional
         Name of the delay engine that produced the samples.
     """
@@ -516,43 +454,21 @@ class GateDelayTable:
     cell: str
     gate: str
     params: NorGateParameters | GeneralizedNorParameters
-    falling: DelaySurface | VectorDelaySurface
-    rising: DelaySurface | VectorDelaySurface
+    falling: DelaySurface
+    rising: DelaySurface
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        inputs = mis_gate_inputs(self.gate)
-        if self.falling.direction != "falling":
-            raise ParameterError("falling surface has direction "
-                                 f"{self.falling.direction!r}")
-        if self.rising.direction != "rising":
-            raise ParameterError("rising surface has direction "
-                                 f"{self.rising.direction!r}")
-        if self.gate in GATE_TYPES:
-            for surface in (self.falling, self.rising):
-                if not isinstance(surface, DelaySurface):
-                    raise ParameterError(
-                        f"{self.gate!r} tables store DelaySurface "
-                        f"pairs, got {type(surface).__name__}")
-            if not isinstance(self.params, NorGateParameters):
+        inputs = check_gate_params(self.gate, self.params)
+        for direction in ("falling", "rising"):
+            surface = getattr(self, direction)
+            if surface.direction != direction:
+                raise ParameterError(f"{direction} surface has "
+                                     f"direction {surface.direction!r}")
+            if len(surface.axes) != inputs - 1:
                 raise ParameterError(
-                    f"{self.gate!r} tables are characterized from "
-                    "NorGateParameters")
-            return
-        for surface in (self.falling, self.rising):
-            if not isinstance(surface, VectorDelaySurface):
-                raise ParameterError(
-                    f"{self.gate!r} tables store VectorDelaySurface "
-                    f"pairs, got {type(surface).__name__}")
-            if surface.num_siblings != inputs - 1:
-                raise ParameterError(
-                    f"{self.gate!r} surfaces need {inputs - 1} "
-                    f"sibling axes, got {surface.num_siblings}")
-        if (not isinstance(self.params, GeneralizedNorParameters)
-                or self.params.num_inputs != inputs):
-            raise ParameterError(
-                f"{self.gate!r} tables are characterized from a "
-                f"{inputs}-input GeneralizedNorParameters set")
+                    f"{self.gate!r} surfaces need {inputs - 1} delta "
+                    f"axes, got {len(surface.axes)}")
 
     @property
     def num_inputs(self) -> int:
@@ -574,15 +490,13 @@ class GateDelayTable:
             cells, a Δ-vector of ``n − 1`` sibling offsets for
             n-input ones; ``±inf`` reads the SIS edge.
         state : float, optional
-            Initial stack-node voltage in volts — only meaningful
-            for gate types whose falling surface is state-dependent
-            (``nand2``); ignored by n-input cells.
+            Initial stack-node voltage in volts, clamped to the
+            surface's state grid — only state-dependent surfaces
+            (``nand2`` falling) tell states apart.
         clamp : bool, optional
             Clamp finite out-of-range separations to the table
             edges instead of raising.
         """
-        if isinstance(self.falling, VectorDelaySurface):
-            return self.falling.delay_at(delta, clamp=clamp)
         return self.falling.delay_at(delta, state, clamp=clamp)
 
     def delay_rising(self, delta, state: float = 0.0,
@@ -597,40 +511,30 @@ class GateDelayTable:
             SIS edge.
         state : float, optional
             Initial internal-node voltage in volts (``V_N(0)`` for
-            ``nor2``; ignored for ``nand2`` and for n-input cells,
-            whose rising surfaces record their characterized
-            ``internal_state``).
+            ``nor2``), clamped to the surface's state grid: the
+            one-point grids of ``nand2`` rising and of n-input cells
+            (their characterized chain state) read one row.
         clamp : bool, optional
             Clamp finite out-of-range separations to the table
             edges instead of raising.
         """
-        if isinstance(self.rising, VectorDelaySurface):
-            return self.rising.delay_at(delta, clamp=clamp)
         return self.rising.delay_at(delta, state, clamp=clamp)
 
     def describe(self) -> str:
         """One-line summary used by the CLI inspector."""
-        if isinstance(self.falling, VectorDelaySurface):
-            zero = [0.0] * self.falling.num_siblings
-            axes = "x".join(str(len(axis))
-                            for axis in self.falling.axes)
-            lo, hi = self.falling.delta_ranges[0]
-            return (f"{self.cell}: {self.gate}, {axes} delta grid "
-                    f"in [{to_ps(lo):.0f}, {to_ps(hi):.0f}] ps per "
-                    f"axis; fall(0) "
-                    f"{to_ps(self.falling.delay_at(zero)):.2f} ps, "
-                    f"rise(0) "
-                    f"{to_ps(self.rising.delay_at(zero)):.2f} ps")
-        fall = self.falling.characteristic()
-        rise = self.rising.characteristic()
-        return (f"{self.cell}: {self.gate}, "
-                f"{len(self.falling.deltas)} deltas in "
-                f"[{to_ps(self.falling.deltas[0]):.0f}, "
-                f"{to_ps(self.falling.deltas[-1]):.0f}] ps, "
-                f"{len(self.falling.state_grid)}x"
-                f"{len(self.rising.state_grid)} state rows; "
-                f"fall(0) {to_ps(fall.zero):.2f} ps, "
-                f"rise(0) {to_ps(rise.zero):.2f} ps")
+        axes = self.falling.axes
+        lo, hi = to_ps(axes[0][0]), to_ps(axes[0][-1])
+        if len(axes) == 1:
+            grid = (f"{len(axes[0])} deltas in [{lo:.0f}, {hi:.0f}] "
+                    f"ps, {len(self.falling.state_grid)}x"
+                    f"{len(self.rising.state_grid)} state rows")
+        else:
+            grid = (f"{'x'.join(str(len(axis)) for axis in axes)} "
+                    f"delta grid in [{lo:.0f}, {hi:.0f}] ps per axis")
+        return (f"{self.cell}: {self.gate}, {grid}; fall(0) "
+                f"{to_ps(self.falling.characteristic().zero):.2f} ps, "
+                f"rise(0) "
+                f"{to_ps(self.rising.characteristic().zero):.2f} ps")
 
     # ------------------------------------------------------------------
     # serialization
@@ -646,15 +550,6 @@ class GateDelayTable:
             "falling": self.falling.to_dict(),
             "rising": self.rising.to_dict(),
         }
-
-    @staticmethod
-    def _surface_from_dict(payload: dict[str, Any]
-                           ) -> DelaySurface | VectorDelaySurface:
-        """Decode either surface kind (n-input payloads carry
-        ``axes_s``)."""
-        if "axes_s" in payload:
-            return VectorDelaySurface.from_dict(payload)
-        return DelaySurface.from_dict(payload)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "GateDelayTable":
@@ -676,8 +571,8 @@ class GateDelayTable:
                 gate=str(payload["gate"]),
                 engine=str(payload.get("engine", "vectorized")),
                 params=decoded,
-                falling=cls._surface_from_dict(payload["falling"]),
-                rising=cls._surface_from_dict(payload["rising"]),
+                falling=DelaySurface.from_dict(payload["falling"]),
+                rising=DelaySurface.from_dict(payload["rising"]),
             )
         except KeyError as missing:
             raise ParameterError(
@@ -769,8 +664,12 @@ class GateLibrary:
             raise ParameterError(
                 "library 'cells' must be a JSON object, got "
                 f"{type(cells).__name__}")
-        tables = {cell: GateDelayTable.from_dict(table)
-                  for cell, table in cells.items()}
+        tables = {}
+        for cell, table in cells.items():
+            try:
+                tables[cell] = GateDelayTable.from_dict(table)
+            except ParameterError as error:
+                raise ParameterError(f"cell {cell!r}: {error}") from None
         return cls(name=str(payload.get("name", "")),
                    tables=tables,
                    description=str(payload.get("description", "")))

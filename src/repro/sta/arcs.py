@@ -11,9 +11,10 @@ answer, packaged behind one small protocol so that a
   model kind that can be *re-targeted* to other parameter corners,
   which is what the vectorized corner sweeps of :mod:`repro.sta.sweep`
   batch over;
-* **characterized-table lookup** (:class:`TableArcModel`) — bilinear
-  interpolation on a :class:`~repro.library.GateDelayTable`, exactly
-  what an NLDM-style flow would read from a library JSON;
+* **characterized-table lookup** (:class:`TableArcModel`) —
+  multilinear ``(state, Δ)`` interpolation on a
+  :class:`~repro.library.GateDelayTable`, exactly what an NLDM-style
+  flow would read from a library JSON;
 * **fixed delays** (:class:`FixedArcModel`) — the Δ-independent
   fallback for gates driven by single-input channels (pure, inertial,
   involution), read off the channel's stable-history delay.
@@ -32,13 +33,12 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import (GeneralizedNorParameters,
-                                paper_generalized)
+from ..core.multi_input import paper_generalized
 from ..core.parameters import NorGateParameters
 from ..engine import delays_for_direction, get_engine
 from ..errors import ParameterError
-from ..library.tables import (GateDelayTable, VectorDelaySurface,
-                              mis_gate_inputs)
+from ..library.tables import (GATE_TYPES, GateDelayTable,
+                              check_gate_params)
 from ..obs.trace import span
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
     "TableArcModel",
     "WireArcModel",
 ]
-
-#: Gate types with the paper's two-input MIS characterization.
-MIS_GATE_TYPES = ("nor2", "nand2")
-
 
 @runtime_checkable
 class ArcDelayModel(Protocol):
@@ -127,18 +123,8 @@ class EngineArcModel:
 
     def __init__(self, params, gate: str = "nor2",
                  engine=None, state: float | None = None):
-        self.num_inputs = mis_gate_inputs(gate)
+        self.num_inputs = check_gate_params(gate, params)
         self.gate = gate
-        if self.gate in MIS_GATE_TYPES:
-            if not isinstance(params, NorGateParameters):
-                raise ParameterError(
-                    f"{gate!r} arcs evaluate NorGateParameters")
-        else:
-            if (not isinstance(params, GeneralizedNorParameters)
-                    or params.num_inputs != self.num_inputs):
-                raise ParameterError(
-                    f"{gate!r} arcs evaluate a {self.num_inputs}-"
-                    "input GeneralizedNorParameters set")
         self.params = params
         self.engine = get_engine(engine)
         self.state = None if state is None else float(state)
@@ -154,7 +140,7 @@ class EngineArcModel:
         """
         if params is None:
             return self.params
-        if self.gate in MIS_GATE_TYPES:
+        if self.gate in GATE_TYPES:
             if not isinstance(params, NorGateParameters):
                 raise ParameterError(
                     f"{self.gate!r} arcs re-target to "
@@ -200,7 +186,7 @@ class TableArcModel:
     """Characterized-library arc lookup.
 
     Replays a :class:`~repro.library.GateDelayTable` — the consumer
-    side of ``repro characterize`` — with the same clamped bilinear
+    side of ``repro characterize`` — with the same clamped multilinear
     interpolation the :class:`~repro.timing.channels.TableDelayChannel`
     uses, so STA and event simulation read identical numbers.
 
@@ -240,16 +226,16 @@ class TableArcModel:
                params=None) -> np.ndarray:
         """Interpolated ``δ(Δ)`` from the characterized surfaces.
 
-        Clamped bilinear ``(state, Δ)`` lookups on a 2-input table,
-        clamped multilinear Δ-vector lookups on an n-input one; see
-        :meth:`ArcDelayModel.delays`.
+        Clamped multilinear ``(state, Δ)`` lookups at the arc's
+        state; see :meth:`ArcDelayModel.delays`.
 
         Raises
         ------
         ParameterError
             If a *params* corner override is requested — tables are
             characterized for one parameter set; re-characterize a
-            library per corner instead.
+            library per corner instead — or the arc's state is not
+            finite.
         """
         if params is not None and params != self.table.params:
             raise ParameterError(
@@ -263,8 +249,6 @@ class TableArcModel:
         else:
             raise ParameterError(f"direction must be 'falling' or "
                                  f"'rising', got {direction!r}")
-        if isinstance(surface, VectorDelaySurface):
-            return surface.delays_at(deltas, clamp=True)
         return surface.delays_at(deltas, self.state, clamp=True)
 
     def __repr__(self) -> str:

@@ -46,8 +46,7 @@ import math
 
 from ...core.multi_input import sibling_offsets
 from ...errors import TraceError
-from ...library.tables import (GateDelayTable, VectorDelaySurface,
-                               mis_gate_inputs)
+from ...library.tables import GateDelayTable, mis_gate_inputs
 from ..trace import DigitalTrace
 from .base import Channel
 
@@ -62,15 +61,15 @@ class TableDelayChannel(Channel):
     table : GateDelayTable
         Characterized delay surfaces; ``table.gate`` selects the
         boolean function (``"nor2"``, ``"nand2"``, or ``"nor<n>"``)
-        and the delay conventions.  n-input NOR tables replay their
-        :class:`~repro.library.tables.VectorDelaySurface` pairs with
-        full Δ-vector MIS rescheduling.
+        and the delay conventions.  Every width replays with full
+        Δ-vector MIS rescheduling.
     state : float, optional
         Internal-node voltage in volts used for state-dependent
         surface lookups (default 0.0 for NOR — the paper's GND worst
         case; for NAND the mirrored worst case is ``VDD``, applied
-        automatically when *state* is ``None``).  n-input tables
-        record their characterized ``internal_state`` instead.
+        automatically when *state* is ``None``).  Surfaces with a
+        one-point state grid (n-input tables record their
+        characterized chain state) read that one row.
     label : str, optional
         Reporting label (defaults to the table's cell name).
     """
@@ -82,7 +81,6 @@ class TableDelayChannel(Channel):
             state = table.params.vdd if table.gate == "nand2" else 0.0
         self.state = float(state)
         self.label = label or table.cell
-        self._vector = isinstance(table.falling, VectorDelaySurface)
         # Boolean function and which transition is parallel-driven.
         if table.gate == "nand2":
             self._function = lambda *values: int(not all(values))
@@ -134,11 +132,8 @@ class TableDelayChannel(Channel):
         convention.
         """
         reference = min(times)
-        if self._vector:
-            delta = sibling_offsets(times, reference)
-        else:
-            delta = times[1] - times[0]
-        return reference + self._parallel_delay(delta)
+        return reference + self._parallel_delay(
+            sibling_offsets(times, reference))
 
     def _series_candidate(self, released: list[float]) -> float:
         """Output-crossing candidate of a series-driven transition.
@@ -148,11 +143,8 @@ class TableDelayChannel(Channel):
         was controlling") — the trigger is the *latest* release.
         """
         reference = max(released)
-        if self._vector:
-            delta = sibling_offsets(released, reference)
-        else:
-            delta = released[1] - released[0]
-        return reference + self._series_delay(delta)
+        return reference + self._series_delay(
+            sibling_offsets(released, reference))
 
     def initial_output(self, *values: int) -> int:
         """Steady-state output for the initial input values."""

@@ -1,7 +1,10 @@
 """Behavior of the :class:`repro.api.Session` facade."""
 
+import copy
+import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,18 @@ from repro.api import (CharacterizeRequest, DelayRequest,
 from repro.core.parameters import PAPER_TABLE_I
 from repro.engine import get_engine
 from repro.errors import ParameterError
+
+#: A library file written by an earlier build (tests/library/data).
+_LIBRARY = json.loads((pathlib.Path(__file__).parents[1] / "library"
+                       / "data" / "library_v2.json").read_text())
+
+
+def _poisoned(field: str, value) -> str:
+    """The library file with one field of the NOR2 falling surface
+    replaced (NaN serializes as the ``NaN`` token Python reads)."""
+    payload = copy.deepcopy(_LIBRARY)
+    payload["cells"]["nor2_fixture"]["falling"][field] = value
+    return json.dumps(payload)
 
 
 class TestBindings:
@@ -260,7 +275,11 @@ class TestLibraryAccess:
     @pytest.mark.parametrize("content", [
         "[1, 2]", '"str"',
         '{"format": "repro-gate-library", "format_version": 2, '
-        '"cells": [1]}'])
+        '"cells": [1]}',
+        pytest.param(_poisoned("delays_s", [[float("nan")] * 9]),
+                     id="nan-delay"),
+        pytest.param(_poisoned("state_grid_v", [float("nan")]),
+                     id="nan-state")])
     def test_non_object_json_is_one_line_value_error(self, tmp_path,
                                                      content):
         path = tmp_path / "odd.json"

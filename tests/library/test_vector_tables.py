@@ -1,4 +1,4 @@
-"""n-input vector delay surfaces, tables, and the format-v2 JSON."""
+"""n-input (multi-axis) delay surfaces, tables, and the format-v2 JSON."""
 
 import math
 
@@ -8,12 +8,11 @@ import pytest
 from repro.core.charlie import MisCurve
 from repro.core.multi_input import paper_generalized
 from repro.errors import ParameterError
-from repro.library import (CharacterizationJob, GateLibrary,
-                           VectorDelaySurface, characterize_gate,
+from repro.library import (CharacterizationJob, DelaySurface,
+                           GateLibrary, characterize_gate,
                            characterize_library, generalized_jobs,
                            mis_gate_inputs, verify_table)
-from repro.library.tables import (LIBRARY_FORMAT_VERSION,
-                                  DelaySurface, GateDelayTable)
+from repro.library.tables import LIBRARY_FORMAT_VERSION, GateDelayTable
 from repro.units import PS
 
 
@@ -33,7 +32,7 @@ def _simple_surface():
     axes = ((0.0, 1.0, 2.0), (0.0, 2.0))
     delays = tuple(tuple(float(10 * i + j) for j in (0, 2))
                    for i in (0, 1, 2))
-    return VectorDelaySurface("falling", axes, delays)
+    return DelaySurface("falling", axes, (0.0,), (delays,))
 
 
 class TestMisGateInputs:
@@ -92,18 +91,32 @@ class TestVectorDelaySurface:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            VectorDelaySurface("sideways", ((0.0, 1.0),), (0.0, 1.0))
+            DelaySurface("sideways", ((0.0, 1.0),), (0.0,),
+                         ((0.0, 1.0),))
         with pytest.raises(ParameterError):
-            VectorDelaySurface("falling", (), ())
+            DelaySurface("falling", (), (0.0,), ((),))
         with pytest.raises(ParameterError):  # shape mismatch
-            VectorDelaySurface("falling", ((0.0, 1.0), (0.0, 1.0)),
-                               ((1.0, 2.0),))
+            DelaySurface("falling", ((0.0, 1.0), (0.0, 1.0)), (0.0,),
+                         (((1.0, 2.0),),))
         with pytest.raises(ParameterError):  # non-increasing axis
-            VectorDelaySurface("falling", ((1.0, 0.0),), (1.0, 2.0))
+            DelaySurface("falling", ((1.0, 0.0),), (0.0,),
+                         ((1.0, 2.0),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_file_data_rejected(self, bad):
+        for field, value in (("internal_state_v", bad),
+                             ("delays_s", [[bad, 2.0]] * 3)):
+            payload = _simple_surface().to_dict()
+            payload[field] = value
+            with pytest.raises(ParameterError, match="finite"):
+                DelaySurface.from_dict(payload)
 
     def test_round_trip(self):
         surface = _simple_surface()
-        again = VectorDelaySurface.from_dict(surface.to_dict())
+        payload = surface.to_dict()
+        assert set(payload) == {"direction", "axes_s", "delays_s",
+                                "internal_state_v"}
+        again = DelaySurface.from_dict(payload)
         assert again == surface
 
 
@@ -112,8 +125,8 @@ class TestNInputTables:
         assert nor3_table.gate == "nor3"
         assert nor3_table.num_inputs == 3
         assert nor3_table.params == p3
-        assert isinstance(nor3_table.falling, VectorDelaySurface)
-        assert nor3_table.falling.num_siblings == 2
+        assert len(nor3_table.falling.axes) == 2
+        assert nor3_table.falling.state_grid == (0.0,)
 
     def test_lookup_matches_engine_at_nodes(self, nor3_table, p3):
         from repro.engine import get_engine
@@ -130,6 +143,11 @@ class TestNInputTables:
                                                  p3):
         with pytest.raises(ParameterError):
             GateDelayTable(cell="bad", gate="nor2", params=p3,
+                           falling=nor3_table.falling,
+                           rising=nor3_table.rising)
+        with pytest.raises(ParameterError, match="delta axes"):
+            GateDelayTable(cell="bad", gate="nor4",
+                           params=paper_generalized(4),
                            falling=nor3_table.falling,
                            rising=nor3_table.rising)
 
@@ -203,7 +221,7 @@ class TestOutOfRangeRegression:
 
     @pytest.fixture()
     def surface(self):
-        return DelaySurface("falling", (-1.0 * PS, 0.0, 1.0 * PS),
+        return DelaySurface("falling", ((-1.0 * PS, 0.0, 1.0 * PS),),
                             (0.0,), ((10 * PS, 11 * PS, 12 * PS),))
 
     def test_finite_out_of_range_raises(self, surface):

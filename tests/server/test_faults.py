@@ -6,7 +6,9 @@ serving afterwards.  Each test therefore ends by proving the next
 request still succeeds.
 """
 
+import copy
 import json
+import pathlib
 import socket
 import time
 
@@ -20,6 +22,19 @@ from repro.server import JobStore
 #: A delay envelope nested far past the JSON decoder's recursion limit.
 _DEEP = ('{"schema": "repro.api/1", "kind": "delay", "data": '
          '{"deltas": ' + "[" * 5000 + "]" * 5000 + "}}")
+
+
+#: A library file written by an earlier build (tests/library/data).
+_LIBRARY = json.loads((pathlib.Path(__file__).parents[1] / "library"
+                       / "data" / "library_v2.json").read_text())
+
+
+def _poisoned(field: str, value) -> str:
+    """The library file with one field of the NOR2 falling surface
+    replaced (NaN serializes as the ``NaN`` token Python reads)."""
+    payload = copy.deepcopy(_LIBRARY)
+    payload["cells"]["nor2_fixture"]["falling"][field] = value
+    return json.dumps(payload)
 
 
 def _alive(client) -> None:
@@ -61,12 +76,17 @@ class TestBadBodies:
     @pytest.mark.parametrize("content", [
         None, "[1, 2]", '"str"',
         '{"format": "repro-gate-library", "format_version": 2, '
-        '"cells": [1]}'])
+        '"cells": [1]}',
+        pytest.param(_poisoned("delays_s", [[float("nan")] * 9]),
+                     id="nan-delay"),
+        pytest.param(_poisoned("state_grid_v", [float("nan")]),
+                     id="nan-state")])
     def test_unreadable_library_is_400(self, client, tmp_path,
                                        content):
         """A library path that is a directory (``None``: the default
-        ``path=""``) or a file holding no library object is a typed
-        client error, for LibraryRequest and StaRequest alike."""
+        ``path=""``) or a file holding no library object — or one
+        with non-finite table data — is a typed client error, for
+        LibraryRequest and StaRequest alike."""
         from repro.api import LibraryRequest, StaRequest
         path = ""
         if content is not None:
