@@ -46,6 +46,12 @@ __all__ = ["HybridNorModel", "DelayComputation", "settle_time"]
 _SETTLE_FACTOR = 60.0
 
 
+def _check_separation(delta: float) -> None:
+    """Reject a NaN *delta*, as the batched backends do."""
+    if math.isnan(delta):
+        raise ParameterError("input separations must not be NaN")
+
+
 def settle_time(params: NorGateParameters) -> float:
     """A conservative 'long time' after which every mode has settled.
 
@@ -123,7 +129,13 @@ class HybridNorModel:
 
         The gate rests in mode (0,0) with ``V_N = V_O = VDD``; the first
         rising input arrives at ``t = 0``.
+
+        Raises
+        ------
+        ParameterError
+            If *delta* is NaN.
         """
+        _check_separation(delta)
         p = self.params
         vdd = p.vdd
         initial = (vdd, vdd)
@@ -189,8 +201,9 @@ class HybridNorModel:
         Raises
         ------
         ParameterError
-            If *vn_init* is NaN or infinite.
+            If *delta* is NaN, or *vn_init* is NaN or infinite.
         """
+        _check_separation(delta)
         p = self.params
         initial = (finite_voltage(vn_init, "vn_init"), 0.0)
 

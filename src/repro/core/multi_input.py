@@ -14,8 +14,9 @@ For n = 2 this reduces — exactly, as the test-suite verifies — to the
 closed-form model of :mod:`repro.core.hybrid_model`.  For general n the
 per-mode systems are solved by eigendecomposition of the augmented
 system matrix (RC networks have real, non-positive eigenvalues), giving
-each node voltage as a sum of up to n real exponentials; output
-threshold crossings are located by dense sampling plus Brent refinement.
+each node voltage as a sum of up to n real exponentials; the scalar
+trace interface locates output threshold crossings by dense sampling
+plus Brent refinement, the independent reference of the batched path.
 
 Conventions mirror the 2-input model: input ``i`` gates the i-th pMOS
 of the chain counted *from the rail* and the i-th parallel nMOS;
@@ -32,12 +33,12 @@ across processes via :mod:`repro.cache` when a cache directory is
 configured), assigns every ``(row, segment)`` its mode id with one
 vectorized cumulative sum over the event ordering, and walks all rows
 segment-lockstep: state propagation and eigen-projection are batched
-einsums over the per-row mode tensors, threshold crossings are
-bracketed on a *shared* time grid (one ``exp`` basis per phase, one
-GEMM for the whole batch) and refined by a safeguarded vectorized
-Newton iteration with a lockstep-bisection fallback.  This is the
-engine behind the ``delays_falling_n`` / ``delays_rising_n`` entry
-points of :mod:`repro.engine`.
+einsums over the per-row mode tensors, and
+:func:`~repro.core.solutions.exp_sum_crossing`, called on batches of
+segments, finds the first threshold crossing of every row by exact root
+isolation and a safeguarded Newton iteration, without sampling.  This is the engine
+behind the ``delays_falling_n`` / ``delays_rising_n`` entry points of
+:mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from scipy.optimize import brentq
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
 from .parameters import PAPER_TABLE_I, NorGateParameters, finite_voltage
-from .solutions import ExpSum
+from .solutions import ExpSum, exp_sum_crossing
 
 __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
            "GeneralizedNorModel", "compiled_nor_kernel",
@@ -64,22 +65,9 @@ __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
 _IMAG_TOL = 1e-8
 #: Samples used to bracket output crossings per segment.
 _CROSSING_SAMPLES = 1024
-#: Safeguarded Newton iterations of the batched crossing refinement
-#: (quadratic convergence lands well inside this; leftover rows fall
-#: back to lockstep bisection).
-_NEWTON_STEPS = 12
-#: Lockstep bisection steps of the non-convergence fallback.
-_BATCH_BISECT_STEPS = 128
-#: Bracketing samples per 8-τ phase of the batched crossing search.
-#: 129 keeps the bracket cells (τ/16) finer than the scalar
-#: reference's coarsest sampling (its 1024-point grid over a 60-τ
-#: final segment is ~τ/17), so the batch path never misses a feature
-#: the reference resolves.
-_BATCH_SAMPLES = 129
-#: Row chunk of the batched crossing search (bounds the temporary
-#: ``rows x samples`` value matrix / exponential tensor to a few
-#: tens of MB).
-_BATCH_CHUNK = 2048
+#: (row, segment) pairs per solver call of a kernel evaluation: a small
+#: batch solves all its segments at once, a large one bounds temporaries.
+_SOLVE_PAIRS = 4096
 #: Finite stand-in span for ``±inf`` sibling offsets, seconds.  One
 #: second is ~9 orders of magnitude beyond any gate's settling region,
 #: so clipping offsets to ``reference ± _OFFSET_SPAN`` lands on the
@@ -165,112 +153,13 @@ def offset_rows(num_inputs: int, deltas
     return flat, d.shape[:-1]
 
 
-def _first_bracket(values: np.ndarray, downward: bool
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """First directed sign change along each row of sampled values.
-
-    *values* is ``(rows, samples)`` of ``f(t) − threshold`` on a
-    monotone time grid.  Returns ``(has, first)`` — whether each row
-    brackets a crossing and the index of the grid cell that does.
-    """
-    above = values > 0.0
-    if downward:
-        hit = above[:, :-1] & ~above[:, 1:]
-    else:
-        hit = ~above[:, :-1] & above[:, 1:]
-    return hit.any(axis=1), np.argmax(hit, axis=1)
-
-
-def _newton_bisect_refine(weights, rates, lo, hi, threshold: float,
-                          downward: bool,
-                          newton_steps: "int | None" = None
-                          ) -> np.ndarray:
-    """Refine bracketed exp-sum crossings: vectorized Newton with a
-    lockstep-bisection fallback.
-
-    Solves ``f(t) = Σ_k weights[r, k]·exp(rates[k]·t) − threshold = 0``
-    per row inside the bracket ``[lo[r], hi[r]]``.  Every Newton step
-    first shrinks the bracket with the current iterate (so the
-    invariant — downward: ``f(lo) > 0 ≥ f(hi)``, upward: ``f(lo) ≤ 0 <
-    f(hi)`` — is preserved), then takes the Newton candidate when it
-    lands strictly inside the bracket and the midpoint otherwise.  A
-    row is converged when its bracket is adjacent-float tight *or*
-    its Newton step shrinks below the same tolerance (Newton
-    typically approaches the root from one side, so only one bracket
-    end tightens).  Rows with neither after *newton_steps* iterations
-    finish under plain lockstep bisection, so the result is always a
-    point within ``1e-15·|t| + 1e-26`` of the bracketed root, the
-    same precision as the pre-Newton lockstep search.
-
-    Parameters
-    ----------
-    weights : array_like of float
-        Per-row exponential coefficients, shape ``(rows, modes)``.
-    rates : array_like of float
-        Exponential rates shared across the batch, shape ``(modes,)``.
-    lo, hi : array_like of float
-        Bracket endpoints per row (finite; ``lo < hi``).
-    threshold : float
-        Crossing level.
-    downward : bool
-        Crossing direction (decides which bracket side an iterate
-        updates).
-    newton_steps : int, optional
-        Newton iteration budget before the bisection fallback
-        (default :data:`_NEWTON_STEPS`).
-
-    Returns
-    -------
-    numpy.ndarray
-        Bracket midpoints after refinement, shape ``(rows,)``.
-    """
-    if newton_steps is None:
-        newton_steps = _NEWTON_STEPS
-    weights = np.asarray(weights, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    wr = weights * rates
-    t = 0.5 * (lo + hi)
-    step = np.full(t.shape, math.inf)
-    # Lockstep over the full batch: every row converges within a few
-    # iterations of its neighbours, so index compression would cost
-    # more in small-array dispatch than the spare iterations do.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iteration in range(newton_steps):
-            e = np.exp(t[:, None] * rates)
-            f = np.einsum("rk,rk->r", weights, e) - threshold
-            side = f > 0.0 if downward else f <= 0.0
-            lo = np.where(side, t, lo)
-            hi = np.where(side, hi, t)
-            fp = np.einsum("rk,rk->r", wr, e)
-            tn = t - f / fp
-            # Non-strict bounds: a candidate tying the bracket end it
-            # just updated is the converged root, not an escape (NaN
-            # and ±inf candidates compare False and take the
-            # midpoint).
-            inside = (tn >= lo) & (tn <= hi)
-            tn = np.where(inside, tn, 0.5 * (lo + hi))
-            step = np.abs(tn - t)
-            t = tn
-            if (iteration >= 3
-                    and np.all(step <= 1e-15 * np.abs(t) + 1e-26)):
-                break
-    pending = np.nonzero(step > 1e-15 * np.abs(t) + 1e-26)[0]
-    if pending.size:
-        la, ha, w = lo[pending], hi[pending], weights[pending]
-        for _ in range(_BATCH_BISECT_STEPS):
-            mid = 0.5 * (la + ha)
-            value = np.einsum(
-                "rk,rk->r", w,
-                np.exp(mid[:, None] * rates)) - threshold
-            upper = value > 0.0 if downward else value <= 0.0
-            la = np.where(upper, mid, la)
-            ha = np.where(upper, ha, mid)
-            if np.all(ha - la <= 1e-15 * np.abs(ha) + 1e-26):
-                break
-        t[pending] = 0.5 * (la + ha)
-    return t
+def _check_times(times: Sequence[float], num_inputs: int,
+                 name: str) -> None:
+    """Reject event times of the wrong count or with NaN or ``±inf``."""
+    if len(times) != num_inputs:
+        raise ParameterError(f"expected {num_inputs} {name}")
+    if not all(math.isfinite(t) for t in times):
+        raise ParameterError(f"{name} must be finite, got {list(times)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -476,28 +365,14 @@ class GeneralizedNorModel:
 
     def _solve_segment(self, inputs: tuple[int, ...],
                        state0: np.ndarray) -> _SegmentSolution:
-        """Eigen-solve one mode from the given initial state."""
-        a, f = self._mode_matrices(inputs)
+        """Solve one mode from the given initial state on its cached
+        eigendecomposition (:meth:`_mode_eig`)."""
+        rates, eigenvectors, _, slowest = self._mode_eig(inputs)
         n = self._n
-        # Augmented autonomous system d/dt [V; 1] = M [V; 1].
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = a
-        m[:n, n] = f
-        eigenvalues, eigenvectors = np.linalg.eig(m)
-        if np.max(np.abs(eigenvalues.imag)) > _IMAG_TOL * max(
-                1.0, float(np.max(np.abs(eigenvalues.real)))):
-            raise ParameterError("complex eigenvalues in RC network")
-        eigenvalues = eigenvalues.real
-        eigenvectors = eigenvectors.real
         extended = np.append(state0, 1.0)
         coefficients = np.linalg.solve(eigenvectors, extended)
 
         nodes: list[ExpSum] = []
-        rates = eigenvalues
-        slowest = 0.0
-        for rate in rates:
-            if rate < -1e-30:
-                slowest = max(slowest, 1.0 / abs(rate))
         for node in range(n):
             terms = []
             offset = 0.0
@@ -505,13 +380,12 @@ class GeneralizedNorModel:
                 weight = coefficients[k] * eigenvectors[node, k]
                 if abs(weight) < 1e-15:
                     continue
-                if abs(rate) < 1e-6 / max(slowest, 1e-12):
+                if rate == 0.0:
                     offset += weight
                 else:
                     terms.append((weight, rate))
             nodes.append(ExpSum.build(offset, terms))
-        return _SegmentSolution(nodes=tuple(nodes),
-                                slowest_tau=slowest or 1e-12)
+        return _SegmentSolution(nodes=tuple(nodes), slowest_tau=slowest)
 
     # ------------------------------------------------------------------
     # resting states
@@ -795,9 +669,13 @@ class GeneralizedNorModel:
         All inputs start low (gate resting high); input ``i`` rises at
         ``rise_times[i]``.  The delay is referenced to the earliest
         input, per the paper's convention.
+
+        Raises:
+            ParameterError: on a wrong count, or a NaN or ``±inf`` time
+                (clip never/long-ago arrivals onto the settling region
+                first, as :func:`sibling_offsets` does).
         """
-        if len(rise_times) != self._n:
-            raise ParameterError(f"expected {self._n} rise times")
+        _check_times(rise_times, self._n, "rise times")
         earliest = min(rise_times)
         shift = -earliest if earliest < 0 else 0.0
         events = [[(t + shift, 1)] for t in rise_times]
@@ -857,11 +735,11 @@ class GeneralizedNorModel:
 
         All inputs start high (gate resting low); input ``i`` falls at
         ``fall_times[i]``.  Referenced to the latest input.  Internal
-        chain nodes rest at *internal_init* (GND worst case); NaN and
-        ``±inf`` are rejected with :class:`ParameterError`.
+        chain nodes rest at *internal_init* (GND worst case).  NaN and
+        ``±inf`` times and voltages are rejected with
+        :class:`ParameterError`.
         """
-        if len(fall_times) != self._n:
-            raise ParameterError(f"expected {self._n} fall times")
+        _check_times(fall_times, self._n, "fall times")
         earliest = min(fall_times)
         shift = -earliest if earliest < 0 else 0.0
         events = [[(t + shift, 0)] for t in fall_times]
@@ -896,18 +774,11 @@ class CompiledNorKernel:
     With the per-mode data stacked, :meth:`evaluate` needs no
     per-event-ordering Python grouping: each ``(row, segment)`` pair
     gets its mode id from one cumulative sum over the sorted event
-    bits, eigen-projection and state propagation are batched einsums
-    over the per-row mode tensors, and the threshold-crossing search
-    runs segment-lockstep with at most one call per *mode* (``≤ 2^n``
-    total instead of ``orderings × n``).
-
-    The crossing search brackets on a **shared** time grid: rows of
-    one mode walking the same 8-τ phase all sample the identical
-    instants, so the exponential basis ``exp(t ⊗ rates)`` is computed
-    once per phase and the sampled values are a single GEMM
-    (``weights @ basis.T``).  Rows whose remaining window is shorter
-    than a phase (at most once per row) fall back to per-row grids.
-    Bracketed rows are refined by :func:`_newton_bisect_refine`.
+    bits, and eigen-projection and state propagation are batched
+    einsums over the per-row mode tensors.  Every segment's output is a
+    constant plus up to n exponentials, whose Vth crossings
+    :func:`~repro.core.solutions.exp_sum_crossing` finds for batches of
+    ``(row, segment)`` pairs, with rates gathered per pair from ``rates``.
 
     When a persistent store is active (see :mod:`repro.cache`), the
     stacked eigen tensors are loaded from / saved to disk keyed on the
@@ -995,73 +866,6 @@ class CompiledNorKernel:
         })
 
     # ------------------------------------------------------------------
-    # crossing search
-    # ------------------------------------------------------------------
-
-    def _mode_crossings(self, weights: np.ndarray, mode: int,
-                        windows: np.ndarray,
-                        downward: bool) -> np.ndarray:
-        """First directed Vth crossing per row within ``[0, window]``.
-
-        All rows share one mode's eigensystem; rows that do not cross
-        report NaN.  The window is walked in 8-τ phases on a *shared*
-        time grid: one exponential basis per phase, one GEMM per
-        chunk.  Rows whose window ends inside the phase have their
-        out-of-window samples replaced by the value *at* the window
-        end, so the final grid cell brackets ``[last in-window
-        sample, window end]`` and no crossing inside the window is
-        lost to the shared grid.
-        """
-        with _span("kernel.crossings", mode=mode,
-                   rows=int(weights.shape[0])):
-            return self._mode_crossings_inner(weights, mode,
-                                              windows, downward)
-
-    def _mode_crossings_inner(self, weights, mode, windows,
-                              downward):
-        rates = self._rates[mode]
-        phase_len = 8.0 * float(self._slow[mode])
-        vth = self._vth
-        out = np.full(weights.shape[0], math.nan)
-        grid = np.linspace(0.0, 1.0, _BATCH_SAMPLES)
-        pending = np.nonzero(windows > 0.0)[0]
-        phase = 0
-        while pending.size:
-            start = phase * phase_len
-            pending = pending[windows[pending] > start]
-            if not pending.size:
-                break
-            t = start + phase_len * grid
-            basis = np.exp(t[:, None] * rates[None, :])
-            for c0 in range(0, pending.size, _BATCH_CHUNK):
-                chunk = pending[c0:c0 + _BATCH_CHUNK]
-                values = weights[chunk] @ basis.T - vth
-                ends = windows[chunk]
-                clipped = np.nonzero(ends < t[-1])[0]
-                if clipped.size:
-                    rows = chunk[clipped]
-                    end_values = np.einsum(
-                        "rk,rk->r", weights[rows],
-                        np.exp(ends[clipped, None]
-                               * rates[None, :])) - vth
-                    values[clipped] = np.where(
-                        t[None, :] <= ends[clipped, None],
-                        values[clipped], end_values[:, None])
-                has, first = _first_bracket(values, downward)
-                local = np.nonzero(has)[0]
-                if local.size:
-                    lo = t[first[local]]
-                    hi = np.minimum(t[first[local] + 1], ends[local])
-                    with _span("kernel.newton",
-                               rows=int(local.size)):
-                        out[chunk[local]] = _newton_bisect_refine(
-                            weights[chunk[local]], rates, lo, hi,
-                            vth, downward)
-            pending = pending[np.isnan(out[pending])]
-            phase += 1
-        return out
-
-    # ------------------------------------------------------------------
     # the flattened segment walk
     # ------------------------------------------------------------------
 
@@ -1133,47 +937,46 @@ class CompiledNorKernel:
         flipped = np.cumsum(1 << order, axis=1)
         mode_ids = flipped if downward else ((1 << n) - 1) - flipped
 
+        # A row whose output passed Vth by a segment start crossed in an
+        # earlier one.  Segments reach the solver in _SOLVE_PAIRS batches.
         result = np.full(rows, math.nan)
-        active = np.arange(rows)
+        batch = []
         state = np.broadcast_to(state0, (rows, n)).astype(float)
         for k in range(n):
-            seg_start = sorted_times[active, k]
-            modes_k = mode_ids[active, k]
-            aug = np.concatenate(
-                [state, np.ones((active.size, 1))], axis=1)
-            coeffs = np.einsum("rj,rij->ri", aug,
-                               self._inverse[modes_k])
-            out_weights = coeffs * self._out[modes_k]
+            modes_k = mode_ids[:, k]
+            aug = np.concatenate([state, np.ones((rows, 1))], axis=1)
+            coeffs = np.einsum("rj,rij->ri", aug, self._inverse[modes_k])
+            rates_k = self._rates[modes_k]
             last = k + 1 == n
-            if last:
-                duration = None
-                windows = 60.0 * self._slow[modes_k] + 1e-15
-            else:
-                duration = sorted_times[active, k + 1] - seg_start
-                windows = duration
-            local = np.full(active.size, math.nan)
-            for mode in np.unique(modes_k):
-                sel = np.nonzero(modes_k == mode)[0]
-                local[sel] = self._mode_crossings(
-                    out_weights[sel], int(mode), windows[sel],
-                    downward)
-            crossed = ~np.isnan(local)
-            if crossed.any():
-                result[active[crossed]] = (seg_start[crossed]
-                                           + local[crossed])
-            keep = ~crossed
-            active = active[keep]
-            if last or not active.size:
-                break
-            modes_kept = modes_k[keep]
-            growth = np.exp(duration[keep, None]
-                            * self._rates[modes_kept])
-            state = np.einsum("ri,rji->rj", coeffs[keep] * growth,
-                              self._vectors[modes_kept])[:, :n]
-        if active.size:  # pragma: no cover - defensive
-            raise NoCrossingError(
-                "batched crossing search exhausted all segments "
-                "without finding the output transition")
+            # The last segment runs until every mode has settled.
+            duration = (60.0 * self._slow[modes_k] + 1e-15 if last
+                        else sorted_times[:, k + 1] - sorted_times[:, k])
+            out = state[:, -1]
+            open_ = np.nonzero(np.isnan(result) & (
+                out >= self._vth if downward else out <= self._vth))[0]
+            batch.append((k * rows + open_,
+                          (coeffs[open_] * self._out[modes_k[open_]]).T,
+                          rates_k[open_].T, duration[open_]))
+            if last or sum(b[0].size for b in batch) >= _SOLVE_PAIRS:
+                pairs, weights, rates, windows = (
+                    np.concatenate(part, axis=-1) for part in zip(*batch))
+                batch = []
+                segment, owner = np.divmod(pairs, rows)
+                with _span("kernel.crossings", rows=int(owner.size)):
+                    local = exp_sum_crossing(weights, rates, self._vth,
+                                             downward, windows)
+                crossed = np.nonzero(~np.isnan(local))[0]
+                # Pairs run in segment order: a row's first hit is its delay.
+                hit, first = np.unique(owner[crossed], return_index=True)
+                pick = crossed[first]
+                result[hit] = sorted_times[hit, segment[pick]] + local[pick]
+            if not last:
+                growth = np.exp(duration[:, None] * rates_k)
+                state = np.einsum("ri,rji->rj", coeffs * growth,
+                                  self._vectors[modes_k])[:, :n]
+        if np.isnan(result).any():  # pragma: no cover - defensive
+            raise NoCrossingError("batched crossing search exhausted all "
+                                  "segments without an output transition")
         delays = result - reference + model.params.delta_min
         return delays.reshape(shape)
 

@@ -10,7 +10,11 @@ This module computes the coefficients from an arbitrary initial state
 ``(V_N(0), V_O(0))`` using the eigen-decompositions of
 :mod:`repro.core.modes`, and packages them as :class:`ExpSum` objects that
 support evaluation, differentiation and exact/bracketed threshold
-inversion (the inversion itself lives in :mod:`repro.core.trajectory`).
+inversion (the scalar inversion lives in :mod:`repro.core.trajectory`).
+
+:func:`exp_sum_crossing` is the array counterpart for any number of
+terms: the one solver behind every batched delay, in
+:mod:`repro.engine.blocks` and :mod:`repro.core.multi_input`.
 
 A generic numeric LTI propagator (:func:`propagate_numeric`) based on the
 matrix exponential is provided for cross-validation in the test-suite.
@@ -30,7 +34,19 @@ from .modes import (Mode, ModeSystem, mode_00_constants,
                     mode_10_constants, mode_system)
 from .parameters import NorGateParameters
 
-__all__ = ["ExpSum", "ModeSolution", "solve_mode", "propagate_numeric"]
+__all__ = ["ExpSum", "ModeSolution", "exp_sum_crossing", "solve_mode",
+           "propagate_numeric"]
+
+#: Safeguarded Newton iterations of a crossing search (quadratic
+#: convergence lands well inside this; leftover elements fall back to
+#: lockstep bisection).
+_NEWTON_STEPS = 12
+#: Lockstep bisection steps of the non-convergence fallback.
+_BISECT_STEPS = 128
+#: Relative size, against the sum of the magnitudes of its terms, below
+#: which a sum counts as zero at a breakpoint of the root isolation:
+#: the rounding noise of evaluating a few terms, with a margin.
+_NOISE = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +127,264 @@ class ExpSum:
             [(coeff * math.exp(rate * dt), rate)
              for coeff, rate in zip(self.coeffs, self.rates)],
         )
+
+
+# ----------------------------------------------------------------------
+# batched threshold crossings of exponential sums
+# ----------------------------------------------------------------------
+
+def exp_sum_crossing(weights, rates, level, downward: bool,
+                     window=math.inf) -> np.ndarray:
+    """First directed crossing of ``Σ_j w_j·e^{λ_j t}`` through *level*
+    on ``[0, window]``, elementwise.
+
+    A sum of k terms (a constant counts, with rate 0) has at most k − 1
+    real zeros, and the zeros of its derivative cut it into monotone
+    pieces with at most one crossing each.  Multiplied by
+    ``e^{−λ_slow t}``, the derivative is again a constant plus one
+    fewer exponential, so the stationary points follow by recursion
+    down to the closed-form stationary point of two exponentials.  An
+    element whose rate-ordered coefficients change sign at most once
+    has at most one zero (Laguerre's rule of signs) and skips that
+    isolation.  Zero rates fold into the constant and equal rates merge
+    first.
+
+    One safeguarded Newton iteration then runs on the first piece that
+    brackets a directed crossing, from the slow-term asymptote; a
+    candidate outside the bracket takes the midpoint, and elements
+    still moving by more than ``1e-15·|t| + 1e-26`` after
+    :data:`_NEWTON_STEPS` steps finish under bisection.  A piece that
+    reaches ``t = inf`` is closed by the tail bound
+    ``|Σ_j w_j e^{λ_j t}| ≤ (Σ_j |w_j|)·e^{λ_slow t}``.  Two
+    exponentials without a constant (the 2-input case) pick their
+    piece in closed form: the crossing lies in ``[0, ts]`` when the
+    sum reaches *level* by its one stationary point ``ts``, else past
+    ``max(ts, 0)``.
+
+    Parameters
+    ----------
+    weights : array_like of float
+        Coefficients ``w_j``, one slab per term on the leading axis:
+        shape ``(k, ...)``.
+    rates : array_like of float
+        Rates ``λ_j ≤ 0``, shape ``(k,)`` (shared by every element) or
+        broadcastable to *weights*; a zero rate makes its term a
+        constant.  Equal values give identical bytes either way.
+    level : float or array_like of float
+        Threshold, broadcast against the element shape.
+    downward : bool
+        Search the sum falling through *level* instead of rising.
+    window : float or array_like of float, optional
+        End of the search interval per element (default ``inf``).
+
+    Returns
+    -------
+    numpy.ndarray
+        Crossing times, over the broadcast element shape: the first
+        ``t`` where the sum passes from ``≤ level`` to ``> level``
+        (mirrored for *downward*), within ``1e-15·|t| + 1e-26`` of the
+        root.  NaN where the sum does not cross in that direction on
+        ``[0, window]``.
+    """
+    w = np.asarray(weights, dtype=float)
+    lam = np.asarray(rates, dtype=float)
+    lam = lam.reshape(lam.shape + (1,) * (w.ndim - lam.ndim))
+    level = np.asarray(level, dtype=float)
+    if downward:
+        # A downward crossing of the sum is an upward one of its
+        # negation; negating is exact, so both share one code path.
+        w, level = -w, -level
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        if w.shape[0] == 2 and lam.all():
+            return _two_exponential_crossing(w, lam, level, window)
+        return _isolated_crossing(w, lam, level, window)
+
+
+def _two_exponential_crossing(w, lam, level, window) -> np.ndarray:
+    """Upward crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` (no constant):
+    one comparison at the one stationary point picks the piece, at
+    half the cost of :func:`_isolated_crossing` on a 16-point call."""
+    swap = lam[1] > lam[0]
+    if swap.any():
+        w, lam = np.where(swap, w[::-1], w), np.where(swap, lam[::-1], lam)
+    ts = _stationary(w, lam, math.inf)[0]
+    has_ts = ts < math.inf
+    at = np.where(has_ts, ts, 0.0)
+    closed = has_ts & (np.add.reduce(w * np.exp(lam * at)) >= level)
+    starts_below = np.add.reduce(w) <= level
+    found = np.where(closed, starts_below,
+                     (has_ts | starts_below) & (level < 0.0))
+    lo = np.where(has_ts & ~closed, ts, 0.0)
+    hi = np.where(closed, ts, math.inf)
+    everywhere = found.all()
+    if not everywhere:
+        # Elements without a crossing sit on the converged bracket [0, 0].
+        lo, hi = np.where(found, lo, 0.0), np.where(found, hi, 0.0)
+    t = _solve(-level, w, lam, lo, hi)
+    if np.ndim(window) or window < math.inf:
+        # The first crossing on [0, inf) counts if it is in the window.
+        found = found & (t <= window)
+        everywhere = found.all()
+    return t if everywhere else np.where(found, t, math.nan)
+
+
+def _isolated_crossing(w, lam, level, window) -> np.ndarray:
+    """Upward crossing of any exp-sum through root isolation."""
+    k = w.shape[0]
+    shape = np.broadcast_shapes(w.shape[1:], lam.shape[1:], level.shape,
+                                np.shape(window))
+    w = np.broadcast_to(w, (k,) + shape).reshape(k, -1)
+    lam = np.broadcast_to(lam, (k,) + shape).reshape(k, -1)
+    zero = lam == 0.0
+    c = (np.where(zero, w, 0.0).sum(axis=0)
+         - np.broadcast_to(level, shape).reshape(-1))
+    w, lam = _canonical(np.where(zero, 0.0, w), lam)
+    window = np.broadcast_to(np.asarray(window, dtype=float),
+                             shape).reshape(-1)
+    b, g, _ = _breakpoints(c, w, lam, window)
+    hit = (g[:-1] <= 0.0) & (g[1:] > 0.0)
+    rows = np.nonzero(hit.any(axis=0))[0]
+    out = np.full(c.shape, math.nan)
+    if rows.size:
+        first = np.argmax(hit[:, rows], axis=0)
+        out[rows] = _solve(c[rows], w[:, rows], lam[:, rows],
+                           b[first, rows], b[first + 1, rows])
+    return out.reshape(shape)
+
+
+def _canonical(w, lam) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, R)`` terms with the nonzero ones first, slowest first, and
+    equal rates merged; zero terms take the row's fastest rate, so
+    shifting by the slowest rate never makes a rate positive."""
+    absent = w == 0.0
+    lam = np.where(absent, lam.min(axis=0), lam)
+    order = np.argsort(np.where(absent, math.inf, -lam), axis=0,
+                       kind="stable")
+    w = np.take_along_axis(w, order, axis=0)
+    lam = np.take_along_axis(lam, order, axis=0)
+    if not np.any((lam[1:] == lam[:-1]) & (w[1:] != 0.0)):
+        return w, lam
+    for j in range(w.shape[0] - 1, 0, -1):
+        tie = (lam[j] == lam[j - 1]) & (w[j] != 0.0)
+        w[j - 1] += np.where(tie, w[j], 0.0)
+        w[j] = np.where(tie, 0.0, w[j])
+    return _canonical(w, lam)
+
+
+def _breakpoints(c, w, lam, window) -> tuple:
+    """Breakpoints ``0 = b_0 ≤ … ≤ b_k = window`` that cut
+    ``c + Σ_j w_j e^{λ_j t}`` into pieces with at most one zero each,
+    with the sum and the sum of the magnitudes of its terms there
+    (each ``(k+1, R)``)."""
+    k = w.shape[0]
+    b = np.empty((k + 1,) + c.shape)
+    g = np.empty_like(b)
+    size = np.empty_like(b)
+    b[0] = 0.0
+    g[0] = c + np.add.reduce(w)
+    size[0] = np.abs(c) + np.add.reduce(np.abs(w))
+    b[1:] = window
+    g[1:], size[1:] = _values(c, w, lam, window[None])
+    # A sum that settles exactly onto zero may rise above it and sink
+    # back without a zero to close the piece, so it always isolates.
+    signs = np.sign(np.concatenate([c[None], w]))
+    rows = np.nonzero(((signs[1:] * signs[:-1] < 0.0).sum(axis=0) > 1)
+                      | (c == 0.0))[0]
+    if rows.size and k > 1:
+        c, w, lam = c[rows], w[:, rows], lam[:, rows]
+        points = np.minimum(_stationary(w, lam, window[rows]),
+                            window[rows])
+        b[1:k, rows] = points
+        g[1:k, rows], size[1:k, rows] = _values(c, w, lam, points)
+    return b, g, size
+
+
+def _values(c, w, lam, t) -> tuple[np.ndarray, np.ndarray]:
+    """``c + Σ_j w_j e^{λ_j t}`` and ``|c| + Σ_j |w_j| e^{λ_j t}`` at
+    the ``(P, R)`` points *t* (the limit ``c`` at ``t = inf``)."""
+    e = np.exp(lam[:, None] * t)
+    g = np.where(np.isinf(t), c, c + np.add.reduce(w[:, None] * e))
+    return g, np.abs(c) + np.add.reduce(np.abs(w)[:, None] * e)
+
+
+def _stationary(w, lam, window) -> np.ndarray:
+    """Sorted stationary points of ``Σ_j w_j e^{λ_j t}`` in
+    ``(0, window)``, ``inf``-padded to ``(k − 1, R)``."""
+    if w.shape[0] == 2:
+        ts = np.log(-(w[1] * lam[1]) / (w[0] * lam[0])) / (lam[0] - lam[1])
+        return np.where((ts > 0.0) & (ts < window), ts, math.inf)[None]
+    slope = w * lam
+    return _zeros(slope[0], slope[1:], lam[1:] - lam[0], window)
+
+
+def _zeros(c, w, lam, window) -> np.ndarray:
+    """Sorted zeros of ``c + Σ_j w_j e^{λ_j t}`` (``k ≥ 2`` terms) in
+    ``(0, window)``, ``inf``-padded to ``(k, R)``."""
+    b, g, size = _breakpoints(c, w, lam, window)
+    # A value within rounding noise of zero puts the zero on the
+    # breakpoint itself (typically a multiple zero at t = 0), where no
+    # piece needs a search for it.
+    g = np.where(np.abs(g) <= _NOISE * size, 0.0, g)
+    piece, row = np.nonzero((g[:-1] * g[1:] < 0.0) & (b[1:] > b[:-1]))
+    out = np.full(w.shape, math.inf)
+    if piece.size:
+        sign = np.sign(g[piece + 1, row])
+        out[piece, row] = _solve(sign * c[row], sign * w[:, row],
+                                 lam[:, row], b[piece, row],
+                                 b[piece + 1, row])
+    return np.sort(out, axis=0)
+
+
+def _solve(c, w, lam, lo, hi) -> np.ndarray:
+    """Upward zero of ``c + Σ_j w_j e^{λ_j t}`` in ``[lo, hi]``, where
+    the sum is ``≤ 0`` at *lo* and ``> 0`` at *hi* (``inf`` allowed)."""
+    # Past the tail bound the sum keeps the sign of its limit c; the
+    # margin keeps it strictly positive there despite rounding.
+    bound = np.log(c / (np.abs(w).sum(axis=0) * (1.0 + _NOISE))) / lam[0]
+    hi = np.where(c > 0.0, np.minimum(hi, np.maximum(lo, bound)), hi)
+    t = np.log(-c / w[0]) / lam[0]
+    t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
+    return _newton(w, lam, -c, lo, hi, t)
+
+
+def _newton(w, lam, level, lo, hi, t) -> np.ndarray:
+    """Safeguarded lockstep Newton for ``Σ_j w_j e^{λ_j t} = level``
+    from *t* inside brackets with the sum ``≤ level`` at *lo* and
+    ``> level`` at *hi*, with a lockstep-bisection fallback."""
+    step = np.full_like(t, math.inf)
+    for _ in range(_NEWTON_STEPS):
+        terms = w * np.exp(lam * t)
+        f = np.add.reduce(terms) - level
+        below = f <= 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        candidate = t - f / np.add.reduce(lam * terms)
+        # Non-strict bounds: a candidate tying the bracket end it just
+        # updated is the converged root, not an escape (NaN and ±inf
+        # candidates compare False and take the midpoint).
+        inside = (candidate >= lo) & (candidate <= hi)
+        candidate = np.where(inside, candidate, 0.5 * (lo + hi))
+        step = np.abs(candidate - t)
+        t = candidate
+        if (step <= 1e-15 * np.abs(t) + 1e-26).all():
+            return t
+
+    pending = step > 1e-15 * np.abs(t) + 1e-26
+    shape = (w.shape[0],) + t.shape
+    w = np.broadcast_to(w, shape)[:, pending]
+    lam = np.broadcast_to(lam, shape)[:, pending]
+    level = np.broadcast_to(level, t.shape)[pending]
+    lo, hi = lo[pending], hi[pending]
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = np.add.reduce(w * np.exp(lam * mid)) <= level
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if (hi - lo <= 1e-15 * np.abs(hi) + 1e-26).all():
+            break
+    t[pending] = 0.5 * (lo + hi)
+    return t
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,9 +19,10 @@ surrogate call the block kernels with thousands of records; the
 vectorized engine (:mod:`repro.engine.vectorized`) memoizes the
 constants of a one-record block per parameter set and runs the same
 Δ evaluation for every Δ sweep.  The only iterative piece, the
-two-exponential threshold crossing, is :func:`_two_term_crossing`: a
-closed-form bracket, an asymptotic first guess and a lockstep Newton
-iteration with a bisection fallback.
+two-exponential threshold crossing, is the package's one crossing
+solver, :func:`~repro.core.solutions.exp_sum_crossing`, whose
+two-exponential case is a closed-form bracket, an asymptotic first
+guess and a lockstep Newton iteration with a bisection fallback.
 
 The branch structure (sign of Δ, the ``settle_time`` cutoff, early
 first-segment crossings) mirrors the scalar
@@ -45,8 +46,8 @@ import math
 import numpy as np
 
 from ..core.hybrid_model import _SETTLE_FACTOR
-from ..core.multi_input import _BATCH_BISECT_STEPS, _NEWTON_STEPS
 from ..core.parameters import NorGateParameters, finite_voltage
+from ..core.solutions import exp_sum_crossing
 from ..errors import NoCrossingError, ParameterError
 
 __all__ = [
@@ -221,97 +222,15 @@ def _settle(block: np.ndarray) -> np.ndarray:
 # the two-exponential threshold crossing (shared or per-row constants)
 # ----------------------------------------------------------------------
 
-def _two_term_crossing(k1, k2, l1, l2, level, downward: bool
-                       ) -> np.ndarray:
+def _crossing(k1, k2, l1, l2, level, downward: bool) -> np.ndarray:
     """First directed crossing of ``k1·e^{λ1 t} + k2·e^{λ2 t}`` through
-    *level* at ``t ≥ 0``, elementwise.
-
-    The one threshold-crossing solver of the 2-input closed forms.
-    *k1* and *k2* carry one coefficient pair per element; *l1*, *l2*
-    and *level* broadcast against them, so they may be scalars or
-    per-row columns (the kernels' constants) — equal values give
-    identical bytes either way.  The rates must be ordered
-    ``λ2 ≤ λ1 < 0``, as the mode constants ``γ ∓ β`` give them, so
-    ``λ1`` is the slow one.
-
-    The sum has at most one stationary point ``ts``, which splits it
-    into monotone pieces: the crossing lies in ``[0, ts]`` when the
-    sum reaches *level* by ``ts``, else in ``[max(ts, 0), hi]``.  The
-    bound ``|k1 e^{λ1 t} + k2 e^{λ2 t}| ≤ (|k1| + |k2|)·e^{λ1 t}``
-    closes that piece: past ``hi = ln(|level| / (|k1| + |k2|)) / λ1``
-    the sum stays within ``|level|`` of its zero tail, so on the far
-    side of *level*.  Newton starts from the slow-term asymptote
-    ``ln(level / k1) / λ1`` and runs in lockstep; every step first
-    shrinks the bracket with the current iterate, and a candidate
-    outside the bracket takes the midpoint instead.  Elements still
-    moving by more than ``1e-15·|t| + 1e-26`` after
-    :data:`~repro.core.multi_input._NEWTON_STEPS` iterations finish
-    under plain bisection.
-
-    Raises
-    ------
-    NoCrossingError
-        If an element starts on the far side of *level*, or its sum
-        never reaches *level* in the requested direction.
-    """
-    if downward:
-        # A downward crossing of the sum is an upward one of its
-        # negation; negating is exact, so both share one code path.
-        k1, k2, level = -k1, -k2, -level
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
-                     under="ignore"):
-        if np.any(k1 + k2 > level):
-            raise NoCrossingError(
-                "two-exponential sum starts beyond the threshold; it "
-                "never crosses it in the requested direction")
-        ts = np.log(-(k2 * l2) / (k1 * l1)) / (l1 - l2)
-        has_ts = (ts > 0.0) & (ts < math.inf)
-        at = np.where(has_ts, ts, 0.0)
-        closed = has_ts & (k1 * np.exp(l1 * at) + k2 * np.exp(l2 * at)
-                           >= level)
-        if np.any(~closed & (level >= 0.0)):
-            raise NoCrossingError(
-                "two-exponential sum settles short of the threshold; "
-                "it never crosses it in the requested direction")
-        lo = np.where(has_ts & ~closed, ts, 0.0)
-        bound = np.log(-level / (np.abs(k1) + np.abs(k2))) / l1
-        hi = np.where(closed, ts, np.maximum(lo, bound))
-        t = np.log(level / k1) / l1
-        t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))
-
-        step = np.full_like(t, math.inf)
-        for _ in range(_NEWTON_STEPS):
-            a = k1 * np.exp(l1 * t)
-            b = k2 * np.exp(l2 * t)
-            f = a + b - level
-            below = f <= 0.0
-            lo = np.where(below, t, lo)
-            hi = np.where(below, hi, t)
-            candidate = t - f / (l1 * a + l2 * b)
-            # Non-strict bounds: a candidate tying the bracket end it
-            # just updated is the converged root, not an escape (NaN
-            # and ±inf candidates compare False and take the
-            # midpoint).
-            inside = (candidate >= lo) & (candidate <= hi)
-            candidate = np.where(inside, candidate, 0.5 * (lo + hi))
-            step = np.abs(candidate - t)
-            t = candidate
-            if np.all(step <= 1e-15 * np.abs(t) + 1e-26):
-                return t
-
-        pending = step > 1e-15 * np.abs(t) + 1e-26
-        k1, k2, l1, l2, level = (np.broadcast_to(x, t.shape)[pending]
-                                 for x in (k1, k2, l1, l2, level))
-        lo, hi = lo[pending], hi[pending]
-        for _ in range(_BATCH_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = (k1 * np.exp(l1 * mid) + k2 * np.exp(l2 * mid)
-                     <= level)
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo <= 1e-15 * np.abs(hi) + 1e-26):
-                break
-        t[pending] = 0.5 * (lo + hi)
+    *level* at ``t ≥ 0``, elementwise; :class:`NoCrossingError` if an
+    element never crosses (it starts beyond *level* or settles short)."""
+    t = exp_sum_crossing((k1, k2), (l1, l2), level, downward)
+    if np.isnan(t).any():
+        raise NoCrossingError(
+            "two-exponential sum never crosses the threshold in the "
+            "requested direction")
     return t
 
 
@@ -370,7 +289,7 @@ def falling_constants(block: np.ndarray) -> FallingConstants:
 
     # First downward Vth crossing inside pure mode (1,0): vo starts
     # at VDD and the level sits above the late tail.
-    t10 = _two_term_crossing(k1, k2, l1, l2, vth, downward=True)
+    t10 = _crossing(k1, k2, l1, l2, vth, downward=True)
     tau_r4 = co * r4
     return FallingConstants(*_columns(
         k1, k2, l1, l2, t10, tau_r4 * math.log(2.0),
@@ -397,24 +316,14 @@ def rising_constants(block: np.ndarray,
     ko1 = c1 * (alpha + beta)
     ko2 = c2 * (alpha - beta)
 
-    # First *upward* Vth crossing of vo10, where one exists: vo10
-    # starts at 0, peaks at its single stationary point, then decays
-    # — the crossing exists iff the peak tops Vth.
+    # First *upward* Vth crossing of vo10, where one exists: only a
+    # charged internal node can lift the output (inf where it never
+    # does).
     t_up = np.full(block.shape[0], math.inf)
     if x > 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = -(ko2 * l2) / (ko1 * l1)
-            ts = np.log(ratio) / (l1 - l2)
-        has_peak = np.isfinite(ts) & (ts > 0.0)
-        if has_peak.any():
-            t_eval = np.where(has_peak, ts, 0.0)
-            peak = (ko1 * np.exp(l1 * t_eval)
-                    + ko2 * np.exp(l2 * t_eval))
-            sel = np.nonzero(has_peak & (peak > vth))[0]
-            if sel.size:
-                t_up[sel] = _two_term_crossing(
-                    ko1[sel], ko2[sel], l1[sel], l2[sel], vth[sel],
-                    downward=False)
+        t_up = exp_sum_crossing((ko1, ko2), (l1, l2), vth,
+                                downward=False)
+        t_up[np.isnan(t_up)] = math.inf
 
     a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
     return RisingConstants(*_columns(
@@ -516,8 +425,8 @@ def rising_delays(constants: RisingConstants,
     k2 = np.subtract(total, k1, out=total)
     k1 *= c.alpha_plus_beta00
     k2 *= c.alpha_minus_beta00
-    delay = _two_term_crossing(k1, k2, c.l100, c.l200, c.vth - c.vdd,
-                               downward=False)
+    delay = _crossing(k1, k2, c.l100, c.l200, c.vth - c.vdd,
+                      downward=False)
 
     # The rising delay is referenced to the *later* input: final-
     # segment crossings equal the (0,0)-local crossing time; only an

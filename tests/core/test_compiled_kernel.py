@@ -5,9 +5,9 @@ routes n-input sweeps through, so its contract is tested
 property-based: random gate widths, random (ragged) Δ-matrix shapes
 and ±inf sibling encodings must agree with the scalar trace solver —
 the slow, segment-by-segment reference authority — to the engine
-parity bound.  The Newton refinement's bisection fallback is pinned
-by forcing zero Newton iterations and comparing against the
-converged result.
+parity bound.  The crossing solver's bisection fallback is pinned by
+forcing zero Newton iterations and comparing against the converged
+result.
 """
 
 import gc
@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import solutions
 from repro.core.multi_input import (CompiledNorKernel,
                                     GeneralizedNorModel,
                                     GeneralizedNorParameters,
-                                    _newton_bisect_refine,
                                     compiled_nor_kernel,
                                     generalized_model,
                                     paper_generalized)
+from repro.core.solutions import exp_sum_crossing
 from repro.engine import get_engine
 from repro.units import PS
 
@@ -174,59 +175,59 @@ class TestKernelObject:
 
 
 class TestNewtonRefinement:
-    """The vectorized Newton stage and its bisection fallback."""
+    """The kernel's crossing solver on its own input layout: one row of
+    output weights per segment, with a constant (rate 0) term and the
+    rates gathered per row."""
 
     def _random_rows(self, rng, rows):
-        """Exp-sum crossings with a guaranteed bracket.
+        """Decaying single exponentials with a guaranteed crossing.
 
-        Decaying single-exponential drops from w0 > threshold toward
-        0: f(t) = w0·exp(r·t) crosses threshold inside [0, T] by
-        construction.
+        f(t) = w0·exp(r·t) drops from w0 > threshold toward 0, so it
+        crosses the threshold inside the window by construction; the
+        constant and the second exponential carry no weight.
         """
-        rates = np.array([-1.0e9, -3.0e9])
+        rates = np.tile([0.0, -1.0e9, -3.0e9], (rows, 1)).T
         w0 = rng.uniform(1.0, 2.0, size=rows)
-        weights = np.stack([w0, np.zeros(rows)], axis=-1)
-        threshold = 0.5
-        lo = np.zeros(rows)
-        hi = np.full(rows, 5.0e-9)
-        return weights, rates, lo, hi, threshold
+        weights = np.stack([np.zeros(rows), w0, np.zeros(rows)])
+        return weights, rates, 0.5, np.full(rows, 5.0e-9)
 
-    def test_matches_bisection_fallback(self):
+    def test_matches_bisection_fallback(self, monkeypatch):
         rng = np.random.default_rng(11)
-        weights, rates, lo, hi, threshold = self._random_rows(rng, 64)
-        newton = _newton_bisect_refine(weights, rates, lo, hi,
-                                       threshold, downward=True)
-        # newton_steps=0 sends every row through the pure-bisection
-        # fallback — the non-convergence escape hatch.
-        bisect = _newton_bisect_refine(weights, rates, lo, hi,
-                                       threshold, downward=True,
-                                       newton_steps=0)
-        exact = np.log(threshold / weights[:, 0]) / rates[0]
-        assert np.max(np.abs(newton - exact)) <= 1e-15 * np.max(hi)
-        assert np.max(np.abs(bisect - exact)) <= 1e-15 * np.max(hi)
+        weights, rates, threshold, window = self._random_rows(rng, 64)
+        newton = exp_sum_crossing(weights, rates, threshold, True,
+                                  window)
+        # No Newton steps send every row through the pure-bisection
+        # fallback, the non-convergence escape hatch.
+        monkeypatch.setattr(solutions, "_NEWTON_STEPS", 0)
+        bisect = exp_sum_crossing(weights, rates, threshold, True,
+                                  window)
+        exact = np.log(threshold / weights[1]) / rates[1]
+        assert np.max(np.abs(newton - exact)) <= 1e-15 * np.max(exact)
+        assert np.max(np.abs(bisect - exact)) <= 1e-15 * np.max(exact)
 
     def test_upward_crossings(self):
-        """Rising exp-sums (downward=False) refine correctly too."""
-        rates = np.array([-2.0e9, -5.0e9])
+        """Rising sums (downward=False) find their crossing too."""
         # f(t) = 1 − exp(−2e9 t) climbs through 0.5 at ln(2)/2e9.
-        weights = np.array([[-1.0, 0.0]])
-        root = _newton_bisect_refine(weights, rates,
-                                     np.zeros(1), np.full(1, 5e-9),
-                                     -0.5, downward=False)
+        weights = np.array([[1.0], [-1.0], [0.0]])
+        root = exp_sum_crossing(weights, [0.0, -2.0e9, -5.0e9], 0.5,
+                                False, 5e-9)
         assert abs(root[0] - math.log(2.0) / 2.0e9) <= 1e-24
 
     def test_flat_derivative_falls_back(self):
-        """Rows whose Newton step degenerates still converge.
+        """Equal rates make a flat derivative pair: the terms merge and
+        the row still converges, never to NaN, with the kernel's
+        constant term or as a bare two-exponential sum."""
+        exact = math.log(2.0) / 1.0e9
+        for weights, rates in (([[0.0], [2.0], [-1.0]],
+                                [0.0, -1.0e9, -1.0e9]),
+                               ([[2.0], [-1.0]], [-1.0e9, -1.0e9])):
+            # f(t) = exp(-1e9 t) either way.
+            root = exp_sum_crossing(np.array(weights), rates, 0.5, True,
+                                    10e-9)
+            assert abs(root[0] - exact) <= 1e-24
 
-        A weight vector summing to ~0 slope at the midpoint makes
-        f' vanish there; the refinement must recover via midpoint
-        resets or the bisection fallback, never return NaN.
-        """
-        rates = np.array([-1.0e9, -1.0e9])
-        weights = np.array([[2.0, -1.0]])  # f(t) = exp(-1e9 t)
-        root = _newton_bisect_refine(weights, rates, np.zeros(1),
-                                     np.full(1, 10e-9), 0.5,
-                                     downward=True)
-        assert np.isfinite(root[0])
-        value = weights[0] @ np.exp(root[0] * rates)
-        assert abs(value - 0.5) <= 1e-12
+    def test_window_end_without_crossing_is_nan(self):
+        weights = np.array([[0.0], [1.0], [0.0]])
+        root = exp_sum_crossing(weights, [0.0, -1.0e9, -3.0e9], 0.5,
+                                True, 0.5e-9)
+        assert np.isnan(root[0])

@@ -75,6 +75,9 @@ class TestMatrixValidation:
         for direction in ("falling", "rising"):
             with pytest.raises(ParameterError):
                 delays_for_direction(engine, direction, p3, bad)
+            with pytest.raises(ParameterError):
+                delays_for_direction(engine, direction, PAPER_TABLE_I,
+                                     np.array([0.0, np.nan]))
 
     def test_wrong_width_rejected(self, backend, p3):
         engine = get_engine(backend)

@@ -1,6 +1,7 @@
 """Tests for repro.core.multi_input — the n-input NOR generalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestValidation:
     def test_wrong_times_count(self, gen3):
         with pytest.raises(ParameterError):
             gen3.delay_falling([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    def test_non_finite_times_rejected(self, gen3, direction, bad):
+        # NaN and ±inf times are a ParameterError, not a missed
+        # crossing, and raise before any NumPy warning.
+        delay = getattr(gen3, f"delay_{direction}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                delay([0.0, bad, 0.0])
 
     def test_negative_event_times(self, gen3):
         with pytest.raises(ParameterError):
