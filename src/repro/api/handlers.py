@@ -104,13 +104,10 @@ def _delay(session: "Session", request: DelayRequest) -> DelayResult:
                 f"{request.gate} takes {wanted} sibling offset(s) "
                 f"per Δ-vector, got {len(entry)}")
     engine = session.engine
-    rows = np.asarray(request.deltas, dtype=float)
-    if width == 2:
-        params, grid = session.parameters, rows[:, 0]
-    else:
-        params, grid = paper_generalized(width, session.parameters), rows
-    delays = delays_for_direction(engine, request.direction, params,
-                                  grid, request.vn_init)
+    delays = delays_for_direction(
+        engine, request.direction,
+        paper_generalized(width, session.parameters),
+        np.asarray(request.deltas, dtype=float), request.vn_init)
 
     def _axis(entry: tuple[float, ...]) -> str:
         return ", ".join(f"{to_ps(value):+.2f}" for value in entry)

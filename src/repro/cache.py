@@ -1,9 +1,9 @@
 """Persistent cross-process result cache.
 
 Every expensive artifact of the package is a pure function of plain
-content — an eigendecomposition bundle is determined by the electrical
-parameter set, a characterized :class:`~repro.library.GateLibrary` by
-its job grid and engine.  That makes all of them safe to share through
+content — a characterized :class:`~repro.library.GateLibrary` by its
+job grid and engine, a collocation surrogate fit by its distribution,
+design and engine.  That makes all of them safe to share through
 a content-hash-keyed on-disk store: any process (a second CLI
 invocation, a server restart) that computes the same content writes
 the same key, and any other process reads it back instead of
@@ -14,7 +14,7 @@ Store layout (under the cache root)::
     v1/                      # schema version — bump to invalidate all
       ab/                    # first two hex digits of the key
         ab3f...e2.json       # JSON payloads (library grids)
-        ab19...77.npz        # array bundles (eigendecompositions)
+        ab19...77.npz        # array bundles (surrogate fits)
 
 Keys are SHA-256 hashes of a canonical-JSON *content descriptor*
 (:meth:`DiskCache.content_key`), so invalidation is automatic: change

@@ -23,21 +23,17 @@ of the chain counted *from the rail* and the i-th parallel nMOS;
 ``delta_min`` defers mode switches; internal nodes rest at the paper's
 worst case (GND) when their analog history is unknown.
 
-Besides the scalar trace interface, the model is *array-native* over
-Δ-vectors: :meth:`GeneralizedNorModel.delays_falling_batch` /
-:meth:`~GeneralizedNorModel.delays_rising_batch` evaluate whole
-``(..., n−1)`` grids of sibling offsets at once through a
-:class:`CompiledNorKernel`.  The kernel stacks the per-input-state
-eigendecompositions into dense ``(2^n, ...)`` tensors (persisted
-across processes via :mod:`repro.cache` when a cache directory is
-configured), assigns every ``(row, segment)`` its mode id with one
-vectorized cumulative sum over the event ordering, and walks all rows
-segment-lockstep: state propagation and eigen-projection are batched
-einsums over the per-row mode tensors, and
-:func:`~repro.core.solutions.exp_sum_crossing`, called on batches of
-segments, finds the first threshold crossing of every row by exact root
-isolation and a safeguarded Newton iteration, without sampling.  This is the engine
-behind the ``delays_falling_n`` / ``delays_rising_n`` entry points of
+Besides the scalar trace interface, the model is *array-native*: a
+:class:`CompiledNorKernel` evaluates whole ``(..., n−1)`` grids of
+sibling offsets, each row on its own parameter set if asked
+(:func:`nor_delays`).  It decomposes the ``2^n`` mode systems of all
+its parameter sets in one batched eigensolve, gives every
+``(row, segment)`` its mode id from one cumulative sum over the event
+ordering, and walks all rows segment-lockstep with batched einsums;
+:func:`~repro.core.solutions.exp_sum_crossing` finds every first
+threshold crossing by exact root isolation and a safeguarded Newton
+iteration, without sampling.  This is the engine behind the
+``delays_falling_n`` / ``delays_rising_n`` entry points of
 :mod:`repro.engine`.
 """
 
@@ -53,13 +49,16 @@ from scipy.optimize import brentq
 
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
-from .parameters import PAPER_TABLE_I, NorGateParameters, finite_voltage
+from .parameters import (BLOCK_DTYPE, PAPER_TABLE_I, NorGateParameters,
+                         finite_voltage)
 from .solutions import ExpSum, exp_sum_crossing
 
 __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
            "GeneralizedNorModel", "compiled_nor_kernel",
-           "delta_vector_grid", "generalized_model",
-           "paper_generalized", "sibling_offsets"]
+           "delta_vector_grid", "generalized_block", "generalized_dtype",
+           "generalized_model", "generalized_record", "lane_sets",
+           "nor_delays", "paper_generalized", "parameter_width",
+           "sibling_offsets", "validate_block"]
 
 #: Relative eigenvalue imaginary part treated as numerical noise.
 _IMAG_TOL = 1e-8
@@ -262,8 +261,7 @@ class GeneralizedNorParameters:
 
 
 def paper_generalized(num_inputs: int,
-                      params: NorGateParameters = PAPER_TABLE_I
-                      ) -> GeneralizedNorParameters:
+                      params: NorGateParameters = PAPER_TABLE_I):
     """An n-input NOR parameter set extrapolated from a 2-input one.
 
     Extends the paper's Table I conventions to a taller stack: the
@@ -275,23 +273,213 @@ def paper_generalized(num_inputs: int,
     ----------
     num_inputs : int
         Gate width ``n >= 2``.
-    params : NorGateParameters, optional
-        The 2-input base set (default: the paper's Table I).
+    params : NorGateParameters or numpy.ndarray, optional
+        The 2-input base set (default: the paper's Table I), or a
+        sample block of dtype
+        :data:`~repro.core.parameters.BLOCK_DTYPE` widened record by
+        record.
 
     Returns
     -------
-    GeneralizedNorParameters
-        The extrapolated n-input set; for ``n = 2`` it equals
-        :meth:`GeneralizedNorParameters.from_two_input`.
+    GeneralizedNorParameters or numpy.ndarray
+        The extrapolated n-input set (for ``n = 2`` it equals
+        :meth:`GeneralizedNorParameters.from_two_input`), or for a
+        block an n-input block of dtype :func:`generalized_dtype`.
     """
     if num_inputs < 2:
         raise ParameterError("need at least two inputs")
+    if isinstance(params, np.ndarray):
+        if parameter_width(params) != 2:
+            raise ParameterError("paper_generalized widens 2-input "
+                                 "blocks only")
+        block = np.empty(params.shape, generalized_dtype(num_inputs))
+        for name, first, rest in (("r_pullup", "r1", "r2"),
+                                  ("r_pulldown", "r3", "r4")):
+            block[name] = np.stack(
+                [params[first]] + [params[rest]] * (num_inputs - 1),
+                axis=-1)
+        block["c_internal"] = params["cn"][..., None]
+        for name in ("co", "vdd", "delta_min"):
+            block[name] = params[name]
+        return block
     extra = num_inputs - 2
     return GeneralizedNorParameters(
         r_pullup=(params.r1, params.r2) + (params.r2,) * extra,
         r_pulldown=(params.r3, params.r4) + (params.r4,) * extra,
         c_internal=(params.cn,) * (num_inputs - 1),
         co=params.co, vdd=params.vdd, delta_min=params.delta_min)
+
+
+# ----------------------------------------------------------------------
+# n-input sample blocks: one parameter set per record
+# ----------------------------------------------------------------------
+
+def generalized_dtype(num_inputs: int) -> np.dtype:
+    """Structured dtype of an n-input sample block: one record per
+    :class:`GeneralizedNorParameters` set, the twin of
+    :data:`~repro.core.parameters.BLOCK_DTYPE`."""
+    return np.dtype([("r_pullup", np.float64, (num_inputs,)),
+                     ("r_pulldown", np.float64, (num_inputs,)),
+                     ("c_internal", np.float64, (num_inputs - 1,)),
+                     ("co", np.float64), ("vdd", np.float64),
+                     ("delta_min", np.float64)])
+
+
+def generalized_block(params) -> np.ndarray:
+    """Pack :class:`GeneralizedNorParameters` sets of one width into a
+    sample block (``ParameterError`` on anything else)."""
+    params = list(params)
+    widths = {getattr(p, "num_inputs", None) for p in params}
+    if not params or not all(isinstance(p, GeneralizedNorParameters)
+                             for p in params) or len(widths) != 1:
+        raise ParameterError("an n-input sample block packs one or more "
+                             "GeneralizedNorParameters sets of one width")
+    block = np.empty(len(params), generalized_dtype(widths.pop()))
+    for i, p in enumerate(params):
+        block[i] = (p.r_pullup, p.r_pulldown, p.c_internal, p.co, p.vdd,
+                    p.delta_min)
+    return block
+
+
+def generalized_record(block: np.ndarray,
+                       index: int) -> GeneralizedNorParameters:
+    """Materialize one n-input block record as a (validated) set."""
+    row = block[index]
+    return GeneralizedNorParameters(
+        r_pullup=row["r_pullup"].tolist(),
+        r_pulldown=row["r_pulldown"].tolist(),
+        c_internal=row["c_internal"].tolist(), co=float(row["co"]),
+        vdd=float(row["vdd"]), delta_min=float(row["delta_min"]))
+
+
+def parameter_width(params) -> int:
+    """Gate width of a parameter set or of a sample block's records
+    (``ParameterError`` if *params* is neither)."""
+    if isinstance(params, (NorGateParameters, GeneralizedNorParameters)):
+        return getattr(params, "num_inputs", 2)
+    if isinstance(params, np.ndarray):
+        if params.dtype == BLOCK_DTYPE:
+            return 2
+        if "r_pullup" in (params.dtype.names or ()):
+            n = params.dtype["r_pullup"].shape[0]
+            if params.dtype == generalized_dtype(n):
+                return n
+    raise ParameterError(f"expected a parameter set or a sample block, "
+                         f"got {type(params).__name__}")
+
+
+def validate_block(block) -> np.ndarray:
+    """Check a 1-D sample block of either dtype record by record, the
+    way the parameter constructors check one set.
+
+    Raises
+    ------
+    ParameterError
+        On an unknown dtype, a block that is not 1-D, a non-positive or
+        non-finite electrical value, or a negative ``delta_min``.
+    """
+    parameter_width(block)
+    if block.ndim != 1:
+        raise ParameterError("sample block must be 1-D")
+    for name in block.dtype.names:
+        low = name == "delta_min"
+        values = block[name]
+        if not np.all(np.isfinite(values)
+                      & (values >= 0.0 if low else values > 0.0)):
+            raise ParameterError(
+                f"{name} must be {'non-negative' if low else 'positive'}"
+                " and finite in every block record")
+    return block
+
+
+def lane_sets(block: np.ndarray, deltas
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct records of a validated per-lane n-input block, and the
+    index into them of every Δ-vector row.
+
+    Record ``i`` applies to ``deltas[i]``: one Δ-vector (*deltas* of
+    shape ``(N, n−1)``) or a grid of them (``(N, ..., n−1)``).  Lanes
+    sharing a set share its record, hence its kernel tensors.  The
+    index has shape ``deltas.shape[:-1]``.
+    """
+    shape = np.shape(deltas)
+    validate_block(block)
+    if len(shape) < 2 or shape[0] != block.shape[0]:
+        raise ParameterError(
+            f"per-lane parameters need one record per leading row of "
+            f"the Δ-vectors: {block.shape[0]} records, Δ-vectors of "
+            f"shape {shape}")
+    raw = np.ascontiguousarray(block).view(
+        np.dtype((np.void, block.dtype.itemsize)))
+    _, first, inverse = np.unique(raw, return_index=True,
+                                  return_inverse=True)
+    index = inverse.reshape((-1,) + (1,) * (len(shape) - 2))
+    return block[first], np.broadcast_to(index, shape[:-1])
+
+
+def _mode_systems(block: np.ndarray) -> np.ndarray:
+    """Augmented mode systems ``[[A, f], [0, 0]]`` (``A = −C⁻¹G``,
+    ``f = C⁻¹b``) of every input state of P sets, ``(P, 2^n, n+1,
+    n+1)``; nodes run rail side first, output last.  Conductances are
+    stamped in netlist order, so each entry is the sum a one-mode
+    assembly forms."""
+    n = parameter_width(block)
+    modes = 1 << n
+    high = (np.arange(modes)[:, None] >> np.arange(n)) & 1
+    # Series pMOS chain: resistor i connects node i-1 to node i (node
+    # -1 is the VDD rail, node n-1 the output), present when input i
+    # is low.
+    series = (1.0 / block["r_pullup"])[:, None, :] * (1 - high)
+    g = np.zeros((block.shape[0], modes, n, n))
+    node = np.arange(n)
+    g[..., node, node] = series
+    g[..., node[:-1], node[:-1]] += series[..., 1:]
+    g[..., node[:-1], node[1:]] = 0.0 - series[..., 1:]
+    g[..., node[1:], node[:-1]] = 0.0 - series[..., 1:]
+    # Parallel nMOS on the output node, present when the input is high.
+    for i in range(n):
+        g[..., n - 1, n - 1] += ((1.0 / block["r_pulldown"][:, i, None])
+                                 * high[:, i])
+    caps = np.concatenate([block["c_internal"], block["co"][:, None]],
+                          axis=1)[:, None, :]
+    systems = np.zeros((block.shape[0], modes, n + 1, n + 1))
+    systems[..., :n, :n] = -g / caps[..., None]
+    systems[..., 0, n] = (series[..., 0] * block["vdd"][:, None]
+                          / caps[..., 0])
+    return systems
+
+
+def _eigensystems(systems: np.ndarray) -> tuple:
+    """One batched eigendecomposition of a stack of mode systems:
+    ``(rates, vectors, inverse, slowest_tau)`` over its leading axes
+    (``ParameterError`` on complex eigenvalues or a defective system).
+    """
+    values, vectors = np.linalg.eig(systems)
+    scale = np.maximum(1.0, np.abs(values.real).max(axis=-1))
+    if np.any(np.abs(values.imag).max(axis=-1) > _IMAG_TOL * scale):
+        raise ParameterError("complex eigenvalues in RC network")
+    rates = values.real
+    vectors = vectors.real
+    try:
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        raise ParameterError(
+            "defective mode system (repeated eigenvalues without "
+            "a full eigenbasis)") from None
+    # Conserved directions (the affine constant, and the total charge
+    # of rail-disconnected chain islands in partially-open modes) are
+    # exact zero eigenvalues that np.linalg.eig may report as numerical
+    # dust (|λ| ~ 1e-17 of the spectral radius).  Left in place they
+    # masquerade as astronomically slow time constants and poison the
+    # settle time; snap them to zero — physical RC rates sit many
+    # orders above the threshold.
+    tol = 1e-9 * np.abs(rates).max(axis=-1, keepdims=True)
+    rates = np.where(np.abs(rates) < tol, 0.0, rates)
+    with np.errstate(divide="ignore"):
+        slowest = np.where(rates < 0.0, 1.0 / np.abs(rates),
+                           0.0).max(axis=-1)
+    return rates, vectors, inverse, np.where(slowest > 0.0, slowest,
+                                             1e-12)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,59 +503,24 @@ class GeneralizedNorModel:
     def __init__(self, params: GeneralizedNorParameters):
         self.params = params
         self._n = params.num_inputs
-        #: Per-input-state eigendecompositions.  A plain dict rather
-        #: than an lru_cache: an n-input gate has 2^n modes and the
-        #: batched solver revisits all of them, so a bounded cache
-        #: would thrash for wide gates (and a cache on the *method*
-        #: would pin every model instance alive globally).
-        self._eig_cache: dict[tuple[int, ...], tuple] = {}
-        self._settle: float | None = None
         self._kernel: "CompiledNorKernel | None" = None
 
     # ------------------------------------------------------------------
     # per-mode linear systems
     # ------------------------------------------------------------------
 
-    def _mode_matrices(self, inputs: tuple[int, ...]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """System matrix ``A = −C⁻¹G`` and forcing ``f = C⁻¹b``.
-
-        States are the chain nodes rail-side first, output last.  Not
-        cached: a rebuild takes microseconds, and the eigendecompositions
-        built from it are cached in ``_eig_cache``.
-        """
-        p = self.params
-        n = self._n
-        g = np.zeros((n, n))
-        b = np.zeros(n)
-        # Series pMOS chain: resistor i connects node i-1 to node i
-        # (node -1 is the VDD rail, node n-1 is the output), present
-        # when input i is low.
-        for i, (resistance, value) in enumerate(zip(p.r_pullup, inputs)):
-            if value:
-                continue
-            conductance = 1.0 / resistance
-            if i == 0:
-                g[0, 0] += conductance
-                b[0] += conductance * p.vdd
-            else:
-                g[i - 1, i - 1] += conductance
-                g[i, i] += conductance
-                g[i - 1, i] -= conductance
-                g[i, i - 1] -= conductance
-        # Parallel nMOS on the output node, present when the input is
-        # high.
-        for resistance, value in zip(p.r_pulldown, inputs):
-            if value:
-                g[n - 1, n - 1] += 1.0 / resistance
-        caps = np.array(list(p.c_internal) + [p.co])
-        return -g / caps[:, None], b / caps
+    def _mode(self, inputs: Sequence[int]) -> int:
+        """Mode id (bit ``i`` = input ``i``) of an input combination."""
+        return sum(int(bool(v)) << i for i, v in enumerate(inputs))
 
     def _solve_segment(self, inputs: tuple[int, ...],
                        state0: np.ndarray) -> _SegmentSolution:
-        """Solve one mode from the given initial state on its cached
-        eigendecomposition (:meth:`_mode_eig`)."""
-        rates, eigenvectors, _, slowest = self._mode_eig(inputs)
+        """Solve one mode from the given initial state on the kernel's
+        eigendecomposition of that mode."""
+        kernel = self.kernel()
+        mode = self._mode(inputs)
+        rates = kernel._rates[mode]
+        eigenvectors = kernel._vectors[mode]
         n = self._n
         extended = np.append(state0, 1.0)
         coefficients = np.linalg.solve(eigenvectors, extended)
@@ -385,7 +538,8 @@ class GeneralizedNorModel:
                 else:
                     terms.append((weight, rate))
             nodes.append(ExpSum.build(offset, terms))
-        return _SegmentSolution(nodes=tuple(nodes), slowest_tau=slowest)
+        return _SegmentSolution(nodes=tuple(nodes),
+                                slowest_tau=float(kernel._slow[mode]))
 
     # ------------------------------------------------------------------
     # resting states
@@ -399,71 +553,19 @@ class GeneralizedNorModel:
         have no defined equilibrium; they take *floating_value* — GND by
         default, the paper's worst case.
         """
-        inputs = tuple(int(bool(v)) for v in inputs)
-        a, f = self._mode_matrices(inputs)
         n = self._n
-        state = np.full(n, float(floating_value))
+        system = self.kernel()._systems[self._mode(inputs)]
+        a, f = system[:n, :n], system[:n, n]
         # Nodes that participate in dynamics reach A V + f = 0 on their
         # connected component; lstsq handles the singular (floating)
         # directions, which we then overwrite explicitly.
         solution, *_ = np.linalg.lstsq(a, -f, rcond=None)
-        for node in range(n):
-            if np.any(np.abs(a[node]) > 0.0):
-                state[node] = solution[node]
-            else:
-                state[node] = float(floating_value)
-        return state
+        return np.where(np.any(np.abs(a) > 0.0, axis=1), solution,
+                        float(floating_value))
 
     # ------------------------------------------------------------------
     # batched Δ-vector evaluation
     # ------------------------------------------------------------------
-
-    def _mode_eig(self, inputs: tuple[int, ...]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Cached eigendecomposition of one mode's augmented system.
-
-        Returns ``(rates, vectors, inverse, slowest_tau)`` of the
-        autonomous matrix ``M = [[A, f], [0, 0]]`` — the per-
-        ``(params, input-state)`` solution every batched segment of
-        that mode reuses.
-        """
-        cached = self._eig_cache.get(inputs)
-        if cached is not None:
-            return cached
-        a, f = self._mode_matrices(inputs)
-        n = self._n
-        m = np.zeros((n + 1, n + 1))
-        m[:n, :n] = a
-        m[:n, n] = f
-        eigenvalues, eigenvectors = np.linalg.eig(m)
-        if np.max(np.abs(eigenvalues.imag)) > _IMAG_TOL * max(
-                1.0, float(np.max(np.abs(eigenvalues.real)))):
-            raise ParameterError("complex eigenvalues in RC network")
-        rates = eigenvalues.real
-        vectors = eigenvectors.real
-        try:
-            inverse = np.linalg.inv(vectors)
-        except np.linalg.LinAlgError:
-            raise ParameterError(
-                "defective mode system (repeated eigenvalues without "
-                "a full eigenbasis)") from None
-        # Conserved directions (the affine constant, and the total
-        # charge of rail-disconnected chain islands in partially-open
-        # modes) are exact zero eigenvalues that np.linalg.eig may
-        # report as numerical dust (|λ| ~ 1e-17 of the spectral
-        # radius).  Left in place they masquerade as astronomically
-        # slow time constants and poison :meth:`settle_time`; snap
-        # them to zero — physical RC rates sit many orders above the
-        # threshold.
-        tol = 1e-9 * float(np.max(np.abs(rates)))
-        rates = np.where(np.abs(rates) < tol, 0.0, rates)
-        slowest = 0.0
-        for rate in rates:
-            if rate < 0.0:
-                slowest = max(slowest, 1.0 / abs(rate))
-        result = (rates, vectors, inverse, slowest or 1e-12)
-        self._eig_cache[inputs] = result
-        return result
 
     def settle_time(self) -> float:
         """Time after which every mode has settled, seconds.
@@ -471,83 +573,40 @@ class GeneralizedNorModel:
         ``60x`` the slowest RC time constant over all ``2^n`` input
         states — sibling offsets beyond ``±settle_time()`` are
         indistinguishable from ``±inf`` (the SIS plateaus), which is
-        what the batched entry points clip them to.  Computed once
-        per model and cached.
+        what the batched entry points clip them to.
         """
-        if self._settle is None:
-            slowest = 0.0
-            for state in range(2 ** self._n):
-                inputs = tuple((state >> i) & 1
-                               for i in range(self._n))
-                slowest = max(slowest, self._mode_eig(inputs)[3])
-            self._settle = 60.0 * slowest
-        return self._settle
+        return float(self.kernel()._settle[0])
 
     def kernel(self) -> "CompiledNorKernel":
-        """The flattened batch evaluator, compiled once per model.
-
-        Building the kernel stacks (or loads from the persistent
-        :mod:`repro.cache` store) the eigendecompositions of all
-        ``2^n`` input states; both batched delay entry points
-        delegate to it.
-        """
+        """The batch evaluator of this parameter set, compiled once;
+        the scalar paths read their mode systems and eigensystems
+        from it too."""
         if self._kernel is None:
-            self._kernel = CompiledNorKernel(self)
+            self._kernel = CompiledNorKernel(self.params)
         return self._kernel
-
-    def _delays_batch(self, deltas, direction: str,
-                      internal_init: float = 0.0) -> np.ndarray:
-        """Batched MIS delays over a grid of sibling offset vectors.
-
-        See :meth:`delays_falling_batch` / :meth:`delays_rising_batch`
-        for the per-direction conventions.
-        """
-        return self.kernel().evaluate(deltas, direction, internal_init)
 
     def delays_falling_batch(self, deltas) -> np.ndarray:
         """Falling MIS delays for a grid of sibling offset vectors.
 
         All inputs start low; input 0 rises at ``t = 0`` and sibling
-        ``j`` at ``deltas[..., j-1]`` (``±inf`` clips to the SIS
-        plateaus).  Delays are referenced to the *earliest* input and
-        include ``δ_min``, matching :meth:`delay_falling`.
-
-        Parameters
-        ----------
-        deltas : array_like of float
-            Sibling offsets, shape ``(..., n−1)``; NaN rejected.
-
-        Returns
-        -------
-        numpy.ndarray
-            Delays in seconds, shape ``deltas.shape[:-1]``.
+        ``j`` at ``deltas[..., j-1]`` (shape ``(..., n−1)``, ``±inf``
+        clips to the SIS plateaus, NaN rejected).  Delays, shape
+        ``deltas.shape[:-1]``, are referenced to the *earliest* input
+        and include ``δ_min``, matching :meth:`delay_falling`.
         """
-        return self._delays_batch(deltas, "falling")
+        return self.kernel().evaluate(deltas, "falling")
 
     def delays_rising_batch(self, deltas,
                             internal_init: float = 0.0) -> np.ndarray:
         """Rising MIS delays for a grid of sibling offset vectors.
 
-        All inputs start high; input 0 falls at ``t = 0`` and sibling
-        ``j`` at ``deltas[..., j-1]``.  Delays are referenced to the
-        *latest* input and include ``δ_min``, matching
-        :meth:`delay_rising`.
-
-        Parameters
-        ----------
-        deltas : array_like of float
-            Sibling offsets, shape ``(..., n−1)``; NaN rejected.
-        internal_init : float, optional
-            Initial voltage of every internal chain node, volts
-            (default 0.0, the paper's GND worst case).
-
-        Returns
-        -------
-        numpy.ndarray
-            Delays in seconds, shape ``deltas.shape[:-1]``.
+        All inputs start high, every internal chain node at
+        *internal_init* volts (default the paper's GND worst case);
+        input 0 falls at ``t = 0`` and sibling ``j`` at
+        ``deltas[..., j-1]``.  Delays are referenced to the *latest*
+        input and include ``δ_min``, matching :meth:`delay_rising`.
         """
-        return self._delays_batch(deltas, "rising",
-                                  float(internal_init))
+        return self.kernel().evaluate(deltas, "rising", internal_init)
 
     # ------------------------------------------------------------------
     # crossings
@@ -698,27 +757,23 @@ class GeneralizedNorModel:
         Routed through the delay-engine seam of :mod:`repro.engine`
         in both arities — the deferred-switch and added-``δ_min``
         delay conventions are exactly equivalent there because the
-        resting first segment absorbs the deferral.  For the 2-input
-        gate this is the closed-form batch path; for wider gates the
-        remaining inputs switch together with the *earlier* of the
-        pair and the Δ-vector entry points evaluate the grid
-        (``±inf`` separations clip to the SIS plateaus).
+        resting first segment absorbs the deferral.  The remaining
+        inputs switch together with the *earlier* of the pair; the
+        2-input gate runs the closed-form batch path, wider gates the
+        Δ-vector entry points (``±inf`` separations clip to the SIS
+        plateaus).
         """
         # Local import: repro.engine imports this module.
         from ..engine import delays_for_direction, get_engine
         d = np.asarray(deltas, dtype=float)
-        backend = get_engine(engine)
-        if self._n == 2:
-            return delays_for_direction(backend, direction,
-                                        self.params.to_two_input(), d)
         # Absolute switch times (0, Δ, 0, …, 0) relative to input 0:
         # the trailing inputs follow the earlier of the pair, i.e.
         # their offsets are min(0, Δ).
         with np.errstate(invalid="ignore"):
             rest = np.minimum(0.0, d)
         matrix = np.stack([d] + [rest] * (self._n - 2), axis=-1)
-        return delays_for_direction(backend, direction, self.params,
-                                    matrix)
+        return delays_for_direction(get_engine(engine), direction,
+                                    self.params, matrix)
 
     def delays_falling_sweep(self, deltas, engine=None) -> np.ndarray:
         """Falling MIS delays for an array of pairwise separations."""
@@ -760,123 +815,56 @@ class GeneralizedNorModel:
 class CompiledNorKernel:
     """Flattened, mode-stacked evaluator of the batched Δ-vector path.
 
-    Compiling the kernel materializes the eigendecompositions of all
-    ``2^n`` input states of one :class:`GeneralizedNorModel` into
-    dense tensors indexed by *mode id* (the integer whose bit ``i`` is
-    the value of input ``i``)::
+    Built from one :class:`GeneralizedNorParameters` set or a sample
+    block of P sets (dtype :func:`generalized_dtype`): the ``2^n`` mode
+    systems of every set are decomposed in one batched eigensolve and
+    one batched inverse into dense tensors indexed by
+    ``set · 2^n + mode`` (bit ``i`` of a mode id is input ``i``)::
 
-        rates    (2^n, n+1)        eigenrates of the augmented system
-        vectors  (2^n, n+1, n+1)   eigenvectors (columns)
-        inverse  (2^n, n+1, n+1)   eigenvector inverses
-        out      (2^n, n+1)        output row of ``vectors``
-        slow     (2^n,)            slowest time constant per mode
+        systems, vectors, inverse  (P·2^n, n+1, n+1)
+        rates, out                 (P·2^n, n+1)   eigenrates, output row
+        slow                       (P·2^n,)       slowest time constant
 
-    With the per-mode data stacked, :meth:`evaluate` needs no
-    per-event-ordering Python grouping: each ``(row, segment)`` pair
-    gets its mode id from one cumulative sum over the sorted event
-    bits, and eigen-projection and state propagation are batched
-    einsums over the per-row mode tensors.  Every segment's output is a
-    constant plus up to n exponentials, whose Vth crossings
-    :func:`~repro.core.solutions.exp_sum_crossing` finds for batches of
-    ``(row, segment)`` pairs, with rates gathered per pair from ``rates``.
-
-    When a persistent store is active (see :mod:`repro.cache`), the
-    stacked eigen tensors are loaded from / saved to disk keyed on the
-    parameter content, so any process sharing the cache directory
-    skips the ``2^n`` eigendecompositions entirely.
+    plus, per set, the settle cut-off, Vth, δ_min and the falling start
+    state.  :meth:`evaluate` gathers each Δ-vector row's tensors by its
+    set and the mode of each segment, so no Python loop runs per set,
+    per mode or per event ordering.
     """
 
-    def __init__(self, model: GeneralizedNorModel):
-        self._model = model
-        self.num_inputs = model._n
-        self._vth = model.params.vth
-        n = model._n
-        modes = 1 << n
-        bundle = self._load(modes)
-        if bundle is None:
-            rates = np.empty((modes, n + 1))
-            vectors = np.empty((modes, n + 1, n + 1))
-            inverse = np.empty((modes, n + 1, n + 1))
-            slow = np.empty(modes)
-            with _span("kernel.eig", n=n, modes=modes):
-                for mode in range(modes):
-                    inputs = tuple((mode >> i) & 1
-                                   for i in range(n))
-                    (rates[mode], vectors[mode], inverse[mode],
-                     slow[mode]) = model._mode_eig(inputs)
-            self._store(rates, vectors, inverse, slow)
-        else:
-            rates, vectors, inverse, slow = bundle
-            # Seed the model's per-mode cache so the scalar paths and
-            # settle_time() share the loaded decompositions.
-            for mode in range(modes):
-                inputs = tuple((mode >> i) & 1 for i in range(n))
-                model._eig_cache.setdefault(
-                    inputs, (rates[mode], vectors[mode],
-                             inverse[mode], float(slow[mode])))
-        self._rates = rates
-        self._vectors = vectors
-        self._inverse = inverse
-        self._out = np.ascontiguousarray(vectors[:, n - 1, :])
-        self._slow = slow
-
-    # ------------------------------------------------------------------
-    # persistent eigendecomposition cache
-    # ------------------------------------------------------------------
-
-    def _cache_key(self) -> str:
-        from .. import cache
-        return cache.content_key({
-            "kind": "nor-eig",
-            "schema": cache.SCHEMA_VERSION,
-            "params": self._model.params.as_dict(),
-        })
-
-    def _load(self, modes: int):
-        from .. import cache
-        store = cache.get_store()
-        if store is None:
-            return None
-        bundle = store.get_arrays(self._cache_key())
-        if bundle is None:
-            return None
-        n = self.num_inputs
-        try:
-            rates = bundle["rates"]
-            vectors = bundle["vectors"]
-            inverse = bundle["inverse"]
-            slow = bundle["slow"]
-        except KeyError:
-            return None
-        if (rates.shape != (modes, n + 1)
-                or vectors.shape != (modes, n + 1, n + 1)
-                or inverse.shape != (modes, n + 1, n + 1)
-                or slow.shape != (modes,)):
-            return None
-        return rates, vectors, inverse, slow
-
-    def _store(self, rates, vectors, inverse, slow) -> None:
-        from .. import cache
-        store = cache.get_store()
-        if store is None:
-            return
-        store.put_arrays(self._cache_key(), {
-            "rates": rates, "vectors": vectors,
-            "inverse": inverse, "slow": slow,
-        })
-
-    # ------------------------------------------------------------------
-    # the flattened segment walk
-    # ------------------------------------------------------------------
+    def __init__(self, params):
+        block = (generalized_block([params])
+                 if isinstance(params, GeneralizedNorParameters)
+                 else validate_block(params))
+        n = parameter_width(block)
+        sets, modes = block.shape[0], 1 << n
+        with _span("kernel.eig", n=n, modes=modes, sets=sets):
+            systems = _mode_systems(block)
+            rates, vectors, inverse, slow = _eigensystems(systems)
+        self.num_inputs = n
+        self._modes = modes
+        flat = (sets * modes,)
+        self._systems = systems.reshape(flat + systems.shape[2:])
+        self._rates = rates.reshape(flat + rates.shape[2:])
+        self._vectors = vectors.reshape(flat + vectors.shape[2:])
+        self._inverse = inverse.reshape(flat + inverse.shape[2:])
+        self._out = np.ascontiguousarray(self._vectors[:, n - 1, :])
+        self._slow = slow.reshape(flat)
+        self._settle = 60.0 * slow.max(axis=1)
+        self._vth = block["vdd"] / 2.0
+        self._delta_min = block["delta_min"].copy()
+        # All inputs low: the pull-up chain conducts and the pull-down
+        # network is open, so every node rests at VDD.
+        self._rest = np.repeat(block["vdd"][:, None], n, axis=1)
 
     def evaluate(self, deltas, direction: str,
-                 internal_init: float = 0.0) -> np.ndarray:
+                 internal_init: float = 0.0, sets=None) -> np.ndarray:
         """Batched MIS delays over a grid of sibling offset vectors.
 
         The array-native core behind
         :meth:`GeneralizedNorModel.delays_falling_batch` /
-        :meth:`~GeneralizedNorModel.delays_rising_batch`; see those
-        for the per-direction event conventions.
+        :meth:`~GeneralizedNorModel.delays_rising_batch` and
+        :func:`nor_delays`; see the former for the per-direction event
+        conventions.
 
         Parameters
         ----------
@@ -888,6 +876,9 @@ class CompiledNorKernel:
         internal_init : float, optional
             Rising-only: initial voltage of every internal chain
             node, volts; NaN and ``±inf`` rejected.
+        sets : array_like of int, optional
+            Parameter set (record index) of every Δ-vector row,
+            broadcast against ``deltas.shape[:-1]``; default set 0.
 
         Returns
         -------
@@ -900,16 +891,16 @@ class CompiledNorKernel:
             internal_init = finite_voltage(internal_init,
                                            "internal_init")
         flat, shape = offset_rows(n, deltas)
+        rows = (np.zeros(flat.shape[0], dtype=np.intp) if sets is None
+                else np.broadcast_to(sets, shape).reshape(-1))
         with _span("kernel.evaluate", n=n, direction=direction,
                    rows=int(flat.shape[0])):
-            return self._evaluate_inner(flat, shape, direction,
-                                        internal_init)
+            return self._evaluate_inner(flat, rows, direction,
+                                        internal_init).reshape(shape)
 
-    def _evaluate_inner(self, flat, shape, direction,
-                        internal_init):
-        model = self._model
+    def _evaluate_inner(self, flat, sets, direction, internal_init):
         n = self.num_inputs
-        settle = model.settle_time()
+        settle = self._settle[sets][:, None]
         offsets = np.clip(flat, -settle, settle)
         rows = offsets.shape[0]
         times = np.concatenate(
@@ -918,11 +909,12 @@ class CompiledNorKernel:
 
         if direction == "falling":
             downward = True
-            state0 = model.resting_state((0,) * n)
+            state = self._rest[sets]
             reference = np.zeros(rows)
         elif direction == "rising":
             downward = False
-            state0 = np.array([float(internal_init)] * (n - 1) + [0.0])
+            state = np.full((rows, n), float(internal_init))
+            state[:, -1] = 0.0
             reference = times.max(axis=1)
         else:
             raise ParameterError(
@@ -936,34 +928,35 @@ class CompiledNorKernel:
         # bit, rising starts all-one and each event clears one.
         flipped = np.cumsum(1 << order, axis=1)
         mode_ids = flipped if downward else ((1 << n) - 1) - flipped
+        base = sets * self._modes
+        vth = self._vth[sets]
 
         # A row whose output passed Vth by a segment start crossed in an
         # earlier one.  Segments reach the solver in _SOLVE_PAIRS batches.
         result = np.full(rows, math.nan)
         batch = []
-        state = np.broadcast_to(state0, (rows, n)).astype(float)
         for k in range(n):
-            modes_k = mode_ids[:, k]
+            index = base + mode_ids[:, k]
             aug = np.concatenate([state, np.ones((rows, 1))], axis=1)
-            coeffs = np.einsum("rj,rij->ri", aug, self._inverse[modes_k])
-            rates_k = self._rates[modes_k]
+            coeffs = np.einsum("rj,rij->ri", aug, self._inverse[index])
+            rates_k = self._rates[index]
             last = k + 1 == n
             # The last segment runs until every mode has settled.
-            duration = (60.0 * self._slow[modes_k] + 1e-15 if last
+            duration = (60.0 * self._slow[index] + 1e-15 if last
                         else sorted_times[:, k + 1] - sorted_times[:, k])
             out = state[:, -1]
             open_ = np.nonzero(np.isnan(result) & (
-                out >= self._vth if downward else out <= self._vth))[0]
+                out >= vth if downward else out <= vth))[0]
             batch.append((k * rows + open_,
-                          (coeffs[open_] * self._out[modes_k[open_]]).T,
-                          rates_k[open_].T, duration[open_]))
+                          (coeffs[open_] * self._out[index[open_]]).T,
+                          rates_k[open_].T, duration[open_], vth[open_]))
             if last or sum(b[0].size for b in batch) >= _SOLVE_PAIRS:
-                pairs, weights, rates, windows = (
+                pairs, weights, rates, windows, levels = (
                     np.concatenate(part, axis=-1) for part in zip(*batch))
                 batch = []
                 segment, owner = np.divmod(pairs, rows)
                 with _span("kernel.crossings", rows=int(owner.size)):
-                    local = exp_sum_crossing(weights, rates, self._vth,
+                    local = exp_sum_crossing(weights, rates, levels,
                                              downward, windows)
                 crossed = np.nonzero(~np.isnan(local))[0]
                 # Pairs run in segment order: a row's first hit is its delay.
@@ -973,12 +966,11 @@ class CompiledNorKernel:
             if not last:
                 growth = np.exp(duration[:, None] * rates_k)
                 state = np.einsum("ri,rji->rj", coeffs * growth,
-                                  self._vectors[modes_k])[:, :n]
+                                  self._vectors[index])[:, :n]
         if np.isnan(result).any():  # pragma: no cover - defensive
             raise NoCrossingError("batched crossing search exhausted all "
                                   "segments without an output transition")
-        delays = result - reference + model.params.delta_min
-        return delays.reshape(shape)
+        return result - reference + self._delta_min[sets]
 
 
 def compiled_nor_kernel(params: GeneralizedNorParameters
@@ -992,34 +984,38 @@ def compiled_nor_kernel(params: GeneralizedNorParameters
     return generalized_model(params).kernel()
 
 
+def nor_delays(params, deltas, direction: str,
+               internal_init: float) -> np.ndarray:
+    """n-input MIS delays (``δ_min`` included, shape
+    ``deltas.shape[:-1]``) with one parameter set, or one per lane.
+
+    *params* is one :class:`GeneralizedNorParameters` set shared by
+    every row of *deltas* (its kernel comes from the
+    :func:`generalized_model` cache), or a sample block of dtype
+    :func:`generalized_dtype` whose record ``i`` applies to
+    ``deltas[i]`` (see :func:`lane_sets`); one kernel then serves the
+    block's distinct sets.  *direction* and *internal_init* are as in
+    :meth:`CompiledNorKernel.evaluate`.
+    """
+    if isinstance(params, GeneralizedNorParameters):
+        return compiled_nor_kernel(params).evaluate(deltas, direction,
+                                                    internal_init)
+    sets, index = lane_sets(params, deltas)
+    kernel = (compiled_nor_kernel(generalized_record(sets, 0))
+              if sets.shape[0] == 1 else CompiledNorKernel(sets))
+    return kernel.evaluate(deltas, direction, internal_init, index)
+
+
 def delta_vector_grid(params: GeneralizedNorParameters,
                       axis_points: int,
                       span_taus: float = 4.0) -> np.ndarray:
     """Uniform Δ-vector rows across the gate's MIS core.
 
-    The standard probe grid of the n-input benchmarks and experiments:
-    one uniform axis per sibling input, spanning ``±span_taus`` of the
-    gate's settle-time-derived core scale, meshed and flattened to
-    evaluation-ready rows.  The ``multi_input`` experiment, the
-    Δ-vector benchmarks and :class:`repro.api.Session` all build their
-    grids here so grid conventions cannot drift apart.
-
-    Parameters
-    ----------
-    params : GeneralizedNorParameters
-        n-input electrical parameter set.
-    axis_points : int
-        Samples per sibling axis (the grid has
-        ``axis_points**(n-1)`` rows).
-    span_taus : float, optional
-        Half-width of each axis in units of ``settle_time() / 60``
-        (default 4.0, the MIS core).
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(axis_points**(n-1), n-1)`` array of sibling offsets
-        in seconds.
+    The standard probe grid of the n-input benchmarks, experiments and
+    :class:`repro.api.Session`: one uniform axis of *axis_points*
+    samples per sibling input, spanning ``±span_taus`` of the gate's
+    core scale ``settle_time() / 60``, meshed and flattened to
+    ``(axis_points**(n-1), n-1)`` rows of offsets in seconds.
     """
     model = generalized_model(params)
     tau = model.settle_time() / 60.0
@@ -1034,9 +1030,8 @@ def generalized_model(params: GeneralizedNorParameters
                       ) -> GeneralizedNorModel:
     """Shared per-parameter-set model cache.
 
-    The model instance owns the per-``(params, input-state)``
-    eigendecomposition caches of the batched Δ-vector evaluation, so
-    the engine backends resolve their models through this function to
-    share them across calls.
+    The model instance owns the compiled kernel of its parameter set,
+    so the engine backends resolve single-set calls through this
+    function to share it across calls.
     """
     return GeneralizedNorModel(params)

@@ -26,10 +26,22 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 from ..errors import ParameterError
 from ..units import AF, KOHM, PS, eng_format
 
-__all__ = ["NorGateParameters", "PAPER_TABLE_I", "PAPER_DELTA_MIN"]
+__all__ = ["BLOCK_DTYPE", "NorGateParameters", "PARAM_FIELDS",
+           "PAPER_TABLE_I", "PAPER_DELTA_MIN"]
+
+#: Field order of a sample block — the constructor order of
+#: :class:`NorGateParameters`.
+PARAM_FIELDS = ("r1", "r2", "r3", "r4", "cn", "co", "vdd",
+                "delta_min")
+
+#: Structured dtype of a sample block (one record per parameter set,
+#: one float64 per parameter); see :mod:`repro.engine.blocks`.
+BLOCK_DTYPE = np.dtype([(name, np.float64) for name in PARAM_FIELDS])
 
 
 @dataclasses.dataclass(frozen=True)

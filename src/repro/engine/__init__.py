@@ -15,12 +15,14 @@ points (``delays_falling`` / ``delays_rising``) for the paper's
 2-input cells, and Δ-vector entry points (``delays_falling_n`` /
 ``delays_rising_n``, trailing axis of n−1 sibling offsets) for the
 generalized n-input NOR of :mod:`repro.core.multi_input`.  A third
-axis batches over *parameter sets*: sample-block entry points
-(``delays_falling_block`` / ``delays_rising_block``, one structured
-record per parameter set — see :mod:`repro.engine.blocks`) evaluate N
-Monte-Carlo samples × M Δ-points in one call, dispatched through
-:func:`repro.engine.blocks.block_delays` with a per-sample loop
-fallback for backends without native block kernels.
+axis batches over *parameter sets*: a sample block (one structured
+record per parameter set) gives every lane its own set — the 2-input
+block entry points (``delays_falling_block`` /
+``delays_rising_block``, see :mod:`repro.engine.blocks`) and the
+Δ-vector entry points evaluate N Monte-Carlo samples × M Δ-points in
+one call.  :func:`~repro.engine.base.delays_for_direction` dispatches
+every such evaluation by direction and gate width, with a per-sample
+loop fallback for backends without native block kernels.
 
 Sweeps throughout the package accept ``engine=`` (a name, an instance,
 or ``None`` for the default) and the CLI exposes ``--engine``::
@@ -38,8 +40,7 @@ New backends implement :class:`~repro.engine.base.DelayEngine` and call
 
 from .base import (DEFAULT_ENGINE, DelayEngine, available_engines,
                    delays_for_direction, get_engine, register_engine)
-from .blocks import (BLOCK_DTYPE, block_delays, block_from_parameters,
-                     parameters_at)
+from .blocks import BLOCK_DTYPE, block_from_parameters, parameters_at
 from .reference import ReferenceEngine
 from .vectorized import VectorizedEngine
 
@@ -50,7 +51,6 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "available_engines",
-    "block_delays",
     "block_from_parameters",
     "delays_for_direction",
     "get_engine",

@@ -25,10 +25,12 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import GeneralizedNorParameters
-from ..core.parameters import NorGateParameters
+from ..core.multi_input import GeneralizedNorParameters, parameter_width
+from ..core.parameters import BLOCK_DTYPE, NorGateParameters
+from ..errors import ParameterError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
+from .blocks import block_delays_loop
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -39,11 +41,6 @@ __all__ = [
     "register_engine",
     "traced_entry_point",
 ]
-
-#: Parameter kinds an engine evaluates: the paper's closed-form
-#: 2-input set, or the generalized n-input set (Δ-vector entry
-#: points).
-GateParameters = NorGateParameters | GeneralizedNorParameters
 
 #: Engine used when callers do not specify one.
 DEFAULT_ENGINE = "vectorized"
@@ -57,13 +54,17 @@ class DelayEngine(Protocol):
     the same inputs always give the same delays, which is what makes
     per-parameter-set caching safe.
 
-    Backends may additionally expose *sample-block* entry points
+    The Δ-vector entry points take one parameter set, or an n-input
+    sample block with one set per lane (see
+    :func:`~repro.core.multi_input.nor_delays`).  Backends may
+    additionally expose 2-input *sample-block* entry points
     (``delays_falling_block(block, deltas)`` /
     ``delays_rising_block(block, deltas, vn_init)``) that batch over
     the parameter axis — one structured record per parameter set, see
     :mod:`repro.engine.blocks`.  They are optional:
-    :func:`repro.engine.blocks.block_delays` dispatches to them when
-    present and falls back to a per-sample loop otherwise, so the
+    :func:`delays_for_direction` calls them when present and falls
+    back to the per-sample loop
+    :func:`~repro.engine.blocks.block_delays_loop` otherwise, so the
     protocol's required surface stays the four Δ-batched methods
     below.
     """
@@ -171,36 +172,40 @@ class DelayEngine(Protocol):
 
 
 def delays_for_direction(engine: "DelayEngine", direction: str,
-                         params: GateParameters, deltas,
-                         state: float = 0.0) -> np.ndarray:
-    """Dispatch a delay sweep by direction and parameter kind.
+                         params, deltas, state=0.0) -> np.ndarray:
+    """Dispatch a delay evaluation by direction, gate width and lanes.
 
     The single place the ``falling``/``rising`` branch and the
     2-input-vs-n-input entry-point choice live: the STA timing arcs of
-    :mod:`repro.sta` and the pairwise sweeps of
-    :mod:`repro.core.multi_input` route through here.
+    :mod:`repro.sta`, Monte-Carlo and the surrogate, characterization
+    and the pairwise sweeps of :mod:`repro.core.multi_input` route
+    through here.  2-input lanes go to the closed form, n-input lanes
+    to the compiled kernel.
 
     Parameters
     ----------
     engine : DelayEngine
-        Backend instance the sweep runs on.
+        Backend instance the evaluation runs on.
     direction : str
         ``"falling"`` or ``"rising"`` (the output transition).
-    params : NorGateParameters or GeneralizedNorParameters
-        Electrical parameter set (SI units).  The generalized kind
-        selects the Δ-vector entry points
-        (:meth:`DelayEngine.delays_falling_n` /
-        :meth:`~DelayEngine.delays_rising_n`), whose *deltas* carry a
-        trailing sibling axis of length ``n − 1``.
+    params : parameter set or sample block
+        One set shared by every lane — :class:`NorGateParameters`, or
+        :class:`GeneralizedNorParameters` for the Δ-vector entry
+        points — or one set per lane: a sample block (dtype
+        :data:`~repro.core.parameters.BLOCK_DTYPE` or
+        :func:`~repro.core.multi_input.generalized_dtype`) whose
+        record ``i`` applies to ``deltas[i]``.  2-input n-input sets
+        (``n = 2``) run the closed form on their one sibling offset.
     deltas : array_like of float
-        Input separations in seconds — any shape for 2-input
-        parameters, shape ``(..., n−1)`` for n-input ones; ``±inf``
-        allowed.
-    state : float, optional
+        Input separations in seconds — any shape for a 2-input set,
+        ``(N,)`` or ``(N, M)`` for a 2-input block, and shape
+        ``(..., n−1)`` for n-input sets (``(N, ..., n−1)`` for a
+        block); ``±inf`` allowed.
+    state : float or array_like of float, optional
         Initial internal-node voltage in volts, used by the rising
         direction only (default 0.0, the GND worst case): ``V_N`` of
-        mode (1,1) for 2-input parameters, every chain node for
-        n-input ones.
+        mode (1,1) for 2-input parameters (one value, or one per
+        record of a 2-input block), every chain node for n-input ones.
 
     Returns
     -------
@@ -210,19 +215,48 @@ def delays_for_direction(engine: "DelayEngine", direction: str,
 
     Raises
     ------
-    ValueError
-        If *direction* is neither ``"falling"`` nor ``"rising"``.
+    ParameterError
+        If *direction* is neither ``"falling"`` nor ``"rising"``, or
+        *params* is no parameter set or sample block.
     """
     if direction not in ("falling", "rising"):
-        raise ValueError(f"direction must be 'falling' or 'rising', "
-                         f"got {direction!r}")
-    if isinstance(params, GeneralizedNorParameters):
-        if direction == "falling":
-            return engine.delays_falling_n(params, deltas)
-        return engine.delays_rising_n(params, deltas, state)
+        raise ParameterError(f"direction must be 'falling' or "
+                             f"'rising', got {direction!r}")
+    two_input = isinstance(params, NorGateParameters) or (
+        isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
+    if not two_input and parameter_width(params) == 2:
+        # An n = 2 set is the paper's gate: its one sibling offset
+        # runs the closed form.
+        d = np.asarray(deltas, dtype=float)
+        if d.ndim == 0 or d.shape[-1] != 1:
+            raise ParameterError(f"a 2-input gate takes one sibling "
+                                 f"offset per Δ-vector, got {d.shape}")
+        params, deltas, two_input = _two_input(params), d[..., 0], True
+    if not two_input:
+        method = getattr(engine, f"delays_{direction}_n")
+    elif isinstance(params, NorGateParameters):
+        method = getattr(engine, f"delays_{direction}")
+    else:
+        method = getattr(engine, f"delays_{direction}_block", None)
+        if method is None:
+            return block_delays_loop(engine, direction, params, deltas,
+                                     state)
     if direction == "falling":
-        return engine.delays_falling(params, deltas)
-    return engine.delays_rising(params, deltas, state)
+        return method(params, deltas)
+    return method(params, deltas, state)
+
+
+def _two_input(params):
+    """The closed-form kind of an ``n = 2`` set or sample block."""
+    if isinstance(params, GeneralizedNorParameters):
+        return params.to_two_input()
+    block = np.empty(params.shape, BLOCK_DTYPE)
+    block["r1"], block["r2"] = params["r_pullup"].T
+    block["r3"], block["r4"] = params["r_pulldown"].T
+    block["cn"] = params["c_internal"][:, 0]
+    for name in ("co", "vdd", "delta_min"):
+        block[name] = params[name]
+    return block
 
 
 #: Memoized (engine, direction) -> call counter, so the per-call
@@ -278,7 +312,7 @@ def traced_entry_point(span_name: str, direction: str):
             with tracer.span(span_name, engine=self.name,
                              direction=direction,
                              points=int(np.size(deltas)),
-                             n=getattr(params, "num_inputs", 2)):
+                             n=parameter_width(params)):
                 return method(self, params, deltas, *args, **kwargs)
         return wrapper
     return decorate

@@ -33,9 +33,10 @@ the engine parity suite).
 Entry points
 ------------
 Engines expose the block kernels as ``delays_falling_block`` /
-``delays_rising_block`` methods; :func:`block_delays` is the
-dispatcher (with a per-sample loop fallback for backends without
-native block support).
+``delays_rising_block`` methods;
+:func:`repro.engine.base.delays_for_direction` sends every per-lane
+2-input evaluation there (with the per-sample loop
+:func:`block_delays_loop` for backends without native block support).
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ import math
 import numpy as np
 
 from ..core.hybrid_model import _SETTLE_FACTOR
-from ..core.parameters import NorGateParameters, finite_voltage
+from ..core.multi_input import validate_block
+from ..core.parameters import (BLOCK_DTYPE, PARAM_FIELDS,
+                               NorGateParameters)
 from ..core.solutions import exp_sum_crossing
 from ..errors import NoCrossingError, ParameterError
 
@@ -55,7 +58,6 @@ __all__ = [
     "PARAM_FIELDS",
     "FallingConstants",
     "RisingConstants",
-    "block_delays",
     "block_delays_loop",
     "block_from_parameters",
     "falling_constants",
@@ -67,15 +69,6 @@ __all__ = [
     "rising_delays_block",
     "validate_block",
 ]
-
-#: Field order of a sample block — the constructor order of
-#: :class:`~repro.core.parameters.NorGateParameters`.
-PARAM_FIELDS = ("r1", "r2", "r3", "r4", "cn", "co", "vdd",
-                "delta_min")
-
-#: Structured dtype of a sample block: one float64 per parameter.
-BLOCK_DTYPE = np.dtype([(name, np.float64) for name in PARAM_FIELDS])
-
 
 # ----------------------------------------------------------------------
 # block construction / validation
@@ -121,49 +114,6 @@ def parameters_at(block: np.ndarray, index: int) -> NorGateParameters:
     row = block[index]
     return NorGateParameters(
         **{name: float(row[name]) for name in PARAM_FIELDS})
-
-
-def validate_block(block) -> np.ndarray:
-    """Check a sample block like the scalar parameter constructor.
-
-    Parameters
-    ----------
-    block : numpy.ndarray
-        Structured array of dtype :data:`BLOCK_DTYPE` (any 1-D
-        length).
-
-    Returns
-    -------
-    numpy.ndarray
-        The validated block (unchanged).
-
-    Raises
-    ------
-    ParameterError
-        On a wrong dtype, or any record a
-        :class:`~repro.core.parameters.NorGateParameters` constructor
-        would reject (non-positive / non-finite electrical values,
-        negative ``delta_min``).
-    """
-    block = np.asarray(block)
-    if block.dtype != BLOCK_DTYPE:
-        raise ParameterError(
-            f"sample block must have dtype {BLOCK_DTYPE}, got "
-            f"{block.dtype}")
-    if block.ndim != 1:
-        raise ParameterError("sample block must be 1-D")
-    for name in PARAM_FIELDS[:-1]:
-        values = block[name]
-        if not np.all(np.isfinite(values) & (values > 0.0)):
-            raise ParameterError(
-                f"{name} must be positive and finite in every block "
-                "record")
-    dmin = block["delta_min"]
-    if not np.all(np.isfinite(dmin) & (dmin >= 0.0)):
-        raise ParameterError(
-            "delta_min must be non-negative and finite in every "
-            "block record")
-    return block
 
 
 def _prepare_deltas(block: np.ndarray, deltas
@@ -297,11 +247,13 @@ def falling_constants(block: np.ndarray) -> FallingConstants:
         _settle(block), block["delta_min"]))
 
 
-def rising_constants(block: np.ndarray,
-                     vn_init: float) -> RisingConstants:
+def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
     """:data:`RisingConstants` of a validated ``(N,)`` block at
-    ``X = vn_init`` volts (``ParameterError`` if it is not finite)."""
-    x = finite_voltage(vn_init, "vn_init")
+    ``X = vn_init`` volts, one value or one per record
+    (``ParameterError`` if any is not finite)."""
+    x = np.asarray(vn_init, dtype=float)
+    if not np.isfinite(x).all():
+        raise ParameterError(f"vn_init must be finite, got {vn_init!r}")
     r1, r2, r3 = block["r1"], block["r2"], block["r3"]
     cn, co, vdd = block["cn"], block["co"], block["vdd"]
     vth = 0.5 * vdd
@@ -320,10 +272,9 @@ def rising_constants(block: np.ndarray,
     # charged internal node can lift the output (inf where it never
     # does).
     t_up = np.full(block.shape[0], math.inf)
-    if x > 0.0:
-        t_up = exp_sum_crossing((ko1, ko2), (l1, l2), vth,
-                                downward=False)
-        t_up[np.isnan(t_up)] = math.inf
+    if (x > 0.0).any():
+        up = exp_sum_crossing((ko1, ko2), (l1, l2), vth, downward=False)
+        t_up = np.where((x > 0.0) & ~np.isnan(up), up, math.inf)
 
     a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
     return RisingConstants(*_columns(
@@ -469,8 +420,7 @@ def falling_delays_block(block, deltas) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def rising_delays_block(block, deltas,
-                        vn_init: float = 0.0) -> np.ndarray:
+def rising_delays_block(block, deltas, vn_init=0.0) -> np.ndarray:
     """Rising MIS delays for a whole sample block at once.
 
     The rising twin of :func:`falling_delays_block`, including the
@@ -484,10 +434,10 @@ def rising_delays_block(block, deltas,
     deltas : array_like of float
         Input separations in seconds, shape ``(N,)`` or ``(N, M)``;
         ``±inf`` allowed, NaN rejected.
-    vn_init : float, optional
+    vn_init : float or array_like of float, optional
         Mode-(1,1) internal-node voltage ``X`` in volts, shared by
-        the block (default 0.0, the GND worst case); NaN and ``±inf``
-        rejected.
+        the block or one per record (default 0.0, the GND worst
+        case); NaN and ``±inf`` rejected.
 
     Returns
     -------
@@ -502,11 +452,11 @@ def rising_delays_block(block, deltas,
 
 
 # ----------------------------------------------------------------------
-# dispatch
+# the per-sample reference loop
 # ----------------------------------------------------------------------
 
 def block_delays_loop(engine, direction: str, block, deltas,
-                      vn_init: float = 0.0) -> np.ndarray:
+                      vn_init=0.0) -> np.ndarray:
     """Per-sample reference loop over an engine's scalar entry points.
 
     The ground-truth (and benchmark-baseline) evaluation of a sample
@@ -524,8 +474,9 @@ def block_delays_loop(engine, direction: str, block, deltas,
         Sample block of dtype :data:`BLOCK_DTYPE`, shape ``(N,)``.
     deltas : array_like of float
         Input separations in seconds, shape ``(N,)`` or ``(N, M)``.
-    vn_init : float, optional
-        Rising-direction internal-node voltage in volts.
+    vn_init : float or array_like of float, optional
+        Rising-direction internal-node voltage in volts, one value or
+        one per record.
 
     Returns
     -------
@@ -536,55 +487,11 @@ def block_delays_loop(engine, direction: str, block, deltas,
 
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
+    states = np.broadcast_to(np.asarray(vn_init, dtype=float),
+                             block.shape)
     out = np.empty_like(d)
     for i in range(block.shape[0]):
         out[i] = delays_for_direction(engine, direction,
                                       parameters_at(block, i), d[i],
-                                      vn_init)
+                                      float(states[i]))
     return out[:, 0] if squeeze else out
-
-
-def block_delays(engine, direction: str, block, deltas,
-                 vn_init: float = 0.0) -> np.ndarray:
-    """Dispatch a sample-block evaluation by direction.
-
-    The block twin of
-    :func:`repro.engine.base.delays_for_direction`: resolves the
-    direction to the engine's ``delays_falling_block`` /
-    ``delays_rising_block`` entry point, falling back to the
-    per-sample loop for backends that predate the block protocol.
-
-    Parameters
-    ----------
-    engine : DelayEngine
-        Backend instance the block runs on.
-    direction : str
-        ``"falling"`` or ``"rising"`` (the output transition).
-    block : numpy.ndarray
-        Sample block of dtype :data:`BLOCK_DTYPE`, shape ``(N,)``.
-    deltas : array_like of float
-        Input separations in seconds, shape ``(N,)`` or ``(N, M)``.
-    vn_init : float, optional
-        Rising-direction internal-node voltage in volts (default
-        0.0).
-
-    Returns
-    -------
-    numpy.ndarray
-        Delays in seconds, same shape as *deltas*.
-
-    Raises
-    ------
-    ValueError
-        If *direction* is neither ``"falling"`` nor ``"rising"``.
-    """
-    if direction not in ("falling", "rising"):
-        raise ValueError(f"direction must be 'falling' or 'rising', "
-                         f"got {direction!r}")
-    method = getattr(engine, f"delays_{direction}_block", None)
-    if method is None:
-        return block_delays_loop(engine, direction, block, deltas,
-                                 vn_init)
-    if direction == "falling":
-        return method(block, deltas)
-    return method(block, deltas, vn_init)

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..core.hybrid_model import HybridNorModel
 from ..core.multi_input import (GeneralizedNorParameters,
-                                generalized_model, offset_rows)
+                                generalized_model, generalized_record,
+                                lane_sets, offset_rows, parameter_width)
 from ..core.parameters import NorGateParameters
 from .base import register_engine, traced_entry_point
 
@@ -29,11 +30,25 @@ def _model(params: NorGateParameters) -> HybridNorModel:
     return HybridNorModel(params)
 
 
-def _prepare_rows(params: GeneralizedNorParameters, deltas,
-                  settle: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Validate a Δ-vector grid and clip it to the settling region."""
-    flat, shape = offset_rows(params.num_inputs, deltas)
-    return np.clip(flat, -settle, settle), shape
+def _rows(params, deltas):
+    """Per Δ-vector row: the scalar model of its parameter set and its
+    absolute input times (offsets clipped to the settling region);
+    plus the leading shape the delays reshape to."""
+    if isinstance(params, GeneralizedNorParameters):
+        models = [generalized_model(params)]
+        index = np.zeros(np.shape(deltas)[:-1], dtype=np.intp)
+    else:
+        sets, index = lane_sets(params, deltas)
+        models = [generalized_model(generalized_record(sets, i))
+                  for i in range(sets.shape[0])]
+    flat, shape = offset_rows(parameter_width(params), deltas)
+    index = index.reshape(-1)
+    out = []
+    for row, i in zip(flat, index):
+        settle = models[i].settle_time()
+        times = np.concatenate([[0.0], np.clip(row, -settle, settle)])
+        out.append((models[i], times - times.min()))
+    return out, shape
 
 
 class ReferenceEngine:
@@ -120,7 +135,7 @@ class ReferenceEngine:
 
     @traced_entry_point("engine.delays_block", "rising")
     def delays_rising_block(self, block, deltas,
-                            vn_init: float = 0.0) -> np.ndarray:
+                            vn_init=0.0) -> np.ndarray:
         """Rising MIS delays for a parameter sample block, one scalar
         sweep per record.
 
@@ -132,9 +147,9 @@ class ReferenceEngine:
         deltas : array_like of float
             Input separations in seconds, shape ``(N,)`` or
             ``(N, M)``; ``±inf`` allowed, NaN rejected.
-        vn_init : float, optional
+        vn_init : float or array_like of float, optional
             Mode-(1,1) internal-node voltage in volts, shared by the
-            block (default 0.0, the GND worst case).
+            block or one per record (default 0.0, the GND worst case).
 
         Returns
         -------
@@ -158,8 +173,9 @@ class ReferenceEngine:
 
         Parameters
         ----------
-        params : GeneralizedNorParameters
-            n-input electrical parameter set (SI units).
+        params : GeneralizedNorParameters or numpy.ndarray
+            n-input electrical parameter set (SI units), or an n-input
+            sample block with one set per leading row of *deltas*.
         deltas : array_like of float
             Sibling offsets, shape ``(..., n−1)``; ``±inf`` clips to
             the SIS plateaus.
@@ -170,13 +186,9 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        model = generalized_model(params)
-        rows, shape = _prepare_rows(params, deltas,
-                                    model.settle_time())
-        out = np.empty(rows.shape[0])
-        for i, offsets in enumerate(rows):
-            times = np.concatenate([[0.0], offsets])
-            out[i] = model.delay_falling(times - times.min())
+        rows, shape = _rows(params, deltas)
+        out = np.array([model.delay_falling(times)
+                        for model, times in rows])
         return out.reshape(shape)
 
     @traced_entry_point("engine.delays_n", "rising")
@@ -187,8 +199,9 @@ class ReferenceEngine:
 
         Parameters
         ----------
-        params : GeneralizedNorParameters
-            n-input electrical parameter set (SI units).
+        params : GeneralizedNorParameters or numpy.ndarray
+            n-input electrical parameter set (SI units), or an n-input
+            sample block with one set per leading row of *deltas*.
         deltas : array_like of float
             Sibling offsets, shape ``(..., n−1)``; ``±inf`` clips to
             the SIS plateaus.
@@ -202,15 +215,12 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        model = generalized_model(params)
-        rows, shape = _prepare_rows(params, deltas,
-                                    model.settle_time())
-        init = [float(internal_init)] * (params.num_inputs - 1)
-        out = np.empty(rows.shape[0])
-        for i, offsets in enumerate(rows):
-            times = np.concatenate([[0.0], offsets])
-            out[i] = model.delay_rising(times - times.min(),
-                                        internal_init=init)
+        rows, shape = _rows(params, deltas)
+        out = np.array([
+            model.delay_rising(
+                times, internal_init=[float(internal_init)]
+                * (model.params.num_inputs - 1))
+            for model, times in rows])
         return out.reshape(shape)
 
 

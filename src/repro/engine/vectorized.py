@@ -11,7 +11,9 @@ array as a ``(1, M)`` matrix.  The 2-input closed form thus lives only
 in the block kernels, and a sweep returns the same bytes as a
 one-record :func:`~repro.engine.blocks.falling_delays_block` /
 :func:`~repro.engine.blocks.rising_delays_block` call.  The n-input
-entry points run the compiled kernel of :mod:`repro.core.multi_input`.
+entry points run the compiled kernel of :mod:`repro.core.multi_input`
+(:func:`~repro.core.multi_input.nor_delays`), on one parameter set or
+one set per lane.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import functools
 
 import numpy as np
 
-from ..core.multi_input import (GeneralizedNorParameters,
-                                compiled_nor_kernel)
+from ..core.multi_input import GeneralizedNorParameters, nor_delays
 from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from .base import register_engine, traced_entry_point
@@ -135,7 +136,7 @@ class VectorizedEngine:
 
     @traced_entry_point("engine.delays_block", "rising")
     def delays_rising_block(self, block, deltas,
-                            vn_init: float = 0.0) -> np.ndarray:
+                            vn_init=0.0) -> np.ndarray:
         """Rising MIS delays for a whole parameter sample block.
 
         Parameters
@@ -146,10 +147,10 @@ class VectorizedEngine:
         deltas : array_like of float
             Input separations in seconds, shape ``(N,)`` or
             ``(N, M)``; ``±inf`` allowed, NaN rejected.
-        vn_init : float, optional
+        vn_init : float or array_like of float, optional
             Mode-(1,1) internal-node voltage in volts, shared by the
-            block (default 0.0, the GND worst case); NaN and ``±inf``
-            rejected.
+            block or one per record (default 0.0, the GND worst case);
+            NaN and ``±inf`` rejected.
 
         Returns
         -------
@@ -166,15 +167,15 @@ class VectorizedEngine:
 
         Runs the flattened
         :class:`~repro.core.multi_input.CompiledNorKernel` (stacked
-        eigen tensors, shared per parameter set and persisted via
-        :mod:`repro.cache` when configured).  For ``n = 2`` it agrees
-        with the closed-form :meth:`delays_falling` path to
+        eigen tensors, shared per parameter set).  For ``n = 2`` it
+        agrees with the closed-form :meth:`delays_falling` path to
         ≤ 1e-12 s (asserted by the parity suite).
 
         Parameters
         ----------
-        params : GeneralizedNorParameters
-            n-input electrical parameter set (SI units).
+        params : GeneralizedNorParameters or numpy.ndarray
+            n-input electrical parameter set (SI units), or an n-input
+            sample block with one set per leading row of *deltas*.
         deltas : array_like of float
             Sibling offsets, shape ``(..., n−1)``; ``±inf`` clips to
             the SIS plateaus, NaN rejected.
@@ -185,7 +186,7 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        return compiled_nor_kernel(params).evaluate(deltas, "falling")
+        return nor_delays(params, deltas, "falling", 0.0)
 
     @traced_entry_point("engine.delays_n", "rising")
     def delays_rising_n(self, params: GeneralizedNorParameters,
@@ -195,8 +196,9 @@ class VectorizedEngine:
 
         Parameters
         ----------
-        params : GeneralizedNorParameters
-            n-input electrical parameter set (SI units).
+        params : GeneralizedNorParameters or numpy.ndarray
+            n-input electrical parameter set (SI units), or an n-input
+            sample block with one set per leading row of *deltas*.
         deltas : array_like of float
             Sibling offsets, shape ``(..., n−1)``; ``±inf`` clips to
             the SIS plateaus, NaN rejected.
@@ -211,8 +213,7 @@ class VectorizedEngine:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        return compiled_nor_kernel(params).evaluate(
-            deltas, "rising", float(internal_init))
+        return nor_delays(params, deltas, "rising", float(internal_init))
 
 
 register_engine(VectorizedEngine.name, VectorizedEngine)

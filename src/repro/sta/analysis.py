@@ -22,9 +22,9 @@ backward search over the recorded per-arc candidates.
 
 The propagation core is *array-native*: arrivals are NumPy arrays
 over a corner axis, and each arc costs one batched delay-model call
-per distinct parameter corner — this is what
-:mod:`repro.sta.sweep` exploits to make a 1000-corner sweep a
-handful of engine calls instead of a thousand scalar analyses.
+for all corners, whatever parameter set each corner lane carries —
+this is what :mod:`repro.sta.sweep` exploits to make a 1000-corner
+sweep one engine call per arc instead of a thousand scalar analyses.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import math
 import numpy as np
 
 from ..core.multi_input import sibling_offsets
-from ..core.parameters import NorGateParameters
 from ..errors import ParameterError, SimulationError
 from .graph import DIRECTION, TimingArc, TimingGraph, TimingNode
 
@@ -128,64 +127,32 @@ def _record_delta(record: _ArcRecord, corner: int = 0):
     return float(value)
 
 
-def _group_lanes(axis):
-    """Group one lane-indexed parameter axis by distinct set."""
-    groups: dict[NorGateParameters, list[int]] = {}
-    for lane, params in enumerate(axis):
-        groups.setdefault(params, []).append(lane)
-    return [(params, np.asarray(lanes))
-            for params, lanes in groups.items()]
-
-
-def _corner_groups(corner_params):
-    """Group corner lanes by parameter set, once per propagation.
-
-    ``corner_params`` is ``None`` (no re-targeting), a sequence of
-    parameter sets one per corner lane (shared by every instance), or
-    a mapping ``{instance name: sequence}`` for *per-instance*
-    corners (independent process variation).  Returns ``None``, a
-    list of ``(params, lane_index_array)`` pairs in first-appearance
-    order, or a dict of such lists keyed by instance name.  Hashing
-    every lane per *arc* was the sweep's second hottest path — the
-    grouping depends only on the corner axis, so every arc of a
-    propagation shares this one pass.
-    """
-    if corner_params is None:
-        return None
-    if isinstance(corner_params, dict):
-        return {name: _group_lanes(axis)
-                for name, axis in corner_params.items()}
-    return _group_lanes(corner_params)
-
-
 def _grouped_delays(arc: TimingArc, deltas: np.ndarray,
-                    corner_groups) -> np.ndarray:
-    """Evaluate an arc's delay model, batched per parameter corner.
+                    corner_params) -> np.ndarray:
+    """Evaluate an arc's delay model over the corner lanes, in one call.
 
     *deltas* is the scalar separation per lane (2-input and
     single-input arcs) or a ``(lanes, n−1)`` Δ-vector matrix
     (n-input arcs); the model's one ``delays`` entry point takes
-    either.  ``corner_groups`` is ``None`` (no re-targeting) or the
-    :func:`_corner_groups` precompute — per-instance (dict) groupings
-    re-target each arc with its own instance's axis; lanes sharing a
-    parameter set are evaluated in a single model call.  NaN lanes
-    (no crossing to condition on) are left NaN.
+    either.  ``corner_params`` is ``None`` (no re-targeting), one
+    parameter set, a sample block with one set per lane, or a mapping
+    ``{instance name: set or block}`` that re-targets each arc with
+    its own instance's corners.  NaN lanes (no crossing to condition
+    on) are left NaN.
     """
     direction = DIRECTION[arc.target.transition]
     nan = np.isnan(deltas)
     valid = ~(nan.any(axis=1) if nan.ndim == 2 else nan)
     delays = np.full(valid.shape, math.nan)
-    groups = (corner_groups.get(arc.instance)
-              if isinstance(corner_groups, dict) else corner_groups)
-    if groups is None or not arc.model.retargetable:
-        if valid.any():
-            delays[valid] = arc.model.delays(direction, deltas[valid])
-        return delays
-    for params, lanes in groups:
-        index = lanes[valid[lanes]]
-        if index.size:
-            delays[index] = arc.model.delays(direction, deltas[index],
-                                             params=params)
+    params = (corner_params.get(arc.instance)
+              if isinstance(corner_params, dict) else corner_params)
+    if not arc.model.retargetable:
+        params = None
+    elif isinstance(params, np.ndarray):
+        params = params[valid]
+    if valid.any():
+        delays[valid] = arc.model.delays(direction, deltas[valid],
+                                         params=params)
     return delays
 
 
@@ -207,7 +174,6 @@ def _propagate(graph: TimingGraph,
     arrival: dict[TimingNode, np.ndarray] = dict(input_arrivals)
     shape = next(iter(arrival.values())).shape
     records: dict[TimingNode, list[_ArcRecord]] = {}
-    corner_groups = _corner_groups(corner_params)
 
     for signal in graph.signal_order:
         for transition in ("rise", "fall"):
@@ -252,7 +218,7 @@ def _propagate(graph: TimingGraph,
                                              offsets, math.nan)
                             lookup = delta
                         delay = _grouped_delays(arc, lookup,
-                                                corner_groups)
+                                                corner_params)
                         candidate = np.where(
                             finite,
                             reference + np.nan_to_num(delay),
@@ -262,7 +228,7 @@ def _propagate(graph: TimingGraph,
                 else:
                     delta = np.zeros(shape)
                     delay = _grouped_delays(arc, delta,
-                                            corner_groups)
+                                            corner_params)
                     candidate = t_source + delay
                 candidates.append(candidate)
                 if keep_records:

@@ -33,8 +33,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import paper_generalized
-from ..core.parameters import NorGateParameters
+from ..core.multi_input import paper_generalized, parameter_width
+from ..core.parameters import BLOCK_DTYPE, NorGateParameters
 from ..engine import delays_for_direction, get_engine
 from ..errors import ParameterError
 from ..library.tables import (GATE_TYPES, GateDelayTable,
@@ -81,9 +81,10 @@ class ArcDelayModel(Protocol):
             offsets relative to pin 0 for n-input gates; ``±inf``
             selects the SIS plateaus.  Δ-independent models read
             only the lane count.
-        params : NorGateParameters or GeneralizedNorParameters, optional
-            Corner override; only honoured when
-            :attr:`retargetable` is true.
+        params : parameter set or sample block, optional
+            Corner override — one set, or a sample block with one set
+            per lane; only honoured when :attr:`retargetable` is
+            true.
 
         Returns
         -------
@@ -132,6 +133,7 @@ class EngineArcModel:
     def _resolve(self, params):
         """Resolve a corner override onto this arc's gate width.
 
+        *params* is one set or a sample block with one set per lane.
         2-input corner sets re-target n-input arcs through the
         :func:`~repro.core.multi_input.paper_generalized`
         extrapolation (rail stage keeps ``R1``, further stages repeat
@@ -140,35 +142,44 @@ class EngineArcModel:
         """
         if params is None:
             return self.params
+        width = parameter_width(params)
+        two_input = isinstance(params, NorGateParameters) or (
+            isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
         if self.gate in GATE_TYPES:
-            if not isinstance(params, NorGateParameters):
+            if not two_input:
                 raise ParameterError(
                     f"{self.gate!r} arcs re-target to "
                     "NorGateParameters corners only")
             return params
-        if isinstance(params, NorGateParameters):
+        if two_input:
             return paper_generalized(self.num_inputs, params)
-        if params.num_inputs != self.num_inputs:
+        if width != self.num_inputs:
             raise ParameterError(
-                f"corner parameter set has {params.num_inputs} "
-                f"inputs; {self.gate!r} arcs need {self.num_inputs}")
+                f"corner parameter set has {width} inputs; "
+                f"{self.gate!r} arcs need {self.num_inputs}")
         return params
 
-    def _vn_init(self, params) -> float:
-        """Worst-case (or overridden) NOR-frame internal-node voltage."""
+    def _vn_init(self, params):
+        """Worst-case (or overridden) NOR-frame internal-node voltage,
+        one per lane for a NAND arc's per-lane corners."""
+        if self.state is None:
+            # NOR: V_N = 0; NAND: V_M = VDD mirrors to VDD − VDD = 0.
+            return 0.0
         if self.gate == "nand2":
             # NAND state axis is V_M; mirror into the NOR frame.
-            vm = params.vdd if self.state is None else self.state
-            return params.vdd - vm
-        return 0.0 if self.state is None else self.state
+            vdd = (params["vdd"] if isinstance(params, np.ndarray)
+                   else params.vdd)
+            return vdd - self.state
+        return self.state
 
     def delays(self, direction: str, deltas,
                params=None) -> np.ndarray:
         """Evaluate ``δ(Δ)`` for the arc's output *direction*.
 
         See :meth:`ArcDelayModel.delays`; *params* re-targets the
-        evaluation to another corner (2-input corner sets are widened
-        through ``paper_generalized`` for n-input arcs).
+        evaluation to one corner, or to one corner per lane (2-input
+        corner sets are widened through ``paper_generalized`` for
+        n-input arcs).
         """
         resolved = self._resolve(params)
         if self.gate == "nand2":

@@ -10,10 +10,10 @@ engine evaluations.
 :func:`sweep_corners` instead propagates *arrays* of arrival times
 through the timing graph: every node's arrival is a vector over the
 corner axis, every MIS arc computes its Δ vector in one subtraction,
-and each arc's delays are fetched with **one batched engine call per
-distinct parameter set** (corners sharing parameters are evaluated
-together).  A 1000-corner sweep of an N-gate circuit thus costs on
-the order of ``N × distinct-parameter-sets`` engine calls instead of
+and each arc's delays are fetched with **one batched engine call**,
+whatever parameter set each corner carries (the corner axis is a
+sample block, one set per lane).  A 1000-corner sweep of an N-gate
+circuit thus costs on the order of ``N`` engine calls instead of
 ``N × 1000`` — the speedup is recorded in ``BENCH_sta.json`` by
 ``benchmarks/bench_sta.py`` (acceptance: ≥ 10×).
 
@@ -28,7 +28,11 @@ import math
 
 import numpy as np
 
-from ..core.parameters import NorGateParameters
+from ..core.multi_input import (GeneralizedNorParameters,
+                                generalized_block, generalized_record,
+                                parameter_width)
+from ..core.parameters import BLOCK_DTYPE, NorGateParameters
+from ..engine.blocks import block_from_parameters, parameters_at
 from ..errors import ParameterError
 from .analysis import _propagate
 from .graph import TimingGraph, TimingNode
@@ -42,10 +46,11 @@ def _resolve_corner_axes(graph: TimingGraph, params, arrivals,
     """Broadcast the params / arrival axes to one corner count.
 
     Returns ``(count, corner_params, node_arrays)`` where
-    *corner_params* is ``None``, a list with one parameter set per
-    corner, or — for per-instance variation — a dict of such lists
-    keyed by instance name, and *node_arrays* maps every input node
-    to a ``(count,)`` arrival array.  A NaN *required* is rejected.
+    *corner_params* is ``None``, one parameter set shared by every
+    corner, a sample block with one set per corner, or — for
+    per-instance variation — a dict of such sets and blocks keyed by
+    instance name, and *node_arrays* maps every input node to a
+    ``(count,)`` arrival array.  A NaN *required* is rejected.
     """
     if required is not None and math.isnan(required):
         raise ParameterError("required time must not be NaN")
@@ -60,13 +65,26 @@ def _resolve_corner_axes(graph: TimingGraph, params, arrivals,
                 f"{what} axis has {n} corners, but another axis has "
                 f"{count}; axes must broadcast")
 
-    def as_axis(spec, what: str) -> list:
-        axis = [spec] if isinstance(spec, NorGateParameters) \
-            else list(spec)
-        if not axis:
+    def as_axis(spec, what: str):
+        # One set broadcasts; a sequence packs into a sample block
+        # once, so every arc indexes the same per-lane records.
+        if isinstance(spec, (NorGateParameters,
+                             GeneralizedNorParameters)):
+            return spec
+        if not isinstance(spec, np.ndarray):
+            spec = list(spec)
+            if spec and all(isinstance(p, NorGateParameters)
+                            for p in spec):
+                spec = block_from_parameters(spec)
+            elif spec:
+                spec = generalized_block(spec)
+        if not len(spec):
             raise ParameterError(f"{what} axis must not be empty")
-        merge(len(axis), what)
-        return axis
+        parameter_width(spec)
+        if spec.ndim != 1:
+            raise ParameterError(f"{what} axis must be 1-D over corners")
+        merge(spec.shape[0], what)
+        return spec
 
     corner_params = None
     if isinstance(params, dict):
@@ -121,13 +139,28 @@ def _resolve_corner_axes(graph: TimingGraph, params, arrivals,
             raise ParameterError(
                 f"arrival axis for {node} has {array.shape[0]} "
                 f"corners, expected {count}")
+
+    def broadcast(axis):
+        if isinstance(axis, np.ndarray) and axis.shape[0] == 1:
+            return np.broadcast_to(axis, (count,))
+        return axis
+
     if isinstance(corner_params, dict):
-        corner_params = {name: (axis * count if len(axis) == 1
-                                else axis)
+        corner_params = {name: broadcast(axis)
                          for name, axis in corner_params.items()}
-    elif corner_params is not None and len(corner_params) == 1:
-        corner_params = corner_params * count
+    else:
+        corner_params = broadcast(corner_params)
     return count, corner_params, node_arrays
+
+
+def _corner_set(axis, corner: int):
+    """The one parameter set of a corner lane (``None`` and shared
+    sets pass through)."""
+    if not isinstance(axis, np.ndarray):
+        return axis
+    if axis.dtype == BLOCK_DTYPE:
+        return parameters_at(axis, corner)
+    return generalized_record(axis, corner)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,15 +257,18 @@ def sweep_corners(graph: TimingGraph, params=None, arrivals=None,
     ----------
     graph : TimingGraph
         Lowered circuit.  Re-targetable (engine-backed) arcs are
-        re-evaluated per distinct parameter set; table/fixed arcs
-        keep their characterized delays.
-    params : NorGateParameters, sequence, or mapping, optional
-        The parameter-corner axis: one set per corner (a single set
-        broadcasts).  A mapping ``{instance name: axis}`` re-targets
-        each listed instance with its *own* axis — independent
-        per-instance process variation (unlisted instances keep
-        their built-in parameters).  ``None`` keeps every arc on its
-        built-in parameters.
+        re-evaluated at every corner's parameter set; table/fixed
+        arcs keep their characterized delays.
+    params : parameter set, sequence, sample block, or mapping, optional
+        The parameter-corner axis: one set per corner, as a sequence
+        of :class:`NorGateParameters` (or of n-input
+        :class:`~repro.core.multi_input.GeneralizedNorParameters`)
+        or a sample block; a single set broadcasts.  A mapping
+        ``{instance name: axis}`` re-targets each listed instance
+        with its *own* axis — independent per-instance process
+        variation (unlisted instances keep their built-in
+        parameters).  ``None`` keeps every arc on its built-in
+        parameters.
     arrivals : mapping, optional
         Input-arrival scenarios: ``{signal: spec}`` where *spec* is
         a scalar, a ``(rise, fall)`` *tuple* (whose entries may
@@ -254,8 +290,9 @@ def sweep_corners(graph: TimingGraph, params=None, arrivals=None,
     Raises
     ------
     ParameterError
-        If the corner axes do not broadcast to one length, or
-        *required* is NaN.
+        If the corner axes do not broadcast to one length,
+        *required* is NaN, or a corner set does not fit an arc's
+        gate (an n-input set on a 2-input arc).
     """
     count, corner_params, node_arrays = _resolve_corner_axes(
         graph, params, arrivals, required)
@@ -287,12 +324,10 @@ def sweep_corners_scalar(graph: TimingGraph, params=None,
         spec = {node: np.asarray([array[corner]])
                 for node, array in node_arrays.items()}
         if isinstance(corner_params, dict):
-            lane_params = {name: [axis[corner]]
+            lane_params = {name: _corner_set(axis, corner)
                            for name, axis in corner_params.items()}
-        elif corner_params is not None:
-            lane_params = [corner_params[corner]]
         else:
-            lane_params = None
+            lane_params = _corner_set(corner_params, corner)
         arrival_arrays, _records = _propagate(
             graph, spec, mode, corner_params=lane_params,
             keep_records=False)

@@ -1,13 +1,13 @@
 """Vectorized Monte-Carlo delay sampling over parameter blocks.
 
-The hot path is one engine call: N sampled parameter sets × M
-Δ-points flatten into a single block-kernel evaluation per direction
-(:mod:`repro.engine.blocks`), so Monte-Carlo throughput is the block
-kernel's throughput — benchmarked against the honest per-sample
-scalar loop by ``benchmarks/bench_stats.py`` (acceptance: ≥ 50×).
-For the generalized ``nor3`` / ``nor4`` gates the engine's Δ-vector
-entry points are looped per sample (they batch over Δ, not over
-parameter sets); the 2-input block path is the throughput story.
+The hot path is one engine call per direction, at every gate width:
+N sampled parameter sets × M Δ-points go to the engine as one sample
+block with one set per lane — the 2-input block kernels of
+:mod:`repro.engine.blocks` for ``nor2``, the n-input kernel's
+parameter axis (:class:`~repro.core.multi_input.CompiledNorKernel`)
+for ``nor3`` / ``nor4`` — so Monte-Carlo throughput is the kernel's
+throughput, benchmarked against the honest per-sample scalar loop by
+``benchmarks/bench_stats.py`` (acceptance: ≥ 50×).
 
 Determinism
 -----------
@@ -28,8 +28,8 @@ import dataclasses
 
 import numpy as np
 
+from ..core.multi_input import paper_generalized
 from ..engine.base import delays_for_direction, get_engine
-from ..engine.blocks import block_delays, parameters_at
 from ..errors import ParameterError
 from ..library.tables import gate_width
 from ..obs import metrics as _metrics
@@ -103,12 +103,11 @@ def evaluate_block(engine, gate: str, direction: str,
     """Raw (unquantized) delays of a sample block at per-row Δ.
 
     The shared evaluation seam of Monte-Carlo sampling and the
-    collocation surrogate's design evaluation: ``nor2`` routes
-    through the engine's block kernels in one call per direction;
-    ``nor3`` / ``nor4`` widen each record via
-    :func:`repro.core.multi_input.paper_generalized` and loop the
-    engine's Δ-vector entry points per sample (every later input at
-    the same offset Δ).
+    collocation surrogate's design evaluation: every record is
+    widened to the gate via
+    :func:`repro.core.multi_input.paper_generalized`, every Δ becomes
+    the Δ-vector with every later input at that same offset, and one
+    engine call per direction evaluates the block.
 
     Parameters
     ----------
@@ -131,22 +130,11 @@ def evaluate_block(engine, gate: str, direction: str,
         Raw delays, shape ``(N, M)``.
     """
     width = gate_width(gate)
-    if direction not in ("falling", "rising"):
-        raise ParameterError(
-            f"direction must be 'falling' or 'rising', got "
-            f"{direction!r}")
-    if width == 2:
-        return np.asarray(
-            block_delays(engine, direction, block, deltas, vn_init))
-    from ..core.multi_input import paper_generalized
-
-    out = np.empty(deltas.shape)
-    for i in range(block.shape[0]):
-        params = paper_generalized(width, parameters_at(block, i))
-        row = np.repeat(deltas[i][:, None], width - 1, axis=1)
-        out[i] = delays_for_direction(engine, direction, params, row,
-                                      vn_init)
-    return out
+    rows = np.repeat(np.asarray(deltas, dtype=float)[..., None],
+                     width - 1, axis=-1)
+    return np.asarray(delays_for_direction(
+        engine, direction, paper_generalized(width, block), rows,
+        vn_init))
 
 
 def sample_delays(distribution, deltas, *, samples: int,

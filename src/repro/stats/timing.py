@@ -22,7 +22,6 @@ import dataclasses
 
 import numpy as np
 
-from ..engine.blocks import parameters_at
 from ..errors import ParameterError
 from ..obs.trace import span as _span
 from .montecarlo import _counter, quantize
@@ -140,19 +139,14 @@ def timing_yield(graph, distribution, *, samples: int,
             f"{arrival_sigma}")
     if per_instance:
         names = [inst.name for inst in graph.circuit.instances]
+        params_axis = None
         if names:
             block = distribution.sample_block(
                 samples * len(names), seed)
-            params_axis = {
-                name: [parameters_at(block, k * samples + i)
-                       for i in range(samples)]
-                for k, name in enumerate(names)}
-        else:
-            params_axis = None
+            params_axis = {name: block[k * samples:(k + 1) * samples]
+                           for k, name in enumerate(names)}
     else:
-        block = distribution.sample_block(samples, seed)
-        params_axis = [parameters_at(block, i)
-                       for i in range(samples)]
+        params_axis = distribution.sample_block(samples, seed)
 
     base = dict(arrivals or {})
     spec: dict = {}

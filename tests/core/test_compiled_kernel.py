@@ -24,8 +24,10 @@ from repro.core.multi_input import (CompiledNorKernel,
                                     GeneralizedNorModel,
                                     GeneralizedNorParameters,
                                     compiled_nor_kernel,
+                                    generalized_block,
                                     generalized_model,
                                     paper_generalized)
+from repro.core.parameters import NorGateParameters
 from repro.core.solutions import exp_sum_crossing
 from repro.engine import get_engine
 from repro.units import PS
@@ -109,6 +111,87 @@ class TestKernelVsScalarReference:
                                                        "falling")
         expected = reference.delays_falling_n(params, deltas)
         assert float(np.max(np.abs(batched - expected))) <= PARITY_TOL
+
+
+@st.composite
+def parameter_sets(draw, num_inputs: int) -> list:
+    """1–6 n-input sets: widened 2-input draws and direct sets."""
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            sets.append(paper_generalized(num_inputs, NorGateParameters(
+                *(draw(_resistance) for _ in range(4)), draw(_cint),
+                draw(_cout), vdd=draw(st.sampled_from([0.8, 1.2])))))
+        else:
+            sets.append(GeneralizedNorParameters(
+                r_pullup=tuple(draw(_resistance)
+                               for _ in range(num_inputs)),
+                r_pulldown=tuple(draw(_resistance)
+                                 for _ in range(num_inputs)),
+                c_internal=tuple(draw(_cint)
+                                 for _ in range(num_inputs - 1)),
+                co=draw(_cout), vdd=draw(st.sampled_from([0.8, 1.2])),
+                delta_min=draw(st.sampled_from([0.0, 18.0 * PS]))))
+    return sets
+
+
+class TestParameterAxis:
+    """One parameter set per lane: the per-lane kernel agrees with the
+    reference engine row by row, and with one single-set kernel call
+    per set up to the lockstep Newton's last bits."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([3, 4]),
+           direction=st.sampled_from(["falling", "rising"]),
+           init=st.sampled_from([0.1, 0.35, 0.6]))
+    def test_per_lane_sets(self, data, n, direction, init):
+        sets = data.draw(parameter_sets(n))
+        lanes = data.draw(st.integers(1, 8))
+        index = np.array(data.draw(st.lists(
+            st.integers(0, len(sets) - 1), min_size=lanes,
+            max_size=lanes)))
+        finite = st.floats(min_value=-400.0 * PS, max_value=400.0 * PS)
+        deltas = np.array([[data.draw(finite) for _ in range(n - 1)]
+                           for _ in range(lanes)])
+        block = generalized_block([sets[i] for i in index])
+        method = f"delays_{direction}_n"
+        extra = (init,) if direction == "rising" else ()
+        got = getattr(get_engine("vectorized"), method)(block, deltas,
+                                                        *extra)
+        expected = getattr(get_engine("reference"), method)(
+            block, deltas, *extra)
+        assert got.shape == (lanes,)
+        assert float(np.max(np.abs(got - expected))) <= PARITY_TOL
+        for i, params in enumerate(sets):
+            rows = index == i
+            if rows.any():
+                single = compiled_nor_kernel(params).evaluate(
+                    deltas[rows], direction, init)
+                assert float(np.max(np.abs(got[rows] - single))) \
+                    <= 1e-18
+
+    def test_one_batched_eigensolve(self, monkeypatch):
+        """A kernel build decomposes every set and mode in one call."""
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda m: calls.append(m.shape) or eig(m))
+        block = generalized_block([paper_generalized(4),
+                                   paper_generalized(4).replace(co=1e-15),
+                                   paper_generalized(4).replace(co=2e-15)])
+        CompiledNorKernel(block)
+        assert calls == [(3, 16, 5, 5)]
+
+    def test_lanes_share_their_set(self):
+        """Repeated sets are decomposed once; a one-set block reuses
+        the cached single-set kernel's bytes."""
+        p3 = paper_generalized(3)
+        rows = np.random.default_rng(4).uniform(-50 * PS, 50 * PS,
+                                                (6, 2))
+        engine = get_engine("vectorized")
+        got = engine.delays_falling_n(generalized_block([p3] * 6), rows)
+        assert got.tobytes() == engine.delays_falling_n(p3,
+                                                        rows).tobytes()
 
 
 class TestGridShapes:

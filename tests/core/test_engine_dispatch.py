@@ -54,6 +54,15 @@ class TestDispatch:
         with pytest.raises(ValueError):
             delays_for_direction(engine, "sideways", p3, grid)
 
+    def test_invalid_direction_is_a_repro_error(self):
+        """A bad direction at the engine seam stays inside the
+        package's typed error contract."""
+        from repro.errors import ReproError
+        from repro.sta import EngineArcModel
+
+        with pytest.raises(ReproError):
+            EngineArcModel(PAPER_TABLE_I).delays("up", [0.0])
+
 
 class TestBackendAgreement:
     def test_reference_vs_vectorized(self, p3, grid):

@@ -18,7 +18,8 @@ from repro.core.multi_input import (GeneralizedNorModel,
                                     compiled_nor_kernel,
                                     paper_generalized)
 from repro.core.parameters import PAPER_TABLE_I
-from repro.engine import available_engines, block_delays, get_engine
+from repro.engine import (available_engines, delays_for_direction,
+                          get_engine)
 from repro.engine.blocks import block_from_parameters, rising_delays_block
 from repro.errors import ParameterError
 from repro.units import PS
@@ -44,8 +45,8 @@ class TestBackends:
     def test_sample_block(self, backend, value):
         block = block_from_parameters([PAPER_TABLE_I] * 2)
         with pytest.raises(ParameterError, match="vn_init"):
-            block_delays(get_engine(backend), "rising", block,
-                         np.zeros((2, 3)), value)
+            delays_for_direction(get_engine(backend), "rising", block,
+                                 np.zeros((2, 3)), value)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

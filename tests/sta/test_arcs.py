@@ -8,6 +8,7 @@ import pytest
 from repro.core.duality import HybridNandModel
 from repro.core.hybrid_model import HybridNorModel
 from repro.core.parameters import PAPER_TABLE_I
+from repro.engine import block_from_parameters
 from repro.errors import ParameterError
 from repro.library import CharacterizationJob, characterize_gate
 from repro.sta import (ArcDelayModel, EngineArcModel, FixedArcModel,
@@ -76,6 +77,22 @@ class TestEngineArcModel:
         assert retargeted > base
         assert retargeted == pytest.approx(
             HybridNorModel(slow).delay_falling(0.0), abs=1e-15)
+
+    @pytest.mark.parametrize("gate", ["nor2", "nand2"])
+    def test_per_lane_corners(self, gate):
+        """A sample block gives every lane its own corner; the NAND
+        mirror takes each lane's own VDD."""
+        arc = EngineArcModel(PAPER_TABLE_I, gate, state=0.3)
+        corners = [PAPER_TABLE_I.replace(vdd=vdd, r3=r3)
+                   for vdd, r3 in ((0.8, 40e3), (1.0, 45e3), (1.2, 50e3))]
+        block = block_from_parameters(corners)
+        lanes = np.array([-5.0 * PS, 0.0, 20.0 * PS])
+        for direction in ("falling", "rising"):
+            per_lane = arc.delays(direction, lanes, params=block)
+            one_by_one = [arc.delays(direction, lanes[i:i + 1],
+                                     params=corner)[0]
+                          for i, corner in enumerate(corners)]
+            assert per_lane == pytest.approx(one_by_one, abs=1e-18)
 
     def test_rejects_unknown_gate(self):
         with pytest.raises(ParameterError):

@@ -159,6 +159,19 @@ class TestCornerSweeps:
                     values[finite] - other[finite]))))
         assert worst <= 1e-15
 
+    def test_one_n_input_set_broadcasts(self, p3):
+        """One GeneralizedNorParameters corner broadcasts like one
+        NorGateParameters corner; a 2-input arc rejects it typed."""
+        graph = build_timing_graph(sta_circuit("nor3"))
+        arrivals = {"b": np.linspace(0.0, 40 * PS, 8)}
+        sweep = sweep_corners(graph, params=p3, arrivals=arrivals)
+        baseline = sweep_corners(graph, arrivals=arrivals)
+        for node, values in baseline.arrivals.items():
+            assert sweep.arrivals[node].tobytes() == values.tobytes()
+        with pytest.raises(ParameterError):
+            sweep_corners(build_timing_graph(sta_circuit("nor3_mixed")),
+                          params=p3)
+
     def test_arrival_axis_only(self):
         graph = build_timing_graph(sta_circuit("nor3"))
         sweep = sweep_corners(

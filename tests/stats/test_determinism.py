@@ -8,6 +8,7 @@ because every reduction happens on the canonical 1e-16 s quantization
 grid — and because the envelope deliberately carries no engine name.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -68,6 +69,25 @@ def test_surrogate_coefficients_are_backend_invariant(backend):
         == baseline.coefficients.tobytes()
 
 
+@pytest.mark.parametrize("gate", ["nor3", "nor4"])
+@pytest.mark.parametrize("direction", ["falling", "rising"])
+def test_n_input_envelope_is_backend_invariant(gate, direction):
+    request = dataclasses.replace(REQUEST, gate=gate,
+                                  direction=direction, samples=32)
+    envelopes = {Session(engine=backend).run(request).to_json().encode()
+                 for backend in BACKENDS}
+    assert len(envelopes) == 1
+
+
+def test_per_instance_n_input_yield_is_backend_invariant():
+    request = StatsRequest(method="yield", circuit="nor3_mixed",
+                           per_instance=True, samples=16, seed=13,
+                           required=250.0 * PS)
+    envelopes = {Session(engine=backend).run(request).to_json().encode()
+                 for backend in BACKENDS}
+    assert len(envelopes) == 1
+
+
 def test_envelope_is_process_invariant():
     """A fresh interpreter reproduces the exact envelope bytes."""
     local = Session().run(REQUEST).to_json()
@@ -99,7 +119,6 @@ def test_yield_envelope_repeats():
 
 
 def test_different_seeds_differ():
-    import dataclasses
     base = Session().run(REQUEST)
     other = Session().run(dataclasses.replace(REQUEST, seed=22))
     assert not np.array_equal(base.mean, other.mean)

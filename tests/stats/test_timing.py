@@ -14,7 +14,9 @@ import pytest
 from repro.api import Session
 from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import ParameterError
-from repro.stats import ParameterDistribution, timing_yield
+from repro.obs import metrics
+from repro.sta import analyze, demo_corners, sweep_corners
+from repro.stats import ParameterDistribution, sample_delays, timing_yield
 from repro.units import PS
 
 DIST = ParameterDistribution(PAPER_TABLE_I,
@@ -146,6 +148,40 @@ class TestPerInstanceVariation:
                            per_instance=True)
         assert per.arrival_stats()["std"] \
             < shared.arrival_stats()["std"]
+
+
+def _engine_calls() -> float:
+    """Process-wide ``repro_engine_calls_total`` over all labels."""
+    children = metrics.registry().get("repro_engine_calls_total") or {}
+    return sum(counter.value for counter in children.values())
+
+
+def _calls_of(function, *args, **kwargs) -> float:
+    before = _engine_calls()
+    function(*args, **kwargs)
+    return _engine_calls() - before
+
+
+class TestEngineCalls:
+    """Engine calls scale with the arcs, not with parameter sets."""
+
+    def test_one_call_per_arc_for_any_corner_axis(self):
+        graph = Session().timing_graph("nor3_mixed")
+        base = _calls_of(analyze, graph, required=250.0 * PS)
+        params, arrivals = demo_corners(64, graph.inputs, seed=4)
+        assert _calls_of(sweep_corners, graph, params=params,
+                         arrivals=arrivals) == base
+        for samples in (1, 8):
+            assert _calls_of(timing_yield, graph, DIST,
+                             samples=samples, seed=6,
+                             required=250.0 * PS,
+                             per_instance=True) == base
+
+    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    def test_nor3_monte_carlo_is_one_call(self, direction):
+        assert _calls_of(sample_delays, DIST, [-5.0 * PS, 0.0, 5.0 * PS],
+                         samples=256, direction=direction,
+                         gate="nor3") == 1
 
 
 class TestErrors:

@@ -2,9 +2,8 @@
 
 Covers the :mod:`repro.cache` store itself (content keys, atomic
 round trips, miss tolerance), its activation precedence
-(``configure`` > ``REPRO_CACHE_DIR``), the eigendecomposition
-persistence of :class:`~repro.core.multi_input.CompiledNorKernel`,
-characterization-table persistence, and the ISSUE 6 acceptance
+(``configure`` > ``REPRO_CACHE_DIR``), characterization-table
+persistence, and the ISSUE 6 acceptance
 criterion: a second *process* sharing the same cache root completes
 a NOR4 characterization job measurably faster, via the asserted
 cache-hit path.
@@ -22,10 +21,7 @@ import pytest
 import repro
 from repro import cache
 from repro.api import Session, VersionRequest
-from repro.core.multi_input import (GeneralizedNorParameters,
-                                    compiled_nor_kernel,
-                                    generalized_model,
-                                    paper_generalized)
+from repro.core.multi_input import paper_generalized
 from repro.library.characterize import (CharacterizationJob,
                                         characterize_gate)
 
@@ -39,16 +35,6 @@ def _clean_cache_state(monkeypatch):
     cache.unconfigure()
     yield
     cache.unconfigure()
-
-
-def _fresh_params(seed: float) -> GeneralizedNorParameters:
-    """A parameter set no other test shares, so the process-local
-    ``generalized_model`` memo cannot mask store interactions."""
-    return GeneralizedNorParameters(
-        r_pullup=(6.0e4 + seed, 6.1e4, 6.2e4),
-        r_pulldown=(5.9e4, 6.0e4 + seed, 6.1e4),
-        c_internal=(7.7e-17, 7.8e-17),
-        co=3.0e-16, vdd=1.2)
 
 
 class TestContentKey:
@@ -171,34 +157,6 @@ class TestActivation:
         assert cache.get_store() is None
         cache.unconfigure()
         assert cache.get_store() is not None
-
-
-class TestEigPersistence:
-    def test_kernel_round_trips_eigendecomposition(self, tmp_path):
-        store = cache.configure(tmp_path)
-        params = _fresh_params(1.0)
-        kernel = compiled_nor_kernel(params)
-        assert store.writes == 1 and store.hits == 0
-        # Drop the in-process model memo: the next build must come
-        # from disk, not from recomputed eigensystems.
-        generalized_model.cache_clear()
-        reloaded = compiled_nor_kernel(params)
-        assert store.hits == 1 and store.writes == 1
-        assert np.array_equal(kernel._rates, reloaded._rates)
-        assert np.array_equal(kernel._vectors, reloaded._vectors)
-        # The loaded bundle also seeds the scalar solver's eig memo.
-        assert len(reloaded._model._eig_cache) == (
-            1 << params.num_inputs)
-
-    def test_loaded_kernel_evaluates_identically(self, tmp_path):
-        cache.configure(tmp_path)
-        params = _fresh_params(2.0)
-        rng = np.random.default_rng(9)
-        deltas = rng.uniform(-3e-10, 3e-10, size=(40, 2))
-        cold = compiled_nor_kernel(params).evaluate(deltas, "falling")
-        generalized_model.cache_clear()
-        warm = compiled_nor_kernel(params).evaluate(deltas, "falling")
-        assert np.array_equal(cold, warm)
 
 
 class TestCharacterizationPersistence:
