@@ -113,8 +113,7 @@ def measure_surrogate(mc_samples: int, seed: int = 7) -> dict:
     mc_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    surrogate = fit_surrogate(_DISTRIBUTION, _DELTAS,
-                              use_cache=False)
+    surrogate = fit_surrogate(_DISTRIBUTION, _DELTAS)
     fit_s = time.perf_counter() - start
     summary = surrogate.summarize(samples=mc_samples, seed=seed)
 

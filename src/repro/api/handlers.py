@@ -361,7 +361,8 @@ def _sta(session: "Session", request: StaRequest) -> StaRunResult:
     sweep = None
     if request.corners is not None:
         params_axis, corner_arrivals = demo_corners(
-            request.corners, [graph.inputs[0]], seed=request.seed)
+            request.corners, [graph.inputs[0]], seed=request.seed,
+            base=session.parameters)
         if models is not None:
             # Table arcs are characterized for one parameter set;
             # sweep only the arrival axis for library-backed runs.

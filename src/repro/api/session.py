@@ -69,8 +69,8 @@ class Session:
         ``False`` re-reads and re-builds on every call).
     cache_dir : str or Path, optional
         Root directory of the *persistent* cross-process cache (see
-        :mod:`repro.cache`): eigendecompositions and characterized
-        tables are stored there and shared with other processes.
+        :mod:`repro.cache`): characterized delay tables are stored
+        there and shared with other processes.
         ``None`` (default) leaves the process-wide setting alone —
         the ``REPRO_CACHE_DIR`` environment variable still applies.
     trace : str or Tracer, optional

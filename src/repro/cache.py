@@ -1,20 +1,19 @@
 """Persistent cross-process result cache.
 
-Every expensive artifact of the package is a pure function of plain
-content — a characterized :class:`~repro.library.GateLibrary` by its
-job grid and engine, a collocation surrogate fit by its distribution,
-design and engine.  That makes all of them safe to share through
-a content-hash-keyed on-disk store: any process (a second CLI
-invocation, a server restart) that computes the same content writes
-the same key, and any other process reads it back instead of
-recomputing.
+A characterized delay table (:mod:`repro.library.characterize`) is a
+pure function of plain content — its job grid and engine — which makes
+it safe to share through a content-hash-keyed on-disk store: any
+process (a second CLI invocation, a server restart) that computes the
+same content writes the same key, and any other process reads it back
+instead of recomputing.  Tables are the only thing persisted, because
+they are the only artifact whose disk read beats recomputing it
+(NOR3/NOR4 cells; see ``docs/performance.md``).
 
 Store layout (under the cache root)::
 
     v1/                      # schema version — bump to invalidate all
       ab/                    # first two hex digits of the key
         ab3f...e2.json       # JSON payloads (library grids)
-        ab19...77.npz        # array bundles (surrogate fits)
 
 Keys are SHA-256 hashes of a canonical-JSON *content descriptor*
 (:meth:`DiskCache.content_key`), so invalidation is automatic: change
@@ -45,14 +44,10 @@ are reported by :meth:`repro.api.Session.cache_info`, ``repro version
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
-import zipfile
 from pathlib import Path
-
-import numpy as np
 
 from .obs import metrics as _metrics
 from .obs.trace import span as _span
@@ -89,6 +84,27 @@ def content_key(descriptor: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write *data* to *path* via a temp file and ``os.replace``.
+
+    Readers see the old file or the new one, never a partial write;
+    the temp file is removed if the write fails.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
+                               suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class DiskCache:
     """Content-addressed on-disk store with atomic writes.
 
@@ -100,9 +116,8 @@ class DiskCache:
     Notes
     -----
     Entries live under ``<root>/v<SCHEMA_VERSION>/<key[:2]>/`` as
-    ``.json`` (plain payloads) or ``.npz`` (array bundles).  All
-    accessors are miss-tolerant: unreadable entries count as misses
-    and are recomputed/overwritten by the caller.
+    ``.json`` files.  Reads are miss-tolerant: unreadable entries
+    count as misses and are recomputed/overwritten by the caller.
     """
 
     def __init__(self, root: "str | Path"):
@@ -162,22 +177,6 @@ class DiskCache:
     def _path(self, key: str, suffix: str) -> Path:
         return self._schema_dir / key[:2] / f"{key}{suffix}"
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=".tmp-", suffix=path.suffix)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._write_count.inc()
-
     # ------------------------------------------------------------------
     # JSON payloads
     # ------------------------------------------------------------------
@@ -217,47 +216,8 @@ class DiskCache:
         with _span("cache.put", kind="json", key=key[:12]):
             data = json.dumps(payload,
                               sort_keys=True).encode("utf-8")
-            self._atomic_write(self._path(key, ".json"), data)
-
-    # ------------------------------------------------------------------
-    # array bundles
-    # ------------------------------------------------------------------
-
-    def get_arrays(self, key: str) -> "dict[str, np.ndarray] | None":
-        """Load an array bundle (name -> ndarray), or ``None``.
-
-        Unreadable entries (bad zip container, truncated arrays) are
-        misses that also increment :attr:`corrupt`; a missing file is
-        a plain miss.
-        """
-        path = self._path(key, ".npz")
-        with _span("cache.get", kind="arrays",
-                   key=key[:12]) as live:
-            try:
-                with np.load(path) as archive:
-                    bundle = {name: archive[name]
-                              for name in archive.files}
-            except FileNotFoundError:
-                self._miss_count.inc()
-                live.set(outcome="miss")
-                return None
-            except (OSError, ValueError, KeyError,
-                    zipfile.BadZipFile):
-                self._corrupt_count.inc()
-                live.set(outcome="corrupt")
-                return None
-            self._hit_count.inc()
-            live.set(outcome="hit")
-            return bundle
-
-    def put_arrays(self, key: str,
-                   bundle: "dict[str, np.ndarray]") -> None:
-        """Atomically store a dict of arrays under *key*."""
-        with _span("cache.put", kind="arrays", key=key[:12]):
-            buffer = io.BytesIO()
-            np.savez(buffer, **bundle)
-            self._atomic_write(self._path(key, ".npz"),
-                               buffer.getvalue())
+            atomic_write(self._path(key, ".json"), data)
+            self._write_count.inc()
 
     # ------------------------------------------------------------------
     # introspection / maintenance
@@ -268,7 +228,7 @@ class DiskCache:
         if not self._schema_dir.is_dir():
             return 0
         return sum(1 for path in self._schema_dir.glob("*/*")
-                   if path.suffix in (".json", ".npz"))
+                   if path.suffix == ".json")
 
     def info(self) -> dict:
         """Counters and location: ``{dir, hits, misses, writes,

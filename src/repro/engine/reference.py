@@ -10,8 +10,6 @@ computation in the throughput benchmarks.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ..core.hybrid_model import HybridNorModel
@@ -22,12 +20,6 @@ from ..core.parameters import NorGateParameters
 from .base import register_engine, traced_entry_point
 
 __all__ = ["ReferenceEngine"]
-
-
-@functools.lru_cache(maxsize=256)
-def _model(params: NorGateParameters) -> HybridNorModel:
-    """Per-parameter-set model cache (the model itself is stateless)."""
-    return HybridNorModel(params)
 
 
 def _rows(params, deltas):
@@ -74,7 +66,7 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        model = _model(params)
+        model = HybridNorModel(params)
         d = np.asarray(deltas, dtype=float)
         out = np.array([model.delay_falling(float(x))
                         for x in np.ravel(d)])
@@ -100,7 +92,7 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        model = _model(params)
+        model = HybridNorModel(params)
         d = np.asarray(deltas, dtype=float)
         out = np.array([model.delay_rising(float(x), vn_init)
                         for x in np.ravel(d)])

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
-from ..cache import content_key
+from ..cache import atomic_write, content_key
 
 __all__ = ["JobStore", "JOB_SCHEMA_VERSION", "TERMINAL_STATUSES"]
 
@@ -51,22 +50,6 @@ JOB_SCHEMA_VERSION = 1
 
 #: Statuses of a finished job (nothing left to execute).
 TERMINAL_STATUSES = ("completed", "completed_with_errors")
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
-                               suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class JobStore:
@@ -142,8 +125,8 @@ class JobStore:
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("batch upload has no request lines")
-        _atomic_write(self.job_dir(job_id) / "input.jsonl",
-                      text.encode("utf-8"))
+        atomic_write(self.job_dir(job_id) / "input.jsonl",
+                     text.encode("utf-8"))
         now = time.time()
         meta = {"id": job_id, "status": "queued", "total": len(lines),
                 "done": 0, "ok": 0, "errors": 0,
@@ -169,7 +152,7 @@ class JobStore:
         meta = dict(meta)
         meta["updated"] = time.time()
         data = json.dumps(meta, sort_keys=True).encode("utf-8")
-        _atomic_write(self.job_dir(meta["id"]) / "meta.json", data)
+        atomic_write(self.job_dir(meta["id"]) / "meta.json", data)
 
     def jobs(self) -> "list[dict]":
         """Metadata of every job in the store, oldest first."""

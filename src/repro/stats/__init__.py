@@ -18,8 +18,7 @@ model):
 * :mod:`~repro.stats.surrogate` — a probabilistic-collocation
   (polynomial-chaos) surrogate fitted on a deterministic
   Gauss-Hermite design, reproducing MC moments at a small fraction
-  of the sample count; fitted coefficients persist in the
-  :mod:`repro.cache` disk store keyed by content hash.
+  of the sample count; the design is built once per process.
 * :mod:`~repro.stats.timing` — statistical STA: Monte-Carlo
   arrival/slack distributions and timing yield through the
   array-native corner axis of :func:`repro.sta.sweep_corners`.

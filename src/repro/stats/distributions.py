@@ -235,29 +235,3 @@ class ParameterDistribution:
             :data:`repro.engine.blocks.BLOCK_DTYPE`, shape ``(n,)``.
         """
         return self.transform(self.draw_normals(n, seed))
-
-    # ------------------------------------------------------------------
-    # identity
-    # ------------------------------------------------------------------
-
-    def descriptor(self) -> dict:
-        """Canonical JSON-able identity of this distribution.
-
-        Used as (part of) the content-hash key of cached surrogate
-        fits (:func:`repro.cache.content_key`); two distributions
-        with equal descriptors draw identical samples for identical
-        seeds.
-
-        Returns
-        -------
-        dict
-            Plain-scalar payload: nominal fields, sigma pairs,
-            family kind, and correlation.
-        """
-        return {
-            "nominal": {name: getattr(self.nominal, name)
-                        for name in PARAM_FIELDS},
-            "sigma": [[name, rel] for name, rel in self.sigma],
-            "kind": self.kind,
-            "correlation": self.correlation,
-        }

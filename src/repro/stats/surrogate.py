@@ -28,47 +28,30 @@ polynomial resampling, which costs matrix products, not engine
 calls, and shares the distribution's seeded generator so a
 same-seed Monte-Carlo comparison cancels the sampling noise.
 
-Fits persist in the :mod:`repro.cache` disk store keyed by the
-content hash of ``(distribution descriptor, Δ grid, gate, direction,
-vn_init)``.  Design delays are quantized before the solve
+A fit's time goes into the design, which depends only on
+``(dimension, degree)``: it is built once per process and shared
+read-only by every later fit, which then costs one transform, one
+engine call, one basis and one least-squares solve.  Design delays
+are quantized before the solve
 (:func:`repro.stats.montecarlo.quantize`), so the fitted
-coefficients — and thus cached and freshly-fitted surrogates — are
-byte-identical across engine backends, which is what makes the cache
-safely engine-agnostic.
+coefficients are byte-identical across engine backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from ..engine.base import get_engine
 from ..errors import ParameterError
-from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 from .montecarlo import (DelaySummary, _counter, _delta_grid,
                          evaluate_block, quantize, summarize)
 
 __all__ = ["DelaySurrogate", "fit_surrogate"]
-
-#: Content-descriptor tag (bump to orphan all cached fits).
-_CACHE_KIND = "repro.stats.surrogate/1"
-
-
-def _fit_counter(outcome: str):
-    counter = _FIT_COUNTERS.get(outcome)
-    if counter is None:
-        counter = _metrics.registry().counter(
-            "repro_stats_surrogate_total",
-            "collocation surrogate fits, by cache outcome",
-            labels={"outcome": outcome})
-        _FIT_COUNTERS[outcome] = counter
-    return counter
-
-
-_FIT_COUNTERS: dict = {}
 
 
 def _multi_indices(k: int, degree: int) -> "list[tuple[int, ...]]":
@@ -133,6 +116,7 @@ def _variance_norms(k: int, degree: int) -> np.ndarray:
 _OVERSAMPLE = 1.5
 
 
+@functools.cache
 def _design(k: int, degree: int) -> np.ndarray:
     """The deterministic PCM collocation design in z-space.
 
@@ -148,6 +132,9 @@ def _design(k: int, degree: int) -> np.ndarray:
     chosen, until ``_OVERSAMPLE × basis-size`` rows are kept.
     ``argmax`` ties resolve to the lowest index, i.e. the densest
     candidate, so the design is fully deterministic.
+
+    Memoized for the life of the process (at most 30 entries:
+    dimension ≤ 6, degree 1–5) and returned read-only.
     """
     nodes = np.polynomial.hermite_e.hermegauss(degree + 1)[0]
     # The roots are symmetric around 0 up to rounding; antisymmetrize
@@ -185,7 +172,9 @@ def _design(k: int, degree: int) -> np.ndarray:
         direction = residuals[index] / norms[index]
         residuals = residuals - np.outer(
             residuals @ direction, direction)
-    return candidates[np.sort(np.asarray(selected))]
+    design = candidates[np.sort(np.asarray(selected))]
+    design.setflags(write=False)
+    return design
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,18 +292,14 @@ class DelaySurrogate:
 def fit_surrogate(distribution, deltas, *,
                   direction: str = "falling", gate: str = "nor2",
                   vn_init: float = 0.0, degree: int = 3,
-                  engine=None,
-                  use_cache: bool = True) -> DelaySurrogate:
-    """Fit (or load) the collocation surrogate of a distribution.
+                  engine=None) -> DelaySurrogate:
+    """Fit the collocation surrogate of a distribution.
 
     Evaluates the hybrid model on the deterministic Gauss-Hermite
     design through the block kernels (one engine call for ``nor2``),
     quantizes, and solves the least-squares Hermite fit for every Δ
-    column at once.  When the persistent :mod:`repro.cache` store is
-    configured, fitted coefficients are stored under the content
-    hash of the fit inputs, so a second process (or a later run)
-    pays zero model evaluations — outcomes are visible as the
-    ``repro_stats_surrogate_total{outcome=...}`` counter.
+    column at once.  The design is built on the first fit of each
+    ``(dimension, degree)`` in a process and reused after that.
 
     Parameters
     ----------
@@ -336,18 +321,13 @@ def fit_surrogate(distribution, deltas, *,
     engine : str or DelayEngine, optional
         Backend for the design evaluation; the fitted coefficients
         do not depend on the choice (quantized design delays).
-    use_cache : bool, optional
-        Consult/populate the persistent store (default True; a
-        missing store degrades to always-fit).
 
     Returns
     -------
     DelaySurrogate
         The fitted surrogate; ``design_points`` model evaluations
-        were spent at most (zero on a cache hit).
+        were spent.
     """
-    from ..cache import content_key, get_store
-
     d = _delta_grid(deltas)
     if direction not in ("falling", "rising"):
         raise ParameterError(
@@ -358,32 +338,7 @@ def fit_surrogate(distribution, deltas, *,
     if not 1 <= degree <= 5:
         raise ParameterError(
             f"degree must lie in [1, 5], got {degree}")
-    k = distribution.dimension
-    design = _design(k, degree)
-
-    def build(coefficients: np.ndarray) -> DelaySurrogate:
-        return DelaySurrogate(
-            distribution=distribution, deltas=d, direction=direction,
-            gate=gate, vn_init=float(vn_init), degree=degree,
-            coefficients=coefficients,
-            design_points=design.shape[0])
-
-    store = get_store() if use_cache else None
-    key = None
-    if store is not None:
-        key = content_key({
-            "kind": _CACHE_KIND,
-            "distribution": distribution.descriptor(),
-            "deltas": [float(x) for x in d],
-            "gate": gate,
-            "direction": direction,
-            "vn_init": float(vn_init),
-            "degree": degree,
-        })
-        bundle = store.get_arrays(key)
-        if bundle is not None and "coefficients" in bundle:
-            _fit_counter("hit").inc()
-            return build(np.asarray(bundle["coefficients"]))
+    design = _design(distribution.dimension, degree)
 
     engine = get_engine(engine)
     with _span("stats.surrogate", design=int(design.shape[0]),
@@ -397,7 +352,7 @@ def fit_surrogate(distribution, deltas, *,
         coefficients, _, _, _ = np.linalg.lstsq(
             _basis(design, degree), values, rcond=None)
     _counter("surrogate").inc(int(design.shape[0]))
-    _fit_counter("miss").inc()
-    if store is not None:
-        store.put_arrays(key, {"coefficients": coefficients})
-    return build(coefficients)
+    return DelaySurrogate(
+        distribution=distribution, deltas=d, direction=direction,
+        gate=gate, vn_init=float(vn_init), degree=degree,
+        coefficients=coefficients, design_points=design.shape[0])

@@ -17,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable, Mapping, Sequence
 
-import networkx as nx
-
 from ..errors import NetlistError
 from ..wire.model import WireTiming, reduce_tree
 from ..wire.tree import WireTree
@@ -297,26 +295,44 @@ class TimingCircuit:
     def topological_order(self) -> list:
         """Instances sorted so that drivers precede consumers.
 
+        Kahn's sort by generations: first the instances with no
+        driven input, in insertion order; then each generation's
+        consumers, in the order their first input edge was added,
+        once the last of their distinct drivers is placed.
+
         Raises:
             NetlistError: on combinational loops or undriven signals.
         """
-        graph = nx.DiGraph()
-        for instance in self.instances:
-            graph.add_node(instance.name)
         by_output = {inst.output: inst for inst in self.instances}
         known = set(self.inputs) | set(by_output)
+        consumers: dict[str, list] = {inst.name: []
+                                      for inst in self.instances}
+        pending: dict[str, int] = {}
         for instance in self.instances:
+            drivers = []
             for signal in instance.inputs:
                 if signal not in known:
                     raise NetlistError(
                         f"signal {signal!r} used by {instance.name!r} "
                         "has no driver")
-                if signal in by_output:
-                    graph.add_edge(by_output[signal].name, instance.name)
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise NetlistError("combinational loop in timing circuit") \
-                from exc
-        by_name = {inst.name: inst for inst in self.instances}
-        return [by_name[name] for name in order]
+                driver = by_output.get(signal)
+                if driver is not None and driver.name not in drivers:
+                    drivers.append(driver.name)
+            for name in drivers:
+                consumers[name].append(instance)
+            pending[instance.name] = len(drivers)
+        generation = [inst for inst in self.instances
+                      if not pending[inst.name]]
+        order: list = []
+        while generation:
+            order.extend(generation)
+            ready = []
+            for instance in generation:
+                for consumer in consumers[instance.name]:
+                    pending[consumer.name] -= 1
+                    if not pending[consumer.name]:
+                        ready.append(consumer)
+            generation = ready
+        if len(order) != len(self.instances):
+            raise NetlistError("combinational loop in timing circuit")
+        return order

@@ -122,6 +122,14 @@ class TestDispatch:
                 r4=4.0 * PAPER_TABLE_I.r4))
         other = slowed.run(StaRequest(circuit="nor2"))
         assert other.analysis != default.analysis
+        # The corner sweep scales the bound set, not Table I.
+        corners = StaRequest(circuit="nor2", corners=8, seed=1)
+        default_sweep = Session().run(corners).analysis["sweep"]
+        assert slowed.run(corners).analysis["sweep"] != default_sweep
+        loaded = Session(parameters=PAPER_TABLE_I.replace(
+            co=3.0 * PAPER_TABLE_I.co)).run(corners).analysis["sweep"]
+        assert loaded["summary_s"]["min"] \
+            > default_sweep["summary_s"]["max"]
 
     def test_sta_reuses_the_memoized_graph(self):
         from repro.api import StaRequest

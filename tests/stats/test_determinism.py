@@ -62,9 +62,9 @@ def test_envelope_is_backend_invariant(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_surrogate_coefficients_are_backend_invariant(backend):
     baseline = fit_surrogate(DIST, REQUEST.deltas, degree=2,
-                             engine="reference", use_cache=False)
+                             engine="reference")
     fitted = fit_surrogate(DIST, REQUEST.deltas, degree=2,
-                           engine=backend, use_cache=False)
+                           engine=backend)
     assert fitted.coefficients.tobytes() \
         == baseline.coefficients.tobytes()
 

@@ -64,7 +64,6 @@ class TestCanonicalForm:
         from_dict = make({"co": 0.05, "r1": 0.1})
         assert forward == backward == from_dict
         assert forward.varied == ("r1", "co")
-        assert forward.descriptor() == from_dict.descriptor()
 
     def test_dimension(self):
         assert make().dimension == 2

@@ -1,31 +1,22 @@
-"""Collocation surrogate: accuracy acceptance + persistent fits.
+"""Collocation surrogate: accuracy acceptance + a design built once.
 
 Pins the ISSUE 9 surrogate criteria as tests: moments within 1 % of
-a same-seed Monte-Carlo at >= 20x fewer model evaluations, and
-fitted coefficients that persist in the :mod:`repro.cache` disk
-store so a second process pays zero engine evaluations (asserted via
-the ``repro_stats_surrogate_total{outcome=hit}`` counter).
+a same-seed Monte-Carlo at >= 20x fewer model evaluations.  Fits
+touch no disk store, and the collocation design of a (dimension,
+degree) pair is built once per process and shared read-only.
 """
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro import cache
 from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import ParameterError
 from repro.stats import (VARIABLE_PARAMS, ParameterDistribution,
                          fit_surrogate, monte_carlo)
+from repro.stats import surrogate as surrogate_module
 from repro.stats.surrogate import _design, _multi_indices
 from repro.units import PS
-
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 DIST = ParameterDistribution(
     PAPER_TABLE_I, {name: 0.08 for name in VARIABLE_PARAMS})
@@ -54,12 +45,45 @@ class TestDesign:
         assert np.allclose(np.unique(design),
                            -np.unique(design)[::-1])
 
+    def test_design_is_read_only(self):
+        design = _design(2, 2)
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+
+    def test_second_fit_reuses_the_design(self, monkeypatch):
+        """The candidate grid's basis is built on the first fit of a
+        (dimension, degree) only; a refit evaluates the basis of the
+        kept design rows and nothing more."""
+        dist = ParameterDistribution(PAPER_TABLE_I, {"r1": 0.05,
+                                                     "r2": 0.05,
+                                                     "co": 0.05})
+        degree = 4
+        _design.cache_clear()
+        calls = []
+        basis = surrogate_module._basis
+
+        def counting_basis(z, degree):
+            calls.append(np.shape(z)[0])
+            return basis(z, degree)
+
+        monkeypatch.setattr(surrogate_module, "_basis", counting_basis)
+        first = fit_surrogate(dist, DELTAS, degree=degree)
+        candidates = (degree + 1) ** dist.dimension
+        assert calls.count(candidates) == 1
+        calls.clear()
+        second = fit_surrogate(dist, DELTAS, degree=degree)
+        assert calls == [second.design_points]
+        assert second.coefficients.tobytes() \
+            == first.coefficients.tobytes()
+        assert _design.cache_info().hits >= 1
+
 
 class TestAccuracy:
     def test_moments_within_tolerance_at_20x(self):
         """The headline acceptance, at the benchmark's workload."""
         reference = monte_carlo(DIST, DELTAS, samples=4000, seed=7)
-        surrogate = fit_surrogate(DIST, DELTAS, use_cache=False)
+        surrogate = fit_surrogate(DIST, DELTAS)
         assert 4000 / surrogate.design_points >= 20.0
         summary = surrogate.summarize(samples=4000, seed=7)
         mean_err = np.max(np.abs(summary.mean - reference.mean)
@@ -72,8 +96,7 @@ class TestAccuracy:
         assert summary.samples == surrogate.design_points
 
     def test_analytic_moments_match_resampling(self):
-        surrogate = fit_surrogate(DIST, (0.0,), degree=2,
-                                  use_cache=False)
+        surrogate = fit_surrogate(DIST, (0.0,), degree=2)
         summary = surrogate.summarize(samples=60_000, seed=3)
         assert np.allclose(surrogate.mean(), summary.mean,
                            rtol=5e-3)
@@ -82,75 +105,37 @@ class TestAccuracy:
     def test_rising_direction_fits(self):
         surrogate = fit_surrogate(DIST, (0.0, 10.0 * PS),
                                   direction="rising", vn_init=0.35,
-                                  degree=2, use_cache=False)
+                                  degree=2)
         assert np.isfinite(surrogate.mean()).all()
         assert (surrogate.std() > 0.0).all()
 
 
-class TestCachePersistence:
-    def test_refit_hits_the_store(self, tmp_path):
-        from repro.stats.surrogate import _fit_counter
-        cache.configure(tmp_path)
-        misses, hits = (_fit_counter("miss").value,
-                        _fit_counter("hit").value)
-        first = fit_surrogate(DIST, DELTAS, degree=2)
-        assert _fit_counter("miss").value == misses + 1
-        second = fit_surrogate(DIST, DELTAS, degree=2)
-        assert _fit_counter("hit").value == hits + 1
-        assert second.coefficients.tobytes() \
-            == first.coefficients.tobytes()
-
-    def test_fit_inputs_key_the_store(self, tmp_path):
-        cache.configure(tmp_path)
-        fit_surrogate(DIST, DELTAS, degree=2)
-        entries = cache.get_store().info()["entries"]
-        fit_surrogate(DIST, DELTAS, degree=3)
-        assert cache.get_store().info()["entries"] == entries + 1
-
-    def test_second_process_pays_zero_evaluations(self, tmp_path):
-        """ISSUE acceptance: the cross-process fit is a cache hit."""
-        cache.configure(tmp_path)
-        local = fit_surrogate(DIST, DELTAS, degree=2)
-        script = (
-            "import json\n"
-            "import numpy as np\n"
-            "from repro.core.parameters import PAPER_TABLE_I\n"
-            "from repro.stats import (VARIABLE_PARAMS,\n"
-            "                         ParameterDistribution,\n"
-            "                         fit_surrogate)\n"
-            "from repro.stats.surrogate import _fit_counter\n"
-            "from repro.units import PS\n"
-            "dist = ParameterDistribution(\n"
-            "    PAPER_TABLE_I,\n"
-            "    {name: 0.08 for name in VARIABLE_PARAMS})\n"
-            "fit = fit_surrogate(dist, (-20.0 * PS, 0.0, 20.0 * PS),\n"
-            "                    degree=2)\n"
-            "print(json.dumps({\n"
-            "    'hits': _fit_counter('hit').value,\n"
-            "    'misses': _fit_counter('miss').value,\n"
-            "    'mean': [float(v) for v in fit.mean()]}))\n")
-        env = dict(os.environ, PYTHONPATH=SRC_DIR,
-                   REPRO_CACHE_DIR=str(tmp_path))
-        result = subprocess.run([sys.executable, "-c", script],
-                                capture_output=True, text=True,
-                                env=env, check=True, timeout=120)
-        payload = json.loads(result.stdout.strip().splitlines()[-1])
-        assert payload["hits"] == 1 and payload["misses"] == 0
-        assert payload["mean"] == [float(v) for v in local.mean()]
+class TestNoPersistence:
+    def test_fit_writes_no_store_entry(self, tmp_path):
+        """A configured store is neither read nor written by a fit,
+        and the coefficients match an unconfigured fit byte for
+        byte."""
+        plain = fit_surrogate(DIST, DELTAS, degree=2)
+        store = cache.configure(tmp_path)
+        stored = fit_surrogate(DIST, DELTAS, degree=2)
+        assert stored.coefficients.tobytes() \
+            == plain.coefficients.tobytes()
+        info = store.info()
+        assert (info["entries"], info["writes"], info["hits"],
+                info["misses"]) == (0, 0, 0, 0)
+        assert not any(tmp_path.rglob("*"))
 
 
 class TestErrors:
     @pytest.mark.parametrize("degree", [0, 6])
     def test_degree_range(self, degree):
         with pytest.raises(ParameterError, match="degree"):
-            fit_surrogate(DIST, (0.0,), degree=degree,
-                          use_cache=False)
+            fit_surrogate(DIST, (0.0,), degree=degree)
 
     def test_bad_direction(self):
         with pytest.raises(ParameterError, match="direction"):
-            fit_surrogate(DIST, (0.0,), direction="up",
-                          use_cache=False)
+            fit_surrogate(DIST, (0.0,), direction="up")
 
     def test_nan_deltas(self):
         with pytest.raises(ParameterError, match="NaN"):
-            fit_surrogate(DIST, (float("nan"),), use_cache=False)
+            fit_surrogate(DIST, (float("nan"),))

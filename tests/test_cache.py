@@ -60,17 +60,6 @@ class TestDiskCache:
         assert store.hits == 1 and store.misses == 1
         assert store.writes == 1 and len(store) == 1
 
-    def test_array_round_trip(self, tmp_path):
-        store = cache.DiskCache(tmp_path)
-        key = cache.content_key({"k": "arrays"})
-        bundle = {"rates": np.linspace(-1.0, 0.0, 8),
-                  "vectors": np.eye(3)}
-        store.put_arrays(key, bundle)
-        loaded = store.get_arrays(key)
-        assert set(loaded) == {"rates", "vectors"}
-        assert np.array_equal(loaded["rates"], bundle["rates"])
-        assert np.array_equal(loaded["vectors"], bundle["vectors"])
-
     def test_corrupt_entry_is_a_miss_and_counted(self, tmp_path):
         store = cache.DiskCache(tmp_path)
         key = cache.content_key({"k": 2})
@@ -85,26 +74,10 @@ class TestDiskCache:
         assert store.get_json(key) == {"fine": True}
         assert store.corrupt == 1
 
-    def test_corrupt_array_entry_is_a_miss_and_counted(self,
-                                                       tmp_path):
-        store = cache.DiskCache(tmp_path)
-        key = cache.content_key({"k": "bad-npz"})
-        store.put_arrays(key, {"values": np.arange(4.0)})
-        path = store._path(key, ".npz")
-        # Truncate the zip container: zipfile.BadZipFile territory.
-        path.write_bytes(path.read_bytes()[:20])
-        assert store.get_arrays(key) is None
-        assert store.misses == 1
-        assert store.corrupt == 1
-        # Not-a-zip-at-all is also a counted miss, not a crash.
-        path.write_bytes(b"not an archive")
-        assert store.get_arrays(key) is None
-        assert store.corrupt == 2
-
     def test_plain_misses_are_not_corrupt(self, tmp_path):
         store = cache.DiskCache(tmp_path)
         assert store.get_json(cache.content_key({"k": 4})) is None
-        assert store.get_arrays(cache.content_key({"k": 5})) is None
+        assert store.get_json(cache.content_key({"k": 5})) is None
         assert store.misses == 2
         assert store.corrupt == 0
 

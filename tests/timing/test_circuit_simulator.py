@@ -1,9 +1,16 @@
 """Tests for repro.timing.circuit and repro.timing.simulator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import PAPER_TABLE_I
 from repro.errors import NetlistError
+from repro.sta.circuits import STA_CIRCUITS, sta_circuit
 from repro.timing.channels import (HybridNorChannel,
                                    InertialDelayChannel,
                                    PureDelayChannel)
@@ -11,6 +18,9 @@ from repro.timing.circuit import TimingCircuit
 from repro.timing.simulator import simulate, simulate_single_channel
 from repro.timing.trace import DigitalTrace
 from repro.units import PS
+
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+REPO_DIR = str(Path(__file__).resolve().parents[2])
 
 
 class TestCircuitConstruction:
@@ -70,6 +80,69 @@ class TestCircuitConstruction:
                          PureDelayChannel(1 * PS))
         order = [inst.name for inst in circuit.topological_order()]
         assert order == ["early", "late"]
+
+
+def _names(circuit: TimingCircuit) -> list:
+    return [inst.name for inst in circuit.topological_order()]
+
+
+def _networkx_order(nx, circuit: TimingCircuit) -> list:
+    """The order networkx's topological sort gives the netlist's
+    driver -> consumer graph."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(inst.name for inst in circuit.instances)
+    driver = {inst.output: inst.name for inst in circuit.instances}
+    for inst in circuit.instances:
+        for signal in inst.inputs:
+            if signal in driver:
+                graph.add_edge(driver[signal], inst.name)
+    return list(nx.topological_sort(graph))
+
+
+class TestTopologicalOrder:
+    """The stdlib sort keeps networkx's order: endpoints and
+    path-ranking ties in ``repro sta --json`` follow it."""
+
+    def test_import_does_not_load_networkx(self):
+        script = ("import sys\nimport repro\n"
+                  "assert 'networkx' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        subprocess.run([sys.executable, "-c", script], env=env,
+                       check=True, timeout=120)
+
+    def test_generations_in_insertion_order(self):
+        circuit = TimingCircuit(["a", "b"])
+        for name, inputs, output in (("g3", ["y1", "y2"], "z"),
+                                     ("g1", ["a"], "y1"),
+                                     ("g2", ["b", "b"], "y2"),
+                                     ("g4", ["y1", "y1", "z"], "w"),
+                                     ("g0", ["a", "b"], "y0")):
+            circuit.add_gate(name, "and", inputs, output,
+                             PureDelayChannel(1 * PS))
+        assert _names(circuit) == ["g1", "g2", "g0", "g3", "g4"]
+
+    def test_self_loop_detected(self):
+        circuit = TimingCircuit(["a"])
+        circuit.add_gate("g1", "and", ["a", "y"], "y",
+                         PureDelayChannel(1 * PS))
+        with pytest.raises(NetlistError, match="loop"):
+            circuit.topological_order()
+
+    @pytest.mark.parametrize("name", sorted(STA_CIRCUITS))
+    def test_builtin_circuits_match_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        circuit = sta_circuit(name, PAPER_TABLE_I)
+        assert _names(circuit) == _networkx_order(nx, circuit)
+
+    @pytest.mark.parametrize("seed, gates", [(0, 50), (1, 137),
+                                             (2, 249)])
+    def test_generated_netlists_match_networkx(self, seed, gates,
+                                               monkeypatch):
+        nx = pytest.importorskip("networkx")
+        monkeypatch.syspath_prepend(REPO_DIR)
+        from perfbench.netgen import generate_netlist
+        circuit = generate_netlist(seed, gates).circuit
+        assert _names(circuit) == _networkx_order(nx, circuit)
 
 
 class TestSimulation:
