@@ -14,6 +14,11 @@ regimes are measured on a small :class:`~repro.api.DelayRequest`:
   caches, compared against calling the engine directly to isolate
   the dispatch overhead.
 
+The same request's envelope codec is recorded beside them: decoding
+its JSON text with :func:`~repro.api.from_json` and encoding its
+result with ``to_json`` — the per-request cost every ``/v1/run`` pays
+before and after dispatch.
+
 The record is written to ``BENCH_api.json`` at the repository root,
 tracked across PRs next to ``BENCH_runtime.json`` /
 ``BENCH_sta.json`` / ``BENCH_library.json``.
@@ -34,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.api import DelayRequest, Session
+from repro.api import DelayRequest, Session, from_json
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from bench_common import environment_metadata  # noqa: E402
@@ -61,7 +66,7 @@ def measure_dispatch(repeats: int) -> dict:
     # Cold: fresh session, first request.
     cold_session = Session()
     start = time.perf_counter()
-    cold_session.run(_REQUEST)
+    result = cold_session.run(_REQUEST)
     cold_s = time.perf_counter() - start
 
     # Warm, cached: repeats on the same session are dict lookups.
@@ -88,6 +93,17 @@ def measure_dispatch(repeats: int) -> dict:
         engine.delays_falling(params, deltas)
     direct_s = (time.perf_counter() - start) / repeats
 
+    # Envelope codec: request text in, result text out.
+    text = _REQUEST.to_json()
+    start = time.perf_counter()
+    for _ in range(repeats):
+        from_json(text)
+    decode_s = (time.perf_counter() - start) / repeats
+    start = time.perf_counter()
+    for _ in range(repeats):
+        result.to_json()
+    encode_s = (time.perf_counter() - start) / repeats
+
     return {
         "workload": "session dispatch of a 16-point DelayRequest "
                     "(cold resolve vs cached vs uncached vs direct "
@@ -99,6 +115,8 @@ def measure_dispatch(repeats: int) -> dict:
         "direct_engine_seconds_per_call": direct_s,
         "dispatch_overhead_seconds": uncached_s - direct_s,
         "cached_speedup_vs_uncached": uncached_s / cached_s,
+        "decode_seconds_per_request": decode_s,
+        "encode_seconds_per_request": encode_s,
         "cache_hits": cold_session.cache_info()["hits"],
         "environment": environment_metadata(),
     }
@@ -143,7 +161,11 @@ def main(argv=None) -> int:
           f"us/req, warm uncached "
           f"{payload['warm_uncached_seconds_per_request'] * 1e6:.1f} "
           f"us/req, dispatch overhead "
-          f"{payload['dispatch_overhead_seconds'] * 1e6:.1f} us")
+          f"{payload['dispatch_overhead_seconds'] * 1e6:.1f} us, "
+          f"decode "
+          f"{payload['decode_seconds_per_request'] * 1e6:.1f} us, "
+          f"encode "
+          f"{payload['encode_seconds_per_request'] * 1e6:.1f} us")
     print(f"wrote {_JSON_PATH}")
     if payload["cache_hits"] != repeats:
         print("FAIL: session cache did not serve the repeats",

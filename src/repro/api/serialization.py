@@ -11,12 +11,19 @@ strict-JSON envelope::
 * ``kind`` names the concrete request/result type (each class declares
   its own), so :func:`from_json` can dispatch without the caller
   knowing the type up front.
-* ``data`` holds the dataclass fields.  Encoding is type-driven off
-  the dataclass annotations: tuples become JSON arrays and are coerced
-  *back* to tuples on decode, non-finite floats are stored as the
-  strings ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"`` (strict JSON
-  has no literal for them) and restored on decode, ``None`` maps to
-  ``null``.
+* ``data`` holds the dataclass fields: tuples become JSON arrays and
+  are coerced *back* to tuples on decode, non-finite floats are
+  stored as the strings ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"``
+  (strict JSON has no literal for them) and restored on decode,
+  ``None`` maps to ``null``.
+
+Decoding is driven by the dataclass annotations, and its decoders are
+built once: a record class resolves its type hints on its first
+decode, and each distinct field annotation gets one decoder, built on
+first use and memoized.  A decode then checks the schema and kind,
+rejects unknown fields and calls one prebuilt decoder per field.  A
+value that does not fit its annotation is a one-line
+:class:`~repro.errors.ParameterError`.
 
 The round-trip contract — ``from_json(to_json(x)) == x`` for every
 request and result type — is enforced property-based in
@@ -26,10 +33,12 @@ request and result type — is enforced property-based in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import types
 import typing
+from collections.abc import Callable
 from typing import Any, ClassVar
 
 from ..errors import ParameterError
@@ -55,6 +64,9 @@ API_SCHEMA_VERSION = 1
 #: Spelling of non-finite floats inside the strict-JSON payload.
 _NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf,
               "NaN": math.nan}
+
+#: A field decoder: plain JSON data in, the annotated value out.
+_Decoder = Callable[[Any], Any]
 
 #: kind -> concrete record class, populated by ``__init_subclass__``.
 _KINDS: dict[str, type["ApiRecord"]] = {}
@@ -113,66 +125,130 @@ def _encode(value: Any) -> Any:
         f"cannot serialize field value of type {type(value).__name__}")
 
 
-def _decode(value: Any, annotation: Any) -> Any:
-    """Coerce decoded JSON back to the annotated field type."""
-    origin = typing.get_origin(annotation)
-    if annotation is Any:
+def _decode_float(value: Any) -> float:
+    """A JSON number or non-finite spelling as a float."""
+    if type(value) is float:
         return value
-    if origin in (typing.Union, types.UnionType):
-        arms = typing.get_args(annotation)
-        if value is None and type(None) in arms:
+    if isinstance(value, str):
+        try:
+            return _NONFINITE[value]
+        except KeyError:
+            raise ParameterError(
+                f"not a float spelling: {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(
+            f"expected a number, got an integer of "
+            f"{value.bit_length()} bits, too large for a float") from None
+
+
+def _decode_int(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"expected an int, got {value!r}")
+    return value
+
+
+def _decode_bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ParameterError(f"expected a bool, got {value!r}")
+    return value
+
+
+def _decode_str(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"expected a string, got {value!r}")
+    return value
+
+
+def _decode_any(value: Any) -> Any:
+    return value
+
+
+_SCALAR_DECODERS = {Any: _decode_any, float: _decode_float,
+                    int: _decode_int, bool: _decode_bool,
+                    str: _decode_str}
+
+
+def _union_decoder(annotation: Any, arms: tuple) -> _Decoder:
+    optional = type(None) in arms
+    decoders = tuple(_decoder(arm) for arm in arms
+                     if arm is not type(None))
+
+    def decode(value: Any) -> Any:
+        if value is None and optional:
             return None
-        for arm in arms:
-            if arm is type(None):
-                continue
+        for decoder in decoders:
             try:
-                return _decode(value, arm)
-            except (ParameterError, TypeError, ValueError):
+                return decoder(value)
+            except ParameterError:
                 continue
         raise ParameterError(
             f"value {value!r} fits no arm of {annotation}")
-    if annotation is float:
-        if isinstance(value, str):
-            try:
-                return _NONFINITE[value]
-            except KeyError:
-                raise ParameterError(
-                    f"not a float spelling: {value!r}") from None
-        if isinstance(value, bool) or not isinstance(value,
-                                                     (int, float)):
-            raise ParameterError(f"expected a number, got {value!r}")
-        return float(value)
-    if annotation is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParameterError(f"expected an int, got {value!r}")
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ParameterError(f"expected a bool, got {value!r}")
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ParameterError(f"expected a string, got {value!r}")
-        return value
-    if origin is tuple:
+
+    return decode
+
+
+def _array_decoder(item: _Decoder) -> _Decoder:
+    def decode(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise ParameterError(f"expected an array, got {value!r}")
-        args = typing.get_args(annotation)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(item, args[0]) for item in value)
-        if len(args) != len(value):
+        return tuple(map(item, value))
+
+    return decode
+
+
+def _entries_decoder(arms: tuple[_Decoder, ...]) -> _Decoder:
+    def decode(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ParameterError(f"expected an array, got {value!r}")
+        if len(arms) != len(value):
             raise ParameterError(
-                f"expected {len(args)} entries, got {len(value)}")
-        return tuple(_decode(item, arm)
-                     for item, arm in zip(value, args))
-    if origin is dict:
+                f"expected {len(arms)} entries, got {len(value)}")
+        return tuple(arm(item) for arm, item in zip(arms, value))
+
+    return decode
+
+
+def _object_decoder(item: _Decoder) -> _Decoder:
+    def decode(value: Any) -> dict:
         if not isinstance(value, dict):
             raise ParameterError(f"expected an object, got {value!r}")
-        _, value_arm = typing.get_args(annotation)
-        return {str(key): _decode(item, value_arm)
-                for key, item in value.items()}
+        return {str(key): item(entry) for key, entry in value.items()}
+
+    return decode
+
+
+@functools.cache
+def _decoder(annotation: Any) -> _Decoder:
+    """The decoder coercing JSON data back to *annotation*, built once
+    per annotation (the registered records use a few dozen)."""
+    scalar = _SCALAR_DECODERS.get(annotation)
+    if scalar is not None:
+        return scalar
+    origin = typing.get_origin(annotation)
+    args = typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return _union_decoder(annotation, args)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return _array_decoder(_decoder(args[0]))
+        return _entries_decoder(tuple(_decoder(arm) for arm in args))
+    if origin is dict:
+        return _object_decoder(_decoder(args[1]))
     raise ParameterError(
         f"unsupported field annotation {annotation!r}")
+
+
+@functools.cache
+def _field_decoders(cls: type) -> dict[str, _Decoder]:
+    """Field name -> decoder of a record class, resolved once per
+    class: the one place its string annotations are evaluated."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: _decoder(hints[field.name])
+            for field in dataclasses.fields(cls)}
 
 
 class ApiRecord:
@@ -243,16 +319,13 @@ class ApiRecord:
         data = payload.get("data")
         if not isinstance(data, dict):
             raise ParameterError("envelope has no 'data' object")
-        hints = typing.get_type_hints(target)
-        fields = {field.name: field
-                  for field in dataclasses.fields(target)}
-        unknown = set(data) - set(fields)
+        decoders = _field_decoders(target)
+        unknown = data.keys() - decoders
         if unknown:
             raise ParameterError(
                 f"unknown field(s) for {kind!r}: {sorted(unknown)}")
-        kwargs = {name: _decode(value, hints[name])
-                  for name, value in data.items()}
-        return target(**kwargs)
+        return target(**{name: decoders[name](value)
+                         for name, value in data.items()})
 
     @classmethod
     def from_json(cls, payload: "str | dict[str, Any]") -> "ApiRecord":
@@ -278,12 +351,15 @@ def decode_envelope(payload: "str | dict[str, Any]") -> dict[str, Any]:
     ------
     ParameterError
         If the text is not JSON — nesting past the decoder's
-        recursion limit included — or not a JSON object.
+        recursion limit and integer literals past CPython's int/str
+        digit limit included — or not a JSON object.
     """
     if isinstance(payload, str):
         try:
             payload = json.loads(payload)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
+            # JSONDecodeError, and CPython's int/str digit limit on
+            # an over-long integer literal.
             raise ParameterError(
                 f"not a JSON payload: {error}") from None
         except RecursionError:

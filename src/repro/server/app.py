@@ -452,11 +452,13 @@ class ReproServer:
         timeout : float, optional
             Upper bound in seconds on the batch drain.
         """
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        # shutdown() waits for a serve_forever loop; on a server that
+        # never started there is none, and it would wait forever.
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout)
             self._thread = None
+        self._httpd.server_close()
         # Abandon (do not wait for) /v1/run work past its timeout.
         self._pool.shutdown(wait=False, cancel_futures=True)
         self.runner.stop(drain=drain, timeout=timeout)

@@ -6,8 +6,10 @@ arbitrary field values (non-finite floats included — strict JSON has
 no literal for them, so they travel as spelled strings).
 """
 
+import collections
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.api import (API_SCHEMA, API_SCHEMA_VERSION, ApiRecord,
                        StatsRequest, StatsResult, VersionRequest,
                        VersionResult, WireRequest, WireResult,
                        Session, from_json, known_kinds)
+from repro.api import serialization
 from repro.errors import ParameterError
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -277,3 +280,94 @@ def test_field_type_enforcement():
 def test_base_class_is_abstractly_decodable():
     record = DelayRequest()
     assert ApiRecord.from_json(record.to_json()) == record
+
+
+#: One malformed ``data`` field per decode branch, with the exact
+#: message it must raise: (kind's record class, field, JSON value,
+#: message).
+MALFORMED_FIELDS = [
+    (DelayRequest, "vn_init", "inf", "not a float spelling: 'inf'"),
+    (DelayRequest, "vn_init", [1.0], "expected a number, got [1.0]"),
+    (DelayRequest, "vn_init", True, "expected a number, got True"),
+    (StaRequest, "top", 1.5, "expected an int, got 1.5"),
+    (StaRequest, "top", False, "expected an int, got False"),
+    (StaRequest, "validate", 1, "expected a bool, got 1"),
+    (StaRequest, "circuit", 3, "expected a string, got 3"),
+    (DelayRequest, "deltas", 5, "expected an array, got 5"),
+    (DelayRequest, "deltas", [[0.0], "x"],
+     "expected an array, got 'x'"),
+    (DelayRequest, "deltas", [["x"]], "not a float spelling: 'x'"),
+    (StatsRequest, "sigma", [["r1", 0.1, 2]],
+     "expected 2 entries, got 3"),
+    (StatsRequest, "sigma", [[1, 0.1]], "expected a string, got 1"),
+    (StaRequest, "required", "soon",
+     "value 'soon' fits no arm of float | None"),
+    (DescribeResult, "cache", {"hit": [1]},
+     "value [1] fits no arm of bool | int | str"),
+    (DescribeResult, "experiments", [1],
+     "expected an object, got [1]"),
+    (DescribeResult, "experiments", {"fig4": 1},
+     "expected a string, got 1"),
+    (StaRequest, "burst", 3, "unknown field(s) for 'sta': ['burst']"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, message", MALFORMED_FIELDS,
+    ids=[f"{cls.kind}.{field}-{index}" for index, (cls, field, _, _)
+         in enumerate(MALFORMED_FIELDS)])
+def test_malformed_field_messages(cls, field, value, message):
+    """Every decode branch rejects a misfit with its own one-line
+    message, through the typed and the generic decode alike."""
+    payload = json.loads(cls().to_json())
+    payload["data"][field] = value
+    for decode in (from_json, cls.from_json):
+        with pytest.raises(ParameterError) as caught:
+            decode(json.dumps(payload))
+        assert str(caught.value) == message
+
+
+def _with_field(kind: str, field: str, literal: str) -> str:
+    """An envelope of *kind* whose *field* is the raw JSON *literal*."""
+    return ('{"schema": "repro.api/1", "kind": "' + kind
+            + '", "data": {"' + field + '": ' + literal + "}}")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_with_field("delay", "vn_init", "1" + "0" * 5000),
+                 id="5001-digit-literal"),
+    pytest.param(_with_field("delay", "vn_init", "1" + "0" * 400),
+                 id="float-overflow"),
+    pytest.param(_with_field("delay", "deltas",
+                             "[[1" + "0" * 400 + "]]"),
+                 id="float-overflow-in-array"),
+    pytest.param(_with_field("sta", "required", "1" + "0" * 400),
+                 id="float-overflow-in-union")])
+def test_oversized_integer_is_a_parameter_error(text):
+    """An integer literal too long to parse, or too large for its
+    float field, is a typed ParameterError, never an untyped
+    ValueError or OverflowError."""
+    with pytest.raises(ParameterError):
+        from_json(text)
+    with pytest.raises(ParameterError):
+        Session().run_json(text)
+
+
+def test_type_hints_are_resolved_once_per_class(monkeypatch):
+    """Decoding resolves a record class's annotations once; every
+    later decode of the class reuses its prebuilt field decoders."""
+    serialization._field_decoders.cache_clear()
+    serialization._decoder.cache_clear()
+    calls = collections.Counter()
+    resolve = typing.get_type_hints
+
+    def counting(obj, *args, **kwargs):
+        calls[obj] += 1
+        return resolve(obj, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    texts = [cls().to_json() for cls in ALL_TYPES]
+    for _ in range(50):
+        for text in texts:
+            from_json(text)
+    assert calls == collections.Counter(ALL_TYPES)

@@ -10,6 +10,7 @@ import copy
 import json
 import pathlib
 import socket
+import threading
 import time
 
 import pytest
@@ -22,6 +23,13 @@ from repro.server import JobStore
 #: A delay envelope nested far past the JSON decoder's recursion limit.
 _DEEP = ('{"schema": "repro.api/1", "kind": "delay", "data": '
          '{"deltas": ' + "[" * 5000 + "]" * 5000 + "}}")
+
+
+def _long_vn_init(zeros: int) -> str:
+    """A delay envelope whose ``vn_init`` is the integer literal 1
+    followed by *zeros* zeros."""
+    return ('{"schema": "repro.api/1", "kind": "delay", "data": '
+            '{"vn_init": 1' + "0" * zeros + "}}")
 
 
 #: A library file written by an earlier build (tests/library/data).
@@ -119,6 +127,17 @@ class TestBadBodies:
                    client.server.store.result_records(meta["id"])}
         assert records[2]["envelope"]["data"]["exception"] \
             == "ParameterError"
+        _alive(client)
+
+    @pytest.mark.parametrize("zeros", [5000, 400],
+                             ids=["5001-digits", "float-overflow"])
+    def test_oversized_integer_is_400(self, client, zeros):
+        """An integer literal past the int/str digit limit, or too
+        large for its float field, is a typed client error."""
+        status, payload = client.post("/v1/run", _long_vn_init(zeros))
+        assert status == 400
+        assert payload["kind"] == "error"
+        assert payload["data"]["exception"] == "ParameterError"
         _alive(client)
 
     def test_invalid_utf8_is_400(self, client):
@@ -285,3 +304,13 @@ class TestConstruction:
                        {"max_body": 0}):
             with pytest.raises(ValueError):
                 ReproServer(job_dir=tmp_path / "jobs", **kwargs)
+
+    def test_stop_without_start_returns(self, tmp_path):
+        """Stopping a server that never served must not wait for a
+        serving loop that never ran."""
+        from repro.server import ReproServer
+        server = ReproServer(port=0, job_dir=tmp_path / "jobs")
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(5)
+        assert not stopper.is_alive()
