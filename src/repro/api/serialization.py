@@ -93,11 +93,11 @@ def check_schema(payload: dict) -> None:
     tag = payload.get("schema")
     if not isinstance(tag, str) or "/" not in tag:
         raise ParameterError(
-            f"not a {API_SCHEMA} payload (schema={tag!r})")
+            f"not a {API_SCHEMA} payload (schema={_shown(tag)})")
     family, _, version = tag.partition("/")
     if family != API_SCHEMA:
         raise ParameterError(
-            f"not a {API_SCHEMA} payload (schema={tag!r})")
+            f"not a {API_SCHEMA} payload (schema={_shown(tag)})")
     if version != str(API_SCHEMA_VERSION):
         raise ParameterError(
             f"unsupported {API_SCHEMA} schema version {version!r} "
@@ -125,6 +125,19 @@ def _encode(value: Any) -> Any:
         f"cannot serialize field value of type {type(value).__name__}")
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)`` for a decode message, or a description when
+    the value holds an integer past CPython's digit limit for
+    ``str``/``repr`` (whose ``repr`` raises ``ValueError``)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return (f"a {type(value).__name__} holding an integer too "
+                "large to print")
+
+
 def _decode_float(value: Any) -> float:
     """A JSON number or non-finite spelling as a float."""
     if type(value) is float:
@@ -134,9 +147,10 @@ def _decode_float(value: Any) -> float:
             return _NONFINITE[value]
         except KeyError:
             raise ParameterError(
-                f"not a float spelling: {value!r}") from None
+                f"not a float spelling: {_shown(value)}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"expected a number, got {value!r}")
+        raise ParameterError(
+            f"expected a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -147,19 +161,19 @@ def _decode_float(value: Any) -> float:
 
 def _decode_int(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"expected an int, got {value!r}")
+        raise ParameterError(f"expected an int, got {_shown(value)}")
     return value
 
 
 def _decode_bool(value: Any) -> bool:
     if not isinstance(value, bool):
-        raise ParameterError(f"expected a bool, got {value!r}")
+        raise ParameterError(f"expected a bool, got {_shown(value)}")
     return value
 
 
 def _decode_str(value: Any) -> str:
     if not isinstance(value, str):
-        raise ParameterError(f"expected a string, got {value!r}")
+        raise ParameterError(f"expected a string, got {_shown(value)}")
     return value
 
 
@@ -186,7 +200,7 @@ def _union_decoder(annotation: Any, arms: tuple) -> _Decoder:
             except ParameterError:
                 continue
         raise ParameterError(
-            f"value {value!r} fits no arm of {annotation}")
+            f"value {_shown(value)} fits no arm of {annotation}")
 
     return decode
 
@@ -194,7 +208,8 @@ def _union_decoder(annotation: Any, arms: tuple) -> _Decoder:
 def _array_decoder(item: _Decoder) -> _Decoder:
     def decode(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
-            raise ParameterError(f"expected an array, got {value!r}")
+            raise ParameterError(
+                f"expected an array, got {_shown(value)}")
         return tuple(map(item, value))
 
     return decode
@@ -203,7 +218,8 @@ def _array_decoder(item: _Decoder) -> _Decoder:
 def _entries_decoder(arms: tuple[_Decoder, ...]) -> _Decoder:
     def decode(value: Any) -> tuple:
         if not isinstance(value, (list, tuple)):
-            raise ParameterError(f"expected an array, got {value!r}")
+            raise ParameterError(
+                f"expected an array, got {_shown(value)}")
         if len(arms) != len(value):
             raise ParameterError(
                 f"expected {len(arms)} entries, got {len(value)}")
@@ -215,7 +231,8 @@ def _entries_decoder(arms: tuple[_Decoder, ...]) -> _Decoder:
 def _object_decoder(item: _Decoder) -> _Decoder:
     def decode(value: Any) -> dict:
         if not isinstance(value, dict):
-            raise ParameterError(f"expected an object, got {value!r}")
+            raise ParameterError(
+                f"expected an object, got {_shown(value)}")
         return {str(key): item(entry) for key, entry in value.items()}
 
     return decode
@@ -310,11 +327,11 @@ class ApiRecord:
         kind = payload.get("kind")
         if cls is not ApiRecord and kind != cls.kind:
             raise ParameterError(
-                f"expected a {cls.kind!r} payload, got {kind!r}")
+                f"expected a {cls.kind!r} payload, got {_shown(kind)}")
         target = cls if cls is not ApiRecord else _KINDS.get(kind)
         if target is None:
             raise ParameterError(
-                f"unknown payload kind {kind!r}; known kinds: "
+                f"unknown payload kind {_shown(kind)}; known kinds: "
                 f"{', '.join(known_kinds())}")
         data = payload.get("data")
         if not isinstance(data, dict):
@@ -323,7 +340,8 @@ class ApiRecord:
         unknown = data.keys() - decoders
         if unknown:
             raise ParameterError(
-                f"unknown field(s) for {kind!r}: {sorted(unknown)}")
+                f"unknown field(s) for {kind!r}: "
+                f"{_shown(sorted(unknown))}")
         return target(**{name: decoders[name](value)
                          for name, value in data.items()})
 

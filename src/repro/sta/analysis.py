@@ -18,13 +18,20 @@ plateau ``δ(±∞)``), so constant side-inputs need no special casing.
 
 Required times back-propagate from endpoint constraints and give
 per-node slack; ranked critical paths fall out of a best-first
-backward search over the recorded per-arc candidates.
+backward search over the per-arc candidates.
 
-The propagation core is *array-native*: arrivals are NumPy arrays
-over a corner axis, and each arc costs one batched delay-model call
-for all corners, whatever parameter set each corner lane carries —
-this is what :mod:`repro.sta.sweep` exploits to make a 1000-corner
-sweep one engine call per arc instead of a thousand scalar analyses.
+The propagation core is *levelized and array-native*: arrivals live in
+one ``(nodes, corners)`` array whose rows follow the graph's
+:class:`~repro.sta.graph.LevelPlan`, and each topological level makes
+one batched delay-model call per group of arcs that share an arc-model
+kind, direction and gate width — for every instance of the group and
+every corner lane at once, whatever parameter set each lane carries.
+This is what :mod:`repro.sta.sweep` exploits: a 1000-corner sweep
+costs a few engine calls per level, not one per gate, let alone one
+per gate and corner.  Required times back-propagate over the same
+index arrays in reverse level order, and the per-arc records of
+:func:`analyze` are a post-pass over the arrays
+(``through = candidate − arrival(source)``).
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ import numpy as np
 
 from ..core.multi_input import sibling_offsets
 from ..errors import ParameterError, SimulationError
-from .graph import DIRECTION, TimingArc, TimingGraph, TimingNode
+from ..obs.trace import span
+from .graph import (TRANSITIONS, LevelPlan, PlanGroup, TimingArc,
+                    TimingGraph, TimingNode)
 
 __all__ = ["analyze", "StaResult", "TimingPath", "PathStep",
            "input_arrival_nodes"]
@@ -102,156 +111,145 @@ def input_arrival_nodes(graph: TimingGraph,
 
 
 # ----------------------------------------------------------------------
-# the array-native propagation core
+# the levelized propagation core
 # ----------------------------------------------------------------------
 
-@dataclasses.dataclass
-class _ArcRecord:
-    """Per-arc evaluation record (arrays over the corner axis)."""
+@dataclasses.dataclass(frozen=True)
+class _Records:
+    """Per-arc evaluation records of one propagation, as arrays over
+    the arcs (``graph.arcs`` order) and corners."""
 
-    arc: TimingArc
-    delta: np.ndarray       # sibling separation(s) fed to the model:
-                            # (corners,) scalar-Δ, (corners, n−1)
-                            # Δ-vector arcs
-    delay: np.ndarray       # model delay (NaN where not evaluated)
-    candidate: np.ndarray   # arc's output-crossing candidate time
+    plan: LevelPlan
     through: np.ndarray     # candidate − arrival(source)
+    delay: np.ndarray       # model delay (NaN where not evaluated)
+    deltas: list            # Δ of each plan group, in plan order
+
+    def delta(self, arc: int):
+        """The conditioning Δ of one arc (corner 0) — a float for
+        scalar-Δ arcs, a tuple of sibling offsets for Δ-vector arcs."""
+        evaluation = self.plan.arc_eval[arc]
+        group = self.plan.eval_group[evaluation]
+        value = self.deltas[group][
+            evaluation - self.plan.groups[group].first, 0]
+        if np.ndim(value):
+            return tuple(float(v) for v in value)
+        return float(value)
 
 
-def _record_delta(record: _ArcRecord, corner: int = 0):
-    """The conditioning Δ of one corner lane — a float for scalar-Δ
-    arcs, a tuple of sibling offsets for Δ-vector arcs."""
-    value = record.delta[corner]
-    if np.ndim(value):
-        return tuple(float(v) for v in value)
-    return float(value)
+def _evaluate(group: PlanGroup, arrival: np.ndarray, corner_params,
+              corners: int):
+    """Δ, delay and output-crossing candidate of one plan group.
 
-
-def _grouped_delays(arc: TimingArc, deltas: np.ndarray,
-                    corner_params) -> np.ndarray:
-    """Evaluate an arc's delay model over the corner lanes, in one call.
-
-    *deltas* is the scalar separation per lane (2-input and
-    single-input arcs) or a ``(lanes, n−1)`` Δ-vector matrix
-    (n-input arcs); the model's one ``delays`` entry point takes
-    either.  ``corner_params`` is ``None`` (no re-targeting), one
-    parameter set, a sample block with one set per lane, or a mapping
-    ``{instance name: set or block}`` that re-targets each arc with
-    its own instance's corners.  NaN lanes (no crossing to condition
-    on) are left NaN.
+    Returns arrays of shape ``(evaluations, corners)`` (Δ-vector
+    groups: Δ of ``(evaluations, corners, n−1)``).  NaN lanes (no
+    crossing to condition on) are left out of the delay call and
+    keep a NaN delay.
     """
-    direction = DIRECTION[arc.target.transition]
-    nan = np.isnan(deltas)
+    times = arrival[group.pins]
+    if group.reference == "input":
+        reference = times[:, 0]
+        delta = lookup = np.zeros_like(reference)
+    else:
+        if group.reference == "earlier":
+            reference = times.min(axis=1)
+        else:
+            reference = times.max(axis=1)
+        finite = np.isfinite(reference)
+        if times.shape[1] == 2:
+            with np.errstate(invalid="ignore"):
+                delta = times[:, 1] - times[:, 0]
+            lookup = np.where(finite, delta, math.nan)
+        else:
+            # Per-sibling ±inf encodings: offsets are clipped around
+            # the (finite) reference far past the settling region, so
+            # never/long-ago siblings land on the SIS plateaus.
+            anchor = np.where(finite, reference, 0.0)
+            offsets = sibling_offsets(np.moveaxis(times, 1, 0), anchor)
+            delta = lookup = np.where(finite[..., None], offsets,
+                                      math.nan)
+    lanes = lookup.reshape((group.size * corners,) + lookup.shape[2:])
+    nan = np.isnan(lanes)
     valid = ~(nan.any(axis=1) if nan.ndim == 2 else nan)
-    delays = np.full(valid.shape, math.nan)
-    params = (corner_params.get(arc.instance)
-              if isinstance(corner_params, dict) else corner_params)
-    if not arc.model.retargetable:
-        params = None
-    elif isinstance(params, np.ndarray):
-        params = params[valid]
+    delay = np.full(valid.shape, math.nan)
     if valid.any():
-        delays[valid] = arc.model.delays(direction, deltas[valid],
-                                         params=params)
-    return delays
+        delay[valid] = group.batch.delays(lanes[valid], valid,
+                                          corner_params, corners)
+    delay = delay.reshape(group.size, corners)
+    if group.reference == "input":
+        return delta, delay, reference + delay
+    return delta, delay, np.where(finite,
+                                  reference + np.nan_to_num(delay),
+                                  reference)
 
 
 def _propagate(graph: TimingGraph,
                input_arrivals: dict[TimingNode, np.ndarray],
                mode: str,
                corner_params=None,
-               keep_records: bool = True):
-    """Forward arrival propagation over the corner axis.
+               keep_records: bool = False):
+    """Forward arrival propagation over the corner axis, level by level.
 
-    Returns ``(arrivals, records)`` where *arrivals* maps every node
-    to an array over corners and *records* maps target nodes to their
-    incoming :class:`_ArcRecord` lists (empty when *keep_records* is
-    false).
+    *input_arrivals* maps every primary-input node to an array over
+    the corners; this is the one place input arrivals enter the
+    arrival array, so a NaN among them is rejected here.
+    ``corner_params`` is ``None`` (every arc on its own parameters),
+    one parameter set, a sample block with one set per corner, or a
+    mapping ``{instance name: set or block}``.  Returns the ``(nodes,
+    corners)`` arrival array in plan row order, and the per-arc
+    :class:`_Records` if *keep_records* (else ``None``).
     """
     if mode not in ("max", "min"):
         raise ParameterError(f"mode must be 'max' or 'min', got "
                              f"{mode!r}")
-    arrival: dict[TimingNode, np.ndarray] = dict(input_arrivals)
-    shape = next(iter(arrival.values())).shape
-    records: dict[TimingNode, list[_ArcRecord]] = {}
-
-    for signal in graph.signal_order:
-        for transition in ("rise", "fall"):
-            node = TimingNode(signal, transition)
-            arcs = graph.incoming(node)
-            if not arcs:
-                # The gate function cannot produce this transition.
-                arrival[node] = np.full(shape, math.inf)
-                continue
-            node_records: list[_ArcRecord] = []
-            candidates: list[np.ndarray] = []
-            # MIS pairs share one joint (Δ, δ, crossing) evaluation.
-            pair_cache: dict[tuple[str, TimingNode], tuple] = {}
-            for arc in arcs:
-                t_source = arrival[arc.source]
-                if arc.is_mis:
-                    key = (arc.instance, arc.target)
-                    if key not in pair_cache:
-                        times = np.stack([arrival[pin_node]
-                                          for pin_node
-                                          in arc.pin_nodes])
-                        if arc.reference == "earlier":
-                            reference = times.min(axis=0)
-                        else:
-                            reference = times.max(axis=0)
-                        finite = np.isfinite(reference)
-                        if len(arc.pin_nodes) == 2:
-                            with np.errstate(invalid="ignore"):
-                                delta = times[1] - times[0]
-                            lookup = np.where(finite, delta,
-                                              math.nan)
-                        else:
-                            # Per-sibling ±inf encodings: offsets
-                            # are clipped around the (finite)
-                            # reference far past the settling
-                            # region, so never/long-ago siblings
-                            # land on the SIS plateaus.
-                            anchor = np.where(finite, reference,
-                                              0.0)
-                            offsets = sibling_offsets(times, anchor)
-                            delta = np.where(finite[:, None],
-                                             offsets, math.nan)
-                            lookup = delta
-                        delay = _grouped_delays(arc, lookup,
-                                                corner_params)
-                        candidate = np.where(
-                            finite,
-                            reference + np.nan_to_num(delay),
-                            reference)
-                        pair_cache[key] = (delta, delay, candidate)
-                    delta, delay, candidate = pair_cache[key]
+    plan = graph.plan
+    inputs = np.array([input_arrivals[node]
+                       for node in plan.nodes[:plan.inputs]], dtype=float)
+    bad = np.isnan(inputs).any(axis=1)
+    if bad.any():
+        signal = plan.nodes[int(np.argmax(bad))].signal
+        raise ParameterError(
+            f"arrival of input {signal!r} must not be NaN")
+    corners = inputs.shape[1]
+    arrival = np.full((len(plan.nodes), corners), math.inf)
+    arrival[:plan.inputs] = inputs
+    candidate = np.empty((plan.evaluations, corners))
+    delays = np.empty_like(candidate) if keep_records else None
+    deltas: list = []
+    with span("sta.propagate", levels=len(plan.levels), corners=corners,
+              mode=mode):
+        for index, level in enumerate(plan.levels):
+            with span("sta.level", level=index,
+                      groups=len(level.groups),
+                      lanes=(level.stop - level.first) * corners):
+                for group in level.groups:
+                    delta, delay, rows = _evaluate(
+                        group, arrival, corner_params, corners)
+                    stop = group.first + group.size
+                    candidate[group.first:stop] = rows
+                    if keep_records:
+                        delays[group.first:stop] = delay
+                        deltas.append(delta)
+                block = candidate[level.first:level.stop][level.order]
+                if mode == "max":
+                    # +inf candidates mean "this cause never fires" —
+                    # they must not masquerade as a late arrival.  If
+                    # *every* cause never fires, the node never
+                    # switches (+inf).
+                    never = np.isposinf(block)
+                    value = np.maximum.reduceat(
+                        np.where(never, -math.inf, block), level.starts)
+                    value = np.where(
+                        np.logical_and.reduceat(never, level.starts),
+                        math.inf, value)
                 else:
-                    delta = np.zeros(shape)
-                    delay = _grouped_delays(arc, delta,
-                                            corner_params)
-                    candidate = t_source + delay
-                candidates.append(candidate)
-                if keep_records:
-                    with np.errstate(invalid="ignore"):
-                        through = candidate - t_source
-                    node_records.append(_ArcRecord(
-                        arc=arc, delta=delta, delay=delay,
-                        candidate=candidate, through=through))
-            stacked = np.stack(candidates)
-            if mode == "max":
-                # +inf candidates mean "this cause never fires" — they
-                # must not masquerade as a late arrival.  If *every*
-                # cause never fires, the node never switches (+inf).
-                masked = np.where(np.isposinf(stacked), -math.inf,
-                                  stacked)
-                value = np.where(np.isposinf(stacked).all(axis=0),
-                                 math.inf, masked.max(axis=0))
-            else:
-                value = stacked.min(axis=0)
-            arrival[node] = value
-            if keep_records:
-                records[node] = node_records
-    return arrival, records
+                    value = np.minimum.reduceat(block, level.starts)
+                arrival[level.targets] = value
+    if not keep_records:
+        return arrival, None
+    with np.errstate(invalid="ignore"):
+        through = candidate[plan.arc_eval] - arrival[plan.arc_source]
+    return arrival, _Records(plan=plan, through=through,
+                             delay=delays[plan.arc_eval], deltas=deltas)
 
 
 # ----------------------------------------------------------------------
@@ -435,11 +433,10 @@ class StaResult:
 # required times and paths
 # ----------------------------------------------------------------------
 
-def _required_times(graph: TimingGraph,
-                    arrivals: dict[TimingNode, float],
-                    records: dict[TimingNode, list[_ArcRecord]],
-                    required, mode: str) -> dict[TimingNode, float]:
-    """Back-propagate endpoint required times against the arcs.
+def _required_times(graph: TimingGraph, records: _Records, required,
+                    mode: str) -> np.ndarray:
+    """Back-propagate endpoint required times against the arcs, level
+    by level in reverse order; one value per plan row.
 
     ``max`` mode is the setup view — the endpoint must arrive *no
     later than* the requirement, so required times tighten downward
@@ -447,10 +444,6 @@ def _required_times(graph: TimingGraph,
     endpoint must arrive *no earlier than* the requirement, so they
     tighten upward (``max``) and unconstrained nodes sit at ``-inf``.
     """
-    unconstrained = math.inf if mode == "max" else -math.inf
-    tighten = min if mode == "max" else max
-    req: dict[TimingNode, float] = {node: unconstrained
-                                    for node in arrivals}
     if required is None:
         constraint: dict[str, float] = {}
     elif isinstance(required, (int, float)):
@@ -467,19 +460,18 @@ def _required_times(graph: TimingGraph,
                       for signal, value in required.items()}
     if any(math.isnan(value) for value in constraint.values()):
         raise ParameterError("required time must not be NaN")
+    plan = graph.plan
+    req = np.full(len(plan.nodes),
+                  math.inf if mode == "max" else -math.inf)
     for signal, value in constraint.items():
-        for transition in ("rise", "fall"):
-            req[TimingNode(signal, transition)] = value
-    for signal in reversed(graph.signal_order):
-        for transition in ("rise", "fall"):
-            node = TimingNode(signal, transition)
-            for record in records.get(node, []):
-                through = float(record.through[0])
-                if not math.isfinite(through):
-                    continue
-                source = record.arc.source
-                req[source] = tighten(req[source],
-                                      req[node] - through)
+        for transition in TRANSITIONS:
+            req[plan.rows[TimingNode(signal, transition)]] = value
+    tighten = np.minimum if mode == "max" else np.maximum
+    through = records.through[:, 0]
+    for level in reversed(plan.levels):
+        arcs = level.arcs[np.isfinite(through[level.arcs])]
+        tighten.at(req, plan.arc_source[arcs],
+                   req[plan.arc_target[arcs]] - through[arcs])
     return req
 
 
@@ -495,28 +487,29 @@ def _slack(arrival: float, required: float, mode: str) -> float:
             else arrival - required)
 
 
-def _extract_paths(graph: TimingGraph,
-                   arrivals: dict[TimingNode, float],
-                   records: dict[TimingNode, list[_ArcRecord]],
-                   required: dict[TimingNode, float],
+def _extract_paths(graph: TimingGraph, arrivals: list[float],
+                   records: _Records, required: list[float],
                    top: int, mode: str) -> tuple[TimingPath, ...]:
     """Best-first backward enumeration of the worst *top* paths.
 
-    A partial path (backward from an endpoint) is scored with
-    ``arrival(frontier) + Σ through`` — an exact bound on any
-    completion, because ``arrival(target)`` is the max (min mode:
-    min) of ``arrival(source) + through`` over incoming arcs — so
-    complete paths pop off the heap in true criticality order.
+    *arrivals* and *required* are per plan row.  A partial path
+    (backward from an endpoint) is scored with ``arrival(frontier) +
+    Σ through`` — an exact bound on any completion, because
+    ``arrival(target)`` is the max (min mode: min) of
+    ``arrival(source) + through`` over incoming arcs — so complete
+    paths pop off the heap in true criticality order.
     """
+    plan = graph.plan
+    through = records.through[:, 0].tolist()
     sign = -1.0 if mode == "max" else 1.0
     counter = itertools.count()
     heap: list = []
     for signal in graph.endpoints:
-        for transition in ("rise", "fall"):
-            node = TimingNode(signal, transition)
-            if math.isfinite(arrivals[node]):
-                heapq.heappush(heap, (sign * arrivals[node],
-                                      next(counter), node, (), 0.0))
+        for transition in TRANSITIONS:
+            row = plan.rows[TimingNode(signal, transition)]
+            if math.isfinite(arrivals[row]):
+                heapq.heappush(heap, (sign * arrivals[row],
+                                      next(counter), row, (), 0.0))
     paths: list[TimingPath] = []
     expansions = 0
     while heap and len(paths) < top \
@@ -524,36 +517,35 @@ def _extract_paths(graph: TimingGraph,
         expansions += 1
         keyed, _tie, frontier, chain, suffix = heapq.heappop(heap)
         score = sign * keyed
-        incoming = records.get(frontier)
+        incoming = plan.fanin[plan.fanin_start[frontier]:
+                              plan.fanin_start[frontier + 1]].tolist()
         if not incoming:
             # Reached a primary input: the path is complete.  The
             # chain is stored endpoint-first; unwind it forward.
-            endpoint = chain[0].arc.target if chain else frontier
+            endpoint = plan.arc_target[chain[0]] if chain else frontier
             steps: list[PathStep] = []
             t = arrivals[frontier]
-            for record in reversed(chain):
-                t = t + float(record.through[0])
+            for arc in reversed(chain):
+                t = t + through[arc]
                 steps.append(PathStep(
-                    arc=record.arc,
-                    delta=_record_delta(record),
-                    delay=float(record.delay[0]),
-                    arrival=t))
+                    arc=graph.arcs[arc], delta=records.delta(arc),
+                    delay=float(records.delay[arc, 0]), arrival=t))
             slack = _slack(score, required[endpoint], mode)
-            paths.append(TimingPath(endpoint=endpoint, arrival=score,
-                                    slack=slack, source=frontier,
+            paths.append(TimingPath(endpoint=plan.nodes[endpoint],
+                                    arrival=score, slack=slack,
+                                    source=plan.nodes[frontier],
                                     steps=tuple(steps)))
             continue
-        for record in incoming:
-            through = float(record.through[0])
-            source_arrival = arrivals[record.arc.source]
-            if not (math.isfinite(through)
+        for arc in incoming:
+            source_arrival = arrivals[plan.arc_source[arc]]
+            if not (math.isfinite(through[arc])
                     and math.isfinite(source_arrival)):
                 continue
-            new_suffix = suffix + through
+            new_suffix = suffix + through[arc]
             heapq.heappush(heap, (
                 sign * (source_arrival + new_suffix),
-                next(counter), record.arc.source,
-                chain + (record,), new_suffix))
+                next(counter), int(plan.arc_source[arc]),
+                chain + (arc,), new_suffix))
     return tuple(paths)
 
 
@@ -592,27 +584,31 @@ def analyze(graph: TimingGraph, arrivals=None, required=None,
     Raises
     ------
     SimulationError
-        If the propagation produced a NaN arrival (malformed ±inf
-        input-arrival combination).
+        If an arc delay model produced a NaN arrival.
     ParameterError
-        If a required time is NaN.
+        If an input arrival or a required time is NaN.
     """
-    node_arrivals = input_arrival_nodes(graph, arrivals)
-    arrays = {node: np.asarray([value], dtype=float)
-              for node, value in node_arrivals.items()}
-    arrival_arrays, records = _propagate(graph, arrays, mode)
-    arrival = {node: float(value[0])
-               for node, value in arrival_arrays.items()}
-    for node, value in arrival.items():
-        if math.isnan(value):
-            raise SimulationError(
-                f"arrival at {node} is NaN — check the ±inf input "
-                "arrival combination")
-    req = _required_times(graph, arrival, records, required, mode)
-    slacks = {node: _slack(arrival[node], req[node], mode)
-              for node in arrival}
-    paths = (_extract_paths(graph, arrival, records, req, top_paths,
-                            mode)
+    inputs = {node: np.array([value]) for node, value
+              in input_arrival_nodes(graph, arrivals).items()}
+    arrival, records = _propagate(graph, inputs, mode,
+                                  keep_records=True)
+    column = arrival[:, 0]
+    nodes = graph.plan.nodes
+    if np.isnan(column).any():
+        raise SimulationError(
+            f"arrival at {nodes[int(np.argmax(np.isnan(column)))]} is "
+            "NaN — an arc delay model returned NaN")
+    req = _required_times(graph, records, required, mode)
+    with np.errstate(invalid="ignore"):
+        margin = req - column if mode == "max" else column - req
+    slacks = np.where(np.isfinite(req) & np.isfinite(column), margin,
+                      math.inf)
+    arrival_list, req_list = column.tolist(), req.tolist()
+    paths = (_extract_paths(graph, arrival_list, records, req_list,
+                            top_paths, mode)
              if top_paths > 0 else ())
-    return StaResult(graph=graph, mode=mode, arrivals=arrival,
-                     required=req, slacks=slacks, paths=paths)
+    return StaResult(graph=graph, mode=mode,
+                     arrivals=dict(zip(nodes, arrival_list)),
+                     required=dict(zip(nodes, req_list)),
+                     slacks=dict(zip(nodes, slacks.tolist())),
+                     paths=paths)

@@ -22,8 +22,13 @@ answer, packaged behind one small protocol so that a
 All models are array-native: ``delays(direction, deltas)`` takes the
 sibling separations of many lanes — ``(lanes,)`` for 2-pin and
 single-input arcs, ``(lanes, n−1)`` Δ-vectors for wider gates — and
-returns one delay per lane, so one arc evaluation can serve a
-thousand corners in a single call.
+returns one delay per lane.  The level plan of
+:class:`~repro.sta.graph.TimingGraph` groups the arcs of one level by
+:func:`batch_key`, and :func:`arc_batch` turns each group into one
+call: every engine-backed arc of a level, direction and gate width
+shares one engine call over all its instances and corners, and fixed
+and wire arcs, whose delays depend on neither Δ nor the corner, are
+read once when the plan is built.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import paper_generalized, parameter_width
+from ..core.multi_input import (generalized_block, paper_generalized,
+                                parameter_width)
 from ..core.parameters import BLOCK_DTYPE, NorGateParameters
-from ..engine import delays_for_direction, get_engine
+from ..engine import block_from_parameters, delays_for_direction, get_engine
 from ..errors import ParameterError
 from ..library.tables import (GATE_TYPES, GateDelayTable,
                               check_gate_params)
@@ -47,6 +53,8 @@ __all__ = [
     "FixedArcModel",
     "TableArcModel",
     "WireArcModel",
+    "arc_batch",
+    "batch_key",
 ]
 
 @runtime_checkable
@@ -394,3 +402,133 @@ class WireArcModel:
     def __repr__(self) -> str:
         return (f"WireArcModel(sink={self.sink!r}, "
                 f"delay={self.delay!r}, model={self.model!r})")
+
+
+# ----------------------------------------------------------------------
+# batched evaluation of many arcs in one call
+# ----------------------------------------------------------------------
+
+def batch_key(model, instance: str) -> tuple:
+    """The key under which arcs of one level share one delay call.
+
+    Engine-backed arcs batch across instances when they share the
+    engine, gate and state; fixed and wire arcs are constants; any
+    other model evaluates its own lanes (per instance when it honours
+    corner overrides, since each instance may carry its own axis).
+    """
+    if isinstance(model, EngineArcModel):
+        return ("engine", model.engine, model.gate, model.state)
+    if isinstance(model, (FixedArcModel, WireArcModel)):
+        return ("constant",)
+    return ("model", id(model), instance if model.retargetable else None)
+
+
+def arc_batch(models, instances, direction: str):
+    """The evaluator of one plan group of arcs sharing a
+    :func:`batch_key`, in evaluation order.
+
+    Its ``delays(deltas, valid, corner_params, corners)`` returns the
+    delays of the *valid* lanes, where lanes run evaluation-major with
+    the *corners* of each evaluation inside, and *corner_params* is
+    the sweep's corner axis as :func:`repro.sta.sweep_corners`
+    resolves it (``None``, one set, a block, or a per-instance dict).
+    """
+    kind = batch_key(models[0], instances[0])[0]
+    if kind == "engine":
+        return _EngineBatch(models, instances, direction)
+    if kind == "constant":
+        return _ConstantBatch(models, direction)
+    return _ModelBatch(models[0], instances[0], len(models), direction)
+
+
+def _as_block(params) -> np.ndarray:
+    """A parameter set as a one-record block; blocks pass through."""
+    if isinstance(params, np.ndarray):
+        return params
+    if isinstance(params, NorGateParameters):
+        return block_from_parameters([params])
+    return generalized_block([params])
+
+
+class _EngineBatch:
+    """Engine-backed arcs of one kind: one engine call for all lanes.
+
+    Each lane carries its instance's own parameter set (analysis), a
+    corner of a shared axis tiled once per instance, or a corner of
+    its instance's own axis; the representative model applies the
+    NAND mirror and the n-input widening to them all.
+    """
+
+    kind = "engine"
+
+    def __init__(self, models, instances, direction: str):
+        self.model = models[0]
+        self.direction = direction
+        self.instances = tuple(instances)
+        self.sets = tuple(model.params for model in models)
+        first = self.sets[0]
+        self.own = (first if all(p == first for p in self.sets)
+                    else (block_from_parameters(self.sets)
+                          if isinstance(first, NorGateParameters)
+                          else generalized_block(self.sets)))
+
+    def _lanes(self, corner_params, corners: int):
+        """One set for every lane, or a block with one set per lane."""
+        if corner_params is None:
+            if isinstance(self.own, np.ndarray):
+                return np.repeat(self.own, corners)
+            return self.own
+        resolve = self.model._resolve
+        if isinstance(corner_params, dict):
+            return np.concatenate([
+                np.resize(_as_block(resolve(corner_params.get(name, own))),
+                          corners)
+                for name, own in zip(self.instances, self.sets)])
+        resolved = resolve(corner_params)
+        if isinstance(resolved, np.ndarray):
+            return np.tile(resolved, len(self.instances))
+        return resolved
+
+    def delays(self, deltas, valid, corner_params,
+               corners: int) -> np.ndarray:
+        params = self._lanes(corner_params, corners)
+        if isinstance(params, np.ndarray):
+            params = params[valid]
+        return self.model.delays(self.direction, deltas, params=params)
+
+
+class _ConstantBatch:
+    """Fixed and wire arcs: delays read once, when the plan is built."""
+
+    kind = "constant"
+
+    def __init__(self, models, direction: str):
+        self.values = np.array([model.delays(direction, np.zeros(1))[0]
+                                for model in models])
+
+    def delays(self, deltas, valid, corner_params,
+               corners: int) -> np.ndarray:
+        return np.repeat(self.values, corners)[valid]
+
+
+class _ModelBatch:
+    """Any other arc model: one ``delays`` call for its lanes."""
+
+    kind = "model"
+
+    def __init__(self, model, instance: str, size: int, direction: str):
+        self.model = model
+        self.instance = instance
+        self.size = size
+        self.direction = direction
+
+    def delays(self, deltas, valid, corner_params,
+               corners: int) -> np.ndarray:
+        params = None
+        if self.model.retargetable:
+            params = (corner_params.get(self.instance)
+                      if isinstance(corner_params, dict)
+                      else corner_params)
+            if isinstance(params, np.ndarray):
+                params = np.tile(params, self.size)[valid]
+        return self.model.delays(self.direction, deltas, params=params)

@@ -31,6 +31,11 @@ Arc construction per instance kind:
   (binate functions like XOR get both polarities), with the
   single-input channel's stable-history delays as a
   :class:`~repro.sta.arcs.FixedArcModel`.
+
+The graph also carries its :class:`LevelPlan`, built once with it: the
+nodes as rows of one arrival array, the driven signals cut into
+topological levels, and each level's arc evaluations grouped so that
+the analyzer makes one delay call per level and arc kind.
 """
 
 from __future__ import annotations
@@ -38,15 +43,17 @@ from __future__ import annotations
 import dataclasses
 from typing import NamedTuple
 
+import numpy as np
+
 from ..errors import NetlistError
 from ..timing.channels.multi_input import GeneralizedNorChannel
 from ..timing.channels.table import TableDelayChannel
 from ..timing.circuit import (GateInstance, MultiInputInstance,
                               TimingCircuit, WireInstance)
 from .arcs import (ArcDelayModel, EngineArcModel, FixedArcModel,
-                   TableArcModel, WireArcModel)
+                   TableArcModel, WireArcModel, arc_batch, batch_key)
 
-__all__ = ["TimingNode", "TimingArc", "TimingGraph",
+__all__ = ["LevelPlan", "TimingNode", "TimingArc", "TimingGraph",
            "build_timing_graph", "input_unateness"]
 
 #: Output transitions, in node order.
@@ -194,6 +201,7 @@ class TimingGraph:
                     for signal in instance.inputs}
         self.endpoints: tuple[str, ...] = tuple(
             signal for signal in signal_order if signal not in consumed)
+        self.plan = LevelPlan(self)
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -220,6 +228,165 @@ class TimingGraph:
         return (f"{len(self.signal_order)} driven signals, "
                 f"{len(self.arcs)} arcs ({mis} MIS-conditioned), "
                 f"endpoints: {', '.join(self.endpoints)}")
+
+
+@dataclasses.dataclass(frozen=True)
+class PlanGroup:
+    """Arc evaluations of one level that share one delay call.
+
+    An *evaluation* is one MIS gate output transition (all its arcs
+    share one Δ, delay and crossing) or one single-input arc.
+    """
+
+    #: Evaluator from :func:`repro.sta.arcs.arc_batch`.
+    batch: object
+    #: ``"earlier"`` / ``"later"`` for MIS evaluations, else ``"input"``.
+    reference: str
+    #: Node rows of each evaluation's input pins, ``(size, width)``.
+    pins: np.ndarray
+    #: Node row each evaluation drives, ``(size,)``.
+    targets: np.ndarray
+    #: Plan-wide index of the group's first evaluation.
+    first: int
+
+    @property
+    def size(self) -> int:
+        """Number of evaluations."""
+        return len(self.targets)
+
+
+@dataclasses.dataclass(frozen=True)
+class PlanLevel:
+    """One topological level: its groups and how their candidates
+    reduce into the level's target rows."""
+
+    groups: tuple[PlanGroup, ...]
+    #: Evaluation range ``[first, stop)`` of the level.
+    first: int
+    stop: int
+    #: Level evaluations sorted by target row (relative to *first*).
+    order: np.ndarray
+    #: ``reduceat`` offsets into *order*, one per target row.
+    starts: np.ndarray
+    #: The target row of each offset.
+    targets: np.ndarray
+    #: Arcs driving this level's targets.
+    arcs: np.ndarray
+
+
+class LevelPlan:
+    """Topological levels of a timing graph over flat index arrays.
+
+    Row ``i`` of an arrival array is ``nodes[i]``: the primary-input
+    nodes first, then the driven nodes in topological order (the
+    order of :meth:`TimingGraph.nodes`).  A signal's level is one
+    more than the deepest input of the instance driving it, so a
+    level reads only rows written by earlier levels.  Within a
+    level, evaluations are grouped by arc-model batch key, direction,
+    gate width and reference; each group is one delay call.
+
+    Parameters
+    ----------
+    graph : TimingGraph
+        The graph to plan (its arcs and signal order).
+    """
+
+    def __init__(self, graph: "TimingGraph"):
+        self.nodes: tuple[TimingNode, ...] = tuple(graph.nodes())
+        self.rows = {node: row for row, node in enumerate(self.nodes)}
+        self.inputs = 2 * len(graph.inputs)
+        depth = dict.fromkeys(graph.inputs, 0)
+        inputs_of = {instance.output: instance.inputs
+                     for instance in graph.circuit.instances}
+        for signal in graph.signal_order:
+            depth[signal] = 1 + max((depth[name]
+                                     for name in inputs_of[signal]),
+                                    default=0)
+        # One evaluation unit per MIS output transition (its arcs share
+        # one Δ, delay and crossing) and one per other arc, keyed by
+        # (depth, batch key, direction, width, reference).
+        units: list[tuple] = []
+        unit_of: dict[int, int] = {}
+        arc_unit, source, target = [], [], []
+        for index, arc in enumerate(graph.arcs):
+            mis = arc.is_mis
+            row = self.rows[arc.target]
+            # One instance drives a target, so its row names the unit.
+            shared = row if mis else -1 - index
+            unit = unit_of.get(shared)
+            if unit is None:
+                pins = arc.pin_nodes if mis else (arc.source,)
+                key = (depth[arc.target.signal],
+                       batch_key(arc.model, arc.instance),
+                       DIRECTION[arc.target.transition], len(pins),
+                       arc.reference if mis else "input")
+                unit = unit_of[shared] = len(units)
+                units.append((key, arc, pins))
+            arc_unit.append(unit)
+            source.append(self.rows[arc.source])
+            target.append(row)
+        members: dict[tuple, list[int]] = {}
+        for unit, (key, _arc, _pins) in enumerate(units):
+            members.setdefault(key, []).append(unit)
+        depths = sorted({key[0] for key in members})
+        level_of = {value: level for level, value in enumerate(depths)}
+        arc_level = np.array([level_of[units[unit][0][0]]
+                              for unit in arc_unit], dtype=np.intp)
+        evaluation_of = np.empty(len(units), dtype=np.intp)
+        self.levels: list[PlanLevel] = []
+        first = 0
+        for level, level_depth in enumerate(depths):
+            start, groups = first, []
+            for key, indices in members.items():
+                if key[0] != level_depth:
+                    continue
+                evaluation_of[indices] = np.arange(first,
+                                                   first + len(indices))
+                arcs = [units[unit][1] for unit in indices]
+                groups.append(PlanGroup(
+                    batch=arc_batch([arc.model for arc in arcs],
+                                    [arc.instance for arc in arcs],
+                                    key[2]),
+                    reference=key[4],
+                    pins=np.array([[self.rows[node]
+                                    for node in units[unit][2]]
+                                   for unit in indices], dtype=np.intp),
+                    targets=np.array([self.rows[arc.target]
+                                      for arc in arcs], dtype=np.intp),
+                    first=first))
+                first += len(indices)
+            targets = np.concatenate([group.targets for group in groups])
+            order = np.argsort(targets, kind="stable")
+            ordered = targets[order]
+            starts = np.flatnonzero(np.r_[True,
+                                          ordered[1:] != ordered[:-1]])
+            self.levels.append(PlanLevel(
+                groups=tuple(groups), first=start, stop=first,
+                order=order, starts=starts, targets=ordered[starts],
+                arcs=np.flatnonzero(arc_level == level)))
+        #: Number of evaluations over all levels.
+        self.evaluations = first
+        #: Every group in plan order, and the group of each evaluation.
+        self.groups = tuple(group for level in self.levels
+                            for group in level.groups)
+        self.eval_group = np.repeat(np.arange(len(self.groups)),
+                                    [group.size for group in self.groups])
+        #: Per arc (in ``graph.arcs`` order): source row, target row
+        #: and the evaluation whose candidate it shares.
+        self.arc_source = np.array(source, dtype=np.intp)
+        self.arc_target = np.array(target, dtype=np.intp)
+        self.arc_eval = evaluation_of[np.array(arc_unit, dtype=np.intp)]
+        #: Fan-in in CSR form: the arcs into row ``r`` are
+        #: ``fanin[fanin_start[r]:fanin_start[r + 1]]``, in
+        #: ``graph.incoming`` order.
+        self.fanin = np.argsort(self.arc_target, kind="stable")
+        self.fanin_start = np.searchsorted(
+            self.arc_target[self.fanin], np.arange(len(self.nodes) + 1))
+
+    def engine_groups(self) -> int:
+        """Number of engine-backed groups: the engine calls of one
+        propagation in which every group has a lane to evaluate."""
+        return sum(group.batch.kind == "engine" for group in self.groups)
 
 
 def _mis_model(channel, engine) -> ArcDelayModel:

@@ -8,14 +8,18 @@ corner — and every run pays the per-call overhead of its one-point
 engine evaluations.
 
 :func:`sweep_corners` instead propagates *arrays* of arrival times
-through the timing graph: every node's arrival is a vector over the
-corner axis, every MIS arc computes its Δ vector in one subtraction,
-and each arc's delays are fetched with **one batched engine call**,
-whatever parameter set each corner carries (the corner axis is a
-sample block, one set per lane).  A 1000-corner sweep of an N-gate
-circuit thus costs on the order of ``N`` engine calls instead of
-``N × 1000`` — the speedup is recorded in ``BENCH_sta.json`` by
-``benchmarks/bench_sta.py`` (acceptance: ≥ 10×).
+through the timing graph's level plan: every node's arrival is a row
+of one ``(nodes, corners)`` array, every MIS group computes its Δ
+vectors in one subtraction, and each level fetches the delays of each
+arc kind with **one batched engine call** for all its instances and
+corners, whatever parameter set each lane carries (a shared corner
+axis is tiled once per instance; a per-instance axis gives each
+instance its own block).  A 1000-corner sweep of an N-gate circuit
+thus costs a few engine calls per level instead of ``N × 1000`` — the
+speedup over the scalar loop is recorded in ``BENCH_sta.json`` by
+``benchmarks/bench_sta.py`` (acceptance: ≥ 10×), and absolute seconds
+per gate-corner on generated netlists in ``BENCH_sta_scale.json`` by
+``benchmarks/bench_sta_scale.py``.
 
 :func:`sweep_corners_scalar` is the reference per-corner loop, kept
 for parity tests and as the benchmark baseline.
@@ -296,12 +300,11 @@ def sweep_corners(graph: TimingGraph, params=None, arrivals=None,
     """
     count, corner_params, node_arrays = _resolve_corner_axes(
         graph, params, arrivals, required)
-    arrival_arrays, _records = _propagate(
-        graph, node_arrays, mode, corner_params=corner_params,
-        keep_records=False)
-    return CornerSweepResult(graph=graph, mode=mode, corners=count,
-                             arrivals=arrival_arrays,
-                             required=required)
+    arrival, _records = _propagate(graph, node_arrays, mode,
+                                   corner_params=corner_params)
+    return CornerSweepResult(
+        graph=graph, mode=mode, corners=count,
+        arrivals=dict(zip(graph.plan.nodes, arrival)), required=required)
 
 
 def sweep_corners_scalar(graph: TimingGraph, params=None,
@@ -319,22 +322,19 @@ def sweep_corners_scalar(graph: TimingGraph, params=None,
     """
     count, corner_params, node_arrays = _resolve_corner_axes(
         graph, params, arrivals, required)
-    columns: dict[TimingNode, list[float]] = {}
+    columns = []
     for corner in range(count):
-        spec = {node: np.asarray([array[corner]])
+        spec = {node: array[corner:corner + 1]
                 for node, array in node_arrays.items()}
         if isinstance(corner_params, dict):
             lane_params = {name: _corner_set(axis, corner)
                            for name, axis in corner_params.items()}
         else:
             lane_params = _corner_set(corner_params, corner)
-        arrival_arrays, _records = _propagate(
-            graph, spec, mode, corner_params=lane_params,
-            keep_records=False)
-        for node, value in arrival_arrays.items():
-            columns.setdefault(node, []).append(float(value[0]))
-    arrivals_out = {node: np.asarray(values)
-                    for node, values in columns.items()}
-    return CornerSweepResult(graph=graph, mode=mode, corners=count,
-                             arrivals=arrivals_out,
-                             required=required)
+        arrival, _records = _propagate(graph, spec, mode,
+                                       corner_params=lane_params)
+        columns.append(arrival[:, 0])
+    return CornerSweepResult(
+        graph=graph, mode=mode, corners=count,
+        arrivals=dict(zip(graph.plan.nodes, np.stack(columns, axis=1))),
+        required=required)

@@ -353,6 +353,47 @@ def test_oversized_integer_is_a_parameter_error(text):
         Session().run_json(text)
 
 
+#: In-process envelope dicts holding an integer past CPython's
+#: 4,300-digit ``str`` limit, where its ``repr`` raises ``ValueError``;
+#: and the message each must raise instead.
+HUGE = 10 ** 5000
+HUGE_TEXT = f"an integer of {HUGE.bit_length()} bits"
+OVERSIZED_DICTS = [
+    ({"kind": "sta", "data": {"required": HUGE}},
+     f"value {HUGE_TEXT} fits no arm of float | None"),
+    ({"kind": "sta", "data": {"validate": HUGE}},
+     f"expected a bool, got {HUGE_TEXT}"),
+    ({"kind": "sta", "data": {"circuit": HUGE}},
+     f"expected a string, got {HUGE_TEXT}"),
+    ({"kind": "delay", "data": {"deltas": [HUGE]}},
+     f"expected an array, got {HUGE_TEXT}"),
+    ({"kind": "sta", "data": {"required": [HUGE]}},
+     "value a list holding an integer too large to print fits no arm "
+     "of float | None"),
+    ({"kind": HUGE, "data": {}},
+     f"unknown payload kind {HUGE_TEXT}; known kinds: "
+     f"{', '.join(known_kinds())}"),
+    ({"schema": HUGE, "kind": "sta", "data": {}},
+     f"not a repro.api payload (schema={HUGE_TEXT})"),
+]
+
+
+@pytest.mark.parametrize(
+    "envelope, message", OVERSIZED_DICTS,
+    ids=["required", "validate", "circuit", "deltas", "nested", "kind",
+         "schema"])
+def test_oversized_integer_in_a_dict_payload(envelope, message):
+    """A dict payload can carry an integer that JSON text cannot: its
+    decode error is a typed one-line ParameterError, never the plain
+    ValueError that ``repr`` of the integer raises."""
+    payload = {"schema": "repro.api/1", **envelope}
+    with pytest.raises(ParameterError) as caught:
+        Session().run_json(payload)
+    assert str(caught.value) == message
+    with pytest.raises(ParameterError):
+        from_json(payload)
+
+
 def test_type_hints_are_resolved_once_per_class(monkeypatch):
     """Decoding resolves a record class's annotations once; every
     later decode of the class reuses its prebuilt field decoders."""

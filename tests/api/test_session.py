@@ -186,6 +186,19 @@ class TestNonFiniteTimingInputs:
             Session().run(StaRequest(circuit="nor2",
                                      required=math.nan))
 
+    @pytest.mark.parametrize("per_instance", [False, True])
+    def test_yield_nan_arrival(self, per_instance):
+        """A NaN arrival used to give yield 0.0 with every worst
+        arrival NaN."""
+        from repro.stats import ParameterDistribution, timing_yield
+        graph = Session().timing_graph("tree")
+        distribution = ParameterDistribution(PAPER_TABLE_I,
+                                             {"r1": 0.05})
+        with pytest.raises(ParameterError, match="'a'.*NaN"):
+            timing_yield(graph, distribution, samples=4,
+                         required=200e-12, arrivals={"a": math.nan},
+                         per_instance=per_instance)
+
 
 class TestEmptyDeltaGrid:
     @pytest.mark.parametrize("method", ["mc", "surrogate"])

@@ -10,7 +10,8 @@ from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import ParameterError
 from repro.sta import (FixedArcModel, TimingNode, WireArcModel,
                        analyze, build_timing_graph, nor_tree,
-                       single_nor, sta_circuit, sweep_corners)
+                       single_nor, sta_circuit, sweep_corners,
+                       sweep_corners_scalar)
 from repro.units import PS
 
 INF = math.inf
@@ -154,6 +155,23 @@ class TestRequiredAndSlack:
         for mode in ("max", "min"):
             with pytest.raises(ParameterError, match="NaN"):
                 analyze(tree_graph, required=required, mode=mode)
+
+    @pytest.mark.parametrize("spec", [math.nan, (0.0, math.nan)])
+    def test_arrival_rejects_nan(self, tree_graph, spec):
+        """A NaN input arrival used to end in a SimulationError that
+        blamed the ±inf arrival conventions."""
+        for mode in ("max", "min"):
+            with pytest.raises(ParameterError, match="'b'.*NaN"):
+                analyze(tree_graph, arrivals={"b": spec}, mode=mode)
+
+    @pytest.mark.parametrize("sweep", [sweep_corners,
+                                       sweep_corners_scalar])
+    def test_sweep_arrival_rejects_nan(self, tree_graph, sweep):
+        """A NaN corner used to come back as NaN arrivals."""
+        for mode in ("max", "min"):
+            with pytest.raises(ParameterError, match="'a'.*NaN"):
+                sweep(tree_graph, arrivals={"a": [0.0, math.nan, 5 * PS]},
+                      mode=mode)
 
     def test_min_mode_slack_is_hold_signed(self, nor_graph, model):
         """min mode: required is the *earliest allowed* arrival, so

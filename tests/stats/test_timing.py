@@ -163,9 +163,9 @@ def _calls_of(function, *args, **kwargs) -> float:
 
 
 class TestEngineCalls:
-    """Engine calls scale with the arcs, not with parameter sets."""
+    """Engine calls scale with the levels, not with parameter sets."""
 
-    def test_one_call_per_arc_for_any_corner_axis(self):
+    def test_one_call_per_level_and_arc_kind_for_any_corner_axis(self):
         graph = Session().timing_graph("nor3_mixed")
         base = _calls_of(analyze, graph, required=250.0 * PS)
         params, arrivals = demo_corners(64, graph.inputs, seed=4)
