@@ -31,8 +31,8 @@ def test_table1_fit(benchmark, write_result):
     # All six characteristic targets are matched closely.
     assert fit.max_error < 0.25 * PS
     # The nMOS-side parameters land on the paper's values; the
-    # (R1, R2, C_N) subspace is degenerate (see DESIGN.md) but the
-    # total p-path resistance matches too.
+    # (R1, R2, C_N) subspace is degenerate (see `regularization` in
+    # `fit_nor_parameters`) but the total p-path resistance matches too.
     assert fit.params.r3 == pytest.approx(PAPER_TABLE_I.r3, rel=0.10)
     assert fit.params.r4 == pytest.approx(PAPER_TABLE_I.r4, rel=0.10)
     assert fit.params.r1 + fit.params.r2 == pytest.approx(

@@ -1,10 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables/figures (see
-DESIGN.md §4).  The rendered rows are written to
-``benchmarks/results/<name>.txt`` so that a benchmark run leaves the
-full paper-vs-measured record on disk, and key numbers are attached to
-the pytest-benchmark ``extra_info`` of each timing.
+Every benchmark regenerates the paper's table or figure its file is
+named after (``bench_fig4.py``: Fig. 4).  The rendered rows are
+written to ``benchmarks/results/<name>.txt`` so that a benchmark run
+leaves the full paper-vs-measured record on disk, and key numbers are
+attached to the pytest-benchmark ``extra_info`` of each timing.
 
 Workload sizes follow the paper where that is affordable and are
 reduced otherwise; the environment variables

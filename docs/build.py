@@ -3,7 +3,7 @@
 
 Builds a static HTML site from the Markdown pages in ``docs/`` plus an
 auto-generated API reference for every ``repro.*`` package, with **no
-dependencies beyond the package's own** (numpy/scipy for importing the
+dependencies beyond the package's own** (numpy for importing the
 modules).  The container/CI images pin their package set, so the usual
 MkDocs/Sphinx toolchains are deliberately not required; the page
 sources stay plain Markdown and would drop into either tool unchanged.

@@ -2,7 +2,7 @@
 Modeling of a Multi-Input Gate" (Ferdowsi, Maier, Öhlinger, Schmid;
 DATE 2022, arXiv:2111.11182).
 
-Package layout (see DESIGN.md for the full inventory):
+Package layout (``docs/index.md`` has the full inventory):
 
 * :mod:`repro.api` — the unified session facade: a :class:`Session`
   binding technology, engine and parameters, typed JSON-round-trippable

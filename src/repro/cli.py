@@ -514,8 +514,9 @@ def _startup_span_bounds() -> "tuple[float, float]":
     """(wall-clock start, duration) of the process-startup phase.
 
     The baseline is the import-time stamp taken at the top of the
-    package (numpy/scipy import dominates CLI startup); on Linux it
-    is widened to the kernel's process start time from
+    package (importing numpy and the package's own modules dominates
+    CLI startup; scipy loads only inside the oracles and the fit); on
+    Linux it is widened to the kernel's process start time from
     ``/proc/self/stat``, so interpreter bootstrap is covered too.
     """
     from . import _BOOT_T0, _BOOT_TS

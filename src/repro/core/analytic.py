@@ -9,7 +9,7 @@ approximate expressions for the six characteristic delays
 * eq. (10)–(12): one Newton step (first-order Taylor) of the closed-form
   two-exponential trajectory, taken at a probe time ``w``.
 
-Two deliberate deviations from the printed paper (see DESIGN.md §2):
+Two deliberate deviations from the printed paper:
 
 1. The paper prints the literal constants ``0.6`` and ``0.3`` where the
    derivation requires ``VDD/2`` and ``VDD/4``; the printed values

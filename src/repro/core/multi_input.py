@@ -45,7 +45,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
@@ -616,6 +615,7 @@ class GeneralizedNorModel:
     def _segment_crossings(expsum: ExpSum, threshold: float,
                            t_end: float) -> list[float]:
         """Crossings of a many-exponential sum via sampling + Brent."""
+        from scipy.optimize import brentq
         if not expsum.coeffs:
             return []
         grid = np.linspace(0.0, t_end, _CROSSING_SAMPLES)

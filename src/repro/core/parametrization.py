@@ -35,7 +35,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import FittingError, ParameterError
 from ..units import KOHM, to_ps
@@ -274,6 +273,7 @@ def fit_nor_parameters(targets: CharacteristicTargets,
     FittingError
         If the optimizer fails badly.
     """
+    from scipy.optimize import least_squares
     if delta_min is None:
         delta_min = infer_delta_min(targets.falling)
 

@@ -27,7 +27,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..errors import ParameterError
 from .modes import (Mode, ModeSystem, mode_00_constants,
@@ -490,6 +489,7 @@ def propagate_numeric(system: ModeSystem, state0, times) -> np.ndarray:
 
         d/dt [V; 1] = [[A, g], [0, 0]] [V; 1]
     """
+    from scipy.linalg import expm
     a = system.matrix
     g = system.forcing
     augmented = np.zeros((3, 3))

@@ -21,7 +21,6 @@ import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import NoCrossingError, ParameterError
 from .modes import Mode
@@ -63,6 +62,7 @@ def _stationary_point(expsum: ExpSum) -> float | None:
 def _monotone_crossing(expsum: ExpSum, threshold: float,
                        t_lo: float, t_hi: float) -> float | None:
     """First crossing on a *monotone* piece ``[t_lo, t_hi]`` (or None)."""
+    from scipy.optimize import brentq
     f_lo = expsum(t_lo) - threshold
     f_hi = expsum(t_hi) - threshold
     if f_lo == 0.0:

@@ -1,9 +1,9 @@
 """Analog golden-reference substrate: a small MNA transient simulator.
 
-Replaces the paper's Spectre + Nangate FreePDK15 stack (see DESIGN.md
-§2).  Public surface: netlist construction (:class:`Circuit` + device
-classes), technology cards and cell builders, and the DC/transient
-analyses.
+Replaces the paper's Spectre + Nangate FreePDK15 stack (see
+``docs/architecture.md``).  Public surface: netlist construction
+(:class:`Circuit` + device classes), technology cards and cell
+builders, and the DC/transient analyses.
 """
 
 from .devices import Capacitor, Mosfet, MosfetModel, Resistor, VoltageSource

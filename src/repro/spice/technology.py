@@ -18,7 +18,7 @@ whose NOR2 reproduces the paper's delay landscape:
 
 The structural sources of these effects (stack topology, internal node,
 Miller caps) are modeled exactly; only absolute numbers are tuned, which
-is all the reproduction needs (see DESIGN.md §2).
+is all the reproduction needs.
 """
 
 from __future__ import annotations

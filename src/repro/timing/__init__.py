@@ -1,8 +1,8 @@
 """Digital timing framework (the Involution Tool substitute).
 
 Traces, digitization, deviation-area metrics, delay channels, random
-trace generation and the topological timing simulator — see DESIGN.md §2
-for the mapping to the paper's toolchain.
+trace generation and the topological timing simulator — see
+``docs/architecture.md`` for the mapping to the paper's toolchain.
 
 The runtime/accuracy experiments that exercise these channels are
 reachable through the session facade

@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from scipy.optimize import brentq
-
 from ...errors import ParameterError
 from .base import SingleInputChannel
 
@@ -125,6 +123,7 @@ class WaveformChannel(SingleInputChannel):
 
     def _invert(self, waveform: Callable[[float], float], value: float,
                 increasing: bool) -> float:
+        from scipy.optimize import brentq
         lo, hi = 0.0, self.horizon
         v_lo, v_hi = waveform(lo), waveform(hi)
         in_range = (v_lo <= value <= v_hi if increasing

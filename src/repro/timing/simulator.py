@@ -6,7 +6,7 @@ input traces, then push it through the gate's delay channel.  Fused
 MIS instances transform their input traces directly.
 
 This mirrors what the Involution Tool does inside QuestaSim, minus the
-VHDL/FLI plumbing — see DESIGN.md §2.
+VHDL/FLI plumbing.
 """
 
 from __future__ import annotations
