@@ -10,7 +10,7 @@ at Δ = 0; rising slow-down peak +2.08 % / +7.26 %; SIS delays ≈ 38 ps
 """
 
 from repro.analysis.characterization import (characterize_direction,
-                                             nor_mis_delay)
+                                             mis_delay)
 from repro.analysis.experiments import experiment_fig2
 from repro.spice.technology import BULK65, FINFET15
 from repro.units import PS, to_ps
@@ -57,8 +57,8 @@ def test_fig2_crosscheck_65nm(benchmark, write_result):
     curve = benchmark.pedantic(kernel, rounds=1, iterations=1)
     ch = curve.characteristic()
 
-    rising_zero = nor_mis_delay(BULK65, 0.0, "rising")
-    rising_sis = nor_mis_delay(BULK65, 200 * PS, "rising")
+    rising_zero = mis_delay(BULK65, "nor", 0.0, "rising")
+    rising_sis = mis_delay(BULK65, "nor", 200 * PS, "rising")
     lines = [
         "65 nm cross-check (BULK65, VDD = 1.2 V)",
         f"falling: {ch.describe('d_fall')}",

@@ -6,7 +6,7 @@ dependence from the series nMOS stack — Fig. 2 reflected about Vth.
 Verified against the analog NAND2 cell of the same technology card.
 """
 
-from repro.analysis.characterization import nand_mis_delay
+from repro.analysis.characterization import mis_delay
 from repro.core import HybridNandModel, HybridNorModel, PAPER_TABLE_I
 from repro.spice.technology import FINFET15
 from repro.units import PS, to_ps
@@ -16,8 +16,8 @@ def test_nand_duality(benchmark, write_result):
     deltas = (-400, 0, 400)
 
     def kernel():
-        return {direction: {d: nand_mis_delay(FINFET15, d * PS,
-                                              direction)
+        return {direction: {d: mis_delay(FINFET15, "nand", d * PS,
+                                         direction)
                             for d in deltas}
                 for direction in ("rising", "falling")}
 

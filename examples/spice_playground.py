@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.analysis.reporting import ascii_table
 from repro.spice import (FINFET15, Circuit, Dc, EdgeTrain, MnaSystem,
-                         TransientOptions, build_inverter,
+                         TransientOptions, build_gate,
                          build_inverter_chain, dc_operating_point,
                          transient_analysis)
 from repro.units import PS, to_ps
@@ -33,7 +33,7 @@ def inverter_vtc() -> None:
     tech = FINFET15
     rows = []
     for vin in np.linspace(0.0, tech.vdd, 9):
-        circuit = build_inverter(tech, Dc(float(vin)))
+        circuit = build_gate(tech, "nor", (Dc(float(vin)),))
         system = MnaSystem(circuit)
         solution = dc_operating_point(system)
         vout = system.voltages(solution)["o"]

@@ -14,8 +14,8 @@ from .characterization import (
     NorCharacterization,
     characterize_direction,
     characterize_nor,
-    nor_mis_delay,
-    nor_mis_waveforms,
+    mis_delay,
+    mis_waveforms,
 )
 from .faithfulness import (
     PulseResponse,
@@ -49,8 +49,8 @@ __all__ = [
     "format_bar_chart",
     "format_curve",
     "format_curves",
-    "nor_mis_delay",
-    "nor_mis_waveforms",
+    "mis_delay",
+    "mis_waveforms",
     "perturbation_sensitivity",
     "reference_output",
     "run_accuracy_study",

@@ -29,7 +29,7 @@ from ..core.hybrid_model import HybridNorModel
 from ..core.parameters import NorGateParameters
 from ..core.parametrization import CharacteristicTargets
 from ..errors import ParameterError
-from ..spice.technology import TechnologyCard, build_nor2
+from ..spice.technology import TechnologyCard, build_gate
 from ..spice.transient import TransientOptions, transient_analysis
 from ..spice.waveforms import EdgeTrain
 from ..timing.channels import (ExpChannel, HybridNorChannel,
@@ -178,7 +178,7 @@ def reference_output(tech: TechnologyCard, trace_a: DigitalTrace,
                        tech.input_edge_time, initial=trace_a.initial)
     wave_b = EdgeTrain(trace_b.transitions, tech.vdd,
                        tech.input_edge_time, initial=trace_b.initial)
-    circuit = build_nor2(tech, wave_a, wave_b)
+    circuit = build_gate(tech, "nor", (wave_a, wave_b))
     if options is None:
         options = TransientOptions(v_scale=tech.vdd, dt_max=150.0 * PS,
                                    reltol=3e-4)

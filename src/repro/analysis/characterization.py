@@ -9,12 +9,15 @@ times ``Δ = t_B − t_A`` and extracts the MIS delay curves
   (both inputs fall),
 
 reproducing the data behind the paper's Fig. 2 (and the golden curves in
-Figs. 5, 6 and 8).
+Figs. 5, 6 and 8).  :func:`mis_delay` measures a NOR or NAND cell of
+any width the same way, from one Δ or a vector of sibling offsets, so
+the NAND2 mirror and the NOR3/NOR4 reference need no code of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from ..core.charlie import CharacteristicDelays, MisCurve
 from ..core.parametrization import CharacteristicTargets
 from ..errors import ParameterError
 from ..spice.measure import crossing_after
-from ..spice.technology import TechnologyCard, build_nand2, build_nor2
+from ..spice.technology import TechnologyCard, build_gate
 from ..spice.transient import (TransientOptions, TransientResult,
                                transient_analysis)
 from ..spice.waveforms import EdgeTrain
@@ -33,9 +36,8 @@ __all__ = [
     "SIS_SEPARATION",
     "NorCharacterization",
     "toggle_sis_delays",
-    "nor_mis_waveforms",
-    "nor_mis_delay",
-    "nand_mis_delay",
+    "mis_waveforms",
+    "mis_delay",
     "characterize_direction",
     "characterize_nor",
     "characterize_model",
@@ -55,106 +57,64 @@ _LEAD_TIME = 250.0 * PS
 _TAIL_TIME = 300.0 * PS
 
 
-def _transient_options(tech: TechnologyCard,
-                       overrides: TransientOptions | None
-                       ) -> TransientOptions:
-    if overrides is not None:
-        return overrides
-    return TransientOptions(v_scale=tech.vdd)
-
-
-def nor_mis_waveforms(tech: TechnologyCard, delta: float,
-                      direction: str,
-                      options: TransientOptions | None = None,
-                      output_load: float | None = None
-                      ) -> tuple[TransientResult, float, float]:
-    """Simulate one MIS event on the analog NOR.
+def mis_waveforms(tech: TechnologyCard, gate: str, deltas,
+                  direction: str,
+                  options: TransientOptions | None = None,
+                  output_load: float | None = None
+                  ) -> tuple[TransientResult, tuple[float, ...]]:
+    """Simulate one MIS event on the analog NOR or NAND cell.
 
     Args:
         tech: technology card.
-        delta: input separation ``t_B − t_A``, seconds.
+        gate: ``'nor'`` or ``'nand'``.
+        deltas: one ``Δ = t_B − t_A``, or the ``n − 1`` sibling
+            offsets ``Δ_j = t_j − t_0`` of an n-input cell, seconds;
+            NaN and ±inf are rejected before anything is simulated.
         direction: ``'falling'`` (inputs rise) or ``'rising'``
             (inputs fall) output transition.
         options: transient options override.
         output_load: output load override.
 
     Returns:
-        ``(result, t_a, t_b)`` — waveforms plus the input threshold
-        crossing times.
+        ``(result, times)`` — waveforms plus the input threshold
+        crossing times, input 0 first.
     """
     if direction not in ("falling", "rising"):
         raise ParameterError("direction must be 'falling' or 'rising'")
-    t_a = _LEAD_TIME + max(0.0, -delta) + tech.input_edge_time
-    t_b = t_a + delta
-    if direction == "falling":
-        wave_a = EdgeTrain([(t_a, 1)], tech.vdd, tech.input_edge_time)
-        wave_b = EdgeTrain([(t_b, 1)], tech.vdd, tech.input_edge_time)
-    else:
-        wave_a = EdgeTrain([(t_a, 0)], tech.vdd, tech.input_edge_time,
-                           initial=1)
-        wave_b = EdgeTrain([(t_b, 0)], tech.vdd, tech.input_edge_time,
-                           initial=1)
-    circuit = build_nor2(tech, wave_a, wave_b, output_load=output_load)
-    t_stop = max(t_a, t_b) + _TAIL_TIME
-    result = transient_analysis(circuit, t_stop,
-                                _transient_options(tech, options))
-    return result, t_a, t_b
+    if np.ndim(deltas) > 1 or np.size(deltas) == 0:
+        raise ParameterError("deltas must be one Δ or a vector of "
+                             "sibling offsets")
+    offsets = [float(d) for d in np.ravel(deltas)]
+    if not all(math.isfinite(d) for d in offsets):
+        raise ParameterError(f"input offsets must be finite, got {offsets}")
+    t_0 = _LEAD_TIME + max(0.0, -min(offsets)) + tech.input_edge_time
+    times = (t_0, *(t_0 + d for d in offsets))
+    level = 1 if direction == "falling" else 0
+    waves = [EdgeTrain([(t, level)], tech.vdd, tech.input_edge_time,
+                       initial=1 - level) for t in times]
+    circuit = build_gate(tech, gate, waves, output_load=output_load)
+    result = transient_analysis(circuit, max(times) + _TAIL_TIME,
+                                options or TransientOptions(v_scale=tech.vdd))
+    return result, times
 
 
-def nor_mis_delay(tech: TechnologyCard, delta: float, direction: str,
-                  options: TransientOptions | None = None,
-                  output_load: float | None = None) -> float:
-    """Single MIS gate delay of the analog NOR (paper's δ_S).
+def mis_delay(tech: TechnologyCard, gate: str, deltas, direction: str,
+              options: TransientOptions | None = None,
+              output_load: float | None = None) -> float:
+    """Single MIS gate delay of the analog cell (paper's δ_S).
 
-    Falling delays are referenced to the *earlier* input, rising delays
-    to the *later* input, per Section II.
+    A transition through the parallel network (NOR falling, NAND
+    rising) is referenced to the *earliest* input, one through the
+    series stack (NOR rising, NAND falling) to the *latest*, per
+    Section II and its CMOS mirror.  *deltas* is one Δ or the n − 1
+    sibling offsets (see :func:`mis_waveforms`).
     """
-    result, t_a, t_b = nor_mis_waveforms(tech, delta, direction,
-                                         options, output_load)
-    if direction == "falling":
-        reference = min(t_a, t_b)
-        edge = -1
-    else:
-        reference = max(t_a, t_b)
-        edge = +1
-    search_from = min(t_a, t_b) - 2.0 * tech.input_edge_time
-    t_out = crossing_after(result, "o", tech.vth, search_from, edge)
-    return t_out - reference
-
-
-def nand_mis_delay(tech: TechnologyCard, delta: float, direction: str,
-                   options: TransientOptions | None = None,
-                   output_load: float | None = None) -> float:
-    """MIS gate delay of the analog NAND2 (mirror of the NOR, extension).
-
-    Conventions follow the duality: the *falling* NAND output (both
-    inputs rise, series stack) only switches after the later input —
-    delay referenced to ``max(t_A, t_B)``; the *rising* output (parallel
-    pMOS) is triggered by the earlier input — referenced to
-    ``min(t_A, t_B)``.
-    """
-    if direction not in ("falling", "rising"):
-        raise ParameterError("direction must be 'falling' or 'rising'")
-    t_a = _LEAD_TIME + max(0.0, -delta) + tech.input_edge_time
-    t_b = t_a + delta
-    if direction == "falling":
-        wave_a = EdgeTrain([(t_a, 1)], tech.vdd, tech.input_edge_time)
-        wave_b = EdgeTrain([(t_b, 1)], tech.vdd, tech.input_edge_time)
-        reference = max(t_a, t_b)
-        edge = -1
-    else:
-        wave_a = EdgeTrain([(t_a, 0)], tech.vdd, tech.input_edge_time,
-                           initial=1)
-        wave_b = EdgeTrain([(t_b, 0)], tech.vdd, tech.input_edge_time,
-                           initial=1)
-        reference = min(t_a, t_b)
-        edge = +1
-    circuit = build_nand2(tech, wave_a, wave_b,
-                          output_load=output_load)
-    t_stop = max(t_a, t_b) + _TAIL_TIME
-    result = transient_analysis(circuit, t_stop,
-                                _transient_options(tech, options))
-    search_from = min(t_a, t_b) - 2.0 * tech.input_edge_time
+    result, times = mis_waveforms(tech, gate, deltas, direction,
+                                  options, output_load)
+    parallel = (gate == "nor") == (direction == "falling")
+    reference = min(times) if parallel else max(times)
+    edge = -1 if direction == "falling" else +1
+    search_from = min(times) - 2.0 * tech.input_edge_time
     t_out = crossing_after(result, "o", tech.vth, search_from, edge)
     return t_out - reference
 
@@ -165,7 +125,7 @@ def characterize_direction(tech: TechnologyCard, direction: str,
                            output_load: float | None = None) -> MisCurve:
     """Sweep Δ and return the analog MIS delay curve."""
     deltas = sorted(float(d) for d in deltas)
-    delays = [nor_mis_delay(tech, d, direction, options, output_load)
+    delays = [mis_delay(tech, "nor", d, direction, options, output_load)
               for d in deltas]
     return MisCurve.from_arrays(deltas, delays, direction,
                                 label=f"analog ({tech.name})")
@@ -195,12 +155,10 @@ def toggle_sis_delays(tech: TechnologyCard, input_name: str,
     t_down = t_up + dwell
     toggled = EdgeTrain([(t_up, 1), (t_down, 0)], tech.vdd,
                         tech.input_edge_time)
-    if input_name == "a":
-        circuit = build_nor2(tech, toggled, 0.0, output_load=output_load)
-    else:
-        circuit = build_nor2(tech, 0.0, toggled, output_load=output_load)
+    waves = (toggled, 0.0) if input_name == "a" else (0.0, toggled)
+    circuit = build_gate(tech, "nor", waves, output_load=output_load)
     result = transient_analysis(circuit, t_down + _TAIL_TIME,
-                                _transient_options(tech, options))
+                                options or TransientOptions(v_scale=tech.vdd))
     t_fall = crossing_after(result, "o", tech.vth,
                             t_up - tech.input_edge_time, -1)
     t_rise = crossing_after(result, "o", tech.vth,
@@ -348,11 +306,9 @@ def characterize_nor(tech: TechnologyCard,
                                     output_load)
 
     def triple(direction: str) -> CharacteristicDelays:
-        minus = nor_mis_delay(tech, -SIS_SEPARATION, direction, options,
-                              output_load)
-        zero = nor_mis_delay(tech, 0.0, direction, options, output_load)
-        plus = nor_mis_delay(tech, SIS_SEPARATION, direction, options,
-                             output_load)
+        minus, zero, plus = (
+            mis_delay(tech, "nor", delta, direction, options, output_load)
+            for delta in (-SIS_SEPARATION, 0.0, SIS_SEPARATION))
         return CharacteristicDelays(minus_inf=minus, zero=zero,
                                     plus_inf=plus)
 

@@ -2,8 +2,9 @@
 
 Replaces the paper's Spectre + Nangate FreePDK15 stack (see
 ``docs/architecture.md``).  Public surface: netlist construction
-(:class:`Circuit` + device classes), technology cards and cell
-builders, and the DC/transient analyses.
+(:class:`Circuit` + device classes), technology cards, the one cell
+stamp (:func:`stamp_gate`) and its builders, and the DC/transient
+analyses.
 """
 
 from .devices import Capacitor, Mosfet, MosfetModel, Resistor, VoltageSource
@@ -15,10 +16,9 @@ from .technology import (
     BULK65,
     FINFET15,
     TechnologyCard,
-    build_inverter,
+    build_gate,
     build_inverter_chain,
-    build_nand2,
-    build_nor2,
+    stamp_gate,
 )
 from .transient import TransientOptions, TransientResult, transient_analysis
 from .waveforms import Dc, EdgeTrain, Pwl, Waveform
@@ -40,13 +40,12 @@ __all__ = [
     "TransientResult",
     "VoltageSource",
     "Waveform",
-    "build_inverter",
+    "build_gate",
     "build_inverter_chain",
-    "build_nand2",
-    "build_nor2",
     "crossing_after",
     "dc_operating_point",
     "gate_delay",
     "slew_time",
+    "stamp_gate",
     "transient_analysis",
 ]

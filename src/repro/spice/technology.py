@@ -24,6 +24,7 @@ is all the reproduction needs.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 from ..errors import ParameterError
 from ..units import FF, PS
@@ -31,9 +32,8 @@ from .devices import MosfetModel
 from .netlist import Circuit
 from .waveforms import Waveform
 
-__all__ = ["TechnologyCard", "FINFET15", "BULK65",
-           "build_nor2", "build_nand2", "build_inverter",
-           "build_inverter_chain"]
+__all__ = ["TechnologyCard", "FINFET15", "BULK65", "stamp_gate",
+           "build_gate", "build_inverter_chain"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,118 +97,89 @@ BULK65 = TechnologyCard(
 )
 
 
-def build_nor2(tech: TechnologyCard, wave_a: Waveform | float,
-               wave_b: Waveform | float,
-               output_load: float | None = None,
-               name: str = "nor2") -> Circuit:
-    """Transistor-level NOR2 driven by the given input waveforms.
+def stamp_gate(circuit: Circuit, tech: TechnologyCard, gate: str,
+               inputs: Sequence[str], output: str, prefix: str = "",
+               output_load: float | None = None) -> None:
+    """Stamp one static CMOS NOR or NAND cell of any width.
 
-    The topology matches the paper's Fig. 1: series pMOS ``T1`` (gate A,
-    VDD side) and ``T2`` (gate B) with internal node ``n``; parallel
-    nMOS ``T3`` (gate A) and ``T4`` (gate B); explicit parasitic
-    capacitance at ``n`` and load at ``o``; gate-overlap (Miller) and
-    junction capacitances per device.
-
-    Nodes: ``vdd, a, b, n, o`` (+ ground).
+    The paper's Fig. 1 topology, derived from the gate kind: a series
+    stack from its rail to *output* (pMOS from ``vdd`` for a NOR, nMOS
+    from ground for a NAND), input 0 nearest the rail and one internal
+    node per further stage, plus one parallel device per input to the
+    other rail.  Each device gets gate-overlap capacitors to its
+    non-rail terminals and junction capacitors to its rail; internal
+    nodes get ``cn_extra``, *output* the load.  A one-input cell is the
+    inverter.  Internal nodes are ``<prefix>n`` (NOR2) / ``<prefix>m``
+    (NAND2), else ``<prefix>n1 ..`` / ``<prefix>m1 ..``.  The cell
+    shares the circuit's rails, so several cells compose.
     """
+    if gate not in ("nor", "nand"):
+        raise ParameterError(f"gate must be 'nor' or 'nand', got {gate!r}")
+    if not inputs:
+        raise ParameterError("a cell needs at least one input")
     if output_load is None:
         output_load = tech.output_load
     if output_load < 0.0:
         raise ParameterError("output_load must be non-negative")
-
-    nmos, pmos = tech.nmos, tech.pmos
-    circuit = Circuit(name)
-    circuit.voltage_source("Vdd", "vdd", "0", tech.vdd)
-    circuit.voltage_source("Va", "a", "0", wave_a)
-    circuit.voltage_source("Vb", "b", "0", wave_b)
-
-    circuit.mosfet("T1", drain="n", gate="a", source="vdd", model=pmos)
-    circuit.mosfet("T2", drain="o", gate="b", source="n", model=pmos)
-    circuit.mosfet("T3", drain="o", gate="a", source="0", model=nmos)
-    circuit.mosfet("T4", drain="o", gate="b", source="0", model=nmos)
-
+    if gate == "nor":
+        series, parallel, rail, other_rail = tech.pmos, tech.nmos, "vdd", "0"
+    else:
+        series, parallel, rail, other_rail = tech.nmos, tech.pmos, "0", "vdd"
+    letter = "n" if gate == "nor" else "m"
+    width = len(inputs)
+    internal = ([f"{prefix}{letter}"] if width == 2 else
+                [f"{prefix}{letter}{k}" for k in range(1, width)])
+    stack = [rail, *internal, output]
+    # The stamping order fixes the summation order of the MNA matrices;
+    # tests/spice/data/cell_netlists.json pins it.
+    for k, node in enumerate(inputs, 1):
+        circuit.mosfet(f"{prefix}S{k}", drain=stack[k], gate=node,
+                       source=stack[k - 1], model=series)
+    for k, node in enumerate(inputs, 1):
+        circuit.mosfet(f"{prefix}P{k}", drain=output, gate=node,
+                       source=other_rail, model=parallel)
     # Gate-overlap coupling capacitances (the Charlie-effect carriers).
-    circuit.capacitor("Cgd1", "a", "n", pmos.cgd)
-    circuit.capacitor("Cgs2", "b", "n", pmos.cgs)
-    circuit.capacitor("Cgd2", "b", "o", pmos.cgd)
-    circuit.capacitor("Cgd3", "a", "o", nmos.cgd)
-    circuit.capacitor("Cgd4", "b", "o", nmos.cgd)
+    for k, node in enumerate(inputs, 1):
+        if k > 1:
+            circuit.capacitor(f"{prefix}CgsS{k}", node, stack[k - 1],
+                              series.cgs)
+        circuit.capacitor(f"{prefix}CgdS{k}", node, stack[k], series.cgd)
+    for k, node in enumerate(inputs, 1):
+        circuit.capacitor(f"{prefix}CgdP{k}", node, output, parallel.cgd)
     # Junction capacitances (to the respective bulk rails).
-    circuit.capacitor("Cdb1", "n", "vdd", pmos.cdb)
-    circuit.capacitor("Csb2", "n", "vdd", pmos.cdb)
-    circuit.capacitor("Cdb2", "o", "vdd", pmos.cdb)
-    circuit.capacitor("Cdb3", "o", "0", nmos.cdb)
-    circuit.capacitor("Cdb4", "o", "0", nmos.cdb)
+    for k in range(1, width + 1):
+        if k > 1:
+            circuit.capacitor(f"{prefix}CsbS{k}", stack[k - 1], rail,
+                              series.cdb)
+        circuit.capacitor(f"{prefix}CdbS{k}", stack[k], rail, series.cdb)
+    for k in range(1, width + 1):
+        circuit.capacitor(f"{prefix}CdbP{k}", output, other_rail,
+                          parallel.cdb)
     # Wiring parasitics and output load.
-    circuit.capacitor("Cn", "n", "0", tech.cn_extra)
-    circuit.capacitor("Co", "o", "0", output_load)
-    return circuit
+    for k, node in enumerate(internal, 1):
+        circuit.capacitor(f"{prefix}Cw{k}", node, "0", tech.cn_extra)
+    circuit.capacitor(f"{prefix}Co", output, "0", output_load)
 
 
-def build_nand2(tech: TechnologyCard, wave_a: Waveform | float,
-                wave_b: Waveform | float,
-                output_load: float | None = None,
-                name: str = "nand2") -> Circuit:
-    """Transistor-level NAND2 — the NOR's CMOS mirror dual.
+def build_gate(tech: TechnologyCard, gate: str,
+               waves: Sequence[Waveform | float],
+               output_load: float | None = None,
+               name: str | None = None) -> Circuit:
+    """A :func:`stamp_gate` cell driven by one waveform per input.
 
-    Series nMOS stack with internal node ``m`` (gate A on the rail
-    side, matching the NOR's T1 convention), parallel pMOS pair, and
-    the mirrored set of coupling/junction capacitances.
+    Input ``k`` is node ``a``, ``b``, ``c``, ... in order; the output
+    is ``o``.  ``build_gate(tech, "nor", (wave_a, wave_b))`` is the
+    paper's NOR2, ``build_gate(tech, "nor", (wave,))`` the inverter.
 
-    Nodes: ``vdd, a, b, m, o`` (+ ground).
+    Nodes: ``vdd``, the inputs, the internal stack nodes and ``o``
+    (+ ground).
     """
-    if output_load is None:
-        output_load = tech.output_load
-    if output_load < 0.0:
-        raise ParameterError("output_load must be non-negative")
-
-    nmos, pmos = tech.nmos, tech.pmos
-    circuit = Circuit(name)
+    inputs = [chr(ord("a") + k) for k in range(len(waves))]
+    circuit = Circuit(name or f"{gate}{len(waves)}")
     circuit.voltage_source("Vdd", "vdd", "0", tech.vdd)
-    circuit.voltage_source("Va", "a", "0", wave_a)
-    circuit.voltage_source("Vb", "b", "0", wave_b)
-
-    circuit.mosfet("N1", drain="m", gate="a", source="0", model=nmos)
-    circuit.mosfet("N2", drain="o", gate="b", source="m", model=nmos)
-    circuit.mosfet("P3", drain="o", gate="a", source="vdd", model=pmos)
-    circuit.mosfet("P4", drain="o", gate="b", source="vdd", model=pmos)
-
-    circuit.capacitor("Cgd1", "a", "m", nmos.cgd)
-    circuit.capacitor("Cgs2", "b", "m", nmos.cgs)
-    circuit.capacitor("Cgd2", "b", "o", nmos.cgd)
-    circuit.capacitor("Cgd3", "a", "o", pmos.cgd)
-    circuit.capacitor("Cgd4", "b", "o", pmos.cgd)
-    circuit.capacitor("Cdb1", "m", "0", nmos.cdb)
-    circuit.capacitor("Csb2", "m", "0", nmos.cdb)
-    circuit.capacitor("Cdb2", "o", "0", nmos.cdb)
-    circuit.capacitor("Cdb3", "o", "vdd", pmos.cdb)
-    circuit.capacitor("Cdb4", "o", "vdd", pmos.cdb)
-    circuit.capacitor("Cm", "m", "0", tech.cn_extra)
-    circuit.capacitor("Co", "o", "0", output_load)
-    return circuit
-
-
-def build_inverter(tech: TechnologyCard, wave_in: Waveform | float,
-                   output_load: float | None = None,
-                   name: str = "inverter") -> Circuit:
-    """A CMOS inverter (used by examples and simulator tests).
-
-    Nodes: ``vdd, a, o`` (+ ground).
-    """
-    if output_load is None:
-        output_load = tech.output_load
-    circuit = Circuit(name)
-    circuit.voltage_source("Vdd", "vdd", "0", tech.vdd)
-    circuit.voltage_source("Va", "a", "0", wave_in)
-    circuit.mosfet("Mp", drain="o", gate="a", source="vdd",
-                   model=tech.pmos)
-    circuit.mosfet("Mn", drain="o", gate="a", source="0",
-                   model=tech.nmos)
-    circuit.capacitor("Cgdp", "a", "o", tech.pmos.cgd)
-    circuit.capacitor("Cgdn", "a", "o", tech.nmos.cgd)
-    circuit.capacitor("Cdbp", "o", "vdd", tech.pmos.cdb)
-    circuit.capacitor("Cdbn", "o", "0", tech.nmos.cdb)
-    circuit.capacitor("Co", "o", "0", output_load)
+    for node, wave in zip(inputs, waves):
+        circuit.voltage_source(f"V{node}", node, "0", wave)
+    stamp_gate(circuit, tech, gate, inputs, "o", output_load=output_load)
     return circuit
 
 
@@ -222,23 +193,12 @@ def build_inverter_chain(tech: TechnologyCard, wave_in: Waveform | float,
     """
     if stages < 1:
         raise ParameterError("stages must be >= 1")
-    if output_load is None:
-        output_load = tech.output_load
     circuit = Circuit(name)
     circuit.voltage_source("Vdd", "vdd", "0", tech.vdd)
     circuit.voltage_source("Va", "a", "0", wave_in)
-    node_in = "a"
+    nodes = ["a", *(f"s{i}" for i in range(1, stages + 1))]
     for i in range(1, stages + 1):
-        node_out = f"s{i}"
-        circuit.mosfet(f"Mp{i}", drain=node_out, gate=node_in,
-                       source="vdd", model=tech.pmos)
-        circuit.mosfet(f"Mn{i}", drain=node_out, gate=node_in,
-                       source="0", model=tech.nmos)
-        circuit.capacitor(f"Cgdp{i}", node_in, node_out, tech.pmos.cgd)
-        circuit.capacitor(f"Cgdn{i}", node_in, node_out, tech.nmos.cgd)
-        circuit.capacitor(f"Cdbp{i}", node_out, "vdd", tech.pmos.cdb)
-        circuit.capacitor(f"Cdbn{i}", node_out, "0", tech.nmos.cdb)
-        load = output_load if i == stages else 0.3 * FF
-        circuit.capacitor(f"Cl{i}", node_out, "0", load)
-        node_in = node_out
+        stamp_gate(circuit, tech, "nor", [nodes[i - 1]], nodes[i],
+                   prefix=f"x{i}_",
+                   output_load=output_load if i == stages else 0.3 * FF)
     return circuit

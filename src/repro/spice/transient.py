@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConvergenceError, SimulationError
+from ..errors import ConvergenceError, ParameterError, SimulationError
 from .dc import dc_operating_point, newton_solve
 from .mna import MnaSystem
 from .netlist import Circuit
@@ -117,7 +117,13 @@ def transient_analysis(circuit: Circuit, t_stop: float,
 
     Returns:
         A :class:`TransientResult` with every accepted time point.
+
+    Raises:
+        ParameterError: for a non-finite *t_stop* (an infinite window
+            would step forever).
     """
+    if not math.isfinite(t_stop):
+        raise ParameterError(f"t_stop must be finite, got {t_stop!r}")
     if options is None:
         options = TransientOptions()
     if system is None:

@@ -14,10 +14,18 @@ simulation and STA read the exact same model.
   previous signal (``Δ = 0`` MIS points all the way down).
 * ``tree`` — a balanced NOR reduction tree over four inputs
   (``a`` … ``d``), mixing earlier/later references per level.
+* ``nor3`` / ``nor3_mixed`` — a generalized 3-input NOR, alone and
+  feeding a paper NOR2 (mixed-width MIS conditioning).
 * ``chain_wire`` / ``tree_wire`` — the wired variants: RC
   interconnect (:class:`~repro.wire.WireTree`) between stages, with
   the driving gates re-parameterized through
   :func:`repro.wire.loaded_params` so they price the wire load.
+
+``repro sta --validate`` checks STA against event simulation of these
+channels and builds no transistor-level cell.  The analog counterparts
+come from :func:`repro.spice.technology.stamp_gate`: the wired circuits
+of :mod:`repro.wire.spice` and, for one gate,
+:func:`repro.analysis.characterization.mis_delay`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .coupling import degraded_slew, effective_load, loaded_params
 from .model import (WIRE_MODELS, SinkTiming, WireTiming, reduce_tree,
                     scaled_delays, two_pole_step_crossings)
 from .spice import (WiredCircuit, lower_wire, nor2_input_capacitance,
-                    stamp_nor2, wired_nor_chain, wired_nor_tree)
+                    wired_nor_chain, wired_nor_tree)
 from .tree import WireSegment, WireTree
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "degraded_slew",
     "WiredCircuit",
     "lower_wire",
-    "stamp_nor2",
     "nor2_input_capacitance",
     "wired_nor_chain",
     "wired_nor_tree",

@@ -13,23 +13,26 @@ wired benchmark circuits mirror the STA circuits of
 * :func:`wired_nor_tree` — a NOR2 driving a fanout tree into two
   tied-input NOR2 receivers, the ``tree_wire`` STA circuit.
 
-Both stampers reuse the exact transistor/capacitor topology of
-:func:`repro.spice.technology.build_nor2`, only with per-instance
-name prefixes so several cells share one netlist and supply.
+Every gate in them is one :func:`repro.spice.technology.stamp_gate`
+call, the same cell stamp the stand-alone builders use, with a
+per-instance name prefix so several cells share one netlist and
+supply.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from ..errors import ParameterError
+from ..spice.devices import Capacitor
 from ..spice.netlist import Circuit
-from ..spice.technology import TechnologyCard
+from ..spice.technology import TechnologyCard, stamp_gate
 from ..spice.waveforms import Waveform
 from .tree import WireTree
 
-__all__ = ["lower_wire", "stamp_nor2", "wired_nor_chain",
-           "wired_nor_tree", "nor2_input_capacitance", "WiredCircuit"]
+__all__ = ["lower_wire", "wired_nor_chain", "wired_nor_tree",
+           "nor2_input_capacitance", "WiredCircuit"]
 
 
 def lower_wire(circuit: Circuit, tree: WireTree, input_node: str,
@@ -67,58 +70,21 @@ def lower_wire(circuit: Circuit, tree: WireTree, input_node: str,
     return nodes
 
 
-def stamp_nor2(circuit: Circuit, tech: TechnologyCard, prefix: str,
-               node_a: str, node_b: str, node_out: str,
-               output_load: float | None = None) -> None:
-    """Stamp one NOR2 cell with prefixed device/internal names.
-
-    Mirrors :func:`repro.spice.technology.build_nor2` exactly
-    (series pMOS stack with internal node, parallel nMOS pair,
-    gate-overlap and junction capacitances) but shares the enclosing
-    circuit's ``vdd``/ground rails so several cells compose.
-    """
-    if output_load is None:
-        output_load = tech.output_load
-    if output_load < 0.0:
-        raise ParameterError("output_load must be non-negative")
-    nmos, pmos = tech.nmos, tech.pmos
-    node_n = f"{prefix}_n"
-    circuit.mosfet(f"{prefix}T1", drain=node_n, gate=node_a,
-                   source="vdd", model=pmos)
-    circuit.mosfet(f"{prefix}T2", drain=node_out, gate=node_b,
-                   source=node_n, model=pmos)
-    circuit.mosfet(f"{prefix}T3", drain=node_out, gate=node_a,
-                   source="0", model=nmos)
-    circuit.mosfet(f"{prefix}T4", drain=node_out, gate=node_b,
-                   source="0", model=nmos)
-    circuit.capacitor(f"{prefix}Cgd1", node_a, node_n, pmos.cgd)
-    circuit.capacitor(f"{prefix}Cgs2", node_b, node_n, pmos.cgs)
-    circuit.capacitor(f"{prefix}Cgd2", node_b, node_out, pmos.cgd)
-    circuit.capacitor(f"{prefix}Cgd3", node_a, node_out, nmos.cgd)
-    circuit.capacitor(f"{prefix}Cgd4", node_b, node_out, nmos.cgd)
-    circuit.capacitor(f"{prefix}Cdb1", node_n, "vdd", pmos.cdb)
-    circuit.capacitor(f"{prefix}Csb2", node_n, "vdd", pmos.cdb)
-    circuit.capacitor(f"{prefix}Cdb2", node_out, "vdd", pmos.cdb)
-    circuit.capacitor(f"{prefix}Cdb3", node_out, "0", nmos.cdb)
-    circuit.capacitor(f"{prefix}Cdb4", node_out, "0", nmos.cdb)
-    circuit.capacitor(f"{prefix}Cn", node_n, "0", tech.cn_extra)
-    circuit.capacitor(f"{prefix}Co", node_out, "0", output_load)
-
-
 def nor2_input_capacitance(tech: TechnologyCard,
                            tied: bool = True) -> float:
     """Input capacitance one NOR2 receiver taps onto a wire, farads.
 
-    The explicit gate-overlap capacitors touching the input node(s)
-    in :func:`stamp_nor2`: with both pins tied to the wire sink
-    (``tied=True``) that is ``Cgd1 + Cgs2 + Cgd2 + Cgd3 + Cgd4``;
-    pin ``a`` alone sees ``Cgd1 + Cgd3``.  Used as the sink ``load``
-    when building the wire tree that models a wired netlist.
+    The exact sum of the capacitors :func:`~repro.spice.technology.
+    stamp_gate` puts on the input node: with both pins tied to the
+    wire sink (``tied=True``) all five gate-overlap capacitors, with
+    pin ``a`` alone the two on ``a``.  Used as the sink ``load`` when
+    building the wire tree that models a wired netlist.
     """
-    pmos, nmos = tech.pmos, tech.nmos
-    if tied:
-        return pmos.cgd + pmos.cgs + pmos.cgd + 2.0 * nmos.cgd
-    return pmos.cgd + nmos.cgd
+    cell = Circuit("nor2_input")
+    stamp_gate(cell, tech, "nor", ["a", "a" if tied else "b"], "o")
+    return math.fsum(device.capacitance
+                     for device in cell.devices_of_type(Capacitor)
+                     if "a" in device.nodes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,8 +131,8 @@ def wired_nor_chain(tech: TechnologyCard, wave_in: Waveform | float,
     node_in = "a"
     for index in range(stages):
         node_out = f"o{index + 1}"
-        stamp_nor2(circuit, tech, f"g{index + 1}", node_in, node_in,
-                   node_out)
+        stamp_gate(circuit, tech, "nor", [node_in, node_in], node_out,
+                   prefix=f"g{index + 1}_")
         stage_outputs.append(node_out)
         if index < stages - 1:
             nodes = lower_wire(circuit, tree, node_out,
@@ -195,15 +161,15 @@ def wired_nor_tree(tech: TechnologyCard, wave_a: Waveform | float,
     circuit.voltage_source("Vdd", "vdd", "0", tech.vdd)
     circuit.voltage_source("Va", "a", "0", wave_a)
     circuit.voltage_source("Vb", "b", "0", wave_b)
-    stamp_nor2(circuit, tech, "g0", "a", "b", "o")
+    stamp_gate(circuit, tech, "nor", ["a", "b"], "o", prefix="g0_")
     nodes = lower_wire(circuit, tree, "o", prefix="w")
     outputs = []
     sink_nodes: dict[str, str] = {}
     for index, sink in enumerate(tree.sinks):
         sink_nodes[sink] = nodes[sink]
         node_out = f"y{index + 1}"
-        stamp_nor2(circuit, tech, f"r{index + 1}", nodes[sink],
-                   nodes[sink], node_out)
+        stamp_gate(circuit, tech, "nor", [nodes[sink], nodes[sink]],
+                   node_out, prefix=f"r{index + 1}_")
         outputs.append(node_out)
     circuit.validate()
     return WiredCircuit(circuit=circuit, stage_outputs=("o",),

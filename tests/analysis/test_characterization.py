@@ -1,10 +1,12 @@
 """Tests for repro.analysis.characterization (uses the shared cache)."""
 
+import math
+
 import pytest
 
-from repro.analysis.characterization import (SIS_SEPARATION,
-                                             nor_mis_delay,
-                                             nor_mis_waveforms,
+from repro.analysis import characterization
+from repro.analysis.characterization import (SIS_SEPARATION, mis_delay,
+                                             mis_waveforms,
                                              toggle_sis_delays)
 from repro.errors import ParameterError
 from repro.spice.technology import FINFET15
@@ -14,23 +16,54 @@ from repro.units import PS
 class TestSingleMisMeasurements:
     def test_direction_validation(self, fast_transient_options):
         with pytest.raises(ParameterError):
-            nor_mis_delay(FINFET15, 0.0, "diagonal",
-                          fast_transient_options)
+            mis_delay(FINFET15, "nor", 0.0, "diagonal",
+                      fast_transient_options)
 
     def test_waveforms_return_input_times(self, fast_transient_options):
-        result, t_a, t_b = nor_mis_waveforms(FINFET15, 10 * PS,
-                                             "falling",
-                                             fast_transient_options)
+        result, (t_a, t_b) = mis_waveforms(FINFET15, "nor", 10 * PS,
+                                           "falling",
+                                           fast_transient_options)
         assert t_b - t_a == pytest.approx(10 * PS)
         assert result.value_at("a", 0.0) == pytest.approx(0.0,
                                                           abs=1e-3)
 
     def test_negative_delta_keeps_first_edge_late(
             self, fast_transient_options):
-        _result, t_a, t_b = nor_mis_waveforms(FINFET15, -100 * PS,
-                                              "rising",
-                                              fast_transient_options)
+        _result, (t_a, t_b) = mis_waveforms(FINFET15, "nor", -100 * PS,
+                                            "rising",
+                                            fast_transient_options)
         assert min(t_a, t_b) > 200 * PS
+
+    def test_sibling_offsets_anchor_input_zero(
+            self, fast_transient_options):
+        _result, times = mis_waveforms(FINFET15, "nor",
+                                       (-30 * PS, 20 * PS), "falling",
+                                       fast_transient_options)
+        assert times[1] - times[0] == pytest.approx(-30 * PS)
+        assert times[2] - times[0] == pytest.approx(20 * PS)
+        assert min(times) > 200 * PS
+
+    @pytest.mark.parametrize("deltas", [
+        math.nan, math.inf, -math.inf, (0.0, math.nan),
+        (10 * PS, math.inf)])
+    def test_non_finite_offset_rejected_before_simulating(
+            self, deltas, monkeypatch):
+        """An infinite Δ used to hang the transient; a NaN one ended
+        in a Newton failure.  Neither may reach the simulator."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("stamped or simulated a non-finite Δ")
+        monkeypatch.setattr(characterization, "build_gate", unreachable)
+        monkeypatch.setattr(characterization, "transient_analysis",
+                            unreachable)
+        with pytest.raises(ParameterError):
+            mis_waveforms(FINFET15, "nor", deltas, "falling")
+        with pytest.raises(ParameterError):
+            mis_delay(FINFET15, "nand", deltas, "rising")
+
+    @pytest.mark.parametrize("deltas", [(), ((0.0, 1e-12),)])
+    def test_offset_shape_validation(self, deltas):
+        with pytest.raises(ParameterError):
+            mis_waveforms(FINFET15, "nor", deltas, "falling")
 
     def test_toggle_input_validation(self, fast_transient_options):
         with pytest.raises(ParameterError):

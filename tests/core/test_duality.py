@@ -91,13 +91,13 @@ class TestAnalogNandDuality:
 
     @pytest.fixture(scope="class")
     def nand_sis(self, fast_transient_options):
-        from repro.analysis.characterization import nand_mis_delay
+        from repro.analysis.characterization import mis_delay
         from repro.spice.technology import FINFET15
         values = {}
         for direction in ("rising", "falling"):
             values[direction] = {
-                delta: nand_mis_delay(FINFET15, delta * PS, direction,
-                                      fast_transient_options)
+                delta: mis_delay(FINFET15, "nand", delta * PS,
+                                 direction, fast_transient_options)
                 for delta in (-400, 0, 400)}
         return values
 

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.spice.dc import dc_operating_point
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
-from repro.spice.technology import FINFET15, build_inverter
+from repro.spice.technology import FINFET15, build_gate
 from repro.spice.transient import (TransientOptions, transient_analysis)
 from repro.spice.waveforms import Dc, EdgeTrain, Pwl
 from repro.units import PS
@@ -47,7 +47,7 @@ class TestDcOperatingPoint:
     def test_inverter_logic_levels(self):
         tech = FINFET15
         for vin, expected in ((0.0, tech.vdd), (tech.vdd, 0.0)):
-            circuit = build_inverter(tech, Dc(vin))
+            circuit = build_gate(tech, "nor", (Dc(vin),))
             system = MnaSystem(circuit)
             x = dc_operating_point(system)
             assert system.voltages(x)["o"] == pytest.approx(expected,
@@ -57,7 +57,7 @@ class TestDcOperatingPoint:
         tech = FINFET15
         outputs = []
         for vin in np.linspace(0.0, tech.vdd, 9):
-            circuit = build_inverter(tech, Dc(float(vin)))
+            circuit = build_gate(tech, "nor", (Dc(float(vin)),))
             system = MnaSystem(circuit)
             x = dc_operating_point(system)
             outputs.append(system.voltages(x)["o"])
@@ -173,13 +173,20 @@ class TestTransientRc:
         with pytest.raises(SimulationError):
             TransientOptions(dt_initial=1e-9, dt_max=1e-12)
 
+    @pytest.mark.parametrize("t_stop", [math.inf, -math.inf, math.nan])
+    def test_non_finite_stop_rejected(self, t_stop):
+        """An infinite window used to step forever, one solution per
+        ``dt_max``; NaN ended in a Newton failure."""
+        with pytest.raises(ParameterError):
+            transient_analysis(rc_circuit(), t_stop)
+
 
 class TestTransientEdgeTrain:
     def test_inverter_responds_to_edge(self):
         tech = FINFET15
         wave = EdgeTrain([(100 * PS, 1)], tech.vdd,
                          tech.input_edge_time)
-        circuit = build_inverter(tech, wave)
+        circuit = build_gate(tech, "nor", (wave,))
         result = transient_analysis(circuit, 300 * PS,
                                     TransientOptions(v_scale=tech.vdd))
         assert result.value_at("o", 0.0) == pytest.approx(tech.vdd,

@@ -8,8 +8,8 @@ from repro.spice.dc import dc_operating_point
 from repro.spice.measure import (crossing_after, gate_delay, slew_time)
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
-from repro.spice.technology import (BULK65, FINFET15, build_inverter,
-                                    build_inverter_chain, build_nor2)
+from repro.spice.technology import (BULK65, FINFET15, build_gate,
+                                    build_inverter_chain, stamp_gate)
 from repro.spice.transient import TransientOptions, transient_analysis
 from repro.spice.waveforms import Dc, EdgeTrain
 from repro.units import FF, PS
@@ -30,15 +30,15 @@ class TestCards:
 
 class TestNor2Structure:
     def test_nodes(self):
-        circuit = build_nor2(FINFET15, 0.0, 0.0)
+        circuit = build_gate(FINFET15, "nor", (0.0, 0.0))
         assert set(circuit.node_names) == {"vdd", "a", "b", "n", "o"}
 
     def test_validates(self):
-        build_nor2(FINFET15, 0.0, 0.0).validate()
+        build_gate(FINFET15, "nor", (0.0, 0.0)).validate()
 
     def test_four_transistors(self):
         from repro.spice.devices import Mosfet
-        circuit = build_nor2(FINFET15, 0.0, 0.0)
+        circuit = build_gate(FINFET15, "nor", (0.0, 0.0))
         fets = circuit.devices_of_type(Mosfet)
         assert len(fets) == 4
         polarities = sorted(f.model.polarity for f in fets)
@@ -46,7 +46,7 @@ class TestNor2Structure:
 
     def test_negative_load_rejected(self):
         with pytest.raises(ParameterError):
-            build_nor2(FINFET15, 0.0, 0.0, output_load=-1 * FF)
+            build_gate(FINFET15, "nor", (0.0, 0.0), output_load=-1 * FF)
 
     @pytest.mark.parametrize("a,b,expected_high", [
         (0.0, 0.0, True),
@@ -56,7 +56,7 @@ class TestNor2Structure:
     ])
     def test_dc_truth_table(self, a, b, expected_high):
         """The NOR2 cell implements NOR at DC."""
-        circuit = build_nor2(FINFET15, Dc(a), Dc(b))
+        circuit = build_gate(FINFET15, "nor", (Dc(a), Dc(b)))
         system = MnaSystem(circuit)
         x = dc_operating_point(system)
         vo = system.voltages(x)["o"]
@@ -66,7 +66,7 @@ class TestNor2Structure:
             assert vo < 0.25 * FINFET15.vdd
 
     def test_internal_node_charged_when_a_low(self):
-        circuit = build_nor2(FINFET15, Dc(0.0), Dc(0.8))
+        circuit = build_gate(FINFET15, "nor", (Dc(0.0), Dc(0.8)))
         system = MnaSystem(circuit)
         x = dc_operating_point(system)
         assert system.voltages(x)["n"] > 0.75 * FINFET15.vdd
@@ -77,7 +77,7 @@ class TestNor2Dynamics:
         tech = FINFET15
         wave = EdgeTrain([(200 * PS, 1)], tech.vdd,
                          tech.input_edge_time)
-        circuit = build_nor2(tech, wave, Dc(0.0))
+        circuit = build_gate(tech, "nor", (wave, Dc(0.0)))
         result = transient_analysis(circuit, 500 * PS,
                                     TransientOptions(v_scale=tech.vdd))
         delay = gate_delay(result, "a", "o", tech.vth, edge_out=-1)
@@ -91,7 +91,7 @@ class TestNor2Dynamics:
             wave = EdgeTrain([(200 * PS, 1)], tech.vdd,
                              tech.input_edge_time)
             wave_b = wave if drive_both else Dc(0.0)
-            circuit = build_nor2(tech, wave, wave_b)
+            circuit = build_gate(tech, "nor", (wave, wave_b))
             result = transient_analysis(
                 circuit, 500 * PS, TransientOptions(v_scale=tech.vdd))
             return crossing_after(result, "o", tech.vth, 100 * PS,
@@ -103,7 +103,7 @@ class TestNor2Dynamics:
         def sis_delay(tech):
             wave = EdgeTrain([(500 * PS, 1)], tech.vdd,
                              tech.input_edge_time)
-            circuit = build_nor2(tech, wave, Dc(0.0))
+            circuit = build_gate(tech, "nor", (wave, Dc(0.0)))
             result = transient_analysis(
                 circuit, 1500 * PS, TransientOptions(v_scale=tech.vdd))
             return crossing_after(result, "o", tech.vth, 100 * PS,
@@ -112,9 +112,54 @@ class TestNor2Dynamics:
         assert sis_delay(BULK65) > 1.8 * sis_delay(FINFET15)
 
 
+class TestWideCells:
+    """One stamp for every width: NOR3/NAND3 stacks and their logic."""
+
+    def test_nor3_stack_from_the_rail(self):
+        from repro.spice.devices import Mosfet
+        circuit = build_gate(FINFET15, "nor", (0.0, 0.0, 0.0))
+        assert set(circuit.node_names) == {"vdd", "a", "b", "c", "n1",
+                                           "n2", "o"}
+        fets = circuit.devices_of_type(Mosfet)
+        stack = [(f.source, f.gate, f.drain) for f in fets[:3]]
+        assert stack == [("vdd", "a", "n1"), ("n1", "b", "n2"),
+                         ("n2", "c", "o")]
+        assert all(f.model.polarity == "p" for f in fets[:3])
+        assert [(f.gate, f.source) for f in fets[3:]] == [
+            ("a", "0"), ("b", "0"), ("c", "0")]
+
+    def test_nand4_internal_nodes(self):
+        circuit = build_gate(FINFET15, "nand", (0.0,) * 4)
+        assert {"m1", "m2", "m3"} <= set(circuit.node_names)
+
+    @pytest.mark.parametrize("gate", ["nor", "nand"])
+    def test_dc_truth_table_three_inputs(self, gate):
+        vdd = FINFET15.vdd
+        for bits in range(8):
+            levels = [(bits >> k) & 1 for k in range(3)]
+            circuit = build_gate(FINFET15, gate,
+                                 [Dc(vdd * level) for level in levels])
+            system = MnaSystem(circuit)
+            vo = system.voltages(dc_operating_point(system))["o"]
+            high = not any(levels) if gate == "nor" else not all(levels)
+            assert (vo > 0.75 * vdd) if high else (vo < 0.25 * vdd)
+
+    def test_prefix_names_internal_nodes(self):
+        circuit = Circuit("shared")
+        stamp_gate(circuit, FINFET15, "nor", ["a", "b", "c"], "y",
+                   prefix="g1_")
+        assert {"g1_n1", "g1_n2"} <= set(circuit.node_names)
+
+    @pytest.mark.parametrize("gate,inputs", [("xor", ["a", "b"]),
+                                             ("nor", [])])
+    def test_stamp_validation(self, gate, inputs):
+        with pytest.raises(ParameterError):
+            stamp_gate(Circuit("bad"), FINFET15, gate, inputs, "o")
+
+
 class TestInverters:
     def test_inverter_nodes(self):
-        circuit = build_inverter(FINFET15, 0.0)
+        circuit = build_gate(FINFET15, "nor", (0.0,))
         assert set(circuit.node_names) == {"vdd", "a", "o"}
 
     def test_chain_structure(self):
@@ -143,7 +188,7 @@ class TestMeasureHelpers:
         tech = FINFET15
         wave = EdgeTrain([(200 * PS, 1), (600 * PS, 0)], tech.vdd,
                          tech.input_edge_time)
-        circuit = build_inverter(tech, wave)
+        circuit = build_gate(tech, "nor", (wave,))
         return transient_analysis(circuit, 1000 * PS,
                                   TransientOptions(v_scale=tech.vdd))
 
