@@ -38,7 +38,23 @@ from .charlie import CharacteristicDelays, MisCurve
 from .hybrid_model import HybridNorModel
 from .parameters import NorGateParameters
 
-__all__ = ["HybridNandModel"]
+__all__ = ["HybridNandModel", "mirror_voltage"]
+
+
+def mirror_voltage(value, vdd):
+    """``VDD − V``: a NAND stack-node voltage in the mirrored NOR frame.
+
+    *value* and *vdd* are floats or per-lane arrays.  A value outside
+    ``[0, VDD]`` (NaN included) raises :class:`ParameterError`: the
+    mirror would hand the NOR a stack voltage beyond its rails.
+    """
+    inside = np.logical_and(np.greater_equal(value, 0.0),
+                            np.less_equal(value, vdd))
+    if not inside.all():
+        bad = np.broadcast_to(value, inside.shape)[~inside][0]
+        raise ParameterError(
+            f"node voltage {float(bad)!r} outside [0, VDD]")
+    return vdd - value
 
 
 class HybridNandModel:
@@ -60,11 +76,10 @@ class HybridNandModel:
         """The underlying mirrored NOR model."""
         return self._nor
 
-    def _mirror_voltage(self, value: float) -> float:
-        if not 0.0 <= value <= self.params.vdd:
-            raise ParameterError(
-                f"node voltage {value!r} outside [0, VDD]")
-        return self.params.vdd - value
+    def _nor_state(self, vm_init: float | None) -> float:
+        """The NOR-frame ``V_N`` of a ``V_M`` (``None``: worst case)."""
+        vdd = self.params.vdd
+        return mirror_voltage(vdd if vm_init is None else vm_init, vdd)
 
     # ------------------------------------------------------------------
     # delays
@@ -80,10 +95,7 @@ class HybridNandModel:
                 the gate rested with both inputs low; defaults to the
                 worst case ``VDD`` (mirror of the paper's ``V_N = GND``).
         """
-        if vm_init is None:
-            vm_init = self.params.vdd
-        return self._nor.delay_rising(delta,
-                                      self._mirror_voltage(vm_init))
+        return self._nor.delay_rising(delta, self._nor_state(vm_init))
 
     def delay_rising(self, delta: float) -> float:
         """NAND rising-output MIS delay (both inputs fall)."""
@@ -120,11 +132,9 @@ class HybridNandModel:
     def falling_curve(self, deltas, vm_init: float | None = None,
                       engine=None) -> MisCurve:
         """Falling MIS curve — exhibits the series-stack asymmetry."""
-        if vm_init is None:
-            vm_init = self.params.vdd
         deltas = np.asarray(deltas, dtype=float)
-        delays = self._nor.delays_rising(
-            deltas, self._mirror_voltage(vm_init), engine=engine)
+        delays = self._nor.delays_rising(deltas, self._nor_state(vm_init),
+                                         engine=engine)
         return MisCurve.from_arrays(deltas, delays, "falling",
                                     label="hybrid NAND model")
 
@@ -134,7 +144,4 @@ class HybridNandModel:
     def characteristic_falling(self,
                                vm_init: float | None = None
                                ) -> CharacteristicDelays:
-        if vm_init is None:
-            vm_init = self.params.vdd
-        return self._nor.characteristic_rising(
-            self._mirror_voltage(vm_init))
+        return self._nor.characteristic_rising(self._nor_state(vm_init))

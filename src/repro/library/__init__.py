@@ -8,6 +8,11 @@ NLDM-style standard-cell libraries but with the input-separation axis
 * :mod:`repro.library.characterize` sweeps a grid of
   ``(gate, parameters, Δ range, state grid)`` jobs through a delay
   engine (:mod:`repro.engine`);
+* :func:`gate_kind` is the one reading of a gate name (``"nor2"``,
+  ``"nand2"``, ``"nor<n>"``): its width, which output direction the
+  parallel and the series network drive, the controlling input value
+  and whether the NAND mirror applies; :func:`gate_delays` evaluates
+  a gate's delay functions through those conventions;
 * :mod:`repro.library.tables` holds the resulting
   :class:`GateDelayTable` entries — one multilinear
   :class:`DelaySurface` per output direction over
@@ -38,16 +43,17 @@ serialized library payload for transport.
 from .characterize import (CharacterizationJob, TableAccuracy,
                            characterize_gate, characterize_library,
                            default_delta_grid, default_state_grid,
-                           default_vector_delta_grid,
+                           default_vector_delta_grid, gate_delays,
                            generalized_jobs, paper_jobs, verify_table)
 from .tables import (LIBRARY_FORMAT, LIBRARY_FORMAT_VERSION,
-                     DelaySurface, GateDelayTable, GateLibrary,
-                     mis_gate_inputs)
+                     DelaySurface, GateDelayTable, GateKind, GateLibrary,
+                     gate_kind, mis_gate_inputs)
 
 __all__ = [
     "CharacterizationJob",
     "DelaySurface",
     "GateDelayTable",
+    "GateKind",
     "GateLibrary",
     "LIBRARY_FORMAT",
     "LIBRARY_FORMAT_VERSION",
@@ -57,6 +63,8 @@ __all__ = [
     "default_delta_grid",
     "default_state_grid",
     "default_vector_delta_grid",
+    "gate_delays",
+    "gate_kind",
     "generalized_jobs",
     "mis_gate_inputs",
     "paper_jobs",

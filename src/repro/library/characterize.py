@@ -30,14 +30,15 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .. import cache
+from ..core.duality import mirror_voltage
 from ..core.hybrid_model import settle_time
 from ..core.multi_input import (GeneralizedNorParameters,
                                 generalized_model, paper_generalized)
 from ..core.parameters import PAPER_TABLE_I, NorGateParameters
 from ..engine import delays_for_direction, get_engine
 from ..errors import ParameterError
-from .tables import (GATE_TYPES, DelaySurface, GateDelayTable,
-                     GateLibrary, check_gate_params, mis_gate_inputs)
+from .tables import (DelaySurface, GateDelayTable, GateLibrary,
+                     check_gate_params, gate_kind, mis_gate_inputs)
 
 __all__ = [
     "CharacterizationJob",
@@ -47,6 +48,7 @@ __all__ = [
     "default_delta_grid",
     "default_state_grid",
     "default_vector_delta_grid",
+    "gate_delays",
     "generalized_jobs",
     "paper_jobs",
     "verify_table",
@@ -214,7 +216,7 @@ class CharacterizationJob:
         """The job's Δ axis (explicit or default), seconds."""
         if self.deltas is not None:
             return np.asarray(self.deltas, dtype=float)
-        if self.gate in GATE_TYPES:
+        if self.num_inputs == 2:
             return default_delta_grid(self.params)
         return default_vector_delta_grid(self.params)
 
@@ -319,7 +321,7 @@ def _job_descriptor(job: CharacterizationJob, engine_name: str,
         "params": job.params.as_dict(),
         "deltas": [float(d) for d in deltas],
     }
-    if job.gate in GATE_TYPES:
+    if job.num_inputs == 2:
         descriptor["state_grid"] = [
             float(s) for s in job.resolved_state_grid()]
     else:
@@ -373,19 +375,35 @@ def characterize_gate(job: CharacterizationJob,
     return table
 
 
-def _direct_delays(backend, gate: str, params, direction: str,
-                   deltas, state: float) -> np.ndarray:
-    """Engine delays of one output direction of a *gate* cell.
+#: The mirrored NOR direction that times each NAND direction.
+_MIRRORED = {"falling": "rising", "rising": "falling"}
 
-    NAND cells go through the CMOS mirror duality: NAND falling
-    ``(Δ, V_M)`` is NOR rising ``(Δ, VDD − V_M)`` and NAND rising is
-    NOR falling.
+
+def gate_delays(engine, gate: str, params, direction: str, deltas,
+                state: float | None = None) -> np.ndarray:
+    """Engine delays of one output *direction* of a *gate* cell.
+
+    *params* and *deltas* go to :func:`repro.engine.delays_for_direction`
+    as it takes them.  *state* is the internal-node voltage in the
+    gate's own frame (``V_N`` for NOR, ``V_M`` for NAND); ``None`` is
+    the paper's worst case, 0 V in the NOR frame.  NAND cells go
+    through the CMOS mirror duality: NAND falling ``(Δ, V_M)`` is NOR
+    rising ``(Δ, VDD − V_M)``, and NAND rising is NOR falling.
+
+    Raises
+    ------
+    ParameterError
+        For an unknown gate or direction, or a NAND *state* outside
+        ``[0, VDD]``.
     """
-    if gate == "nand2":
-        direction = "rising" if direction == "falling" else "falling"
-        state = params.vdd - state
-    return delays_for_direction(backend, direction, params, deltas,
-                                state)
+    if gate_kind(gate).nand:
+        direction = _MIRRORED.get(direction, direction)
+        if state is not None:
+            vdd = (params["vdd"] if isinstance(params, np.ndarray)
+                   else params.vdd)
+            state = mirror_voltage(state, vdd)
+    return delays_for_direction(engine, direction, params, deltas,
+                                0.0 if state is None else state)
 
 
 def _surface_states(job: CharacterizationJob,
@@ -397,10 +415,10 @@ def _surface_states(job: CharacterizationJob,
     parallel transition, and the characterized chain state on both
     n-input surfaces.
     """
-    if job.gate not in GATE_TYPES:
+    kind = gate_kind(job.gate)
+    if kind.inputs > 2:
         return (float(job.internal_state),)
-    series = "falling" if job.gate == "nand2" else "rising"
-    if direction == series:
+    if direction == kind.series:
         return tuple(float(s) for s in job.resolved_state_grid())
     return (0.0,)
 
@@ -420,8 +438,8 @@ def _characterize_gate_direct(job: CharacterizationJob, backend,
     for direction in ("falling", "rising"):
         states = _surface_states(job, direction)
         surfaces[direction] = DelaySurface(direction, axes, states, [
-            _direct_delays(backend, job.gate, job.params, direction,
-                           points, state).reshape(shape)
+            gate_delays(backend, job.gate, job.params, direction,
+                        points, state).reshape(shape)
             for state in states])
     return GateDelayTable(cell=job.cell, gate=job.gate,
                           params=job.params, engine=backend.name,
@@ -541,8 +559,8 @@ def verify_table(table: GateDelayTable, engine=None,
         errors[direction] = max(
             float(np.max(np.abs(
                 surface.delays_at(probes, state)
-                - _direct_delays(backend, table.gate, table.params,
-                                 direction, probes, state))))
+                - gate_delays(backend, table.gate, table.params,
+                              direction, probes, state))))
             for state in surface.state_grid)
     return TableAccuracy(cell=table.cell,
                          falling_error=errors["falling"],

@@ -38,6 +38,7 @@ files still load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -53,9 +54,9 @@ from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from ..units import to_ps
 
-__all__ = ["DelaySurface", "GateDelayTable", "GateLibrary",
+__all__ = ["DelaySurface", "GateDelayTable", "GateKind", "GateLibrary",
            "GATE_CHOICES", "LIBRARY_FORMAT", "LIBRARY_FORMAT_VERSION",
-           "gate_width", "mis_gate_inputs"]
+           "gate_kind", "gate_width", "mis_gate_inputs"]
 
 #: On-disk format identifier of serialized libraries.
 LIBRARY_FORMAT = "repro-gate-library"
@@ -64,40 +65,66 @@ LIBRARY_FORMAT_VERSION = 2
 #: Format versions :meth:`GateLibrary.from_dict` still reads.
 SUPPORTED_FORMAT_VERSIONS = (1, 2)
 
-#: Two-input gate types (closed-form characterization conventions).
-GATE_TYPES = ("nor2", "nand2")
-
-#: n-input NOR cell names: ``nor3``, ``nor4``, …
-_NOR_N = re.compile(r"^nor([2-9]|[1-9]\d+)$")
+#: MIS gate names: ``nand2`` and ``nor<n>`` (``nor2``, ``nor3``, …).
+_GATE_NAME = re.compile(r"^(nand2|nor([2-9]|[1-9]\d+))$")
 
 
-def mis_gate_inputs(gate: str) -> int:
-    """Input count of a MIS gate type name.
+@dataclasses.dataclass(frozen=True)
+class GateKind:
+    """What a MIS gate name means (see :func:`gate_kind`).
 
-    Parameters
-    ----------
-    gate : str
-        ``"nor2"`` / ``"nand2"`` (the paper's 2-input cells) or
-        ``"nor<n>"`` for the generalized n-input NOR.
+    ``parallel`` is the output direction one controlling input drives
+    through the parallel network, referenced to the earliest
+    controlling input; ``series`` is the one the series stack drives
+    once every input is released, referenced to the latest and
+    dependent on the internal-node state.  The parallel network pulls
+    the output to the complement of ``controlling``, the series stack
+    to ``controlling`` itself.  ``nand`` marks the NAND2, timed as the
+    mirrored NOR2 (:mod:`repro.core.duality`).
+    """
 
-    Returns
-    -------
-    int
-        The number of gate inputs.
+    inputs: int
+    nand: bool
+    parallel: str
+    series: str
+    controlling: int
+
+    def output(self, values) -> int:
+        """Steady-state output for a sequence of input *values*."""
+        return self.controlling ^ (self.controlling in values)
+
+    def worst_state(self, vdd: float) -> float:
+        """The paper's worst-case internal-node voltage in the gate's
+        own frame: ``V_N = 0`` for NOR, ``V_M = VDD`` for NAND."""
+        return vdd if self.nand else 0.0
+
+
+@functools.lru_cache(maxsize=64)
+def gate_kind(gate: str) -> GateKind:
+    """The one reading of a MIS gate type name: ``"nor2"`` /
+    ``"nand2"`` (the paper's 2-input cells) or ``"nor<n>"`` for the
+    generalized n-input NOR.
 
     Raises
     ------
     ParameterError
         If *gate* is not a recognized MIS gate type.
     """
-    if gate == "nand2":
-        return 2
-    match = _NOR_N.match(gate)
+    match = _GATE_NAME.match(gate) if isinstance(gate, str) else None
     if match is None:
         raise ParameterError(
             f"gate must be 'nand2' or 'nor<n>' (n >= 2), got "
             f"{gate!r}")
-    return int(match.group(1))
+    if match.group(2) is None:
+        return GateKind(inputs=2, nand=True, parallel="rising",
+                        series="falling", controlling=0)
+    return GateKind(inputs=int(match.group(2)), nand=False,
+                    parallel="falling", series="rising", controlling=1)
+
+
+def mis_gate_inputs(gate: str) -> int:
+    """Input count of a MIS gate type name (see :func:`gate_kind`)."""
+    return gate_kind(gate).inputs
 
 
 def check_gate_params(gate: str, params) -> int:
@@ -110,8 +137,8 @@ def check_gate_params(gate: str, params) -> int:
         :class:`NorGateParameters` for ``nor2`` / ``nand2`` or an
         n-input :class:`GeneralizedNorParameters` set for ``nor<n>``.
     """
-    inputs = mis_gate_inputs(gate)
-    if gate in GATE_TYPES:
+    inputs = gate_kind(gate).inputs
+    if inputs == 2:
         if not isinstance(params, NorGateParameters):
             raise ParameterError(f"{gate!r} cells take "
                                  "NorGateParameters")

@@ -121,11 +121,17 @@ class EdgeTrain(Waveform):
                  vdd: float, edge_time: float,
                  initial: int | None = None,
                  shape: str = "raised-cosine"):
-        if edge_time <= 0.0:
-            raise ParameterError("edge_time must be positive")
+        # Every comparison with NaN is false, so the order checks below
+        # would accept it: require finite values first.
+        if not (math.isfinite(edge_time) and edge_time > 0.0):
+            raise ParameterError("edge_time must be positive and finite")
         if shape not in ("raised-cosine", "linear"):
             raise ParameterError(f"unknown edge shape {shape!r}")
         times = [t for t, _ in transitions]
+        for index, t in enumerate(times):
+            if not math.isfinite(t):
+                raise ParameterError(
+                    f"transition {index}: time must be finite, got {t}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ParameterError("transition times must be increasing")
         self.transitions = [(float(t), int(v)) for t, v in transitions]

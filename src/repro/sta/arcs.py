@@ -41,10 +41,10 @@ import numpy as np
 from ..core.multi_input import (generalized_block, paper_generalized,
                                 parameter_width)
 from ..core.parameters import BLOCK_DTYPE, NorGateParameters
-from ..engine import block_from_parameters, delays_for_direction, get_engine
+from ..engine import block_from_parameters, get_engine
 from ..errors import ParameterError
-from ..library.tables import (GATE_TYPES, GateDelayTable,
-                              check_gate_params)
+from ..library.characterize import gate_delays
+from ..library.tables import GateDelayTable, check_gate_params, gate_kind
 from ..obs.trace import span
 
 __all__ = [
@@ -153,7 +153,7 @@ class EngineArcModel:
         width = parameter_width(params)
         two_input = isinstance(params, NorGateParameters) or (
             isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
-        if self.gate in GATE_TYPES:
+        if self.num_inputs == 2:
             if not two_input:
                 raise ParameterError(
                     f"{self.gate!r} arcs re-target to "
@@ -167,19 +167,6 @@ class EngineArcModel:
                 f"{self.gate!r} arcs need {self.num_inputs}")
         return params
 
-    def _vn_init(self, params):
-        """Worst-case (or overridden) NOR-frame internal-node voltage,
-        one per lane for a NAND arc's per-lane corners."""
-        if self.state is None:
-            # NOR: V_N = 0; NAND: V_M = VDD mirrors to VDD − VDD = 0.
-            return 0.0
-        if self.gate == "nand2":
-            # NAND state axis is V_M; mirror into the NOR frame.
-            vdd = (params["vdd"] if isinstance(params, np.ndarray)
-                   else params.vdd)
-            return vdd - self.state
-        return self.state
-
     def delays(self, direction: str, deltas,
                params=None) -> np.ndarray:
         """Evaluate ``δ(Δ)`` for the arc's output *direction*.
@@ -187,14 +174,11 @@ class EngineArcModel:
         See :meth:`ArcDelayModel.delays`; *params* re-targets the
         evaluation to one corner, or to one corner per lane (2-input
         corner sets are widened through ``paper_generalized`` for
-        n-input arcs).
+        n-input arcs); NAND arcs mirror through
+        :func:`repro.library.gate_delays`.
         """
-        resolved = self._resolve(params)
-        if self.gate == "nand2":
-            # Mirror duality: swap directions, mirror the state axis.
-            direction = "rising" if direction == "falling" else "falling"
-        return delays_for_direction(self.engine, direction, resolved,
-                                    deltas, self._vn_init(resolved))
+        return gate_delays(self.engine, self.gate, self._resolve(params),
+                           direction, deltas, self.state)
 
     def __repr__(self) -> str:
         return (f"EngineArcModel(gate={self.gate!r}, "
@@ -226,20 +210,12 @@ class TableArcModel:
     def __init__(self, table: GateDelayTable,
                  state: float | None = None):
         self.table = table
+        #: Gate type and input count of the backing table.
+        self.gate = table.gate
+        self.num_inputs = table.num_inputs
         if state is None:
-            state = table.params.vdd if table.gate == "nand2" else 0.0
+            state = gate_kind(table.gate).worst_state(table.params.vdd)
         self.state = float(state)
-
-    @property
-    def gate(self) -> str:
-        """Gate type of the backing table (``"nor2"`` / ``"nand2"`` /
-        ``"nor<n>"``)."""
-        return self.table.gate
-
-    @property
-    def num_inputs(self) -> int:
-        """Input count of the backing table's gate."""
-        return self.table.num_inputs
 
     def delays(self, direction: str, deltas,
                params=None) -> np.ndarray:

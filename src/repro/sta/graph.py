@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..core.multi_input import GeneralizedNorParameters
 from ..errors import NetlistError
-from ..timing.channels.multi_input import GeneralizedNorChannel
-from ..timing.channels.table import TableDelayChannel
+from ..library.tables import gate_kind
 from ..timing.circuit import (GateInstance, MultiInputInstance,
                               TimingCircuit, WireInstance)
 from .arcs import (ArcDelayModel, EngineArcModel, FixedArcModel,
@@ -193,9 +193,6 @@ class TimingGraph:
         self.circuit = circuit
         self.arcs = list(arcs)
         self.signal_order = list(signal_order)
-        self._incoming: dict[TimingNode, list[TimingArc]] = {}
-        for arc in self.arcs:
-            self._incoming.setdefault(arc.target, []).append(arc)
         consumed = {signal
                     for instance in circuit.instances
                     for signal in instance.inputs}
@@ -217,10 +214,6 @@ class TimingGraph:
                 for signal in self.signal_order
                 for transition in TRANSITIONS]
         return out
-
-    def incoming(self, node: TimingNode) -> list[TimingArc]:
-        """Arcs driving *node* (empty for primary-input nodes)."""
-        return self._incoming.get(node, [])
 
     def describe(self) -> str:
         """One-line structural summary (used by the CLI report)."""
@@ -378,7 +371,7 @@ class LevelPlan:
         self.arc_eval = evaluation_of[np.array(arc_unit, dtype=np.intp)]
         #: Fan-in in CSR form: the arcs into row ``r`` are
         #: ``fanin[fanin_start[r]:fanin_start[r + 1]]``, in
-        #: ``graph.incoming`` order.
+        #: ``graph.arcs`` order.
         self.fanin = np.argsort(self.arc_target, kind="stable")
         self.fanin_start = np.searchsorted(
             self.arc_target[self.fanin], np.arange(len(self.nodes) + 1))
@@ -390,12 +383,17 @@ class LevelPlan:
 
 
 def _mis_model(channel, engine) -> ArcDelayModel:
-    """The default arc model of a fused MIS element's channel."""
-    if isinstance(channel, TableDelayChannel):
-        return TableArcModel(channel.table, state=channel.state)
-    gate = (f"nor{channel.inputs}"
-            if isinstance(channel, GeneralizedNorChannel) else "nor2")
-    return EngineArcModel(channel.params, gate, engine=engine)
+    """The default arc model of a fused MIS element's channel: the
+    table it replays, or its parameter set through the engine (an
+    ``n = 2`` generalized set as the paper's closed form)."""
+    table = getattr(channel, "table", None)
+    if table is not None:
+        return TableArcModel(table, state=channel.state)
+    params = channel.params
+    if channel.inputs == 2 and isinstance(params,
+                                          GeneralizedNorParameters):
+        params = params.to_two_input()
+    return EngineArcModel(params, channel.gate, engine=engine)
 
 
 def _mis_arcs(instance: MultiInputInstance,
@@ -408,17 +406,16 @@ def _mis_arcs(instance: MultiInputInstance,
             f"inputs; its arc model {model!r} times {width}-input "
             "gates")
     # Negative-unate both ways: rising inputs drive the falling
-    # output and vice versa.  Which output transition runs through
-    # the parallel network (referenced to the earlier input) depends
-    # on the gate type — NOR falls in parallel, NAND rises in
-    # parallel (mirror duality).
-    gate = getattr(model, "gate", "nor2")
-    parallel_target = "rise" if gate == "nand2" else "fall"
+    # output and vice versa.  The output transition through the
+    # parallel network is referenced to the earlier input, the one
+    # through the series stack to the later.
+    parallel = gate_kind(getattr(model, "gate", "nor2")).parallel
     arcs = []
     for target_transition in TRANSITIONS:
         source_transition = ("fall" if target_transition == "rise"
                              else "rise")
-        reference = ("earlier" if target_transition == parallel_target
+        reference = ("earlier"
+                     if DIRECTION[target_transition] == parallel
                      else "later")
         target = TimingNode(instance.output, target_transition)
         pin_nodes = tuple(TimingNode(signal, source_transition)

@@ -15,6 +15,7 @@ from .channels import (
     ExpChannel,
     HybridNorChannel,
     InertialDelayChannel,
+    MisChannel,
     PureDelayChannel,
     SingleInputChannel,
     SumExpChannel,
@@ -47,6 +48,7 @@ __all__ = [
     "GateInstance",
     "HybridNorChannel",
     "InertialDelayChannel",
+    "MisChannel",
     "MultiInputInstance",
     "PAPER_CONFIGS",
     "PowerReport",

@@ -1,7 +1,7 @@
 """Delay channels: pure, inertial, IDM involution, hybrid NOR (two-
 and n-input), and characterized-table gates."""
 
-from .base import Channel, SingleInputChannel
+from .base import Channel, MisChannel, SingleInputChannel
 from .hybrid import HybridNorChannel
 from .inertial import InertialDelayChannel
 from .involution import ExpChannel, SumExpChannel, WaveformChannel
@@ -15,6 +15,7 @@ __all__ = [
     "GeneralizedNorChannel",
     "HybridNorChannel",
     "InertialDelayChannel",
+    "MisChannel",
     "PureDelayChannel",
     "SingleInputChannel",
     "SumExpChannel",

@@ -20,6 +20,11 @@ implemented by overriding :meth:`SingleInputChannel.cancels`.
 :class:`~repro.timing.trace.DigitalTrace` — the workloads of this study
 are feed-forward, so traces can be transformed channel by channel in
 topological order (see :mod:`repro.timing.simulator`).
+
+:class:`MisChannel` is the other kind: a fused multi-input gate that
+consumes all its input traces at once and *is* the gate — the paper's
+hybrid NOR, its n-input generalization and the characterized-table
+replay.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from __future__ import annotations
 import math
 
 from ...errors import TraceError
+from ...library.tables import gate_kind
 from ..trace import DigitalTrace
 
-__all__ = ["Channel", "SingleInputChannel"]
+__all__ = ["Channel", "MisChannel", "SingleInputChannel"]
 
 
 class Channel:
@@ -109,3 +115,62 @@ class SingleInputChannel(Channel):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.label!r})"
+
+
+class MisChannel(Channel):
+    """A fused multi-input gate: one channel consumes every input
+    trace, so it models the boolean gate and its MIS-aware delays.
+
+    *gate* (``"nor2"``, ``"nand2"`` or ``"nor<n>"``) fixes the width
+    and the boolean function through
+    :func:`repro.library.gate_kind`; subclasses implement
+    :meth:`_crossings`.
+    """
+
+    def __init__(self, gate: str, label: str):
+        self.gate = gate
+        self.kind = gate_kind(gate)
+        #: Number of gate inputs.
+        self.inputs = self.kind.inputs
+        self.label = label
+
+    def _crossings(self, traces: tuple[DigitalTrace, ...],
+                   t_max: float | None) -> list[tuple[float, int]]:
+        """Candidate output crossings ``(time, value)`` in time order,
+        none after *t_max* (when given)."""
+        raise NotImplementedError
+
+    def initial_output(self, *values: int) -> int:
+        """Steady-state output for the initial input values."""
+        if len(values) != self.inputs:
+            raise TraceError(
+                f"{self.label}: expected {self.inputs} initial values, "
+                f"got {len(values)}")
+        return self.kind.output(values)
+
+    def simulate(self, *traces: DigitalTrace,
+                 t_max: float | None = None) -> DigitalTrace:
+        """Output trace of the gate: of the candidate crossings up to
+        *t_max* (default: until settled), the ones that change the
+        output, starting from the steady state of the initial inputs.
+
+        Raises
+        ------
+        TraceError
+            On a wrong trace count or events at negative times.
+        """
+        if len(traces) != self.inputs:
+            raise TraceError(
+                f"{self.label}: expected {self.inputs} input traces, "
+                f"got {len(traces)}")
+        if any(trace.times and trace.times[0] < 0.0 for trace in traces):
+            raise TraceError(f"{self.label}: expects events at t >= 0")
+        initial = self.initial_output(*(trace.initial
+                                        for trace in traces))
+        cleaned: list[tuple[float, int]] = []
+        value = initial
+        for t, v in self._crossings(traces, t_max):
+            if v != value:
+                cleaned.append((t, v))
+                value = v
+        return DigitalTrace(initial, cleaned)

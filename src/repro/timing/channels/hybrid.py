@@ -15,15 +15,17 @@ from __future__ import annotations
 
 from ...core.hybrid_model import HybridNorModel
 from ...core.parameters import NorGateParameters
-from ...errors import TraceError
-from ..trace import DigitalTrace
-from .base import Channel
+from .base import MisChannel
 
 __all__ = ["HybridNorChannel"]
 
 
-class HybridNorChannel(Channel):
+class HybridNorChannel(MisChannel):
     """MIS-aware NOR gate channel based on the hybrid ODE model.
+
+    The continuous state starts at the equilibrium of the initial
+    input combination; for the (1,1) start this means ``V_N = 0``,
+    the paper's worst-case choice.
 
     Args:
         params: electrical parameters (``δ_min`` included; use
@@ -32,45 +34,13 @@ class HybridNorChannel(Channel):
         label: reporting label.
     """
 
-    inputs = 2
-
     def __init__(self, params: NorGateParameters, label: str = "hybrid"):
+        super().__init__("nor2", label)
         self.params = params
         self.model = HybridNorModel(params)
-        self.label = label
 
-    def initial_output(self, a_initial: int, b_initial: int) -> int:
-        """Steady-state output for the initial input values."""
-        return int(not (a_initial or b_initial))
-
-    def simulate(self, trace_a: DigitalTrace, trace_b: DigitalTrace,
-                 t_max: float | None = None) -> DigitalTrace:
-        """Output trace of the NOR gate for the given input traces.
-
-        Args:
-            trace_a: digital trace of input A.
-            trace_b: digital trace of input B.
-            t_max: stop looking for output crossings after this time
-                (defaults to "until settled").
-
-        The continuous state starts at the equilibrium of the initial
-        input combination; for the (1,1) start this means ``V_N = 0``,
-        the paper's worst-case choice.
-        """
-        if trace_a.times and trace_a.times[0] < 0.0 or \
-                trace_b.times and trace_b.times[0] < 0.0:
-            raise TraceError("hybrid channel expects events at t >= 0")
-        crossings = self.model.output_crossings_for_inputs(
+    def _crossings(self, traces, t_max):
+        trace_a, trace_b = traces
+        return self.model.output_crossings_for_inputs(
             trace_a.transitions, trace_b.transitions, t_max=t_max,
             a_initial=trace_a.initial, b_initial=trace_b.initial)
-        initial = self.initial_output(trace_a.initial, trace_b.initial)
-        # Crossings alternate by construction; drop any leading crossing
-        # that does not change the value (defensive).
-        cleaned: list[tuple[float, int]] = []
-        value = initial
-        for t, v in crossings:
-            if v == value:
-                continue
-            cleaned.append((t, v))
-            value = v
-        return DigitalTrace(initial, cleaned)

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from ...core.multi_input import (GeneralizedNorParameters,
                                  generalized_model)
-from ...errors import TraceError
-from ..trace import DigitalTrace
-from .base import Channel
+from .base import MisChannel
 
 __all__ = ["GeneralizedNorChannel"]
 
 
-class GeneralizedNorChannel(Channel):
+class GeneralizedNorChannel(MisChannel):
     """MIS-aware n-input NOR channel over the generalized hybrid model.
 
     Parameters
@@ -41,66 +39,15 @@ class GeneralizedNorChannel(Channel):
 
     def __init__(self, params: GeneralizedNorParameters,
                  label: str = "generalized-nor"):
+        super().__init__(f"nor{params.num_inputs}", label)
         self.params = params
         self.model = generalized_model(params)
-        self.label = label
 
-    @property
-    def inputs(self) -> int:
-        """Number of gate inputs."""
-        return self.params.num_inputs
-
-    def initial_output(self, *values: int) -> int:
-        """Steady-state output for the initial input values."""
-        if len(values) != self.params.num_inputs:
-            raise TraceError(
-                f"{self.label}: expected {self.params.num_inputs} "
-                f"initial values, got {len(values)}")
-        return int(not any(values))
-
-    def simulate(self, *traces: DigitalTrace,
-                 t_max: float | None = None) -> DigitalTrace:
-        """Output trace of the NOR gate for the given input traces.
-
-        Parameters
-        ----------
-        *traces : DigitalTrace
-            One digital trace per input (events at ``t >= 0``).
-        t_max : float, optional
-            Stop looking for output crossings after this time
-            (defaults to "until settled").
-
-        Returns
-        -------
-        DigitalTrace
-            The digitized gate output.
-
-        Raises
-        ------
-        TraceError
-            On a wrong trace count or events at negative times.
-        """
-        if len(traces) != self.params.num_inputs:
-            raise TraceError(
-                f"{self.label}: expected {self.params.num_inputs} "
-                f"input traces, got {len(traces)}")
-        for trace in traces:
-            if trace.times and trace.times[0] < 0.0:
-                raise TraceError(
-                    f"{self.label}: expects events at t >= 0")
-        crossings = self.model.output_crossings_for_inputs(
+    def _crossings(self, traces, t_max):
+        return self.model.output_crossings_for_inputs(
             [trace.transitions for trace in traces],
             initial_inputs=[trace.initial for trace in traces],
             t_max=t_max)
-        initial = self.initial_output(*(t.initial for t in traces))
-        cleaned: list[tuple[float, int]] = []
-        value = initial
-        for t, v in crossings:
-            if v == value:  # pragma: no cover - defensive
-                continue
-            cleaned.append((t, v))
-            value = v
-        return DigitalTrace(initial, cleaned)
 
     def __repr__(self) -> str:
         return (f"GeneralizedNorChannel(n={self.params.num_inputs}, "

@@ -45,15 +45,13 @@ from __future__ import annotations
 import math
 
 from ...core.multi_input import sibling_offsets
-from ...errors import TraceError
-from ...library.tables import GateDelayTable, mis_gate_inputs
-from ..trace import DigitalTrace
-from .base import Channel
+from ...library.tables import GateDelayTable
+from .base import MisChannel
 
 __all__ = ["TableDelayChannel"]
 
 
-class TableDelayChannel(Channel):
+class TableDelayChannel(MisChannel):
     """n-input NOR / 2-input NAND channel driven by table lookups.
 
     Parameters
@@ -76,121 +74,26 @@ class TableDelayChannel(Channel):
 
     def __init__(self, table: GateDelayTable,
                  state: float | None = None, label: str = ""):
+        super().__init__(table.gate, label or table.cell)
         self.table = table
         if state is None:
-            state = table.params.vdd if table.gate == "nand2" else 0.0
+            state = self.kind.worst_state(table.params.vdd)
         self.state = float(state)
-        self.label = label or table.cell
-        # Boolean function and which transition is parallel-driven.
-        if table.gate == "nand2":
-            self._function = lambda *values: int(not all(values))
-            #: input value that activates the parallel network
-            self._controlling = 0
-            #: output value reached through the parallel network
-            self._parallel_target = 1
-        else:
-            self._function = lambda *values: int(not any(values))
-            self._controlling = 1
-            self._parallel_target = 0
 
-    @property
-    def inputs(self) -> int:
-        """Number of gate inputs the channel consumes."""
-        return mis_gate_inputs(self.table.gate)
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-
-    def _parallel_delay(self, delta) -> float:
-        """Delay of the single-controlling-input transition.
-
-        Clamped lookups by design: the channel deliberately reads
-        the SIS plateau edges for separations beyond the
-        characterized grids.
-        """
-        if self.table.gate == "nand2":
-            return self.table.delay_rising(delta, self.state,
-                                           clamp=True)
-        return self.table.delay_falling(delta, self.state,
-                                        clamp=True)
-
-    def _series_delay(self, delta) -> float:
-        """Delay of the all-inputs-required transition (clamped)."""
-        if self.table.gate == "nand2":
-            return self.table.delay_falling(delta, self.state,
-                                            clamp=True)
-        return self.table.delay_rising(delta, self.state,
-                                       clamp=True)
-
-    def _parallel_candidate(self, times: list[float]) -> float:
-        """Output-crossing candidate of a parallel-driven transition.
-
-        *times* holds, per input, when it last turned controlling
-        (``+inf`` for inputs that are not controlling) — referenced
-        to the *earliest* controlling input per the paper's
-        convention.
-        """
-        reference = min(times)
-        return reference + self._parallel_delay(
-            sibling_offsets(times, reference))
-
-    def _series_candidate(self, released: list[float]) -> float:
-        """Output-crossing candidate of a series-driven transition.
-
-        *released* holds, per input, when it last left its
-        controlling value (``−inf`` for "released long ago / never
-        was controlling") — the trigger is the *latest* release.
-        """
-        reference = max(released)
-        return reference + self._series_delay(
-            sibling_offsets(released, reference))
-
-    def initial_output(self, *values: int) -> int:
-        """Steady-state output for the initial input values."""
-        if len(values) != self.inputs:
-            raise TraceError(
-                f"{self.label}: expected {self.inputs} initial "
-                f"values, got {len(values)}")
-        return self._function(*values)
-
-    # ------------------------------------------------------------------
-    # simulation
-    # ------------------------------------------------------------------
-
-    def simulate(self, *traces: DigitalTrace,
-                 t_max: float | None = None) -> DigitalTrace:
-        """Output trace of the gate for the given input traces.
-
-        Parameters
-        ----------
-        *traces : DigitalTrace
-            One input trace per gate input; events must sit at
-            ``t >= 0``.
-        t_max : float, optional
-            Drop output transitions after this time.
-
-        Returns
-        -------
-        DigitalTrace
-            The digitized gate output.
-
-        Raises
-        ------
-        TraceError
-            On a wrong trace count or events at negative times.
-        """
+    def _crossings(self, traces, t_max):
         n = self.inputs
-        if len(traces) != n:
-            raise TraceError(
-                f"{self.label}: expected {n} input traces, got "
-                f"{len(traces)}")
-        for trace in traces:
-            if trace.times and trace.times[0] < 0.0:
-                raise TraceError("table channel expects events at "
-                                 "t >= 0")
+        function = self.kind.output
+        controlling = self.kind.controlling
+        # The parallel network pulls the output to the complement of
+        # the controlling value, the series stack to the value itself.
+        parallel_value = 1 - controlling
+        # Clamped lookups by design: the channel reads the SIS plateau
+        # edges for separations beyond the characterized grids.
+        parallel = getattr(self.table, self.kind.parallel)
+        series = getattr(self.table, self.kind.series)
+        state = self.state
         values = [trace.initial for trace in traces]
-        initial = self._function(*values)
+        initial = function(values)
 
         merged = sorted(
             (t, index, v)
@@ -199,13 +102,12 @@ class TableDelayChannel(Channel):
         # Time each input last switched *to* its controlling value;
         # -inf means "has been controlling forever" (SIS edge).
         controlling_since = [
-            -math.inf if value == self._controlling else math.nan
+            -math.inf if value == controlling else math.nan
             for value in values]
         # Time each input last *left* its controlling value; -inf
         # means "never was controlling" or "never released" — either
         # way the separation is the SIS edge.
-        was_controlling = [value == self._controlling
-                           for value in values]
+        was_controlling = [value == controlling for value in values]
         released_at = [-math.inf] * n
 
         out: list[tuple[float, int]] = []
@@ -213,11 +115,23 @@ class TableDelayChannel(Channel):
         #: still be rescheduled by further controlling inputs.
         pending_parallel = False
 
-        def controlling_times() -> list[float]:
-            """Per-input controlling onsets (+inf: not controlling)."""
-            return [controlling_since[i]
-                    if values[i] == self._controlling else math.inf
-                    for i in range(n)]
+        def parallel_candidate() -> float:
+            """Crossing of a parallel-driven transition, referenced to
+            the *earliest* controlling input (+inf: not controlling)."""
+            times = [controlling_since[i] if values[i] == controlling
+                     else math.inf for i in range(n)]
+            reference = min(times)
+            return reference + parallel.delay_at(
+                sibling_offsets(times, reference), state, clamp=True)
+
+        def series_candidate() -> float:
+            """Crossing of a series-driven transition: the trigger is
+            the *latest* release (−inf: released long ago or never
+            controlling)."""
+            reference = max(released_at)
+            return reference + series.delay_at(
+                sibling_offsets(released_at, reference), state,
+                clamp=True)
 
         def cancel_or_append(t_event: float, candidate: float,
                              value: int) -> bool:
@@ -237,56 +151,42 @@ class TableDelayChannel(Channel):
 
         for t, which, value in merged:
             values[which] = value
-            if value == self._controlling:
+            if value == controlling:
                 controlling_since[which] = t
                 was_controlling[which] = True
             elif was_controlling[which]:
                 released_at[which] = t
             current = out[-1][1] if out else initial
-            target = self._function(*values)
+            target = function(values)
 
             if target == current:
-                if (pending_parallel and value == self._controlling
+                if (pending_parallel and value == controlling
                         and out and out[-1][0] > t):
                     # A further controlling input arrived while the
                     # parallel transition is still pending:
                     # reschedule with the true MIS separations.
-                    candidate = self._parallel_candidate(
-                        controlling_times())
+                    candidate = parallel_candidate()
                     out.pop()
                     pending_parallel = cancel_or_append(t, candidate,
                                                         current)
                 continue
 
-            if target == self._parallel_target:
+            if target == parallel_value:
                 # Parallel-driven transition: this input alone flips
                 # the output; the siblings are (still)
                 # non-controlling.
-                candidate = self._parallel_candidate(
-                    controlling_times())
-                pending_parallel = cancel_or_append(t, candidate,
-                                                    target)
+                pending_parallel = cancel_or_append(
+                    t, parallel_candidate(), target)
             else:
                 # Series-driven transition: every input is
                 # non-controlling now, and this event is the latest
                 # release by construction.
-                cancel_or_append(
-                    t, self._series_candidate(list(released_at)),
-                    target)
+                cancel_or_append(t, series_candidate(), target)
                 pending_parallel = False
 
         if t_max is not None:
             out = [(t, v) for t, v in out if t <= t_max]
-
-        # Defensive: alternation must hold after annihilations.
-        cleaned: list[tuple[float, int]] = []
-        current = initial
-        for t, v in out:
-            if v == current:  # pragma: no cover - defensive guard
-                continue
-            cleaned.append((t, v))
-            current = v
-        return DigitalTrace(initial, cleaned)
+        return out
 
     def __repr__(self) -> str:
         return (f"TableDelayChannel({self.table.cell!r}, "

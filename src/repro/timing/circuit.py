@@ -20,21 +20,13 @@ from collections.abc import Callable, Mapping, Sequence
 from ..errors import NetlistError
 from ..wire.model import WireTiming, reduce_tree
 from ..wire.tree import WireTree
-from .channels.base import SingleInputChannel
+from .channels.base import MisChannel, SingleInputChannel
 from .channels.hybrid import HybridNorChannel
-from .channels.multi_input import GeneralizedNorChannel
 from .channels.pure import PureDelayChannel
-from .channels.table import TableDelayChannel
 from .gates import gate_function
 
 __all__ = ["GateInstance", "MultiInputInstance", "WireInstance",
            "TimingCircuit"]
-
-#: Channel types usable as fused MIS elements: they consume all input
-#: traces directly via ``simulate(*traces)`` and report their boolean
-#: steady state via ``initial_output(*values)``.
-MIS_CHANNEL_TYPES = (HybridNorChannel, TableDelayChannel,
-                     GeneralizedNorChannel)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,17 +44,18 @@ class GateInstance:
 class MultiInputInstance:
     """A fused MIS element of any width (gate and channel in one).
 
-    The channel consumes all input traces directly: the paper's
-    two-input hybrid ODE NOR (:class:`HybridNorChannel`), the exact
-    eigen-solved n-input automaton (:class:`GeneralizedNorChannel`),
-    or a characterized-table replay (:class:`TableDelayChannel`, NOR
-    or NAND conventions per its table).
+    The :class:`~repro.timing.channels.MisChannel` consumes all input
+    traces directly: the paper's two-input hybrid ODE NOR
+    (:class:`HybridNorChannel`), the exact eigen-solved n-input
+    automaton (:class:`GeneralizedNorChannel`), or a
+    characterized-table replay (:class:`TableDelayChannel`, NOR or
+    NAND conventions per its table).
     """
 
     name: str
     inputs: tuple[str, ...]
     output: str
-    channel: HybridNorChannel | GeneralizedNorChannel | TableDelayChannel
+    channel: MisChannel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,20 +170,18 @@ class TimingCircuit:
                 f"MIS gate {name!r}: inputs must be a sequence of "
                 f"signal names, got the string {inputs!r}")
         inputs = tuple(inputs)
-        if not isinstance(channel, MIS_CHANNEL_TYPES):
+        if not isinstance(channel, MisChannel):
             raise NetlistError(
-                f"MIS gate {name!r} needs a MIS channel "
-                f"({', '.join(t.__name__ for t in MIS_CHANNEL_TYPES)}), "
-                f"got {type(channel).__name__}")
+                f"MIS gate {name!r} needs a MisChannel, got "
+                f"{type(channel).__name__}")
         if len(inputs) < 2 or any(not isinstance(s, str)
                                   for s in inputs):
             raise NetlistError(
                 f"MIS gate {name!r} needs at least two input signal "
                 "names")
-        expected = getattr(channel, "inputs", 2)
-        if expected != len(inputs):
+        if channel.inputs != len(inputs):
             raise NetlistError(
-                f"MIS gate {name!r}: channel expects {expected} "
+                f"MIS gate {name!r}: channel expects {channel.inputs} "
                 f"inputs, got {len(inputs)} signals")
         instance = MultiInputInstance(name=name, inputs=inputs,
                                       output=output, channel=channel)

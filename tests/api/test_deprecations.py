@@ -36,6 +36,8 @@ class TestRemovedNames:
                          "repro.analysis.characterization")
           for name in ("nor_mis_delay", "nor_mis_waveforms",
                        "nand_mis_delay")),
+        ("repro.library.tables", "GATE_TYPES"),
+        ("repro.timing.circuit", "MIS_CHANNEL_TYPES"),
     ])
     def test_name_is_gone(self, module, name):
         import importlib

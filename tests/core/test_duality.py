@@ -54,6 +54,34 @@ class TestMirrorIdentities:
             nand.delay_falling(0.0, vm_init=1.5)
 
 
+class TestStateRange:
+    """``V_M`` outside ``[0, VDD]`` is rejected on every NAND path, not
+    only by the closed form: the engine arcs and characterization
+    used to evaluate the NOR at a negative or above-rail ``V_N``."""
+
+    @pytest.mark.parametrize("vm", [1.6, -0.3])
+    def test_every_nand_path_rejects(self, nand, vm):
+        from repro.library import CharacterizationJob, characterize_gate
+        from repro.sta import EngineArcModel
+
+        message = rf"node voltage {vm!r} outside \[0, VDD\]"
+        with pytest.raises(ParameterError, match=message):
+            nand.delay_falling(0.0, vm_init=vm)
+        with pytest.raises(ParameterError, match=message):
+            EngineArcModel(PAPER_TABLE_I, "nand2", state=vm).delays(
+                "falling", [0.0])
+        with pytest.raises(ParameterError, match=message):
+            characterize_gate(CharacterizationJob(
+                "nand2_bad", PAPER_TABLE_I, "nand2",
+                deltas=(-10 * PS, 0.0, 10 * PS),
+                state_grid=tuple(sorted((0.0, vm)))))
+        from repro.engine import get_engine
+        from repro.library import gate_delays
+        with pytest.raises(ParameterError, match=message):
+            gate_delays(get_engine(None), "nand2", PAPER_TABLE_I,
+                        "falling", [0.0], state=vm)
+
+
 class TestNandMisLandscape:
     """The NAND's Charlie effects are the NOR's, mirrored."""
 

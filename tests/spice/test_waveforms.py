@@ -153,6 +153,22 @@ class TestEdgeTrain:
             EdgeTrain([(1e-10, 1), (1e-10, 0)], vdd=0.8,
                       edge_time=1e-12)
 
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, time):
+        """NaN passes the increasing-times check (every comparison
+        with NaN is false); a transient over it used to burn its
+        Newton budget and raise ConvergenceError."""
+        with pytest.raises(ParameterError, match="finite"):
+            EdgeTrain([(time, 1)], vdd=0.8, edge_time=60 * PS)
+        with pytest.raises(ParameterError, match="finite"):
+            EdgeTrain([(100 * PS, 1), (time, 0)], vdd=0.8,
+                      edge_time=60 * PS)
+
+    @pytest.mark.parametrize("edge_time", [np.nan, np.inf])
+    def test_non_finite_edge_time_rejected(self, edge_time):
+        with pytest.raises(ParameterError, match="edge_time"):
+            EdgeTrain([(100 * PS, 1)], vdd=0.8, edge_time=edge_time)
+
     @given(st.integers(min_value=0, max_value=1))
     def test_values_bounded_by_rails(self, initial):
         wave = EdgeTrain([(100 * PS, 1 - initial)], vdd=0.8,

@@ -6,12 +6,12 @@ from repro.core.multi_input import paper_generalized
 from repro.core.parameters import PAPER_TABLE_I
 from repro.errors import NetlistError
 from repro.library import CharacterizationJob, characterize_gate
-from repro.sta import (EngineArcModel, FixedArcModel, TimingNode,
+from repro.sta import (EngineArcModel, FixedArcModel, TimingNode, analyze,
                        build_timing_graph, input_unateness, nor_chain,
                        nor_tree, single_nor, sta_circuit)
 from repro.timing import (PureDelayChannel, TableDelayChannel,
                           TimingCircuit)
-from repro.timing.channels.hybrid import HybridNorChannel
+from repro.timing.channels import GeneralizedNorChannel, HybridNorChannel
 from repro.units import PS
 
 
@@ -103,6 +103,30 @@ class TestTableLowering:
         with pytest.raises(NetlistError):
             circuit.add_mis_gate("g0", ("a", "b"), "y",
                                  PureDelayChannel(5.0 * PS))
+
+
+class TestGeneralizedLowering:
+    """A 2-input generalized NOR lowers to the paper's closed form."""
+
+    @staticmethod
+    def _circuit(channel_of):
+        circuit = TimingCircuit(["a", "b", "c"])
+        circuit.add_mis_gate("g0", ("a", "b"), "n", channel_of())
+        circuit.add_mis_gate("g1", ("n", "c"), "y", channel_of())
+        return circuit
+
+    def test_same_arrivals_as_hybrid(self):
+        arrivals = {"a": (0.0, 0.0), "b": (7.0 * PS, 12.0 * PS),
+                    "c": (40.0 * PS, 35.0 * PS)}
+        generalized = build_timing_graph(self._circuit(
+            lambda: GeneralizedNorChannel(paper_generalized(2))))
+        hybrid = build_timing_graph(self._circuit(
+            lambda: HybridNorChannel(PAPER_TABLE_I)))
+        assert all(arc.model.gate == "nor2"
+                   and arc.model.params == PAPER_TABLE_I
+                   for arc in generalized.arcs)
+        assert analyze(generalized, arrivals).arrivals == \
+            analyze(hybrid, arrivals).arrivals
 
 
 class TestGenericGates:

@@ -26,6 +26,10 @@ class TestInitialOutput:
         assert channel.initial_output(1, 0) == 0
         assert channel.initial_output(1, 1) == 0
 
+    def test_value_count_checked(self, channel):
+        with pytest.raises(TraceError):
+            channel.initial_output(0, 0, 0)
+
 
 class TestSingleTransitions:
     def test_falling_sis_delay(self, channel, model):
