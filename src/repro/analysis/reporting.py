@@ -9,6 +9,7 @@ paper reports.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from ..core.charlie import MisCurve
 from ..units import to_ps
@@ -20,24 +21,26 @@ __all__ = ["ascii_table", "format_curve", "format_curves",
 def ascii_table(headers: Sequence[str],
                 rows: Sequence[Sequence[object]],
                 title: str | None = None) -> str:
-    """Render a simple fixed-width table."""
+    """Render a simple fixed-width table.
+
+    A ``float`` cell prints as ``.4g`` and any other cell as ``str``.
+    Each cell is formatted once, and one format string over the
+    column widths lays out every line, left-aligned.
+    """
     columns = len(headers)
-    cells = [[str(h) for h in headers]]
-    for row in rows:
-        if len(row) != columns:
-            raise ValueError("row length does not match headers")
-        cells.append([f"{item:.4g}" if isinstance(item, float)
-                      else str(item) for item in row])
-    widths = [max(len(row[i]) for row in cells) for i in range(columns)]
-    lines = []
-    if title:
-        lines.append(title)
-    separator = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append(separator)
-    for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    if any(len(row) != columns for row in rows):
+        raise ValueError("row length does not match headers")
+    cells = [str(h) for h in headers]
+    cells += [item if type(item) is str
+              else f"{item:.4g}" if isinstance(item, float)
+              else str(item) for item in chain.from_iterable(rows)]
+    widths = [max(map(len, cells[i::columns])) for i in range(columns)]
+    line = " | ".join(f"{{:<{width}}}" for width in widths)
+    separator = "-+-".join("-" * width for width in widths)
+    # The title stays out of the format string: it may hold braces.
+    layout = "\n".join([line, separator] + [line] * len(rows))
+    text = layout.format(*cells)
+    return f"{title}\n{text}" if title else text
 
 
 def format_curve(curve: MisCurve, label: str | None = None) -> str:

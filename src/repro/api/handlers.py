@@ -22,7 +22,7 @@ from .._version import __version__
 from ..engine import available_engines, delays_for_direction
 from ..errors import ParameterError
 from ..library.tables import gate_width
-from ..units import to_ps
+from ..units import PICO, to_ps
 from .catalog import EXPERIMENT_DESCRIPTIONS, WORKFLOW_DESCRIPTIONS
 from .requests import (CharacterizeRequest, DelayRequest,
                        DescribeRequest, ExperimentRequest,
@@ -86,9 +86,17 @@ def _version(session: "Session",
 # delay
 # ----------------------------------------------------------------------
 
+def _printed(spec: str, values: np.ndarray) -> list[str]:
+    """Each row of the 2-D *values* as its entries printed with the
+    ``%``-format *spec*, joined by ``", "``.  One ``%`` prints the
+    whole array, so no Python call runs per value."""
+    rows, entries = values.shape
+    layout = "\n".join([", ".join([spec] * entries)] * rows)
+    return (layout % tuple(values.ravel().tolist())).split("\n")
+
+
 def _delay(session: "Session", request: DelayRequest) -> DelayResult:
     from ..analysis.reporting import ascii_table
-    from ..core.multi_input import paper_generalized
 
     if request.direction not in ("falling", "rising"):
         raise ParameterError(
@@ -104,25 +112,30 @@ def _delay(session: "Session", request: DelayRequest) -> DelayResult:
                 f"{request.gate} takes {wanted} sibling offset(s) "
                 f"per Δ-vector, got {len(entry)}")
     engine = session.engine
-    delays = delays_for_direction(
-        engine, request.direction,
-        paper_generalized(width, session.parameters),
-        np.asarray(request.deltas, dtype=float), request.vn_init)
+    deltas = np.asarray(request.deltas, dtype=float)
+    # nor2 runs the closed form on the bound set itself: widening it
+    # to an n = 2 set only for the engine to narrow it back would
+    # reach the same memoized constants.
+    if width == 2:
+        params, points = session.parameters, deltas[:, 0]
+    else:
+        params, points = session.generalized(width), deltas
+    delays = delays_for_direction(engine, request.direction, params,
+                                  points, request.vn_init)
 
-    def _axis(entry: tuple[float, ...]) -> str:
-        return ", ".join(f"{to_ps(value):+.2f}" for value in entry)
-
+    # ``/ PICO`` is ``to_ps`` over the whole array: the same division,
+    # so the same digits.
     table = ascii_table(
         ["Δ [ps]", "delay [ps]"],
-        [(_axis(entry), f"{to_ps(delay):.3f}")
-         for entry, delay in zip(request.deltas, delays)],
+        list(zip(_printed("%+.2f", deltas / PICO),
+                 _printed("%.3f", (delays / PICO)[:, None]))),
         title=f"{request.gate} {request.direction} MIS delays via "
               f"'{engine.name}'")
     return DelayResult(gate=request.gate,
                        direction=request.direction,
                        engine=engine.name,
                        deltas=request.deltas,
-                       delays=tuple(float(d) for d in delays),
+                       delays=tuple(delays.tolist()),
                        text=table)
 
 

@@ -39,6 +39,7 @@ import math
 import types
 import typing
 from collections.abc import Callable
+from itertools import chain
 from typing import Any, ClassVar
 
 from ..errors import ParameterError
@@ -104,8 +105,26 @@ def check_schema(payload: dict) -> None:
             f"(this build speaks version {API_SCHEMA_VERSION})")
 
 
+#: Item-type sets of the containers :func:`_encode` copies in one pass.
+_FLOAT_ONLY = {float}
+_SEQUENCES = {list, tuple}
+
+
+def _finite_floats(items: Any) -> bool:
+    """Whether *items* (a list or tuple) holds exact ``float`` values
+    only, all finite: a NaN or infinite item makes the sum non-finite,
+    and so does an overflowing one, which then takes the item path."""
+    return (set(map(type, items)) == _FLOAT_ONLY
+            and math.isfinite(sum(items)))
+
+
 def _encode(value: Any) -> Any:
-    """Lower a field value to strict-JSON-safe plain data."""
+    """Lower a field value to strict-JSON-safe plain data.
+
+    A list or tuple of finite floats, or of such lists and tuples,
+    is copied as lists in one pass; any other container is lowered
+    item by item.
+    """
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float):
@@ -117,6 +136,11 @@ def _encode(value: Any) -> Any:
     if isinstance(value, (int, str)):
         return value
     if isinstance(value, (list, tuple)):
+        if _finite_floats(value):
+            return list(value)
+        if (set(map(type, value)) <= _SEQUENCES
+                and _finite_floats(list(chain.from_iterable(value)))):
+            return list(map(list, value))
         return [_encode(item) for item in value]
     if isinstance(value, dict):
         return {str(key): _encode(item)

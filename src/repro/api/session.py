@@ -285,11 +285,10 @@ class Session:
                 f"not a known request: {type(request).__name__}; "
                 f"expected one of "
                 f"{', '.join(sorted(c.__name__ for c in HANDLERS))}")
+        cached = self.lookup(request)
+        if cached is not None:
+            return cached
         kind = type(request).kind
-        if self._cache_enabled and request in self._results:
-            self._hits += 1
-            self._requests_total(kind, "hit").inc()
-            return self._results[request]
         self._misses += 1
         self._requests_total(kind, "miss").inc()
         tracer = obs_trace.active_tracer()
@@ -318,8 +317,27 @@ class Session:
             timings.get("session.run", 0.0))
         return dataclasses.replace(result, timings=timings)
 
-    def run_json(self, payload: "str | dict[str, Any]") -> Result:
-        """Decode a serialized request envelope and :meth:`run` it.
+    def lookup(self, request: Request) -> "Result | None":
+        """The memoized result of *request*, or ``None``.
+
+        The memo lookup of :meth:`run`: a hit is counted here, once,
+        as a ``run`` hit (``cache_info()["hits"]`` and
+        ``repro_session_requests_total{outcome="hit"}``).  A miss
+        counts nothing; the :meth:`run` that computes the result
+        counts it.  The server answers hits with this on the
+        connection thread.
+        """
+        if not self._cache_enabled:
+            return None
+        result = self._results.get(request)
+        if result is not None:
+            self._hits += 1
+            self._requests_total(type(request).kind, "hit").inc()
+        return result
+
+    @staticmethod
+    def decode_request(payload: "str | dict[str, Any]") -> Request:
+        """Decode a serialized request envelope into its request.
 
         Parameters
         ----------
@@ -338,7 +356,23 @@ class Session:
             raise ParameterError(
                 f"payload kind {type(record).kind!r} is a result, "
                 "not a request")
-        return self.run(record)
+        return record
+
+    def run_json(self, payload: "str | dict[str, Any]") -> Result:
+        """Decode a serialized request envelope and :meth:`run` it.
+
+        Parameters
+        ----------
+        payload : str or dict
+            A request envelope produced by ``request.to_json()`` (or
+            an equivalent dict).
+
+        Raises
+        ------
+        ParameterError
+            As :meth:`decode_request`.
+        """
+        return self.run(self.decode_request(payload))
 
     # ------------------------------------------------------------------
     # cache control

@@ -231,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--run-workers", type=_positive_int, default=8,
                      metavar="N",
                      help="bound on concurrently executing /v1/run "
-                          "requests (default: 8)")
+                          "memo misses; hits take no worker "
+                          "(default: 8)")
     cmd.add_argument("--batch-workers", type=_positive_int, default=2,
                      metavar="N",
                      help="bound on concurrently executing batch "
                           "jobs (default: 2)")
     cmd.add_argument("--timeout", type=float, default=30.0,
                      metavar="S",
-                     help="per-request service timeout of /v1/run in "
-                          "seconds (default: 30)")
+                     help="service timeout of a /v1/run memo miss "
+                          "in seconds (default: 30)")
     cmd.add_argument("--access-log", action="store_true",
                      help="emit one structured JSON log line per "
                           "request on stderr")

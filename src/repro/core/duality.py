@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
 from .charlie import CharacteristicDelays, MisCurve
 from .hybrid_model import HybridNorModel
-from .parameters import NorGateParameters
+from .parameters import NorGateParameters, check_node_voltage
 
 __all__ = ["HybridNandModel", "mirror_voltage"]
 
@@ -45,15 +44,11 @@ def mirror_voltage(value, vdd):
     """``VDD − V``: a NAND stack-node voltage in the mirrored NOR frame.
 
     *value* and *vdd* are floats or per-lane arrays.  A value outside
-    ``[0, VDD]`` (NaN included) raises :class:`ParameterError`: the
-    mirror would hand the NOR a stack voltage beyond its rails.
+    ``[0, VDD]`` (NaN included) raises :class:`ParameterError` from
+    :func:`~repro.core.parameters.check_node_voltage`: the mirror
+    would hand the NOR a stack voltage beyond its rails.
     """
-    inside = np.logical_and(np.greater_equal(value, 0.0),
-                            np.less_equal(value, vdd))
-    if not inside.all():
-        bad = np.broadcast_to(value, inside.shape)[~inside][0]
-        raise ParameterError(
-            f"node voltage {float(bad)!r} outside [0, VDD]")
+    check_node_voltage(value, vdd)
     return vdd - value
 
 

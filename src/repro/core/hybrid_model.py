@@ -37,7 +37,8 @@ import numpy as np
 from ..errors import NoCrossingError, ParameterError
 from .charlie import CharacteristicDelays, MisCurve
 from .modes import Mode
-from .parameters import NorGateParameters, finite_voltage
+from .parameters import (NorGateParameters, check_node_voltage,
+                         finite_voltage)
 from .trajectory import PiecewiseTrajectory
 
 __all__ = ["HybridNorModel", "DelayComputation", "settle_time"]
@@ -201,11 +202,14 @@ class HybridNorModel:
         Raises
         ------
         ParameterError
-            If *delta* is NaN, or *vn_init* is NaN or infinite.
+            If *delta* is NaN, or *vn_init* is NaN or infinite or
+            outside ``[0, VDD]``.
         """
         _check_separation(delta)
         p = self.params
-        initial = (finite_voltage(vn_init, "vn_init"), 0.0)
+        vn = finite_voltage(vn_init, "vn_init")
+        check_node_voltage(vn, p.vdd)
+        initial = (vn, 0.0)
 
         if self._is_effectively_infinite(delta):
             # Let the intermediate mode settle completely, then (0,0).

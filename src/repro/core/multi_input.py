@@ -49,7 +49,7 @@ import numpy as np
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
 from .parameters import (BLOCK_DTYPE, PAPER_TABLE_I, NorGateParameters,
-                         finite_voltage)
+                         check_node_voltage, finite_voltage)
 from .solutions import ExpSum, exp_sum_crossing
 
 __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
@@ -791,8 +791,8 @@ class GeneralizedNorModel:
         All inputs start high (gate resting low); input ``i`` falls at
         ``fall_times[i]``.  Referenced to the latest input.  Internal
         chain nodes rest at *internal_init* (GND worst case).  NaN and
-        ``±inf`` times and voltages are rejected with
-        :class:`ParameterError`.
+        ``±inf`` times and voltages, and voltages outside ``[0, VDD]``,
+        are rejected with :class:`ParameterError`.
         """
         _check_times(fall_times, self._n, "fall times")
         earliest = min(fall_times)
@@ -802,6 +802,7 @@ class GeneralizedNorModel:
             internal_init = [0.0] * (self._n - 1)
         state0 = np.array([finite_voltage(v, "internal_init")
                            for v in internal_init] + [0.0])
+        check_node_voltage(state0, self.params.vdd)
         crossings = self.output_crossings_for_inputs(
             events, initial_inputs=[1] * self._n,
             initial_state=state0)
@@ -875,7 +876,8 @@ class CompiledNorKernel:
             Output transition searched for.
         internal_init : float, optional
             Rising-only: initial voltage of every internal chain
-            node, volts; NaN and ``±inf`` rejected.
+            node, volts; NaN and ``±inf`` rejected, and so is a value
+            outside any lane's ``[0, VDD]``.
         sets : array_like of int, optional
             Parameter set (record index) of every Δ-vector row,
             broadcast against ``deltas.shape[:-1]``; default set 0.
@@ -890,6 +892,8 @@ class CompiledNorKernel:
         if direction == "rising":
             internal_init = finite_voltage(internal_init,
                                            "internal_init")
+            # Every lane's VDD: the rows of one call share the value.
+            check_node_voltage(internal_init, self._rest[:, 0])
         flat, shape = offset_rows(n, deltas)
         rows = (np.zeros(flat.shape[0], dtype=np.intp) if sets is None
                 else np.broadcast_to(sets, shape).reshape(-1))

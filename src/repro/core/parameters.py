@@ -166,6 +166,29 @@ def finite_voltage(value, name: str) -> float:
     return volts
 
 
+def check_node_voltage(value, vdd) -> None:
+    """Reject a stack-node voltage outside ``[0, VDD]``.
+
+    *value* and *vdd* are floats or per-lane arrays.  A node between
+    the rails holds no other voltage, and the closed forms would
+    return a delay for one anyway, so every entry point that takes a
+    node voltage (a NOR ``V_N`` or chain voltage, a NAND ``V_M``
+    through :func:`~repro.core.duality.mirror_voltage`) checks it
+    here.
+
+    Raises
+    ------
+    ParameterError
+        If any value lies outside ``[0, VDD]`` (NaN included).
+    """
+    inside = np.logical_and(np.greater_equal(value, 0.0),
+                            np.less_equal(value, vdd))
+    if not inside.all():
+        bad = np.broadcast_to(value, inside.shape)[~inside][0]
+        raise ParameterError(
+            f"node voltage {float(bad)!r} outside [0, VDD]")
+
+
 #: Pure delay the paper empirically determined in Section V.
 PAPER_DELTA_MIN = 18.0 * PS
 

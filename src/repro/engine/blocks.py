@@ -49,7 +49,7 @@ import numpy as np
 from ..core.hybrid_model import _SETTLE_FACTOR
 from ..core.multi_input import validate_block
 from ..core.parameters import (BLOCK_DTYPE, PARAM_FIELDS,
-                               NorGateParameters)
+                               NorGateParameters, check_node_voltage)
 from ..core.solutions import exp_sum_crossing
 from ..errors import NoCrossingError, ParameterError
 
@@ -250,10 +250,12 @@ def falling_constants(block: np.ndarray) -> FallingConstants:
 def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
     """:data:`RisingConstants` of a validated ``(N,)`` block at
     ``X = vn_init`` volts, one value or one per record
-    (``ParameterError`` if any is not finite)."""
+    (``ParameterError`` if any is not finite, or outside its record's
+    ``[0, VDD]``)."""
     x = np.asarray(vn_init, dtype=float)
     if not np.isfinite(x).all():
         raise ParameterError(f"vn_init must be finite, got {vn_init!r}")
+    check_node_voltage(x, block["vdd"])
     r1, r2, r3 = block["r1"], block["r2"], block["r3"]
     cn, co, vdd = block["cn"], block["co"], block["vdd"]
     vth = 0.5 * vdd

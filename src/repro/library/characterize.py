@@ -38,7 +38,7 @@ from ..core.parameters import PAPER_TABLE_I, NorGateParameters
 from ..engine import delays_for_direction, get_engine
 from ..errors import ParameterError
 from .tables import (DelaySurface, GateDelayTable, GateLibrary,
-                     check_gate_params, gate_kind, mis_gate_inputs)
+                     gate_kind, gate_params, mis_gate_inputs)
 
 __all__ = [
     "CharacterizationJob",
@@ -356,7 +356,9 @@ def characterize_gate(job: CharacterizationJob,
     stored table without touching the engine.
     """
     backend = get_engine(engine)
-    check_gate_params(job.gate, job.params)  # reject bad jobs early
+    # Reject bad jobs early; an n = 2 set for nor2 runs as the paper's.
+    job = dataclasses.replace(job,
+                              params=gate_params(job.gate, job.params))
     deltas = job.resolved_deltas()
     store = cache.get_store()
     key = None

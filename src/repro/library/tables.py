@@ -127,27 +127,37 @@ def mis_gate_inputs(gate: str) -> int:
     return gate_kind(gate).inputs
 
 
-def check_gate_params(gate: str, params) -> int:
-    """Input count of *gate*, checking *params* is its parameter kind.
+def gate_params(gate: str, params):
+    """*params* as the parameter set of a *gate* cell.
+
+    The one place an ``n = 2`` :class:`GeneralizedNorParameters` set
+    becomes the paper's closed-form set for ``nor2``
+    (:meth:`~GeneralizedNorParameters.to_two_input`); every other
+    accepted set is returned as it is.
 
     Raises
     ------
     ParameterError
         If *gate* is unknown, or *params* is not
-        :class:`NorGateParameters` for ``nor2`` / ``nand2`` or an
-        n-input :class:`GeneralizedNorParameters` set for ``nor<n>``.
+        :class:`NorGateParameters` for ``nor2`` / ``nand2`` (or a
+        2-input generalized set for ``nor2``) or an n-input
+        :class:`GeneralizedNorParameters` set for ``nor<n>``.
     """
-    inputs = gate_kind(gate).inputs
-    if inputs == 2:
+    kind = gate_kind(gate)
+    if kind.inputs == 2:
+        if (not kind.nand
+                and isinstance(params, GeneralizedNorParameters)
+                and params.num_inputs == 2):
+            return params.to_two_input()
         if not isinstance(params, NorGateParameters):
             raise ParameterError(f"{gate!r} cells take "
                                  "NorGateParameters")
     elif (not isinstance(params, GeneralizedNorParameters)
-            or params.num_inputs != inputs):
+            or params.num_inputs != kind.inputs):
         raise ParameterError(
-            f"{gate!r} cells take a {inputs}-input "
+            f"{gate!r} cells take a {kind.inputs}-input "
             "GeneralizedNorParameters set")
-    return inputs
+    return params
 
 
 #: Gate widths ``characterize`` / ``delay`` / ``stats`` accept (the
@@ -486,7 +496,9 @@ class GateDelayTable:
     engine: str = "vectorized"
 
     def __post_init__(self) -> None:
-        inputs = check_gate_params(self.gate, self.params)
+        object.__setattr__(self, "params",
+                           gate_params(self.gate, self.params))
+        inputs = gate_kind(self.gate).inputs
         for direction in ("falling", "rising"):
             surface = getattr(self, direction)
             if surface.direction != direction:

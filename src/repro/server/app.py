@@ -7,8 +7,9 @@ crash-safe :class:`~repro.server.store.JobStore` and the
 
 ========================  ============================================
 ``POST /v1/run``          one ``repro.api/1`` request envelope in, one
-                          result envelope out (bounded worker pool +
-                          per-request timeout)
+                          result envelope out (memo hits answered at
+                          once; misses on a bounded worker pool with
+                          a per-request timeout)
 ``POST /v1/batches``      JSONL upload of envelopes -> job id
                           (idempotent on content)
 ``GET /v1/batches/<id>``  job status + progress counters
@@ -344,12 +345,13 @@ class ReproServer:
         ``repro_jobs`` under the working directory).
     run_workers : int, optional
         Bound on concurrently *executing* ``/v1/run`` requests
-        (excess requests queue; default 8).
+        (excess requests queue; default 8).  Memo hits take no
+        worker.
     batch_workers : int, optional
         Bound on concurrently executing batch jobs (default 2).
     request_timeout : float, optional
-        Per-request service timeout of ``/v1/run`` in seconds
-        (default 30).
+        Per-request service timeout of a ``/v1/run`` memo miss in
+        seconds (default 30).
     max_body : int, optional
         Largest accepted request body in bytes (default 8 MiB).
     log_stream : file-like, optional
@@ -474,8 +476,12 @@ class ReproServer:
     # ------------------------------------------------------------------
 
     def run_envelope(self, envelope: dict):
-        """Execute one decoded ``/v1/run`` envelope on the bounded
-        pool.
+        """Answer one decoded ``/v1/run`` envelope.
+
+        The request is decoded here, on the calling (connection)
+        thread.  A memo hit is answered here too: it does no work a
+        timeout could cut short, so it takes no pool worker.  A miss
+        runs on the bounded pool under the per-request timeout.
 
         Parameters
         ----------
@@ -493,9 +499,13 @@ class ReproServer:
             on failure.
         """
         request_kind = envelope_kind(envelope)
-        future = self._pool.submit(self.session.run_json, envelope)
         try:
-            return future.result(self.request_timeout), 200, False
+            request = self.session.decode_request(envelope)
+            result = self.session.lookup(request)
+            if result is None:
+                future = self._pool.submit(self.session.run, request)
+                result = future.result(self.request_timeout)
+            return result, 200, False
         except concurrent.futures.TimeoutError:
             error = ErrorResult.from_exception(
                 TimeoutError(f"request exceeded the "

@@ -44,7 +44,7 @@ from ..core.parameters import BLOCK_DTYPE, NorGateParameters
 from ..engine import block_from_parameters, get_engine
 from ..errors import ParameterError
 from ..library.characterize import gate_delays
-from ..library.tables import GateDelayTable, check_gate_params, gate_kind
+from ..library.tables import GateDelayTable, gate_kind, gate_params
 from ..obs.trace import span
 
 __all__ = [
@@ -113,8 +113,11 @@ class EngineArcModel:
 
     Parameters
     ----------
-    params : NorGateParameters
-        Electrical parameters (mirrored reading for NAND).
+    params : NorGateParameters or GeneralizedNorParameters
+        Electrical parameters (mirrored reading for NAND); an n-input
+        set for ``nor<n>``.  A 2-input generalized set for ``nor2``
+        runs as the paper's closed-form set (see
+        :func:`repro.library.tables.gate_params`).
     gate : str, optional
         ``"nor2"`` (default) or ``"nand2"``.
     engine : str or DelayEngine, optional
@@ -132,9 +135,9 @@ class EngineArcModel:
 
     def __init__(self, params, gate: str = "nor2",
                  engine=None, state: float | None = None):
-        self.num_inputs = check_gate_params(gate, params)
+        self.params = gate_params(gate, params)
+        self.num_inputs = gate_kind(gate).inputs
         self.gate = gate
-        self.params = params
         self.engine = get_engine(engine)
         self.state = None if state is None else float(state)
 

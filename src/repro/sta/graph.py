@@ -45,7 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.multi_input import GeneralizedNorParameters
 from ..errors import NetlistError
 from ..library.tables import gate_kind
 from ..timing.circuit import (GateInstance, MultiInputInstance,
@@ -384,16 +383,12 @@ class LevelPlan:
 
 def _mis_model(channel, engine) -> ArcDelayModel:
     """The default arc model of a fused MIS element's channel: the
-    table it replays, or its parameter set through the engine (an
-    ``n = 2`` generalized set as the paper's closed form)."""
+    table it replays, or its parameter set through the engine (which
+    runs an ``n = 2`` generalized set as the paper's closed form)."""
     table = getattr(channel, "table", None)
     if table is not None:
         return TableArcModel(table, state=channel.state)
-    params = channel.params
-    if channel.inputs == 2 and isinstance(params,
-                                          GeneralizedNorParameters):
-        params = params.to_two_input()
-    return EngineArcModel(params, channel.gate, engine=engine)
+    return EngineArcModel(channel.params, channel.gate, engine=engine)
 
 
 def _mis_arcs(instance: MultiInputInstance,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.analysis.faithfulness import (perturbation_sensitivity,
@@ -117,6 +118,35 @@ class TestReporting:
     def test_ascii_table_float_formatting(self):
         text = ascii_table(["v"], [[1.23456789]])
         assert "1.235" in text
+
+    # The exact strings below are what the table renderer printed
+    # before it built its lines from one format string.
+
+    def test_ascii_table_empty_rows(self):
+        assert ascii_table(["a", "bb"], []) == "a | bb\n--+---"
+        assert ascii_table(["x"], [], title="T") == "T\nx\n-"
+        assert ascii_table([], [[], []]) == "\n\n\n"
+
+    def test_ascii_table_float_cells(self):
+        text = ascii_table(["v", "w"], [[1.23456789, 2e-13],
+                                        [0.5, math.inf],
+                                        [-0.0, math.nan]])
+        assert text == ("v     | w    \n------+------\n"
+                        "1.235 | 2e-13\n0.5   | inf  \n-0    | nan  ")
+
+    def test_ascii_table_non_str_cells(self):
+        class Label(str):
+            pass
+
+        text = ascii_table(
+            ["n", "flag", "none", "np", "s"],
+            [[3, True, None, np.float64(1.23456), Label("ab")],
+             (12345, False, (1, 2), np.int64(7), "x")])
+        assert text == (
+            "n     | flag  | none   | np    | s \n"
+            "------+-------+--------+-------+---\n"
+            "3     | True  | None   | 1.235 | ab\n"
+            "12345 | False | (1, 2) | 7     | x ")
 
     def test_format_curve(self):
         curve = MisCurve.from_arrays([-1e-12, 1e-12],

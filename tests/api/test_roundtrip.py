@@ -7,10 +7,12 @@ no literal for them, so they travel as spelled strings).
 """
 
 import collections
+import dataclasses
 import json
 import math
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,3 +414,129 @@ def test_type_hints_are_resolved_once_per_class(monkeypatch):
         for text in texts:
             from_json(text)
     assert calls == collections.Counter(ALL_TYPES)
+
+
+# ----------------------------------------------------------------------
+# the encoder against its item-by-item predecessor
+# ----------------------------------------------------------------------
+
+def _item_walk_encode(value):
+    """The field encoder before it copied float lists in one pass,
+    verbatim: the oracle the current encoder must match."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        if math.isnan(value):
+            return "NaN"
+        return value
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_item_walk_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _item_walk_encode(item)
+                for key, item in value.items()}
+    raise ParameterError(
+        f"cannot serialize field value of type {type(value).__name__}")
+
+
+def _outcome(encode, value):
+    """What *encode* makes of *value*: its strict-JSON text and the
+    ``repr`` of the plain data (so a tuple for a list, or an int for
+    a float, shows), or the message it raises."""
+    try:
+        plain = encode(value)
+    except ParameterError as error:
+        return "error", str(error)
+    return ("ok", json.dumps(plain, sort_keys=True, allow_nan=False),
+            repr(plain))
+
+
+def _assert_same_encoding(value):
+    assert _outcome(serialization._encode, value) == \
+        _outcome(_item_walk_encode, value)
+
+
+@pytest.mark.parametrize(
+    "cls", ALL_TYPES, ids=[cls.__name__ for cls in ALL_TYPES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_encoder_matches_the_item_walk(cls, data):
+    """Every field of every kind encodes as the item-by-item walk
+    encoded it, and so does the whole envelope."""
+    record = data.draw(STRATEGIES[cls])
+    data_fields = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        _assert_same_encoding(value)
+        if value is not None or field.name not in record._omit_none:
+            data_fields[field.name] = _item_walk_encode(value)
+    assert record.to_json() == json.dumps(
+        {"schema": f"{API_SCHEMA}/{API_SCHEMA_VERSION}",
+         "kind": cls.kind, "data": data_fields},
+        sort_keys=True, allow_nan=False)
+
+
+#: Values the one-pass copy must see through: non-finite, signed-zero,
+#: subnormal and largest floats, sums that overflow, int/bool and
+#: NumPy items among floats, nested and empty rows, timings dicts, and
+#: NumPy values that have no encoding at all.
+HAND_PICKED = [
+    math.inf, -math.inf, math.nan, -0.0, 5e-324,
+    1.7976931348623157e308,
+    (math.inf, -math.inf, math.nan), (1.0, math.nan, 2.0),
+    (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308),
+    (1.7976931348623157e308, 1.7976931348623157e308),
+    [-1.7976931348623157e308] * 3,
+    (1.0, 2, 3.5), (1.0, True), (False, 0.5), [0.5, np.float64(0.25)],
+    (np.float64(math.inf),), (np.float64(-0.0), -0.0),
+    ((1.0,), (2.0, math.inf)), ((1.0,), ()), ((), ()), (((),),),
+    ((1.0, 2.0), [3.0]), (((1.0,),),), ((1.0,), (2,)),
+    ((1.0,), (np.float64(2.0),)), ((5e-324,), (-0.0,)),
+    ((1.7976931348623157e308,), (1.7976931348623157e308,)),
+    [(1.0, 2.0), 3.0],
+    {"session.run": 1e-3, "engine.delays": 2.5e-4},
+    {"a": (1.0, math.nan), "b": ((0.5,), (math.inf,))}, {1: (0.5,)},
+    [], (), [None, 1.0], ["a", 1.0], [[], [1.0]],
+    np.int64(3), np.array([1.0, 2.0]), (1.0, np.int64(3)),
+    ((1.0,), (np.int64(2),)), ((1.0,), np.array([2.0])),
+    {"x": np.array([1.0])},
+]
+
+
+@pytest.mark.parametrize("value", HAND_PICKED,
+                         ids=[f"value{i}" for i in range(len(HAND_PICKED))])
+def test_encoder_matches_the_item_walk_on_edge_values(value):
+    _assert_same_encoding(value)
+
+
+def test_numpy_values_keep_their_message():
+    for value, kind in ((np.int64(3), "int64"),
+                        (np.array([1.0]), "ndarray"),
+                        ((0.5, np.int64(1)), "int64"),
+                        (((0.5,), np.array([1.0])), "ndarray")):
+        with pytest.raises(ParameterError) as caught:
+            serialization._encode(value)
+        assert str(caught.value) == \
+            f"cannot serialize field value of type {kind}"
+
+
+_leaves = (st.floats(width=64) | st.integers(-2**70, 2**70)
+           | st.booleans() | st.none() | names
+           | st.floats(width=64).map(np.float64)
+           | st.integers(-5, 5).map(np.int64))
+_float_rows = st.lists(st.floats(width=64), max_size=6)
+_values = st.recursive(
+    _leaves | _float_rows | _float_rows.map(tuple),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(names, inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_values)
+def test_encoder_matches_the_item_walk_on_any_value(value):
+    _assert_same_encoding(value)

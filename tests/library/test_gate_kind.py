@@ -71,3 +71,61 @@ class TestGateDelays:
             mirror_voltage(0.9, vdd)
         with pytest.raises(ParameterError):
             mirror_voltage(math.nan, 0.8)
+
+
+class TestTwoInputGeneralizedSet:
+    """An ``n = 2`` generalized set for ``nor2`` runs as the paper's
+    closed-form set.  ``EngineArcModel`` and a ``nor2``
+    ``CharacterizationJob`` used to reject it with "'nor2' cells take
+    NorGateParameters", although the engine evaluated such a set."""
+
+    BASE = PAPER_TABLE_I.replace(r3=41e3, cn=0.7e-15)
+
+    def test_gate_params_lowers_it(self):
+        from repro.core.multi_input import paper_generalized
+        from repro.library.tables import gate_params
+
+        assert gate_params("nor2", paper_generalized(2, self.BASE)) \
+            == self.BASE
+        assert gate_params("nor2", self.BASE) is self.BASE
+
+    @pytest.mark.parametrize("state", [None, 0.3])
+    def test_engine_arc_bytes(self, state):
+        from repro.core.multi_input import paper_generalized
+        from repro.sta import EngineArcModel
+
+        wide = EngineArcModel(paper_generalized(2, self.BASE), "nor2",
+                              state=state)
+        paper = EngineArcModel(self.BASE, "nor2", state=state)
+        assert wide.params == self.BASE and wide.num_inputs == 2
+        for direction in ("falling", "rising"):
+            assert wide.delays(direction, DELTAS).tobytes() == \
+                paper.delays(direction, DELTAS).tobytes()
+
+    def test_characterized_table_bytes(self):
+        import json
+
+        from repro.core.multi_input import paper_generalized
+        from repro.library import CharacterizationJob, characterize_gate
+
+        grids = {"deltas": (-30 * PS, -5 * PS, 0.0, 5 * PS, 30 * PS),
+                 "state_grid": (0.0, 0.4, 0.8)}
+        wide = characterize_gate(CharacterizationJob(
+            "nor2_x", paper_generalized(2, self.BASE), "nor2", **grids))
+        paper = characterize_gate(CharacterizationJob(
+            "nor2_x", self.BASE, "nor2", **grids))
+        assert json.dumps(wide.to_dict()) == json.dumps(paper.to_dict())
+
+    def test_other_gates_still_need_their_kind(self):
+        from repro.core.multi_input import paper_generalized
+        from repro.sta import EngineArcModel
+
+        with pytest.raises(ParameterError,
+                           match="'nand2' cells take NorGateParameters"):
+            EngineArcModel(paper_generalized(2), "nand2")
+        with pytest.raises(ParameterError,
+                           match="'nor3' cells take a 3-input"):
+            EngineArcModel(paper_generalized(2), "nor3")
+        with pytest.raises(ParameterError,
+                           match="'nor2' cells take NorGateParameters"):
+            EngineArcModel(paper_generalized(3), "nor2")

@@ -244,6 +244,107 @@ class TestTimeouts:
         _alive(client)
 
 
+def _hit_counter(client) -> float:
+    """``repro_session_requests_total{kind="delay",outcome="hit"}``
+    from ``/v1/metrics`` (process-wide, so tests read differences)."""
+    _, _, body = client.request("GET", "/v1/metrics")
+    prefix = "repro_session_requests_total{"
+    for line in body.decode("utf-8").splitlines():
+        if (line.startswith(prefix) and 'kind="delay"' in line
+                and 'outcome="hit"' in line):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+class TestMemoHits:
+    """A memo hit is answered on the connection thread: it takes no
+    run-pool worker, so a stalled miss cannot hold it up."""
+
+    def test_hit_takes_no_worker(self, make_server, make_client,
+                                 monkeypatch):
+        server = make_server(run_workers=1, request_timeout=0.5)
+        client = make_client(server)
+        delay = DelayRequest(direction="rising",
+                             deltas=((1e-12,), (-3e-12,)))
+        status, first = client.run(delay)
+        assert status == 200
+        hits_before = _hit_counter(client)
+
+        original = HANDLERS[VersionRequest]
+        entered, release = threading.Event(), threading.Event()
+
+        def stall(session, request):
+            entered.set()
+            release.wait(10.0)
+            return original(session, request)
+
+        monkeypatch.setitem(HANDLERS, VersionRequest, stall)
+        miss = {}
+
+        def stalled_miss():
+            miss["reply"] = client.post("/v1/run",
+                                        VersionRequest().to_json())
+
+        thread = threading.Thread(target=stalled_miss)
+        thread.start()
+        try:
+            assert entered.wait(5.0)  # the one worker is held
+            start = time.monotonic()
+            status, again = client.run(delay)  # another connection
+            elapsed = time.monotonic() - start
+            thread.join(5.0)
+        finally:
+            release.set()
+        assert not thread.is_alive()
+        assert status == 200
+        assert again == first
+        assert elapsed < 0.5
+        status, payload = miss["reply"]
+        assert status == 504
+        assert payload["data"]["exception"] == "TimeoutError"
+        assert server.session.cache_info()["hits"] == 1
+        assert _hit_counter(client) - hits_before == 1.0
+        _alive(client)
+
+    def test_decode_errors_keep_their_bytes(self, client):
+        """Decoding moved to the connection thread; a bad field and a
+        result kind still get the same 400 bodies."""
+        from repro.api import DelayResult
+        bad_field = ('{"schema": "repro.api/1", "kind": "delay", '
+                     '"data": {"vn_init": "hot"}}')
+        status, _, body = client.request("POST", "/v1/run",
+                                         body=bad_field)
+        assert status == 400
+        assert body == (
+            b'{"data": {"error": "not a float spelling: \'hot\'", '
+            b'"exception": "ParameterError", "request_kind": "delay", '
+            b'"status": 400, "text": "error: not a float spelling: '
+            b'\'hot\'"}, "kind": "error", "schema": "repro.api/1"}\n')
+        status, _, body = client.request("POST", "/v1/run",
+                                         body=DelayResult().to_json())
+        assert status == 400
+        assert body == (
+            b'{"data": {"error": "payload kind \'delay_result\' is a '
+            b'result, not a request", "exception": "ParameterError", '
+            b'"request_kind": "delay_result", "status": 400, "text": '
+            b'"error: payload kind \'delay_result\' is a result, not '
+            b'a request"}, "kind": "error", "schema": "repro.api/1"}\n')
+        assert client.server.session.cache_info()["hits"] == 0
+        _alive(client)
+
+    def test_node_voltage_outside_the_rails_is_400(self, client):
+        """A rising delay from ``V_N`` = 1.6 V on the 0.8 V card used
+        to answer 200 with 50.4 ps."""
+        status, payload = client.post(
+            "/v1/run", DelayRequest(direction="rising",
+                                    vn_init=1.6).to_json())
+        assert status == 400
+        assert payload["data"]["exception"] == "ParameterError"
+        assert payload["data"]["error"] == \
+            "node voltage 1.6 outside [0, VDD]"
+        _alive(client)
+
+
 class TestDisconnects:
     def test_client_vanishing_mid_request_is_survived(
             self, client, server):
