@@ -137,16 +137,28 @@ def exp_sum_crossing(weights, rates, level, downward: bool,
     """First directed crossing of ``Σ_j w_j·e^{λ_j t}`` through *level*
     on ``[0, window]``, elementwise.
 
-    A sum of k terms (a constant counts, with rate 0) has at most k − 1
-    real zeros, and the zeros of its derivative cut it into monotone
-    pieces with at most one crossing each.  Multiplied by
-    ``e^{−λ_slow t}``, the derivative is again a constant plus one
-    fewer exponential, so the stationary points follow by recursion
-    down to the closed-form stationary point of two exponentials.  An
-    element whose rate-ordered coefficients change sign at most once
-    has at most one zero (Laguerre's rule of signs) and skips that
-    isolation.  Zero rates fold into the constant and equal rates merge
-    first.
+    The search runs upward (a downward one on the negated sum) for the
+    zeros of ``c + Σ_j w_j e^{λ_j t}``: zero-rate terms less *level*
+    fold into the constant ``c``.  An element whose term-wise upper
+    bound ``c + Σ_j max(w_j, w_j·e^{λ_j·window})`` stays below zero by
+    more than rounding noise cannot cross and is dropped.  Equal rates
+    merge next.
+
+    A sum of k terms (a constant counts, with rate 0) has at most as
+    many real zeros as its rate-ordered coefficients change sign, so
+    at most k − 1 (Descartes' rule of signs), and the zeros of its
+    derivative cut it into monotone pieces with at most one crossing
+    each.  Multiplied by ``e^{−λ_slow t}``, the derivative is again a
+    constant plus one fewer exponential, so the stationary points
+    follow by recursion down to the closed-form stationary point of
+    two exponentials.  At every level of that recursion, an element
+    skips the isolation when it has at most one zero on ``t > 0`` by
+    Laguerre's rule: its partial sums ``c, c + w_1, …, c + Σ_j w_j``,
+    slowest rate first, change sign at most once.  (Abel summation
+    writes the sum as ``t·∫A(s)e^{−st}ds`` over the partial-sum step
+    function ``A``, and the Laplace kernel is variation-diminishing.)
+    The partial sums never change sign more often than the
+    coefficients, and on the n-input rising path far less often.
 
     One safeguarded Newton iteration then runs on the first piece that
     brackets a directed crossing, from the slow-term asymptote; a
@@ -238,9 +250,32 @@ def _isolated_crossing(w, lam, level, window) -> np.ndarray:
     zero = lam == 0.0
     c = (np.where(zero, w, 0.0).sum(axis=0)
          - np.broadcast_to(level, shape).reshape(-1))
-    w, lam = _canonical(np.where(zero, 0.0, w), lam)
+    w = np.where(zero, 0.0, w)
     window = np.broadcast_to(np.asarray(window, dtype=float),
                              shape).reshape(-1)
+    # Every term is monotone, so the larger of its values at 0 and at
+    # the window's end bounds it on the window: a sum whose bound stays
+    # below zero by more than rounding noise never crosses.  fmax
+    # skips the NaN of a zero rate over an infinite window (0·inf),
+    # whose term was folded into c; a NaN sum crosses nowhere anyway.
+    reach = c + np.add.reduce(np.fmax(w, w * np.exp(lam * window)))
+    live = reach >= -_NOISE * (np.abs(c) + np.add.reduce(np.abs(w)))
+    if live.all():
+        return _first_crossing(c, w, lam, window).reshape(shape)
+    out = np.full(c.shape, math.nan)
+    live = np.flatnonzero(live)
+    if live.size:
+        out[live] = _first_crossing(c.take(live), w.take(live, axis=1),
+                                    lam.take(live, axis=1),
+                                    window.take(live))
+    return out.reshape(shape)
+
+
+def _first_crossing(c, w, lam, window) -> np.ndarray:
+    """Upward crossing of ``c + Σ_j w_j e^{λ_j t}`` on ``[0, window]``
+    per row, NaN where there is none; zero-rate terms are already
+    folded into *c*."""
+    w, lam = _canonical(w, lam)
     b, g, _ = _breakpoints(c, w, lam, window)
     hit = (g[:-1] <= 0.0) & (g[1:] > 0.0)
     rows = np.nonzero(hit.any(axis=0))[0]
@@ -249,7 +284,7 @@ def _isolated_crossing(w, lam, level, window) -> np.ndarray:
         first = np.argmax(hit[:, rows], axis=0)
         out[rows] = _solve(c[rows], w[:, rows], lam[:, rows],
                            b[first, rows], b[first + 1, rows])
-    return out.reshape(shape)
+    return out
 
 
 def _canonical(w, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -285,18 +320,31 @@ def _breakpoints(c, w, lam, window) -> tuple:
     size[0] = np.abs(c) + np.add.reduce(np.abs(w))
     b[1:] = window
     g[1:], size[1:] = _values(c, w, lam, window[None])
-    # A sum that settles exactly onto zero may rise above it and sink
-    # back without a zero to close the piece, so it always isolates.
-    signs = np.sign(np.concatenate([c[None], w]))
-    rows = np.nonzero(((signs[1:] * signs[:-1] < 0.0).sum(axis=0) > 1)
-                      | (c == 0.0))[0]
-    if rows.size and k > 1:
+    rows = np.nonzero(_sign_changes(c, w, size[0]) > 1)[0]
+    if rows.size:
         c, w, lam = c[rows], w[:, rows], lam[:, rows]
         points = np.minimum(_stationary(w, lam, window[rows]),
                             window[rows])
         b[1:k, rows] = points
         g[1:k, rows], size[1:k, rows] = _values(c, w, lam, points)
     return b, g, size
+
+
+def _sign_changes(c, w, size) -> np.ndarray:
+    """Laguerre's bound on the zeros of ``c + Σ_j w_j e^{λ_j t}`` on
+    ``(0, inf)`` per row (rates distinct and slowest first): the sign
+    changes of the partial sums ``c, c + w_1, …, c + Σ_j w_j``.
+
+    A partial sum within rounding noise of zero, against the sum
+    *size* of the magnitudes of the terms, may take either sign, so
+    each step into or out of one counts.  That covers a sum settling
+    onto zero, which may rise above it and sink back with no zero to
+    close the piece.
+    """
+    partial = np.cumsum(np.concatenate([c[None], w]), axis=0)
+    noise = _NOISE * size
+    sign = (partial > noise).view(np.int8) - (partial < -noise).view(np.int8)
+    return np.add.reduce(sign[1:] != sign[:-1])
 
 
 def _values(c, w, lam, t) -> tuple[np.ndarray, np.ndarray]:

@@ -16,23 +16,34 @@ from ..core.hybrid_model import HybridNorModel
 from ..core.multi_input import (GeneralizedNorParameters,
                                 generalized_model, generalized_record,
                                 lane_sets, offset_rows, parameter_width)
-from ..core.parameters import NorGateParameters
+from ..core.parameters import (NorGateParameters, check_node_voltage,
+                               finite_voltage)
 from .base import register_engine, traced_entry_point
 
 __all__ = ["ReferenceEngine"]
 
 
-def _rows(params, deltas):
+def _rows(params, deltas, internal_init=None):
     """Per Δ-vector row: the scalar model of its parameter set and its
     absolute input times (offsets clipped to the settling region);
-    plus the leading shape the delays reshape to."""
+    plus the leading shape the delays reshape to.
+
+    A rising call's *internal_init* is checked once, against every
+    set's VDD, in the vectorized engine's order: after the lanes match
+    the rows, before the offsets are read.
+    """
     if isinstance(params, GeneralizedNorParameters):
         models = [generalized_model(params)]
         index = np.zeros(np.shape(deltas)[:-1], dtype=np.intp)
+        vdd = params.vdd
     else:
         sets, index = lane_sets(params, deltas)
         models = [generalized_model(generalized_record(sets, i))
                   for i in range(sets.shape[0])]
+        vdd = sets["vdd"]
+    if internal_init is not None:
+        check_node_voltage(finite_voltage(internal_init, "internal_init"),
+                           vdd)
     flat, shape = offset_rows(parameter_width(params), deltas)
     index = index.reshape(-1)
     out = []
@@ -94,6 +105,9 @@ class ReferenceEngine:
         """
         model = HybridNorModel(params)
         d = np.asarray(deltas, dtype=float)
+        # Checked once, so an empty Δ array is rejected too.
+        vn_init = finite_voltage(float(vn_init), "vn_init")
+        check_node_voltage(vn_init, params.vdd)
         out = np.array([model.delay_rising(float(x), vn_init)
                         for x in np.ravel(d)])
         return out.reshape(d.shape)
@@ -207,10 +221,11 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), shape
             ``deltas.shape[:-1]``.
         """
-        rows, shape = _rows(params, deltas)
+        internal_init = float(internal_init)
+        rows, shape = _rows(params, deltas, internal_init)
         out = np.array([
             model.delay_rising(
-                times, internal_init=[float(internal_init)]
+                times, internal_init=[internal_init]
                 * (model.params.num_inputs - 1))
             for model, times in rows])
         return out.reshape(shape)

@@ -140,6 +140,26 @@ class TestNodeVoltageRange:
                                        deltas=deltas, vn_init=value))
 
 
+@pytest.mark.parametrize("value", OUTSIDE + (math.nan,))
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("backend", available_engines())
+def test_checked_once_per_call(backend, rows, value):
+    """Every engine checks the state once per call, so an empty Δ array
+    gets the same error as a full one.  The reference engine used to
+    check it per evaluated point and returned an empty array."""
+    engine = get_engine(backend)
+    for name, call in (
+            ("vn_init", lambda: engine.delays_rising(
+                PAPER_TABLE_I, np.zeros(rows), value)),
+            ("internal_init", lambda: engine.delays_rising_n(
+                paper_generalized(3), np.zeros((rows, 2)), value))):
+        with pytest.raises(ParameterError) as error:
+            call()
+        assert str(error.value) == (
+            f"{name} must be finite, got nan" if math.isnan(value)
+            else f"node voltage {value!r} outside [0, VDD]")
+
+
 def _lanes(vdds) -> np.ndarray:
     return block_from_parameters([PAPER_TABLE_I.replace(vdd=vdd)
                                   for vdd in vdds])
@@ -156,6 +176,9 @@ def test_every_lane_vdd_bounds_the_state(backend):
         engine.delays_rising_block(lanes, np.zeros(3), 0.9)
     with pytest.raises(ParameterError, match=_outside(0.9)):
         engine.delays_rising_n(wide, np.zeros((3, 2)), 0.9)
+    # Lanes without Δ-vectors still bound the state.
+    with pytest.raises(ParameterError, match=_outside(0.9)):
+        engine.delays_rising_n(wide, np.zeros((3, 0, 2)), 0.9)
     # VDD itself is on the rail, so inside.
     assert np.isfinite(engine.delays_rising_n(wide, np.zeros((3, 2)),
                                               0.8)).all()
