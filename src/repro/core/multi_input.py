@@ -63,8 +63,12 @@ __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
 _IMAG_TOL = 1e-8
 #: Samples used to bracket output crossings per segment.
 _CROSSING_SAMPLES = 1024
-#: (row, segment) pairs per solver call of a kernel evaluation: a small
-#: batch solves all its segments at once, a large one bounds temporaries.
+#: Δ-vector rows per block of a kernel evaluation: a larger call runs
+#: block by block, so its temporaries stay the size of one block.
+_BLOCK_ROWS = 4096
+#: (row, segment) pairs per solver call within a block: the segments
+#: of a small block reach the solver together, in one call instead of
+#: one per segment.
 _SOLVE_PAIRS = 4096
 #: Finite stand-in span for ``±inf`` sibling offsets, seconds.  One
 #: second is ~9 orders of magnitude beyond any gate's settling region,
@@ -894,13 +898,23 @@ class CompiledNorKernel:
                                            "internal_init")
             # Every lane's VDD: the rows of one call share the value.
             check_node_voltage(internal_init, self._rest[:, 0])
+        elif direction != "falling":
+            raise ParameterError(
+                f"direction must be 'falling' or 'rising', got "
+                f"{direction!r}")
         flat, shape = offset_rows(n, deltas)
         rows = (np.zeros(flat.shape[0], dtype=np.intp) if sets is None
                 else np.broadcast_to(sets, shape).reshape(-1))
+        out = np.empty(flat.shape[0])
         with _span("kernel.evaluate", n=n, direction=direction,
                    rows=int(flat.shape[0])):
-            return self._evaluate_inner(flat, rows, direction,
-                                        internal_init).reshape(shape)
+            # Rows are independent: blocks of _BLOCK_ROWS bound the
+            # temporaries, and a call of one block runs as it is.
+            for start in range(0, flat.shape[0], _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                out[block] = self._evaluate_inner(
+                    flat[block], rows[block], direction, internal_init)
+        return out.reshape(shape)
 
     def _evaluate_inner(self, flat, sets, direction, internal_init):
         n = self.num_inputs
@@ -911,19 +925,14 @@ class CompiledNorKernel:
             [np.zeros((rows, 1)), offsets], axis=1)
         times -= times.min(axis=1, keepdims=True)
 
-        if direction == "falling":
-            downward = True
+        downward = direction == "falling"
+        if downward:
             state = self._rest[sets]
             reference = np.zeros(rows)
-        elif direction == "rising":
-            downward = False
+        else:
             state = np.full((rows, n), float(internal_init))
             state[:, -1] = 0.0
             reference = times.max(axis=1)
-        else:
-            raise ParameterError(
-                f"direction must be 'falling' or 'rising', got "
-                f"{direction!r}")
 
         order = np.argsort(times, axis=1, kind="stable")
         sorted_times = np.take_along_axis(times, order, axis=1)

@@ -147,22 +147,30 @@ class NorGateParameters:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def finite_voltage(value, name: str) -> float:
-    """An initial node voltage as a float, NaN and ``±inf`` rejected.
+def finite_voltage(value, name: str):
+    """An initial node voltage as a float, or per-record voltages as a
+    float array, NaN and ``±inf`` rejected.
 
     The rising-direction entry points of every backend check their
     ``vn_init`` / ``internal_init`` with this, so a non-finite value
-    fails the same way everywhere instead of surfacing as a missed
-    crossing or a NaN delay.
+    fails the same way everywhere, with the same message for a shared
+    value and for the first bad one of a per-record array, instead of
+    surfacing as a missed crossing or a NaN delay.
 
     Raises
     ------
     ParameterError
-        If *value* is NaN or infinite.
+        If any value is NaN or infinite.
     """
-    volts = float(value)
-    if not math.isfinite(volts):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if np.ndim(value) == 0:
+        volts = float(value)
+        bad = () if math.isfinite(volts) else (volts,)
+    else:
+        volts = np.asarray(value, dtype=float)
+        bad = volts[~np.isfinite(volts)]
+    if len(bad):
+        raise ParameterError(
+            f"{name} must be finite, got {float(bad[0])!r}")
     return volts
 
 

@@ -49,7 +49,8 @@ import numpy as np
 from ..core.hybrid_model import _SETTLE_FACTOR
 from ..core.multi_input import validate_block
 from ..core.parameters import (BLOCK_DTYPE, PARAM_FIELDS,
-                               NorGateParameters, check_node_voltage)
+                               NorGateParameters, check_node_voltage,
+                               finite_voltage)
 from ..core.solutions import exp_sum_crossing
 from ..errors import NoCrossingError, ParameterError
 
@@ -252,9 +253,7 @@ def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
     ``X = vn_init`` volts, one value or one per record
     (``ParameterError`` if any is not finite, or outside its record's
     ``[0, VDD]``)."""
-    x = np.asarray(vn_init, dtype=float)
-    if not np.isfinite(x).all():
-        raise ParameterError(f"vn_init must be finite, got {vn_init!r}")
+    x = np.asarray(finite_voltage(vn_init, "vn_init"))
     check_node_voltage(x, block["vdd"])
     r1, r2, r3 = block["r1"], block["r2"], block["r3"]
     cn, co, vdd = block["cn"], block["co"], block["vdd"]
@@ -287,15 +286,72 @@ def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
 
 
 # ----------------------------------------------------------------------
-# the Δ evaluations: full-width buffers are reused through ``out=`` and
-# in-place ufuncs, so a call allocates little beyond the crossing
-# solver's working set
+# the Δ evaluations: a call runs tile by tile, and within a tile buffers
+# are reused through ``out=`` and in-place ufuncs, so a call allocates
+# its result plus one tile's working set, whatever its size
 # ----------------------------------------------------------------------
+
+#: Least Δ elements per tile of a 2-input evaluation: a larger ``(N, M)``
+#: matrix runs in near-equal tiles of whole rows, or of pieces of one
+#: row when a row alone is larger, so a call's working set stops
+#: growing with the call.  A rising tile is small: its crossing solver
+#: allocates afresh on every Newton step, and tiles that stay in cache
+#: run large calls faster.  A falling tile is a few closed forms, and a
+#: larger one keeps its fixed cost per tile small.
+_FALLING_TILE = 65536
+_RISING_TILE = 8192
+
+
+def _edges(length: int, least: int) -> list:
+    """Edges of ``max(length // least, 1)`` near-equal parts of an
+    axis: no part is a short remainder that pays a whole tile's fixed
+    cost."""
+    count = max(length // least, 1)
+    return [length * k // count for k in range(count + 1)]
+
+
+def _tiled(evaluate, constants, d: np.ndarray,
+           least: int) -> np.ndarray:
+    """*evaluate* (:func:`_falling_tile` or :func:`_rising_tile`) over
+    an ``(N, M)`` Δ matrix, one tile of *least* to about twice as many
+    elements at a time.  A tile sees the rows of the ``(N, 1)``
+    constant columns it covers; the floats of a one-record block pass
+    through unchanged.  A matrix of fewer than twice *least* elements
+    is evaluated as it is."""
+    rows, cols = d.shape
+    if rows * cols < 2 * least:
+        return evaluate(constants, d)
+    tall = _edges(rows, -(-least // cols))
+    wide = _edges(cols, least)
+    out = np.empty(d.shape)
+    for top, bottom in zip(tall, tall[1:]):
+        band = slice(top, bottom)
+        part = constants._make(
+            value[band] if isinstance(value, np.ndarray) else value
+            for value in constants)
+        for left, right in zip(wide, wide[1:]):
+            tile = (band, slice(left, right))
+            out[tile] = evaluate(part, d[tile])
+    return out
+
 
 def falling_delays(constants: FallingConstants,
                    d: np.ndarray) -> np.ndarray:
     """Falling delays (``δ_min`` included) of an ``(N, M)`` NaN-free Δ
     matrix against ``N`` rows of :data:`FallingConstants`."""
+    return _tiled(_falling_tile, constants, d, _FALLING_TILE)
+
+
+def rising_delays(constants: RisingConstants,
+                  d: np.ndarray) -> np.ndarray:
+    """Rising delays (``δ_min`` included) of an ``(N, M)`` NaN-free Δ
+    matrix against ``N`` rows of :data:`RisingConstants`."""
+    return _tiled(_rising_tile, constants, d, _RISING_TILE)
+
+
+def _falling_tile(constants: FallingConstants,
+                  d: np.ndarray) -> np.ndarray:
+    """:func:`falling_delays` of one tile."""
     c = constants
     pos = d >= 0.0
     mag = np.abs(d)
@@ -331,10 +387,9 @@ def falling_delays(constants: FallingConstants,
     return crossing
 
 
-def rising_delays(constants: RisingConstants,
-                  d: np.ndarray) -> np.ndarray:
-    """Rising delays (``δ_min`` included) of an ``(N, M)`` NaN-free Δ
-    matrix against ``N`` rows of :data:`RisingConstants`."""
+def _rising_tile(constants: RisingConstants,
+                 d: np.ndarray) -> np.ndarray:
+    """:func:`rising_delays` of one tile."""
     c = constants
     pos = d >= 0.0
     mag = np.abs(d)
@@ -489,6 +544,10 @@ def block_delays_loop(engine, direction: str, block, deltas,
 
     block = validate_block(block)
     d, squeeze = _prepare_deltas(block, deltas)
+    if direction == "rising":
+        # Checked once, so a block without records is rejected too.
+        vn_init = finite_voltage(vn_init, "vn_init")
+        check_node_voltage(vn_init, block["vdd"])
     states = np.broadcast_to(np.asarray(vn_init, dtype=float),
                              block.shape)
     out = np.empty_like(d)

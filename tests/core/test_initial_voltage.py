@@ -160,6 +160,27 @@ def test_checked_once_per_call(backend, rows, value):
             else f"node voltage {value!r} outside [0, VDD]")
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("records", [0, 3])
+@pytest.mark.parametrize("backend", available_engines())
+def test_block_state_checked_once_per_call(backend, records, value):
+    """A sample block's state is checked once, before its records are
+    read, with one message for a shared and a per-record value.  The
+    reference engine used to check it per record, so a block without
+    records returned an empty array, and the engines' per-record
+    messages differed ("got nan" against "got array([0.1, nan,
+    0.2])")."""
+    engine = get_engine(backend)
+    block = block_from_parameters([PAPER_TABLE_I] * 3)[:records]
+    for state in (value, [0.1, value, 0.2][:records]):
+        if np.isfinite(state).all():
+            continue
+        with pytest.raises(ParameterError) as error:
+            engine.delays_rising_block(block, np.zeros((records, 3)),
+                                       state)
+        assert str(error.value) == f"vn_init must be finite, got {value!r}"
+
+
 def _lanes(vdds) -> np.ndarray:
     return block_from_parameters([PAPER_TABLE_I.replace(vdd=vdd)
                                   for vdd in vdds])
