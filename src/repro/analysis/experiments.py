@@ -22,7 +22,8 @@ import numpy as np
 from ..core.analytic import (delta_falling_minus_inf, delta_falling_plus_inf,
                              delta_falling_zero, delta_rising)
 from ..core.charlie import MisCurve
-from ..core.hybrid_model import HybridNorModel, settle_time
+from ..core.hybrid_model import (SETTLE_FACTOR, HybridNorModel,
+                                 settle_time)
 from ..core.modes import Mode
 from ..core.parameters import PAPER_TABLE_I, NorGateParameters
 from ..core.parametrization import FitResult
@@ -798,7 +799,7 @@ def experiment_multi_input(params: NorGateParameters = PAPER_TABLE_I,
     backend = get_engine(engine)
     wide = paper_generalized(num_inputs, params)
     model = generalized_model(wide)
-    tau = model.settle_time() / 60.0
+    tau = model.settle_time() / SETTLE_FACTOR
 
     # n = 2 reduction against the closed-form two-input path.
     narrow = paper_generalized(2, params)

@@ -400,6 +400,29 @@ def _stats_tuples(array) -> tuple:
     return tuple(float(value) for value in array)
 
 
+def _stats_result(request: StatsRequest, summary, text: str,
+                  **fields) -> StatsResult:
+    """The :class:`StatsResult` of one ``DelaySummary``; *fields* holds
+    the entries that depend on the method (``samples``, ``deltas``
+    and, for ``yield``, the circuit and its yield)."""
+    def rows(table):
+        return (None if table is None
+                else tuple(_stats_tuples(row) for row in table))
+
+    return StatsResult(
+        method=request.method, gate=request.gate,
+        direction=request.direction,
+        mean=_stats_tuples(summary.mean),
+        std=_stats_tuples(summary.std),
+        minimum=_stats_tuples(summary.minimum),
+        maximum=_stats_tuples(summary.maximum),
+        percentile_levels=_stats_tuples(summary.percentile_levels),
+        percentile_values=rows(summary.percentile_values),
+        histogram_edges=rows(summary.histogram_edges),
+        histogram_counts=rows(summary.histogram_counts),
+        text=text, **fields)
+
+
 def _render_summary(summary, title: str) -> str:
     from ..analysis.reporting import ascii_table
 
@@ -462,32 +485,12 @@ def _stats(session: "Session", request: StatsRequest) -> StatsResult:
         else:
             lines.append("  no requirement -> yield 1.0 by "
                          "definition")
-        return StatsResult(
-            method="yield", gate=request.gate,
-            direction=request.direction, circuit=request.circuit,
+        return _stats_result(
+            request, summary, "\n".join(lines),
             samples=request.samples, deltas=(),
-            mean=_stats_tuples(summary.mean),
-            std=_stats_tuples(summary.std),
-            minimum=_stats_tuples(summary.minimum),
-            maximum=_stats_tuples(summary.maximum),
-            percentile_levels=_stats_tuples(
-                summary.percentile_levels),
-            percentile_values=tuple(
-                _stats_tuples(row)
-                for row in summary.percentile_values),
-            histogram_edges=(None if summary.histogram_edges is None
-                             else tuple(
-                                 _stats_tuples(row)
-                                 for row in summary.histogram_edges)),
-            histogram_counts=(None
-                              if summary.histogram_counts is None
-                              else tuple(
-                                  _stats_tuples(row)
-                                  for row in
-                                  summary.histogram_counts)),
+            circuit=request.circuit,
             yield_fraction=outcome.yield_fraction,
-            required=request.required,
-            text="\n".join(lines))
+            required=request.required)
 
     if request.method == "mc":
         summary = monte_carlo(
@@ -512,28 +515,10 @@ def _stats(session: "Session", request: StatsRequest) -> StatsResult:
                  f"{request.gate} {request.direction}, "
                  f"{summary.samples} model evaluations "
                  f"(degree {request.degree}), seed {request.seed}")
-    return StatsResult(
-        method=request.method, gate=request.gate,
-        direction=request.direction, circuit=None,
-        samples=summary.samples,
-        deltas=_stats_tuples(summary.deltas),
-        mean=_stats_tuples(summary.mean),
-        std=_stats_tuples(summary.std),
-        minimum=_stats_tuples(summary.minimum),
-        maximum=_stats_tuples(summary.maximum),
-        percentile_levels=_stats_tuples(summary.percentile_levels),
-        percentile_values=tuple(
-            _stats_tuples(row) for row in summary.percentile_values),
-        histogram_edges=(None if summary.histogram_edges is None
-                         else tuple(
-                             _stats_tuples(row)
-                             for row in summary.histogram_edges)),
-        histogram_counts=(None if summary.histogram_counts is None
-                          else tuple(
-                              _stats_tuples(row)
-                              for row in summary.histogram_counts)),
-        yield_fraction=None, required=None,
-        text=_render_summary(summary, title))
+    return _stats_result(request, summary,
+                         _render_summary(summary, title),
+                         samples=summary.samples,
+                         deltas=_stats_tuples(summary.deltas))
 
 
 # ----------------------------------------------------------------------

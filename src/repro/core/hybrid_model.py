@@ -41,10 +41,11 @@ from .parameters import (NorGateParameters, check_node_voltage,
                          finite_voltage)
 from .trajectory import PiecewiseTrajectory
 
-__all__ = ["HybridNorModel", "DelayComputation", "settle_time"]
+__all__ = ["HybridNorModel", "DelayComputation", "SETTLE_FACTOR",
+           "settle_time"]
 
 #: Multiple of the slowest time constant treated as "infinite" separation.
-_SETTLE_FACTOR = 60.0
+SETTLE_FACTOR = 60.0
 
 
 def _check_separation(delta: float) -> None:
@@ -53,17 +54,28 @@ def _check_separation(delta: float) -> None:
         raise ParameterError("input separations must not be NaN")
 
 
-def settle_time(params: NorGateParameters) -> float:
+def settle_time(params: NorGateParameters | np.ndarray
+                ) -> float | np.ndarray:
     """A conservative 'long time' after which every mode has settled.
 
     Separations beyond this are treated as ``±inf``; the evaluation
     backends in :mod:`repro.engine` share this exact cutoff so that the
-    scalar and vectorized paths branch identically.
+    scalar and vectorized paths branch identically.  *params* is one
+    :class:`NorGateParameters` (a float results) or a sample block of
+    dtype :data:`~repro.core.parameters.BLOCK_DTYPE` (one cutoff per
+    record).
     """
-    taus = (params.tau_parallel, params.tau_r3, params.tau_r4,
-            params.tau_n_charge, params.cn * params.r2,
-            params.co * params.r2, params.co * params.r1)
-    return _SETTLE_FACTOR * max(taus)
+    if isinstance(params, np.ndarray):
+        r1, r2, r3, r4, cn, co = (params[name] for name in
+                                  ("r1", "r2", "r3", "r4", "cn", "co"))
+        slowest = np.maximum.reduce
+    else:
+        r1, r2, r3, r4 = params.r1, params.r2, params.r3, params.r4
+        cn, co = params.cn, params.co
+        slowest = max
+    return SETTLE_FACTOR * slowest((co * r3 * r4 / (r3 + r4), co * r3,
+                                    co * r4, cn * r1, cn * r2, co * r2,
+                                    co * r1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -419,14 +431,7 @@ class HybridNorModel:
                 collapsed.append((t, mode))
 
         if initial_state is None:
-            if mode0 is Mode.BOTH_LOW:
-                initial_state = (p.vdd, p.vdd)
-            elif mode0 is Mode.BOTH_HIGH:
-                initial_state = (0.0, 0.0)
-            elif mode0 is Mode.A_LOW_B_HIGH:
-                initial_state = (p.vdd, 0.0)
-            else:
-                initial_state = (0.0, 0.0)
+            initial_state = mode0.resting_state(p.vdd)
 
         trajectory = PiecewiseTrajectory(p, mode0, initial_state, collapsed)
         out: list[tuple[float, int]] = []

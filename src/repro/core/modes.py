@@ -38,6 +38,8 @@ __all__ = [
     "EigenPair",
     "CoupledModeConstants",
     "ModeSystem",
+    "coupled_00",
+    "coupled_10",
     "mode_system",
     "mode_10_constants",
     "mode_00_constants",
@@ -84,6 +86,19 @@ class Mode(enum.Enum):
         """Return the mode reached when input B switches to ``b``."""
         return Mode.from_inputs(self.a, b)
 
+    def resting_state(self, vdd: float) -> tuple[float, float]:
+        """``(V_N, V_O)`` of a gate at rest in this mode, volts.
+
+        Both nodes sit at VDD in (0, 0); N at VDD and O at GND in
+        (0, 1); both at GND in (1, 0).  In (1, 1) N floats and the
+        paper's worst case, GND, is taken.
+        """
+        if self is Mode.BOTH_LOW:
+            return (vdd, vdd)
+        if self is Mode.A_LOW_B_HIGH:
+            return (vdd, 0.0)
+        return (0.0, 0.0)
+
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
 
@@ -124,56 +139,62 @@ class CoupledModeConstants:
         )
 
 
-@functools.lru_cache(maxsize=256)
-def mode_10_constants(params: NorGateParameters) -> CoupledModeConstants:
-    """Constants of mode ``(1, 0)`` — paper equations (1), (2), (3).
+def coupled_10(r2, r3, cn, co) -> tuple:
+    """α, β, γ of mode ``(1, 0)`` — paper equations (1), (2), (3) — of
+    one parameter set, or elementwise over arrays of them.
 
     In mode (1,0) the pMOS T2 connects N to O and the nMOS T3 drains O, so
-    both capacitances discharge through the shared resistor R3.
+    both capacitances discharge through the shared resistor R3.  The
+    radicand is ``(CO·R3 − CN·R2)² + CN·R3·(CN·R3 + 2·CO·R3 + 2·CN·R2)``,
+    a sum of squares.
     """
-    r2, r3 = params.r2, params.r3
-    cn, co = params.cn, params.co
     denom = 2.0 * co * cn * r2 * r3
+    total = co * r3 + cn * (r2 + r3)
     alpha = (co * r3 - cn * (r2 + r3)) / denom
-    radicand = (co * r3 + cn * (r2 + r3)) ** 2 - 4.0 * co * cn * r2 * r3
-    if radicand < 0.0:  # pragma: no cover - mathematically impossible
-        raise ParameterError("mode (1,0) discriminant is negative")
-    beta = math.sqrt(radicand) / denom
-    gamma = -(co * r3 + cn * (r2 + r3)) / denom
+    beta = np.sqrt(total * total - 4.0 * co * cn * r2 * r3) / denom
+    return alpha, beta, -total / denom
+
+
+def coupled_00(r1, r2, cn, co) -> tuple:
+    """α, β, γ of mode ``(0, 0)`` — paper equations (4), (5), (6), (7) —
+    of one parameter set, or elementwise over arrays of them.
+
+    In mode (0,0) both pMOS conduct: N charges from VDD through R1 and O
+    charges from N through R2.  The radicand is ``(CN·R1 − CO·R2)² +
+    CO·R1·(CO·R1 + 2·CN·R1 + 2·CO·R2)``, a sum of squares.
+    """
+    denom = 2.0 * co * cn * r1 * r2
+    total = cn * r1 + co * (r1 + r2)
+    alpha = (co * (r1 + r2) - cn * r1) / denom
+    beta = np.sqrt(total * total - 4.0 * co * cn * r1 * r2) / denom
+    return alpha, beta, -total / denom
+
+
+def _coupled_constants(alpha, beta, gamma,
+                       params: NorGateParameters) -> CoupledModeConstants:
+    beta = float(beta)
     return CoupledModeConstants(
         alpha=alpha,
         beta=beta,
         gamma=gamma,
         lambda1=gamma + beta,
         lambda2=gamma - beta,
-        vn_component=1.0 / (cn * r2),
+        vn_component=1.0 / (params.cn * params.r2),
     )
+
+
+@functools.lru_cache(maxsize=256)
+def mode_10_constants(params: NorGateParameters) -> CoupledModeConstants:
+    """Constants of mode ``(1, 0)`` (:func:`coupled_10`)."""
+    return _coupled_constants(
+        *coupled_10(params.r2, params.r3, params.cn, params.co), params)
 
 
 @functools.lru_cache(maxsize=256)
 def mode_00_constants(params: NorGateParameters) -> CoupledModeConstants:
-    """Constants of mode ``(0, 0)`` — paper equations (4), (5), (6), (7).
-
-    In mode (0,0) both pMOS conduct: N charges from VDD through R1 and O
-    charges from N through R2.
-    """
-    r1, r2 = params.r1, params.r2
-    cn, co = params.cn, params.co
-    denom = 2.0 * co * cn * r1 * r2
-    alpha = (co * (r1 + r2) - cn * r1) / denom
-    radicand = (cn * r1 + co * (r1 + r2)) ** 2 - 4.0 * co * cn * r1 * r2
-    if radicand < 0.0:  # pragma: no cover - mathematically impossible
-        raise ParameterError("mode (0,0) discriminant is negative")
-    beta = math.sqrt(radicand) / denom
-    gamma = -(cn * r1 + co * (r1 + r2)) / denom
-    return CoupledModeConstants(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        lambda1=gamma + beta,
-        lambda2=gamma - beta,
-        vn_component=1.0 / (cn * r2),
-    )
+    """Constants of mode ``(0, 0)`` (:func:`coupled_00`)."""
+    return _coupled_constants(
+        *coupled_00(params.r1, params.r2, params.cn, params.co), params)
 
 
 @dataclasses.dataclass(frozen=True)

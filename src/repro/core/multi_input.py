@@ -48,6 +48,7 @@ import numpy as np
 
 from ..errors import NoCrossingError, ParameterError
 from ..obs.trace import span as _span
+from .hybrid_model import SETTLE_FACTOR
 from .parameters import (BLOCK_DTYPE, PAPER_TABLE_I, NorGateParameters,
                          check_node_voltage, finite_voltage)
 from .solutions import ExpSum, exp_sum_crossing
@@ -573,10 +574,11 @@ class GeneralizedNorModel:
     def settle_time(self) -> float:
         """Time after which every mode has settled, seconds.
 
-        ``60x`` the slowest RC time constant over all ``2^n`` input
-        states — sibling offsets beyond ``±settle_time()`` are
-        indistinguishable from ``±inf`` (the SIS plateaus), which is
-        what the batched entry points clip them to.
+        ``SETTLE_FACTOR`` times the slowest RC time constant over all
+        ``2^n`` input states — sibling offsets beyond
+        ``±settle_time()`` are indistinguishable from ``±inf`` (the
+        SIS plateaus), which is what the batched entry points clip
+        them to.
         """
         return float(self.kernel()._settle[0])
 
@@ -624,6 +626,18 @@ class GeneralizedNorModel:
             return []
         grid = np.linspace(0.0, t_end, _CROSSING_SAMPLES)
         values = expsum(grid) - threshold
+        # A sum can cross and recross the threshold between two samples
+        # on one side of it (a glitch narrower than the grid): sample
+        # each extremum that lies between two such samples too.
+        slope = expsum.derivative()
+        slopes = slope(grid)
+        peaks = np.nonzero((slopes[1:] * slopes[:-1] < 0.0)
+                           & (values[1:] * values[:-1] > 0.0))[0]
+        if peaks.size:
+            grid = np.sort(np.concatenate([grid, [
+                brentq(slope, grid[i], grid[i + 1], xtol=1e-20)
+                for i in peaks]]))
+            values = expsum(grid) - threshold
         crossings: list[float] = []
         signs = np.sign(values)
         for i in np.nonzero(signs[1:] * signs[:-1] < 0)[0]:
@@ -689,7 +703,7 @@ class GeneralizedNorModel:
         pending = switches + [(None, None)]
         for switch_time, next_mode in pending:
             t_end = (switch_time if switch_time is not None
-                     else min(horizon, t_now + 60.0 *
+                     else min(horizon, t_now + SETTLE_FACTOR *
                               segment.slowest_tau + 1e-15))
             local_end = max(t_end - t_now, 0.0)
             vo = segment.output
@@ -854,7 +868,7 @@ class CompiledNorKernel:
         self._inverse = inverse.reshape(flat + inverse.shape[2:])
         self._out = np.ascontiguousarray(self._vectors[:, n - 1, :])
         self._slow = slow.reshape(flat)
-        self._settle = 60.0 * slow.max(axis=1)
+        self._settle = SETTLE_FACTOR * slow.max(axis=1)
         self._vth = block["vdd"] / 2.0
         self._delta_min = block["delta_min"].copy()
         # All inputs low: the pull-up chain conducts and the pull-down
@@ -955,7 +969,7 @@ class CompiledNorKernel:
             rates_k = self._rates[index]
             last = k + 1 == n
             # The last segment runs until every mode has settled.
-            duration = (60.0 * self._slow[index] + 1e-15 if last
+            duration = (SETTLE_FACTOR * self._slow[index] + 1e-15 if last
                         else sorted_times[:, k + 1] - sorted_times[:, k])
             out = state[:, -1]
             open_ = np.nonzero(np.isnan(result) & (
@@ -1027,11 +1041,11 @@ def delta_vector_grid(params: GeneralizedNorParameters,
     The standard probe grid of the n-input benchmarks, experiments and
     :class:`repro.api.Session`: one uniform axis of *axis_points*
     samples per sibling input, spanning ``±span_taus`` of the gate's
-    core scale ``settle_time() / 60``, meshed and flattened to
-    ``(axis_points**(n-1), n-1)`` rows of offsets in seconds.
+    core scale ``settle_time() / SETTLE_FACTOR``, meshed and flattened
+    to ``(axis_points**(n-1), n-1)`` rows of offsets in seconds.
     """
     model = generalized_model(params)
-    tau = model.settle_time() / 60.0
+    tau = model.settle_time() / SETTLE_FACTOR
     axis = np.linspace(-span_taus * tau, span_taus * tau, axis_points)
     mesh = np.stack(np.meshgrid(*([axis] * (params.num_inputs - 1)),
                                 indexing="ij"), axis=-1)

@@ -14,7 +14,8 @@ inversion (the scalar inversion lives in :mod:`repro.core.trajectory`).
 
 :func:`exp_sum_crossing` is the array counterpart for any number of
 terms: the one solver behind every batched delay, in
-:mod:`repro.engine.blocks` and :mod:`repro.core.multi_input`.
+:mod:`repro.engine.blocks` and :mod:`repro.core.multi_input`, and
+behind the two-pole wire crossings of :mod:`repro.wire.model`.
 
 A generic numeric LTI propagator (:func:`propagate_numeric`) based on the
 matrix exponential is provided for cross-validation in the test-suite.

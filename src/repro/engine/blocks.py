@@ -6,10 +6,14 @@ package evaluates in bulk runs through the two kernels of this module,
 each split into two steps:
 
 * a **constants step** (:func:`falling_constants` /
-  :func:`rising_constants`) — the mode constants α, β, λ₁, λ₂ of paper
-  eqs. (1)–(7), the first-segment solutions and crossing times, the
-  settle cutoff — elementary closed forms in ``(r1..r4, cn, co,
-  vdd)`` computed as ``(N, 1)`` columns over the sample axis;
+  :func:`rising_constants`) — the mode constants α, β, γ of paper
+  eqs. (1)–(7) (:func:`~repro.core.modes.coupled_10` /
+  :func:`~repro.core.modes.coupled_00`), the first-segment solutions
+  and crossing times, the settle cutoff
+  (:func:`~repro.core.hybrid_model.settle_time`) — elementary closed
+  forms in ``(r1..r4, cn, co, vdd)`` computed as ``(N, 1)`` columns
+  over the sample axis, by the same statements the scalar reference
+  evaluates;
 * one **Δ evaluation** (:func:`falling_delays` /
   :func:`rising_delays`) of an ``(N, M)`` Δ matrix against those
   columns.
@@ -46,7 +50,8 @@ import math
 
 import numpy as np
 
-from ..core.hybrid_model import _SETTLE_FACTOR
+from ..core.hybrid_model import settle_time
+from ..core.modes import coupled_00, coupled_10
 from ..core.multi_input import validate_block
 from ..core.parameters import (BLOCK_DTYPE, PARAM_FIELDS,
                                NorGateParameters, check_node_voltage,
@@ -134,42 +139,6 @@ def _prepare_deltas(block: np.ndarray, deltas
 
 
 # ----------------------------------------------------------------------
-# per-row closed forms (arrays over the sample axis)
-# ----------------------------------------------------------------------
-
-def _mode10_constants(r2, r3, cn, co):
-    """Mode (1,0) constants per row (paper eqs. (1)–(3))."""
-    denom = 2.0 * co * cn * r2 * r3
-    alpha = (co * r3 - cn * (r2 + r3)) / denom
-    radicand = ((co * r3 + cn * (r2 + r3)) ** 2
-                - 4.0 * co * cn * r2 * r3)
-    beta = np.sqrt(radicand) / denom
-    gamma = -(co * r3 + cn * (r2 + r3)) / denom
-    return alpha, beta, gamma + beta, gamma - beta
-
-
-def _mode00_constants(r1, r2, cn, co):
-    """Mode (0,0) constants per row (paper eqs. (4)–(7))."""
-    denom = 2.0 * co * cn * r1 * r2
-    alpha = (co * (r1 + r2) - cn * r1) / denom
-    radicand = ((cn * r1 + co * (r1 + r2)) ** 2
-                - 4.0 * co * cn * r1 * r2)
-    beta = np.sqrt(radicand) / denom
-    gamma = -(cn * r1 + co * (r1 + r2)) / denom
-    return alpha, beta, gamma + beta, gamma - beta
-
-
-def _settle(block: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.core.hybrid_model.settle_time`."""
-    r1, r2, r3, r4 = (block["r1"], block["r2"], block["r3"],
-                      block["r4"])
-    cn, co = block["cn"], block["co"]
-    taus = np.stack([co * r3 * r4 / (r3 + r4), co * r3, co * r4,
-                     cn * r1, cn * r2, co * r2, co * r1])
-    return _SETTLE_FACTOR * taus.max(axis=0)
-
-
-# ----------------------------------------------------------------------
 # the two-exponential threshold crossing (shared or per-row constants)
 # ----------------------------------------------------------------------
 
@@ -228,7 +197,8 @@ def falling_constants(block: np.ndarray) -> FallingConstants:
     r2, r3, r4 = block["r2"], block["r3"], block["r4"]
     cn, co, vdd = block["cn"], block["co"], block["vdd"]
     vth = 0.5 * vdd
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+    alpha, beta, gamma = coupled_10(r2, r3, cn, co)
+    l1, l2 = gamma + beta, gamma - beta
 
     # vo of mode (1,0) entered at (VDD, VDD):  c1 + c2 = VDD·CN·R2,
     # vo(t) = c1 (α+β) e^{λ1 t} + c2 (α−β) e^{λ2 t}  from VDD.
@@ -245,7 +215,7 @@ def falling_constants(block: np.ndarray) -> FallingConstants:
     return FallingConstants(*_columns(
         k1, k2, l1, l2, t10, tau_r4 * math.log(2.0),
         -(1.0 / (co * r3) + 1.0 / tau_r4), tau_r4, vdd, vth,
-        _settle(block), block["delta_min"]))
+        settle_time(block), block["delta_min"]))
 
 
 def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
@@ -261,7 +231,8 @@ def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
 
     # Mode (1,0) entered at (X, 0) — B fell first.  Charge sharing
     # can lift the output, possibly across Vth before A falls.
-    alpha, beta, l1, l2 = _mode10_constants(r2, r3, cn, co)
+    alpha, beta, gamma = coupled_10(r2, r3, cn, co)
+    l1, l2 = gamma + beta, gamma - beta
     vn_comp10 = 1.0 / (cn * r2)
     total = x / vn_comp10
     c1 = (0.0 - total * (alpha - beta)) / (2.0 * beta)
@@ -277,11 +248,11 @@ def rising_constants(block: np.ndarray, vn_init) -> RisingConstants:
         up = exp_sum_crossing((ko1, ko2), (l1, l2), vth, downward=False)
         t_up = np.where((x > 0.0) & ~np.isnan(up), up, math.inf)
 
-    a00, b00, l100, l200 = _mode00_constants(r1, r2, cn, co)
+    a00, b00, g00 = coupled_00(r1, r2, cn, co)
     return RisingConstants(*_columns(
         l1, l2, c1 * vn_comp10, c2 * vn_comp10, ko1, ko2, t_up,
         x - vdd, cn * r1, 1.0 / (cn * r2), a00 - b00, a00 + b00,
-        2.0 * b00, l100, l200, vdd, vth, _settle(block),
+        2.0 * b00, g00 + b00, g00 - b00, vdd, vth, settle_time(block),
         block["delta_min"]))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import cache
 from ..core.duality import mirror_voltage
-from ..core.hybrid_model import settle_time
+from ..core.hybrid_model import SETTLE_FACTOR, settle_time
 from ..core.multi_input import (GeneralizedNorParameters,
                                 generalized_model, paper_generalized)
 from ..core.parameters import PAPER_TABLE_I, NorGateParameters
@@ -103,7 +103,7 @@ def default_delta_grid(params: NorGateParameters,
     if tail_points < 1:
         raise ParameterError("tail_points must be >= 1")
     settle = settle_time(params)
-    tau_max = settle / 60.0  # settle_time is 60x the slowest tau
+    tau_max = settle / SETTLE_FACTOR
     if core_span is None:
         core_span = 8.0 * tau_max
     core_span = float(core_span)
@@ -157,8 +157,8 @@ def default_vector_delta_grid(params: GeneralizedNorParameters,
     if core_points < 3:
         raise ParameterError("core_points must be >= 3")
     if core_span is None:
-        # settle_time() is 60x the slowest tau over all modes.
-        core_span = 4.0 * generalized_model(params).settle_time() / 60.0
+        core_span = (4.0 * generalized_model(params).settle_time()
+                     / SETTLE_FACTOR)
     core_span = float(core_span)
     if not (np.isfinite(core_span) and core_span > 0.0):
         raise ParameterError("core_span must be positive and finite")

@@ -127,14 +127,9 @@ class _HybridRuntime:
     def initialize(self, a_value: int, b_value: int) -> None:
         self.inputs = {self.input_a: a_value, self.input_b: b_value}
         self.mode = Mode.from_inputs(a_value, b_value)
-        params = self.params
-        if self.mode is Mode.BOTH_LOW:
-            state = (params.vdd, params.vdd)
-        elif self.mode is Mode.A_LOW_B_HIGH:
-            state = (params.vdd, 0.0)
-        else:
-            state = (0.0, 0.0)
-        self.solution = solve_mode(self.mode, params, *state)
+        self.solution = solve_mode(self.mode, self.params,
+                                   *self.mode.resting_state(
+                                       self.params.vdd))
         self.segment_start = 0.0
 
     def on_input(self, signal: str, time: float, value: int) -> None:

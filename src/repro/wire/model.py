@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from ..core.solutions import exp_sum_crossing
 from ..errors import ParameterError
 from ..obs.metrics import registry
 from ..obs.trace import span
@@ -127,12 +128,17 @@ def two_pole_step_crossings(
 ) -> np.ndarray:
     """Crossing times of the two-pole step response, vectorized.
 
+    Entries with distinct real poles ``τ₁ > τ₂`` solve ``(τ₁e^{−t/τ₁}
+    − τ₂e^{−t/τ₂})/(τ₁ − τ₂) = 1 − θ`` in one downward
+    :func:`~repro.core.solutions.exp_sum_crossing` call over
+    thresholds × entries.
+
     Parameters
     ----------
     b1, b2 : array_like
         Denominator coefficients of ``1/(1 + b₁s + b₂s²)`` per sink
-        (``b1 > 0``; entries with ``b2 <= 0`` or complex poles use
-        the exact single-pole fallback ``t = −b₁ ln(1−θ)``).
+        (``b1 > 0``; entries with ``b2 <= 0``, complex or coincident
+        poles use the single-pole closed form ``t = −b₁ ln(1−θ)``).
     thresholds : tuple of float, optional
         Normalized levels in ``(0, 1)``.
 
@@ -151,43 +157,23 @@ def two_pole_step_crossings(
     if any(not 0.0 < level < 1.0 for level in thresholds):
         raise ParameterError("thresholds must lie strictly in "
                              "(0, 1)")
-    disc = b1 * b1 - 4.0 * b2
-    two_pole = (b2 > 0.0) & (disc > 0.0)
-    root = np.sqrt(np.where(two_pole, disc, 0.0))
-    tau1 = np.where(two_pole, 0.5 * (b1 + root), b1)
-    tau2 = np.where(two_pole, 0.5 * (b1 - root), 0.0)
-    # Nearly coincident poles make the two-exponential form
-    # numerically unstable; the single-pole fallback is within float
-    # noise there anyway.
-    distinct = two_pole & (tau1 - tau2 > 1e-9 * tau1)
-    tau2 = np.where(distinct, tau2, 0.0)
-    gap = np.where(distinct, tau1 - tau2, tau1)
-
-    def remainder(t: np.ndarray) -> np.ndarray:
-        """1 − y(t): the settled fraction still missing."""
-        first = tau1 * np.exp(-t / tau1)
-        second = np.where(distinct,
-                          tau2 * np.exp(-t / np.where(
-                              distinct, tau2, 1.0)), 0.0)
-        return (first - second) / gap
-
     out = np.empty((len(thresholds),) + b1.shape)
     for index, level in enumerate(thresholds):
-        target = 1.0 - level
-        # Single-pole entries have the exact closed form; two-pole
-        # entries are bracketed then bisected (y is monotone).
-        closed = -tau1 * np.log(target)
-        high = np.where(
-            distinct,
-            tau1 * np.log(np.maximum(tau1 / (gap * target), 2.0)),
-            closed)
-        low = np.zeros_like(high)
-        for _ in range(64):
-            mid = 0.5 * (low + high)
-            above = remainder(mid) > target
-            low = np.where(above, mid, low)
-            high = np.where(above, high, mid)
-        out[index] = np.where(distinct, 0.5 * (low + high), closed)
+        out[index] = -b1 * np.log(1.0 - level)
+    disc = b1 * b1 - 4.0 * b2
+    root = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+    tau1 = 0.5 * (b1 + root)
+    tau2 = 0.5 * (b1 - root)
+    # Nearly coincident poles make the two-exponential form
+    # numerically unstable.
+    distinct = (b2 > 0.0) & (tau1 - tau2 > 1e-9 * tau1)
+    if distinct.any():
+        tau1, tau2 = tau1[distinct], tau2[distinct]
+        gap = tau1 - tau2
+        out[:, distinct] = exp_sum_crossing(
+            np.stack([tau1 / gap, -tau2 / gap])[:, None],
+            np.stack([-1.0 / tau1, -1.0 / tau2])[:, None],
+            1.0 - np.array(thresholds)[:, None], downward=True)
     return out
 
 

@@ -250,12 +250,12 @@ class WireTree:
     def downstream_capacitance(self) -> dict[str, float]:
         """Per-node capacitance of the subtree hanging below it,
         the node's own capacitance and load included, farads."""
+        children = self.children()
         down: dict[str, float] = {}
         for segment in reversed(self.segments):
             subtree = segment.capacitance + segment.load
             subtree += sum(down[child.name]
-                           for child in self.children().get(
-                               segment.name, []))
+                           for child in children.get(segment.name, []))
             down[segment.name] = subtree
         return down
 

@@ -101,6 +101,23 @@ class TestKernelVsScalarReference:
         expected = _scalar_delays(model, deltas, "rising", init)
         assert float(np.max(np.abs(batched - expected))) <= PARITY_TOL
 
+    def test_rising_glitch_narrower_than_the_sample_grid(self):
+        # Charge sharing from a charged stack lifts the output 40 nV
+        # above Vth for ~10 fs at 6.79 ps, while the weak second
+        # pull-down keeps it low: the first upward crossing is that
+        # glitch, far narrower than the scalar sampler's 6.1 ps grid
+        # over the settle window.
+        params = GeneralizedNorParameters(
+            r_pullup=(1e4, 1e4, 1e4), r_pulldown=(1e4, 155479.0, 1e4),
+            c_internal=(1.6904758315704289e-16, 3.5794182682933843e-16),
+            co=3.0008059942065747e-16, vdd=0.8)
+        model = generalized_model(params)
+        deltas = np.array([[math.inf, 0.0]])
+        batched = model.kernel().evaluate(deltas, "rising", 0.8)
+        expected = _scalar_delays(model, deltas, "rising", 0.8)
+        assert batched[0] < -6e-9
+        assert abs(batched[0] - expected[0]) <= PARITY_TOL
+
     @settings(max_examples=10, deadline=None)
     @given(data=st.data(), params=wide_params(max_inputs=3))
     def test_reference_engine_agrees(self, data, params):

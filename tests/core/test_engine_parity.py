@@ -16,14 +16,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.charlie import MisCurve
-from repro.core.hybrid_model import HybridNorModel
+from repro.core.hybrid_model import HybridNorModel, settle_time
+from repro.core.modes import mode_00_constants, mode_10_constants
 from repro.core.multi_input import GeneralizedNorParameters
 from repro.core.parameters import PAPER_TABLE_I, NorGateParameters
 from repro.engine import (DEFAULT_ENGINE, DelayEngine, ReferenceEngine,
                           VectorizedEngine, available_engines,
                           get_engine, register_engine)
-from repro.engine.blocks import (block_delays_loop, block_from_parameters,
-                                 falling_delays_block,
+from repro.engine.blocks import (BLOCK_DTYPE, PARAM_FIELDS,
+                                 block_delays_loop, block_from_parameters,
+                                 falling_constants, falling_delays_block,
+                                 parameters_at, rising_constants,
                                  rising_delays_block)
 from repro.units import PS
 
@@ -173,6 +176,40 @@ class TestBlockKernelParity:
                                          deltas)
             assert actual.shape == (1,)
             assert abs(actual[0] - expected[0]) <= PARITY_TOL
+
+
+class TestSharedClosedForms:
+    """The block kernels evaluate the mode constants of paper eqs.
+    (1)–(7) and the settle cutoff by the statements the scalar model
+    uses, so every record's constants are the scalar ones, bit for
+    bit."""
+
+    def test_block_constants_are_the_scalar_constants(self):
+        rng = np.random.default_rng(31)
+        block = np.empty(10_000, dtype=BLOCK_DTYPE)
+        for name in PARAM_FIELDS:
+            block[name] = getattr(PAPER_TABLE_I, name)
+        for name in ("r1", "r2", "r3", "r4", "cn", "co"):
+            block[name] *= rng.uniform(0.25, 4.0, block.shape)
+        falling = falling_constants(block)
+        rising = rising_constants(block, 0.3)
+        for index in range(block.shape[0]):
+            params = parameters_at(block, index)
+            m10 = mode_10_constants(params)
+            m00 = mode_00_constants(params)
+            settle = settle_time(params)
+            assert type(settle) is float
+            for kernel in (falling, rising):
+                assert kernel.l1[index, 0] == m10.lambda1
+                assert kernel.l2[index, 0] == m10.lambda2
+                assert kernel.settle[index, 0] == settle
+            assert rising.l100[index, 0] == m00.lambda1
+            assert rising.l200[index, 0] == m00.lambda2
+            assert rising.alpha_plus_beta00[index, 0] == (m00.alpha
+                                                          + m00.beta)
+            assert rising.alpha_minus_beta00[index, 0] == (m00.alpha
+                                                           - m00.beta)
+            assert rising.two_beta00[index, 0] == 2.0 * m00.beta
 
 
 class TestDenseGridParity:

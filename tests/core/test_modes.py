@@ -49,6 +49,12 @@ class TestModeEnum:
     def test_str(self):
         assert str(Mode.A_HIGH_B_LOW) == "(1, 0)"
 
+    def test_resting_state(self):
+        assert Mode.BOTH_LOW.resting_state(0.8) == (0.8, 0.8)
+        assert Mode.A_LOW_B_HIGH.resting_state(0.8) == (0.8, 0.0)
+        assert Mode.A_HIGH_B_LOW.resting_state(0.8) == (0.0, 0.0)
+        assert Mode.BOTH_HIGH.resting_state(0.8) == (0.0, 0.0)
+
 
 class TestSystemMatrices:
     """Check each matrix against the paper's Section III equations."""

@@ -20,6 +20,23 @@ def single_rc(r=1e3, c=1e-12) -> WireTree:
     return WireTree(segments=(WireSegment("n1", "root", r, c),))
 
 
+def _bisect_step_response(tau1: float, tau2: float,
+                          level: float) -> float:
+    """Time the two-pole step response reaches *level*, by bisection."""
+    def response(t):
+        return 1.0 - (tau1 * math.exp(-t / tau1)
+                      - tau2 * math.exp(-t / tau2)) / (tau1 - tau2)
+
+    lo, hi = 0.0, 50.0 * tau1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if response(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestTwoPoleCrossings:
     def test_single_pole_closed_form(self):
         # b2 = 0 collapses to t = -b1 ln(1 - theta).
@@ -40,20 +57,8 @@ class TestTwoPoleCrossings:
         rc = r * c
         tau1 = 0.5 * (3.0 * rc + math.sqrt(5.0) * rc)
         tau2 = 0.5 * (3.0 * rc - math.sqrt(5.0) * rc)
-
-        def response(t):
-            return 1.0 - (tau1 * math.exp(-t / tau1)
-                          - tau2 * math.exp(-t / tau2)) / (tau1 - tau2)
-
-        lo, hi = 0.0, 50.0 * rc
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if response(mid) < 0.5:
-                lo = mid
-            else:
-                hi = mid
-        assert timing.delays()[0] == pytest.approx(0.5 * (lo + hi),
-                                                   rel=1e-9)
+        assert timing.delays()[0] == pytest.approx(
+            _bisect_step_response(tau1, tau2, 0.5), rel=1e-9)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
@@ -62,6 +67,77 @@ class TestTwoPoleCrossings:
             two_pole_step_crossings(np.array([1e-12]),
                                     np.array([0.0]),
                                     thresholds=(0.0,))
+
+    def test_single_pole_entries_are_the_closed_form(self):
+        # b2 <= 0, complex poles and coincident poles (a zero
+        # discriminant: b2 = b1²/4 exactly) all take -b1 ln(1 - theta),
+        # bit for bit, next to a distinct-pole entry.
+        b1 = np.array([1e-12, 3e-12, 2e-12, 1.5e-12, 5e-12])
+        b2 = np.array([0.0, -1e-24, 2e-24, 1.5e-12 * 1.5e-12 / 4.0,
+                       4e-24])
+        levels = (0.05, 0.1, 0.5, 0.9, 0.95)
+        out = two_pole_step_crossings(b1, b2, thresholds=levels)
+        for index, level in enumerate(levels):
+            closed = -b1[:4] * np.log(1.0 - level)
+            assert np.array_equal(out[index, :4], closed)
+        assert out[2, 4] != -b1[4] * np.log(0.5)
+
+    def test_shape_follows_b1(self):
+        tree = WireTree.fanout(branches=4, stem=0, segments=2)
+        elmore, m2 = tree.moments()
+        nodes = tree.nodes[1:]
+        b1 = np.array([elmore[n] for n in nodes])
+        b2 = b1 * b1 - np.array([m2[n] for n in nodes])
+        flat = two_pole_step_crossings(b1, b2)
+        grid = two_pole_step_crossings(b1.reshape(2, 4),
+                                       b2.reshape(2, 4))
+        assert grid.shape == (3, 2, 4)
+        assert np.array_equal(grid.reshape(3, -1), flat)
+        for index in (0, 1):
+            lone = two_pole_step_crossings(b1[index], b2[index])
+            assert lone.shape == (3,)
+            assert np.array_equal(
+                lone, two_pole_step_crossings(b1[index:index + 1],
+                                              b2[index:index + 1])[:, 0])
+
+    def test_matches_scalar_bisection_on_random_trees(self):
+        # The ladder test's bisection, per entry and threshold, on
+        # every node of seeded random lines and fanouts.
+        rng = np.random.default_rng(2024)
+        b1, b2 = [], []
+        for index in range(16):
+            shape = dict(resistance=float(rng.uniform(100.0, 5e3)),
+                         capacitance=float(rng.uniform(0.1e-15, 2e-15)),
+                         load=float(rng.uniform(0.0, 3e-15)))
+            if index % 2:
+                tree = WireTree.line(
+                    segments=int(rng.integers(2, 24)), **shape)
+            else:
+                tree = WireTree.fanout(
+                    branches=int(rng.integers(1, 5)),
+                    stem=int(rng.integers(0, 4)),
+                    segments=int(rng.integers(1, 6)), **shape)
+            elmore, m2 = tree.moments()
+            for node in tree.nodes[1:]:
+                b1.append(elmore[node])
+                b2.append(elmore[node] ** 2 - m2[node])
+        levels = tuple(float(level)
+                       for level in np.linspace(0.05, 0.95, 10))
+        out = two_pole_step_crossings(np.array(b1), np.array(b2),
+                                      thresholds=levels)
+        two_pole = 0
+        for entry, (first, second) in enumerate(zip(b1, b2)):
+            disc = first * first - 4.0 * second
+            if second <= 0.0 or disc <= 0.0:
+                continue
+            two_pole += 1
+            tau1 = 0.5 * (first + math.sqrt(disc))
+            tau2 = 0.5 * (first - math.sqrt(disc))
+            for index, level in enumerate(levels):
+                expected = _bisect_step_response(tau1, tau2, level)
+                assert out[index, entry] == pytest.approx(expected,
+                                                          rel=1e-13)
+        assert two_pole > 50
 
     def test_monotone_in_threshold(self):
         tree = WireTree.line(segments=4)

@@ -144,3 +144,21 @@ class TestMoments:
         down = tree.downstream_capacitance()
         assert down["s1"] == pytest.approx(4e-15)
         assert down["b1_1"] == pytest.approx(1.5e-15)
+
+    def test_moments_build_the_child_map_a_bounded_number_of_times(
+            self, monkeypatch):
+        # One child map per pass, not one per segment: the pass stays
+        # linear in the tree size.
+        calls = []
+        children = WireTree.children
+
+        def counted(tree):
+            calls.append(1)
+            assert len(calls) <= 2, "child map rebuilt per segment"
+            return children(tree)
+
+        monkeypatch.setattr(WireTree, "children", counted)
+        tree = WireTree.line(segments=20_000)
+        elmore, m2 = tree.moments()
+        assert elmore["n20000"] > elmore["n19999"] > 0.0
+        assert m2["n20000"] > 0.0
