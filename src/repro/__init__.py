@@ -12,7 +12,7 @@ Package layout (``docs/index.md`` has the full inventory):
   its closed-form solutions, MIS delay functions, the analytic
   characteristic-delay formulas (paper eqs. 8–12) and the δ_min-based
   parametrization (Table I).
-* :mod:`repro.engine` — pluggable array-native evaluation backends for
+* :mod:`repro.engine` — the two array-native evaluation backends of
   MIS delay sweeps: a scalar ``reference`` backend and a NumPy
   ``vectorized`` backend (the default), selected with the ``engine=``
   keyword of every sweep API or the CLI's ``--engine`` flag.
@@ -78,7 +78,6 @@ from .engine import (
     DelayEngine,
     available_engines,
     get_engine,
-    register_engine,
 )
 from .library import (
     CharacterizationJob,
@@ -143,7 +142,6 @@ __all__ = [
     "get_engine",
     "infer_delta_min",
     "paper_jobs",
-    "register_engine",
     "solve_mode",
     "sta_circuit",
     "sweep_corners",

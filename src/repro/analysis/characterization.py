@@ -55,6 +55,9 @@ SIS_SEPARATION = 400.0 * PS
 _LEAD_TIME = 250.0 * PS
 #: Post-crossing margin in the simulation window.
 _TAIL_TIME = 300.0 * PS
+#: Time the toggle protocol lets the gate settle between the rising
+#: and the falling edge of the toggled input.
+_TOGGLE_DWELL = 1000.0 * PS
 
 
 def mis_waveforms(tech: TechnologyCard, gate: str, deltas,
@@ -133,12 +136,12 @@ def characterize_direction(tech: TechnologyCard, direction: str,
 
 def toggle_sis_delays(tech: TechnologyCard, input_name: str,
                       options: TransientOptions | None = None,
-                      output_load: float | None = None,
-                      dwell: float = 1000.0 * PS) -> tuple[float, float]:
+                      output_load: float | None = None
+                      ) -> tuple[float, float]:
     """SIS delays via the *toggle* protocol (state-history aware).
 
     Starting from the ``(0, 0)`` resting state, one input rises, the
-    gate settles for *dwell*, then the same input falls.  Unlike the
+    gate settles for 1 ns, then the same input falls.  Unlike the
     Δ-protocol (which parks the gate in (1,1) before rising
     transitions), this visits the internal-node states a gate actually
     sees in single-input traces — e.g. the p-stack node parking at
@@ -152,7 +155,7 @@ def toggle_sis_delays(tech: TechnologyCard, input_name: str,
     if input_name not in ("a", "b"):
         raise ParameterError("input_name must be 'a' or 'b'")
     t_up = _LEAD_TIME + tech.input_edge_time
-    t_down = t_up + dwell
+    t_down = t_up + _TOGGLE_DWELL
     toggled = EdgeTrain([(t_up, 1), (t_down, 0)], tech.vdd,
                         tech.input_edge_time)
     waves = (toggled, 0.0) if input_name == "a" else (0.0, toggled)

@@ -35,6 +35,9 @@ __all__ = [
 #: A two-input delay model as a trace transformer.
 TraceModel = Callable[[DigitalTrace, DigitalTrace], DigitalTrace]
 
+#: Rising edge of every short-pulse-filtration input pulse, seconds.
+_PULSE_START = 500.0 * PS
+
 
 @dataclasses.dataclass(frozen=True)
 class PulseResponse:
@@ -52,13 +55,13 @@ class PulseResponse:
 
 
 def short_pulse_filtration(model: TraceModel,
-                           widths: Sequence[float],
-                           base_time: float = 500.0 * PS
+                           widths: Sequence[float]
                            ) -> list[PulseResponse]:
     """Short-pulse filtration behaviour of a two-input NOR model.
 
-    Input A carries a positive pulse of the given width (B stays 0), so
-    the NOR output should answer with a negative pulse.  Returns one
+    Input A carries a positive pulse of the given width from 500 ps on
+    (B stays 0), so the NOR output should answer with a negative
+    pulse.  Returns one
     :class:`PulseResponse` per width.
     """
     responses: list[PulseResponse] = []
@@ -66,7 +69,7 @@ def short_pulse_filtration(model: TraceModel,
         if width <= 0.0:
             raise ParameterError("pulse widths must be positive")
         trace_a = DigitalTrace.from_edges(
-            0, [base_time, base_time + width])
+            0, [_PULSE_START, _PULSE_START + width])
         trace_b = DigitalTrace.constant(0)
         out = model(trace_a, trace_b)
         if len(out.times) >= 2:

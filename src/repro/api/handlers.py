@@ -586,10 +586,9 @@ def _wire(session: "Session", request: WireRequest) -> WireResult:
 
     tree = _wire_tree(request)
     timing = reduce_tree(tree, model=request.model)
-    delays = timing.delays()
-    slews = timing.slews()
-    elmore = np.asarray([timing.timing(sink).elmore
-                         for sink in tree.sinks])
+    elmore, delays, slews = np.array(
+        [(entry.elmore, entry.delay, entry.slew)
+         for entry in timing.sinks]).T
 
     measured: dict[str, float] | None = None
     max_error = None

@@ -54,11 +54,12 @@ from .parameters import (BLOCK_DTYPE, PAPER_TABLE_I, NorGateParameters,
 from .solutions import ExpSum, exp_sum_crossing
 
 __all__ = ["CompiledNorKernel", "GeneralizedNorParameters",
-           "GeneralizedNorModel", "compiled_nor_kernel",
-           "delta_vector_grid", "generalized_block", "generalized_dtype",
-           "generalized_model", "generalized_record", "lane_sets",
-           "nor_delays", "paper_generalized", "parameter_width",
-           "sibling_offsets", "validate_block"]
+           "GeneralizedNorModel", "as_closed_form",
+           "block_from_parameters", "delta_vector_grid",
+           "generalized_dtype", "generalized_model", "is_closed_form",
+           "lane_sets", "nor_delays", "paper_generalized",
+           "parameter_width", "parameters_at", "sibling_offsets",
+           "validate_block"]
 
 #: Relative eigenvalue imaginary part treated as numerical noise.
 _IMAG_TOL = 1e-8
@@ -76,6 +77,12 @@ _SOLVE_PAIRS = 4096
 #: so clipping offsets to ``reference ± _OFFSET_SPAN`` lands on the
 #: SIS plateaus without ever producing ``inf − inf`` artifacts.
 _OFFSET_SPAN = 1.0
+#: Half-width of every axis of :func:`delta_vector_grid`, in units of
+#: the gate's core time scale ``settle_time() / SETTLE_FACTOR``.
+_GRID_SPAN_TAUS = 4.0
+#: Voltage of a floating internal node (one cut off from both rails)
+#: in a resting state: GND, the paper's worst case.
+_FLOATING_VOLTAGE = 0.0
 
 
 def sibling_offsets(times, reference, span: float = _OFFSET_SPAN
@@ -218,31 +225,14 @@ class GeneralizedNorParameters:
     def vth(self) -> float:
         return self.vdd / 2.0
 
-    @classmethod
-    def from_two_input(cls, params: NorGateParameters
-                       ) -> "GeneralizedNorParameters":
-        """Map the paper's 2-input parameters onto the general form."""
-        return cls(r_pullup=(params.r1, params.r2),
-                   r_pulldown=(params.r3, params.r4),
-                   c_internal=(params.cn,),
-                   co=params.co, vdd=params.vdd,
-                   delta_min=params.delta_min)
-
     def to_two_input(self) -> NorGateParameters:
-        """Inverse of :meth:`from_two_input` (2-input gates only).
+        """The paper's closed-form set of a 2-input gate, the inverse
+        of ``paper_generalized(2, ·)`` (see :func:`as_closed_form`).
 
         Raises:
             ParameterError: if the gate has more than two inputs.
         """
-        if self.num_inputs != 2:
-            raise ParameterError(
-                f"cannot reduce a {self.num_inputs}-input gate to the "
-                "paper's 2-input parameter set")
-        return NorGateParameters(
-            r1=self.r_pullup[0], r2=self.r_pullup[1],
-            r3=self.r_pulldown[0], r4=self.r_pulldown[1],
-            cn=self.c_internal[0], co=self.co, vdd=self.vdd,
-            delta_min=self.delta_min)
+        return as_closed_form(self)
 
     def replace(self, **changes) -> "GeneralizedNorParameters":
         """Return a copy with the given fields replaced."""
@@ -286,14 +276,14 @@ def paper_generalized(num_inputs: int,
     Returns
     -------
     GeneralizedNorParameters or numpy.ndarray
-        The extrapolated n-input set (for ``n = 2`` it equals
-        :meth:`GeneralizedNorParameters.from_two_input`), or for a
-        block an n-input block of dtype :func:`generalized_dtype`.
+        The extrapolated n-input set (for ``n = 2`` the same values,
+        the inverse of :func:`as_closed_form`), or for a block an
+        n-input block of dtype :func:`generalized_dtype`.
     """
     if num_inputs < 2:
         raise ParameterError("need at least two inputs")
     if isinstance(params, np.ndarray):
-        if parameter_width(params) != 2:
+        if not is_closed_form(params):
             raise ParameterError("paper_generalized widens 2-input "
                                  "blocks only")
         block = np.empty(params.shape, generalized_dtype(num_inputs))
@@ -329,33 +319,6 @@ def generalized_dtype(num_inputs: int) -> np.dtype:
                      ("delta_min", np.float64)])
 
 
-def generalized_block(params) -> np.ndarray:
-    """Pack :class:`GeneralizedNorParameters` sets of one width into a
-    sample block (``ParameterError`` on anything else)."""
-    params = list(params)
-    widths = {getattr(p, "num_inputs", None) for p in params}
-    if not params or not all(isinstance(p, GeneralizedNorParameters)
-                             for p in params) or len(widths) != 1:
-        raise ParameterError("an n-input sample block packs one or more "
-                             "GeneralizedNorParameters sets of one width")
-    block = np.empty(len(params), generalized_dtype(widths.pop()))
-    for i, p in enumerate(params):
-        block[i] = (p.r_pullup, p.r_pulldown, p.c_internal, p.co, p.vdd,
-                    p.delta_min)
-    return block
-
-
-def generalized_record(block: np.ndarray,
-                       index: int) -> GeneralizedNorParameters:
-    """Materialize one n-input block record as a (validated) set."""
-    row = block[index]
-    return GeneralizedNorParameters(
-        r_pullup=row["r_pullup"].tolist(),
-        r_pulldown=row["r_pulldown"].tolist(),
-        c_internal=row["c_internal"].tolist(), co=float(row["co"]),
-        vdd=float(row["vdd"]), delta_min=float(row["delta_min"]))
-
-
 def parameter_width(params) -> int:
     """Gate width of a parameter set or of a sample block's records
     (``ParameterError`` if *params* is neither)."""
@@ -370,6 +333,108 @@ def parameter_width(params) -> int:
                 return n
     raise ParameterError(f"expected a parameter set or a sample block, "
                          f"got {type(params).__name__}")
+
+
+def is_closed_form(params) -> bool:
+    """Whether *params* is of the paper's closed-form kind: a
+    :class:`NorGateParameters` set or a sample block of dtype
+    :data:`~repro.core.parameters.BLOCK_DTYPE`.  An ``n = 2``
+    :class:`GeneralizedNorParameters` set or block is not; it runs the
+    closed form through :func:`as_closed_form`."""
+    return isinstance(params, NorGateParameters) or (
+        isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
+
+
+def as_closed_form(params):
+    """A 2-input set or sample block as the paper's closed-form kind.
+
+    The inverse of ``paper_generalized(2, ·)``: an ``n = 2``
+    :class:`GeneralizedNorParameters` set becomes the
+    :class:`NorGateParameters` set of the same values, an ``n = 2``
+    block the :data:`~repro.core.parameters.BLOCK_DTYPE` block; sets
+    and blocks of the closed-form kind pass through.
+
+    Raises
+    ------
+    ParameterError
+        If *params* is wider than two inputs, or no parameter set or
+        sample block.
+    """
+    if is_closed_form(params):
+        return params
+    width = parameter_width(params)
+    if width != 2:
+        raise ParameterError(
+            f"cannot reduce a {width}-input gate to the paper's "
+            "2-input parameter set")
+    if isinstance(params, GeneralizedNorParameters):
+        return NorGateParameters(
+            r1=params.r_pullup[0], r2=params.r_pullup[1],
+            r3=params.r_pulldown[0], r4=params.r_pulldown[1],
+            cn=params.c_internal[0], co=params.co, vdd=params.vdd,
+            delta_min=params.delta_min)
+    block = np.empty(params.shape, BLOCK_DTYPE)
+    block["r1"], block["r2"] = params["r_pullup"].T
+    block["r3"], block["r4"] = params["r_pulldown"].T
+    block["cn"] = params["c_internal"][:, 0]
+    for name in ("co", "vdd", "delta_min"):
+        block[name] = params[name]
+    return block
+
+
+def block_from_parameters(params) -> np.ndarray:
+    """Pack parameter sets into the sample block of their width.
+
+    Parameters
+    ----------
+    params : parameter set, sequence of sets, or numpy.ndarray
+        One :class:`NorGateParameters` or
+        :class:`GeneralizedNorParameters` set, or a non-empty sequence
+        of sets of one kind and width, one record each; a sample
+        block passes through.
+
+    Returns
+    -------
+    numpy.ndarray
+        Structured array of dtype
+        :data:`~repro.core.parameters.BLOCK_DTYPE` (2-input sets) or
+        :func:`generalized_dtype` (n-input sets), shape
+        ``(len(params),)``.
+
+    Raises
+    ------
+    ParameterError
+        On an empty sequence, sets of mixed kinds or widths, or
+        anything that is no parameter set.
+    """
+    if isinstance(params, np.ndarray):
+        parameter_width(params)
+        return params
+    if isinstance(params, (NorGateParameters, GeneralizedNorParameters)):
+        params = [params]
+    params = list(params)
+    kinds = {(type(p), parameter_width(p)) for p in params}
+    if len(kinds) != 1:
+        raise ParameterError("a sample block packs one or more parameter "
+                             "sets of one kind and width")
+    kind, width = kinds.pop()
+    dtype = (BLOCK_DTYPE if kind is NorGateParameters
+             else generalized_dtype(width))
+    block = np.empty(len(params), dtype)
+    # Both dataclasses declare their fields in their dtype's order.
+    for i, p in enumerate(params):
+        block[i] = tuple(getattr(p, name) for name in dtype.names)
+    return block
+
+
+def parameters_at(block: np.ndarray, index: int):
+    """Materialize one record of a sample block of either dtype as its
+    (validated) :class:`NorGateParameters` or
+    :class:`GeneralizedNorParameters` set."""
+    kind = (NorGateParameters if is_closed_form(block)
+            else GeneralizedNorParameters)
+    row = block[index]
+    return kind(**{name: row[name].tolist() for name in block.dtype.names})
 
 
 def validate_block(block) -> np.ndarray:
@@ -549,13 +614,12 @@ class GeneralizedNorModel:
     # resting states
     # ------------------------------------------------------------------
 
-    def resting_state(self, inputs: Sequence[int],
-                      floating_value: float = 0.0) -> np.ndarray:
+    def resting_state(self, inputs: Sequence[int]) -> np.ndarray:
         """Steady-state node voltages for a held input combination.
 
         Floating internal nodes (cut off by conducting-side switches)
-        have no defined equilibrium; they take *floating_value* — GND by
-        default, the paper's worst case.
+        have no defined equilibrium; they rest at GND, the paper's
+        worst case.
         """
         n = self._n
         system = self.kernel()._systems[self._mode(inputs)]
@@ -565,10 +629,10 @@ class GeneralizedNorModel:
         # directions, which we then overwrite explicitly.
         solution, *_ = np.linalg.lstsq(a, -f, rcond=None)
         return np.where(np.any(np.abs(a) > 0.0, axis=1), solution,
-                        float(floating_value))
+                        _FLOATING_VOLTAGE)
 
     # ------------------------------------------------------------------
-    # batched Δ-vector evaluation
+    # the compiled kernel
     # ------------------------------------------------------------------
 
     def settle_time(self) -> float:
@@ -589,29 +653,6 @@ class GeneralizedNorModel:
         if self._kernel is None:
             self._kernel = CompiledNorKernel(self.params)
         return self._kernel
-
-    def delays_falling_batch(self, deltas) -> np.ndarray:
-        """Falling MIS delays for a grid of sibling offset vectors.
-
-        All inputs start low; input 0 rises at ``t = 0`` and sibling
-        ``j`` at ``deltas[..., j-1]`` (shape ``(..., n−1)``, ``±inf``
-        clips to the SIS plateaus, NaN rejected).  Delays, shape
-        ``deltas.shape[:-1]``, are referenced to the *earliest* input
-        and include ``δ_min``, matching :meth:`delay_falling`.
-        """
-        return self.kernel().evaluate(deltas, "falling")
-
-    def delays_rising_batch(self, deltas,
-                            internal_init: float = 0.0) -> np.ndarray:
-        """Rising MIS delays for a grid of sibling offset vectors.
-
-        All inputs start high, every internal chain node at
-        *internal_init* volts (default the paper's GND worst case);
-        input 0 falls at ``t = 0`` and sibling ``j`` at
-        ``deltas[..., j-1]``.  Delays are referenced to the *latest*
-        input and include ``δ_min``, matching :meth:`delay_rising`.
-        """
-        return self.kernel().evaluate(deltas, "rising", internal_init)
 
     # ------------------------------------------------------------------
     # crossings
@@ -765,42 +806,6 @@ class GeneralizedNorModel:
                 return t - (earliest + shift)
         raise NoCrossingError("output never falls")
 
-    # ------------------------------------------------------------------
-    # pairwise MIS sweeps (Δ between the first two inputs)
-    # ------------------------------------------------------------------
-
-    def _sweep(self, deltas, direction: str, engine) -> np.ndarray:
-        """Pairwise MIS delays over ``Δ = t₁ − t₀`` of inputs 0 and 1.
-
-        Routed through the delay-engine seam of :mod:`repro.engine`
-        in both arities — the deferred-switch and added-``δ_min``
-        delay conventions are exactly equivalent there because the
-        resting first segment absorbs the deferral.  The remaining
-        inputs switch together with the *earlier* of the pair; the
-        2-input gate runs the closed-form batch path, wider gates the
-        Δ-vector entry points (``±inf`` separations clip to the SIS
-        plateaus).
-        """
-        # Local import: repro.engine imports this module.
-        from ..engine import delays_for_direction, get_engine
-        d = np.asarray(deltas, dtype=float)
-        # Absolute switch times (0, Δ, 0, …, 0) relative to input 0:
-        # the trailing inputs follow the earlier of the pair, i.e.
-        # their offsets are min(0, Δ).
-        with np.errstate(invalid="ignore"):
-            rest = np.minimum(0.0, d)
-        matrix = np.stack([d] + [rest] * (self._n - 2), axis=-1)
-        return delays_for_direction(get_engine(engine), direction,
-                                    self.params, matrix)
-
-    def delays_falling_sweep(self, deltas, engine=None) -> np.ndarray:
-        """Falling MIS delays for an array of pairwise separations."""
-        return self._sweep(deltas, "falling", engine)
-
-    def delays_rising_sweep(self, deltas, engine=None) -> np.ndarray:
-        """Rising MIS delays for an array of pairwise separations."""
-        return self._sweep(deltas, "rising", engine)
-
     def delay_rising(self, fall_times: Sequence[float],
                      internal_init: Sequence[float] | None = None
                      ) -> float:
@@ -851,9 +856,7 @@ class CompiledNorKernel:
     """
 
     def __init__(self, params):
-        block = (generalized_block([params])
-                 if isinstance(params, GeneralizedNorParameters)
-                 else validate_block(params))
+        block = validate_block(block_from_parameters(params))
         n = parameter_width(block)
         sets, modes = block.shape[0], 1 << n
         with _span("kernel.eig", n=n, modes=modes, sets=sets):
@@ -879,11 +882,14 @@ class CompiledNorKernel:
                  internal_init: float = 0.0, sets=None) -> np.ndarray:
         """Batched MIS delays over a grid of sibling offset vectors.
 
-        The array-native core behind
-        :meth:`GeneralizedNorModel.delays_falling_batch` /
-        :meth:`~GeneralizedNorModel.delays_rising_batch` and
-        :func:`nor_delays`; see the former for the per-direction event
-        conventions.
+        The array-native core behind :func:`nor_delays` and the
+        ``delays_falling_n`` / ``delays_rising_n`` engine entry
+        points.  Falling: all inputs start low, every node at VDD;
+        input 0 rises at ``t = 0`` and sibling ``j`` at
+        ``deltas[..., j-1]``, and the delay is referenced to the
+        *earliest* input.  Rising: all inputs start high, every
+        internal chain node at *internal_init*; inputs fall, and the
+        delay is referenced to the *latest* one.
 
         Parameters
         ----------
@@ -1000,17 +1006,6 @@ class CompiledNorKernel:
         return result - reference + self._delta_min[sets]
 
 
-def compiled_nor_kernel(params: GeneralizedNorParameters
-                        ) -> CompiledNorKernel:
-    """The shared :class:`CompiledNorKernel` of a parameter set.
-
-    Resolves through :func:`generalized_model` so every caller — the
-    engine backends, characterization — shares one
-    compiled kernel (and its stacked eigen tensors) per parameter set.
-    """
-    return generalized_model(params).kernel()
-
-
 def nor_delays(params, deltas, direction: str,
                internal_init: float) -> np.ndarray:
     """n-input MIS delays (``δ_min`` included, shape
@@ -1025,28 +1020,28 @@ def nor_delays(params, deltas, direction: str,
     :meth:`CompiledNorKernel.evaluate`.
     """
     if isinstance(params, GeneralizedNorParameters):
-        return compiled_nor_kernel(params).evaluate(deltas, direction,
-                                                    internal_init)
+        return generalized_model(params).kernel().evaluate(
+            deltas, direction, internal_init)
     sets, index = lane_sets(params, deltas)
-    kernel = (compiled_nor_kernel(generalized_record(sets, 0))
+    kernel = (generalized_model(parameters_at(sets, 0)).kernel()
               if sets.shape[0] == 1 else CompiledNorKernel(sets))
     return kernel.evaluate(deltas, direction, internal_init, index)
 
 
 def delta_vector_grid(params: GeneralizedNorParameters,
-                      axis_points: int,
-                      span_taus: float = 4.0) -> np.ndarray:
+                      axis_points: int) -> np.ndarray:
     """Uniform Δ-vector rows across the gate's MIS core.
 
     The standard probe grid of the n-input benchmarks, experiments and
     :class:`repro.api.Session`: one uniform axis of *axis_points*
-    samples per sibling input, spanning ``±span_taus`` of the gate's
-    core scale ``settle_time() / SETTLE_FACTOR``, meshed and flattened
-    to ``(axis_points**(n-1), n-1)`` rows of offsets in seconds.
+    samples per sibling input, spanning ±4 times the gate's core scale
+    ``settle_time() / SETTLE_FACTOR``, meshed and flattened to
+    ``(axis_points**(n-1), n-1)`` rows of offsets in seconds.
     """
     model = generalized_model(params)
     tau = model.settle_time() / SETTLE_FACTOR
-    axis = np.linspace(-span_taus * tau, span_taus * tau, axis_points)
+    axis = np.linspace(-_GRID_SPAN_TAUS * tau, _GRID_SPAN_TAUS * tau,
+                       axis_points)
     mesh = np.stack(np.meshgrid(*([axis] * (params.num_inputs - 1)),
                                 indexing="ij"), axis=-1)
     return mesh.reshape(-1, params.num_inputs - 1)

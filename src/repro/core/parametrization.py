@@ -54,6 +54,9 @@ __all__ = [
 
 #: Maximal ratio (R3+R4)/R3 achievable with R4 <= R3 ... R4 ~ R3.
 _MODEL_RATIO_LIMIT = 2.0
+#: Relative spread of plausible R3 / R4 on-resistances around each
+#: other, for :func:`falling_feasible_without_pure_delay`.
+_RESISTANCE_TOLERANCE = 0.25
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,18 +103,17 @@ def falling_ratio(falling: CharacteristicDelays,
 
 
 def falling_feasible_without_pure_delay(
-        falling: CharacteristicDelays,
-        tolerance: float = 0.25) -> bool:
+        falling: CharacteristicDelays) -> bool:
     """Can the falling Charlie values be fit with plausible R3 ≈ R4?
 
     The model requires ``δ↓(−∞)/δ↓(0) = (R3+R4)/R3``; with on-resistances
-    within ``(1 ± tolerance)`` of each other, the reachable ratio band is
-    ``[2 − tolerance, 2 + tolerance]`` (approximately).  Real 15 nm
+    within ``(1 ± 0.25)`` of each other, the reachable ratio band is
+    ``[1.75, 2.25]`` (approximately).  Real 15 nm
     measurements give ≈ 1.36, far below the band — the paper's
     impossibility observation.
     """
     ratio = falling_ratio(falling, 0.0)
-    return abs(ratio - _MODEL_RATIO_LIMIT) <= tolerance
+    return abs(ratio - _MODEL_RATIO_LIMIT) <= _RESISTANCE_TOLERANCE
 
 
 def infer_delta_min(falling: CharacteristicDelays) -> float:

@@ -1,8 +1,8 @@
-"""Pluggable evaluation backends for MIS delay sweeps.
+"""The two evaluation backends of MIS delay sweeps.
 
 The hybrid model is analytic, so evaluating it over thousands of input
-separations should run at array speed.  This package provides the
-backend seam that makes that a deployment choice instead of a rewrite:
+separations should run at array speed.  This package serves it through
+two backends behind one protocol:
 
 * :data:`~repro.engine.base.DEFAULT_ENGINE` (``"vectorized"``) —
   NumPy batch evaluation of the closed-form mode chains through the
@@ -10,19 +10,19 @@ backend seam that makes that a deployment choice instead of a rewrite:
 * ``"reference"`` — the scalar per-Δ trajectory computation, kept as
   the parity baseline.
 
-Every backend serves both arities of the protocol: scalar-Δ entry
+Both backends serve both arities of the protocol: scalar-Δ entry
 points (``delays_falling`` / ``delays_rising``) for the paper's
 2-input cells, and Δ-vector entry points (``delays_falling_n`` /
 ``delays_rising_n``, trailing axis of n−1 sibling offsets) for the
 generalized n-input NOR of :mod:`repro.core.multi_input`.  A third
 axis batches over *parameter sets*: a sample block (one structured
-record per parameter set) gives every lane its own set — the 2-input
-block entry points (``delays_falling_block`` /
+record per parameter set, packed by :func:`block_from_parameters` and
+read back by :func:`parameters_at`) gives every lane its own set —
+the 2-input block entry points (``delays_falling_block`` /
 ``delays_rising_block``, see :mod:`repro.engine.blocks`) and the
 Δ-vector entry points evaluate N Monte-Carlo samples × M Δ-points in
 one call.  :func:`~repro.engine.base.delays_for_direction` dispatches
-every such evaluation by direction and gate width, with a per-sample
-loop fallback for backends without native block kernels.
+every such evaluation by direction and gate width.
 
 Sweeps throughout the package accept ``engine=`` (a name, an instance,
 or ``None`` for the default) and the CLI exposes ``--engine``::
@@ -33,14 +33,12 @@ or ``None`` for the default) and the CLI exposes ``--engine``::
 The session facade (:class:`repro.api.Session`) binds a backend once
 for a whole workflow — prefer ``Session(engine=...)`` over threading
 ``engine=`` keywords through multi-layer code.
-
-New backends implement :class:`~repro.engine.base.DelayEngine` and call
-:func:`~repro.engine.base.register_engine`.
 """
 
+from ..core.multi_input import block_from_parameters, parameters_at
+from ..core.parameters import BLOCK_DTYPE
 from .base import (DEFAULT_ENGINE, DelayEngine, available_engines,
-                   delays_for_direction, get_engine, register_engine)
-from .blocks import BLOCK_DTYPE, block_from_parameters, parameters_at
+                   delays_for_direction, get_engine)
 from .reference import ReferenceEngine
 from .vectorized import VectorizedEngine
 
@@ -55,5 +53,4 @@ __all__ = [
     "delays_for_direction",
     "get_engine",
     "parameters_at",
-    "register_engine",
 ]

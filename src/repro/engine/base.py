@@ -12,25 +12,24 @@ served by very different implementations:
 * ``vectorized`` — NumPy evaluation of whole Δ arrays at once
   (:mod:`repro.engine.vectorized`), bit-tight against the reference.
 
-Engines register themselves by name; sweeps all over the package accept
-an ``engine=`` keyword (and the CLI an ``--engine`` flag) that is
-resolved here.  A new backend only needs to implement the protocol and
-call :func:`register_engine`.
+Sweeps all over the package accept an ``engine=`` keyword (and the
+CLI an ``--engine`` flag) naming one of these two, which is resolved
+here.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import GeneralizedNorParameters, parameter_width
-from ..core.parameters import BLOCK_DTYPE, NorGateParameters
+from ..core.multi_input import (GeneralizedNorParameters, as_closed_form,
+                                is_closed_form, parameter_width)
+from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .blocks import block_delays_loop
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -38,7 +37,6 @@ __all__ = [
     "available_engines",
     "delays_for_direction",
     "get_engine",
-    "register_engine",
     "traced_entry_point",
 ]
 
@@ -56,20 +54,13 @@ class DelayEngine(Protocol):
 
     The Δ-vector entry points take one parameter set, or an n-input
     sample block with one set per lane (see
-    :func:`~repro.core.multi_input.nor_delays`).  Backends may
-    additionally expose 2-input *sample-block* entry points
-    (``delays_falling_block(block, deltas)`` /
-    ``delays_rising_block(block, deltas, vn_init)``) that batch over
-    the parameter axis — one structured record per parameter set, see
-    :mod:`repro.engine.blocks`.  They are optional:
-    :func:`delays_for_direction` calls them when present and falls
-    back to the per-sample loop
-    :func:`~repro.engine.blocks.block_delays_loop` otherwise, so the
-    protocol's required surface stays the four Δ-batched methods
-    below.
+    :func:`~repro.core.multi_input.nor_delays`).  The 2-input
+    *sample-block* entry points batch over the parameter axis — one
+    structured record per parameter set, see
+    :mod:`repro.engine.blocks`.
     """
 
-    #: Registry name of the backend.
+    #: Name of the backend (``"reference"`` or ``"vectorized"``).
     name: str
 
     def delays_falling(self, params: NorGateParameters,
@@ -112,6 +103,52 @@ class DelayEngine(Protocol):
         numpy.ndarray
             Delays in seconds, same shape as *deltas*, including
             ``δ_min``.
+        """
+        ...
+
+    def delays_falling_block(self, block, deltas) -> np.ndarray:
+        """Falling MIS delays of a 2-input sample block.
+
+        Parameters
+        ----------
+        block : numpy.ndarray
+            Sample block of dtype
+            :data:`~repro.core.parameters.BLOCK_DTYPE`, shape
+            ``(N,)``; record ``i`` applies to ``deltas[i]``.
+        deltas : array_like of float
+            Input separations in seconds, shape ``(N,)`` or
+            ``(N, M)``; ``±inf`` allowed, NaN rejected.
+
+        Returns
+        -------
+        numpy.ndarray
+            Delays in seconds (``δ_min`` included), same shape as
+            *deltas*.
+        """
+        ...
+
+    def delays_rising_block(self, block, deltas,
+                            vn_init=0.0) -> np.ndarray:
+        """Rising MIS delays of a 2-input sample block.
+
+        Parameters
+        ----------
+        block : numpy.ndarray
+            Sample block of dtype
+            :data:`~repro.core.parameters.BLOCK_DTYPE`, shape
+            ``(N,)``; record ``i`` applies to ``deltas[i]``.
+        deltas : array_like of float
+            Input separations in seconds, shape ``(N,)`` or
+            ``(N, M)``; ``±inf`` allowed, NaN rejected.
+        vn_init : float or array_like of float, optional
+            Mode-(1,1) internal-node voltage in volts, shared by the
+            block or one per record (default 0.0, the GND worst case).
+
+        Returns
+        -------
+        numpy.ndarray
+            Delays in seconds (``δ_min`` included), same shape as
+            *deltas*.
         """
         ...
 
@@ -222,41 +259,25 @@ def delays_for_direction(engine: "DelayEngine", direction: str,
     if direction not in ("falling", "rising"):
         raise ParameterError(f"direction must be 'falling' or "
                              f"'rising', got {direction!r}")
-    two_input = isinstance(params, NorGateParameters) or (
-        isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
-    if not two_input and parameter_width(params) == 2:
+    closed = is_closed_form(params)
+    if not closed and parameter_width(params) == 2:
         # An n = 2 set is the paper's gate: its one sibling offset
         # runs the closed form.
         d = np.asarray(deltas, dtype=float)
         if d.ndim == 0 or d.shape[-1] != 1:
             raise ParameterError(f"a 2-input gate takes one sibling "
                                  f"offset per Δ-vector, got {d.shape}")
-        params, deltas, two_input = _two_input(params), d[..., 0], True
-    if not two_input:
-        method = getattr(engine, f"delays_{direction}_n")
+        params, deltas, closed = as_closed_form(params), d[..., 0], True
+    if not closed:
+        suffix = "_n"
     elif isinstance(params, NorGateParameters):
-        method = getattr(engine, f"delays_{direction}")
+        suffix = ""
     else:
-        method = getattr(engine, f"delays_{direction}_block", None)
-        if method is None:
-            return block_delays_loop(engine, direction, params, deltas,
-                                     state)
+        suffix = "_block"
+    method = getattr(engine, f"delays_{direction}{suffix}")
     if direction == "falling":
         return method(params, deltas)
     return method(params, deltas, state)
-
-
-def _two_input(params):
-    """The closed-form kind of an ``n = 2`` set or sample block."""
-    if isinstance(params, GeneralizedNorParameters):
-        return params.to_two_input()
-    block = np.empty(params.shape, BLOCK_DTYPE)
-    block["r1"], block["r2"] = params["r_pullup"].T
-    block["r3"], block["r4"] = params["r_pulldown"].T
-    block["cn"] = params["c_internal"][:, 0]
-    for name in ("co", "vdd", "delta_min"):
-        block[name] = params[name]
-    return block
 
 
 #: Memoized (engine, direction) -> call counter, so the per-call
@@ -318,36 +339,25 @@ def traced_entry_point(span_name: str, direction: str):
     return decorate
 
 
-_FACTORIES: dict[str, Callable[[], DelayEngine]] = {}
-_INSTANCES: dict[str, DelayEngine] = {}
-
-
-def register_engine(name: str,
-                    factory: Callable[[], DelayEngine]) -> None:
-    """Register an engine factory under a name (last wins).
-
-    Parameters
-    ----------
-    name : str
-        Registry key later accepted by :func:`get_engine` and the
-        CLI's ``--engine`` flag.
-    factory : callable
-        Zero-argument callable producing a :class:`DelayEngine`;
-        invoked lazily on first :func:`get_engine` resolution.
-    """
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
+@functools.cache
+def _engines() -> dict:
+    """The one instance of each backend, by name, built on first use
+    (the backend modules import this one)."""
+    from .reference import ReferenceEngine
+    from .vectorized import VectorizedEngine
+    return {engine.name: engine
+            for engine in (ReferenceEngine(), VectorizedEngine())}
 
 
 def available_engines() -> tuple[str, ...]:
-    """Names of all registered backends, sorted.
+    """Names of the two backends, sorted.
 
     Returns
     -------
     tuple of str
-        The registry keys, e.g. ``('reference', 'vectorized')``.
+        ``('reference', 'vectorized')``.
     """
-    return tuple(sorted(_FACTORIES))
+    return tuple(sorted(_engines()))
 
 
 def get_engine(engine: str | DelayEngine | None = None) -> DelayEngine:
@@ -356,30 +366,28 @@ def get_engine(engine: str | DelayEngine | None = None) -> DelayEngine:
     Parameters
     ----------
     engine : str or DelayEngine or None, optional
-        A registry name, an engine instance (returned as-is), or
-        ``None`` for :data:`DEFAULT_ENGINE`.
+        ``"reference"``, ``"vectorized"``, an engine instance
+        (returned as-is), or ``None`` for :data:`DEFAULT_ENGINE`.
 
     Returns
     -------
     DelayEngine
-        The resolved backend.  Instances are cached per name so that
-        engine-level solution caches are shared across callers.
+        The resolved backend.  Each name resolves to one shared
+        instance, so engine-level solution caches are shared across
+        callers.
 
     Raises
     ------
     ValueError
-        If *engine* is a name with no registered backend.
+        If *engine* is any other name.
     """
     if engine is None:
         engine = DEFAULT_ENGINE
     if not isinstance(engine, str):
         return engine
     try:
-        factory = _FACTORIES[engine]
+        return _engines()[engine]
     except KeyError:
         raise ValueError(
             f"unknown delay engine {engine!r}; available: "
             f"{', '.join(available_engines())}") from None
-    if engine not in _INSTANCES:
-        _INSTANCES[engine] = factory()
-    return _INSTANCES[engine]

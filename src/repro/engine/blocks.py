@@ -36,11 +36,14 @@ the engine parity suite).
 
 Entry points
 ------------
-Engines expose the block kernels as ``delays_falling_block`` /
-``delays_rising_block`` methods;
+Both engines expose block entry points, ``delays_falling_block`` /
+``delays_rising_block``, and
 :func:`repro.engine.base.delays_for_direction` sends every per-lane
-2-input evaluation there (with the per-sample loop
-:func:`block_delays_loop` for backends without native block support).
+2-input evaluation there: the vectorized engine runs the kernels of
+this module, the reference engine the per-sample loop
+:func:`block_delays_loop`.  Blocks are packed and read by
+:func:`~repro.core.multi_input.block_from_parameters` and
+:func:`~repro.core.multi_input.parameters_at`.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ import numpy as np
 
 from ..core.hybrid_model import settle_time
 from ..core.modes import coupled_00, coupled_10
-from ..core.multi_input import validate_block
+from ..core.multi_input import parameters_at, validate_block
 from ..core.parameters import (BLOCK_DTYPE, PARAM_FIELDS,
-                               NorGateParameters, check_node_voltage,
-                               finite_voltage)
+                               check_node_voltage, finite_voltage)
 from ..core.solutions import exp_sum_crossing
 from ..errors import NoCrossingError, ParameterError
 
@@ -65,11 +67,9 @@ __all__ = [
     "FallingConstants",
     "RisingConstants",
     "block_delays_loop",
-    "block_from_parameters",
     "falling_constants",
     "falling_delays",
     "falling_delays_block",
-    "parameters_at",
     "rising_constants",
     "rising_delays",
     "rising_delays_block",
@@ -77,50 +77,8 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# block construction / validation
+# Δ validation
 # ----------------------------------------------------------------------
-
-def block_from_parameters(params) -> np.ndarray:
-    """Pack parameter sets into a sample block.
-
-    Parameters
-    ----------
-    params : NorGateParameters or sequence of NorGateParameters
-        The parameter sets, one record each.
-
-    Returns
-    -------
-    numpy.ndarray
-        Structured array of dtype :data:`BLOCK_DTYPE`, shape
-        ``(len(params),)``.
-    """
-    if isinstance(params, NorGateParameters):
-        params = [params]
-    block = np.empty(len(params), dtype=BLOCK_DTYPE)
-    for i, p in enumerate(params):
-        block[i] = tuple(getattr(p, name) for name in PARAM_FIELDS)
-    return block
-
-
-def parameters_at(block: np.ndarray, index: int) -> NorGateParameters:
-    """Materialize one block record as a parameter object.
-
-    Parameters
-    ----------
-    block : numpy.ndarray
-        Sample block of dtype :data:`BLOCK_DTYPE`.
-    index : int
-        Record index.
-
-    Returns
-    -------
-    NorGateParameters
-        The (validated) scalar parameter set.
-    """
-    row = block[index]
-    return NorGateParameters(
-        **{name: float(row[name]) for name in PARAM_FIELDS})
-
 
 def _prepare_deltas(block: np.ndarray, deltas
                     ) -> tuple[np.ndarray, bool]:
@@ -489,8 +447,8 @@ def block_delays_loop(engine, direction: str, block, deltas,
 
     The ground-truth (and benchmark-baseline) evaluation of a sample
     block: one ordinary ``delays_falling`` / ``delays_rising`` call
-    per record.  Backends without native block kernels (the scalar
-    ``reference`` engine) serve their block entry points with this.
+    per record.  The scalar ``reference`` engine serves its block
+    entry points with this.
 
     Parameters
     ----------

@@ -14,11 +14,12 @@ import numpy as np
 
 from ..core.hybrid_model import HybridNorModel
 from ..core.multi_input import (GeneralizedNorParameters,
-                                generalized_model, generalized_record,
-                                lane_sets, offset_rows, parameter_width)
+                                generalized_model, lane_sets, offset_rows,
+                                parameter_width, parameters_at)
 from ..core.parameters import (NorGateParameters, check_node_voltage,
                                finite_voltage)
-from .base import register_engine, traced_entry_point
+from .base import traced_entry_point
+from .blocks import block_delays_loop
 
 __all__ = ["ReferenceEngine"]
 
@@ -33,17 +34,15 @@ def _rows(params, deltas, internal_init=None):
     the rows, before the offsets are read.
     """
     if isinstance(params, GeneralizedNorParameters):
-        models = [generalized_model(params)]
+        sets = [params]
         index = np.zeros(np.shape(deltas)[:-1], dtype=np.intp)
-        vdd = params.vdd
     else:
-        sets, index = lane_sets(params, deltas)
-        models = [generalized_model(generalized_record(sets, i))
-                  for i in range(sets.shape[0])]
-        vdd = sets["vdd"]
+        block, index = lane_sets(params, deltas)
+        sets = [parameters_at(block, i) for i in range(block.shape[0])]
     if internal_init is not None:
         check_node_voltage(finite_voltage(internal_init, "internal_init"),
-                           vdd)
+                           [p.vdd for p in sets])
+    models = [generalized_model(p) for p in sets]
     flat, shape = offset_rows(parameter_width(params), deltas)
     index = index.reshape(-1)
     out = []
@@ -136,7 +135,6 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import block_delays_loop
         return block_delays_loop(self, "falling", block, deltas)
 
     @traced_entry_point("engine.delays_block", "rising")
@@ -163,7 +161,6 @@ class ReferenceEngine:
             Delays in seconds (``δ_min`` included), same shape as
             *deltas*.
         """
-        from .blocks import block_delays_loop
         return block_delays_loop(self, "rising", block, deltas,
                                  vn_init)
 
@@ -230,5 +227,3 @@ class ReferenceEngine:
             for model, times in rows])
         return out.reshape(shape)
 
-
-register_engine(ReferenceEngine.name, ReferenceEngine)

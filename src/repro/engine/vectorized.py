@@ -22,15 +22,15 @@ import functools
 
 import numpy as np
 
-from ..core.multi_input import GeneralizedNorParameters, nor_delays
+from ..core.multi_input import (GeneralizedNorParameters,
+                                block_from_parameters, nor_delays)
 from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
-from .base import register_engine, traced_entry_point
+from .base import traced_entry_point
 from .blocks import (FallingConstants, RisingConstants,
-                     block_from_parameters, falling_constants,
-                     falling_delays, falling_delays_block,
-                     rising_constants, rising_delays,
-                     rising_delays_block)
+                     falling_constants, falling_delays,
+                     falling_delays_block, rising_constants,
+                     rising_delays, rising_delays_block)
 
 __all__ = ["VectorizedEngine"]
 
@@ -215,5 +215,3 @@ class VectorizedEngine:
         """
         return nor_delays(params, deltas, "rising", float(internal_init))
 
-
-register_engine(VectorizedEngine.name, VectorizedEngine)

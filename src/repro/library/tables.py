@@ -49,7 +49,8 @@ from typing import Any
 import numpy as np
 
 from ..core.charlie import CharacteristicDelays, MisCurve
-from ..core.multi_input import GeneralizedNorParameters, offset_rows
+from ..core.multi_input import (GeneralizedNorParameters, as_closed_form,
+                                offset_rows)
 from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from ..units import to_ps
@@ -130,9 +131,9 @@ def mis_gate_inputs(gate: str) -> int:
 def gate_params(gate: str, params):
     """*params* as the parameter set of a *gate* cell.
 
-    The one place an ``n = 2`` :class:`GeneralizedNorParameters` set
-    becomes the paper's closed-form set for ``nor2``
-    (:meth:`~GeneralizedNorParameters.to_two_input`); every other
+    An ``n = 2`` :class:`GeneralizedNorParameters` set becomes the
+    paper's closed-form set for ``nor2``
+    (:func:`~repro.core.multi_input.as_closed_form`); every other
     accepted set is returned as it is.
 
     Raises
@@ -148,7 +149,7 @@ def gate_params(gate: str, params):
         if (not kind.nand
                 and isinstance(params, GeneralizedNorParameters)
                 and params.num_inputs == 2):
-            return params.to_two_input()
+            return as_closed_form(params)
         if not isinstance(params, NorGateParameters):
             raise ParameterError(f"{gate!r} cells take "
                                  "NorGateParameters")

@@ -370,27 +370,6 @@ class MetricsRegistry:
         return self._instrument(name, "histogram", help_text, labels,
                                 buckets=buckets, window=window)
 
-    def describe(self, name: str, kind: str,
-                 help_text: str = "") -> None:
-        """Pre-register an (possibly childless) metric family.
-
-        A described family renders its ``# HELP`` / ``# TYPE`` header
-        even before the first increment, so scrapes advertise the
-        full catalog from the start.
-
-        Parameters
-        ----------
-        name : str
-            Metric name.
-        kind : {'counter', 'gauge', 'histogram'}
-            Instrument kind.
-        help_text : str, optional
-            One-line description.
-        """
-        if kind not in ("counter", "gauge", "histogram"):
-            raise ValueError(f"unknown instrument kind {kind!r}")
-        self._family(name, kind, help_text)
-
     def get(self, name: str) -> "dict[tuple, object] | None":
         """The children of family *name* (label key -> instrument),
         or ``None`` for an unknown name."""

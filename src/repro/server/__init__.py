@@ -61,8 +61,7 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
           job_dir: "str | None" = None, run_workers: int = 8,
           batch_workers: int = 2,
           request_timeout: float = DEFAULT_TIMEOUT,
-          max_body: int = DEFAULT_MAX_BODY, log_stream=None,
-          quiet: bool = False) -> int:
+          max_body: int = DEFAULT_MAX_BODY, log_stream=None) -> int:
     """Run the service in the foreground until SIGINT/SIGTERM.
 
     This is what ``repro serve`` calls: build a :class:`ReproServer`,
@@ -87,8 +86,6 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
         Largest accepted request body, bytes.
     log_stream : file-like, optional
         Structured per-request JSON log destination.
-    quiet : bool, optional
-        Suppress the human startup/shutdown lines (default False).
 
     Returns
     -------
@@ -118,19 +115,17 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
         except (ValueError, OSError):  # non-main thread / platform
             pass
     server.start()
-    if not quiet:
-        print(f"repro serve: listening on {server.url} "
-              f"(engine={server.session.engine_name}, "
-              f"jobs={server.store.root})", file=sys.stderr)
+    print(f"repro serve: listening on {server.url} "
+          f"(engine={server.session.engine_name}, "
+          f"jobs={server.store.root})", file=sys.stderr)
     try:
         while not stop.is_set():
             stop.wait(0.2)
     except KeyboardInterrupt:
         pass
     finally:
-        if not quiet:
-            print("repro serve: shutting down (draining batch jobs)",
-                  file=sys.stderr)
+        print("repro serve: shutting down (draining batch jobs)",
+              file=sys.stderr)
         server.stop(drain=True)
         for signum, handler in previous.items():
             signal.signal(signum, handler)

@@ -20,15 +20,17 @@ __all__ = ["newton_solve", "dc_operating_point"]
 
 #: Largest allowed voltage change per Newton iteration, volts.
 MAX_VOLTAGE_STEP = 0.5
+#: Newton convergence threshold on the voltage update, volts.
+_VOLTAGE_TOLERANCE = 1e-9
+#: Newton convergence threshold on the KCL residual, amperes.
+_CURRENT_TOLERANCE = 1e-12
 
 
 def newton_solve(residual_jacobian: Callable[[np.ndarray],
                                              tuple[np.ndarray, np.ndarray]],
                  x0: np.ndarray,
                  n_voltage: int,
-                 max_iterations: int = 60,
-                 vtol: float = 1e-9,
-                 itol: float = 1e-12) -> np.ndarray:
+                 max_iterations: int = 60) -> np.ndarray:
     """Damped Newton–Raphson for ``f(x) = 0``.
 
     Args:
@@ -37,8 +39,6 @@ def newton_solve(residual_jacobian: Callable[[np.ndarray],
         n_voltage: number of leading entries of ``x`` that are node
             voltages (step limiting applies only to those).
         max_iterations: iteration budget.
-        vtol: convergence threshold on the voltage update, volts.
-        itol: convergence threshold on the KCL residual, amperes.
 
     Returns:
         The converged solution vector.
@@ -65,11 +65,12 @@ def newton_solve(residual_jacobian: Callable[[np.ndarray],
         last_update = worst
         residual_norm = float(np.max(np.abs(residual[:n_voltage]))) \
             if n_voltage else float(np.max(np.abs(residual)))
-        if worst < vtol and residual_norm < itol * max(
-                1.0, float(np.max(np.abs(x[:n_voltage]))) if n_voltage
-                else 1.0):
+        if worst < _VOLTAGE_TOLERANCE and residual_norm < (
+                _CURRENT_TOLERANCE * max(
+                    1.0, float(np.max(np.abs(x[:n_voltage]))) if n_voltage
+                    else 1.0)):
             return x
-        if worst < vtol and iteration >= 2:
+        if worst < _VOLTAGE_TOLERANCE and iteration >= 2:
             # Voltage settled; accept even if tiny residual noise remains.
             return x
     raise ConvergenceError(

@@ -38,10 +38,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.multi_input import (generalized_block, paper_generalized,
-                                parameter_width)
-from ..core.parameters import BLOCK_DTYPE, NorGateParameters
-from ..engine import block_from_parameters, get_engine
+from ..core.multi_input import (block_from_parameters, is_closed_form,
+                                paper_generalized, parameter_width)
+from ..engine import get_engine
 from ..errors import ParameterError
 from ..library.characterize import gate_delays
 from ..library.tables import GateDelayTable, gate_kind, gate_params
@@ -154,8 +153,7 @@ class EngineArcModel:
         if params is None:
             return self.params
         width = parameter_width(params)
-        two_input = isinstance(params, NorGateParameters) or (
-            isinstance(params, np.ndarray) and params.dtype == BLOCK_DTYPE)
+        two_input = is_closed_form(params)
         if self.num_inputs == 2:
             if not two_input:
                 raise ParameterError(
@@ -420,15 +418,6 @@ def arc_batch(models, instances, direction: str):
     return _ModelBatch(models[0], instances[0], len(models), direction)
 
 
-def _as_block(params) -> np.ndarray:
-    """A parameter set as a one-record block; blocks pass through."""
-    if isinstance(params, np.ndarray):
-        return params
-    if isinstance(params, NorGateParameters):
-        return block_from_parameters([params])
-    return generalized_block([params])
-
-
 class _EngineBatch:
     """Engine-backed arcs of one kind: one engine call for all lanes.
 
@@ -447,9 +436,7 @@ class _EngineBatch:
         self.sets = tuple(model.params for model in models)
         first = self.sets[0]
         self.own = (first if all(p == first for p in self.sets)
-                    else (block_from_parameters(self.sets)
-                          if isinstance(first, NorGateParameters)
-                          else generalized_block(self.sets)))
+                    else block_from_parameters(self.sets))
 
     def _lanes(self, corner_params, corners: int):
         """One set for every lane, or a block with one set per lane."""
@@ -460,8 +447,8 @@ class _EngineBatch:
         resolve = self.model._resolve
         if isinstance(corner_params, dict):
             return np.concatenate([
-                np.resize(_as_block(resolve(corner_params.get(name, own))),
-                          corners)
+                np.resize(block_from_parameters(
+                    resolve(corner_params.get(name, own))), corners)
                 for name, own in zip(self.instances, self.sets)])
         resolved = resolve(corner_params)
         if isinstance(resolved, np.ndarray):

@@ -33,10 +33,8 @@ import math
 import numpy as np
 
 from ..core.multi_input import (GeneralizedNorParameters,
-                                generalized_block, generalized_record,
-                                parameter_width)
-from ..core.parameters import BLOCK_DTYPE, NorGateParameters
-from ..engine.blocks import block_from_parameters, parameters_at
+                                block_from_parameters, parameters_at)
+from ..core.parameters import NorGateParameters
 from ..errors import ParameterError
 from .analysis import _propagate
 from .graph import TimingGraph, TimingNode
@@ -77,14 +75,9 @@ def _resolve_corner_axes(graph: TimingGraph, params, arrivals,
             return spec
         if not isinstance(spec, np.ndarray):
             spec = list(spec)
-            if spec and all(isinstance(p, NorGateParameters)
-                            for p in spec):
-                spec = block_from_parameters(spec)
-            elif spec:
-                spec = generalized_block(spec)
         if not len(spec):
             raise ParameterError(f"{what} axis must not be empty")
-        parameter_width(spec)
+        spec = block_from_parameters(spec)
         if spec.ndim != 1:
             raise ParameterError(f"{what} axis must be 1-D over corners")
         merge(spec.shape[0], what)
@@ -162,9 +155,7 @@ def _corner_set(axis, corner: int):
     sets pass through)."""
     if not isinstance(axis, np.ndarray):
         return axis
-    if axis.dtype == BLOCK_DTYPE:
-        return parameters_at(axis, corner)
-    return generalized_record(axis, corner)
+    return parameters_at(axis, corner)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -103,11 +103,11 @@ def evaluate_block(engine, gate: str, direction: str,
     """Raw (unquantized) delays of a sample block at per-row Δ.
 
     The shared evaluation seam of Monte-Carlo sampling and the
-    collocation surrogate's design evaluation: every record is
-    widened to the gate via
-    :func:`repro.core.multi_input.paper_generalized`, every Δ becomes
-    the Δ-vector with every later input at that same offset, and one
-    engine call per direction evaluates the block.
+    collocation surrogate's design evaluation: one engine call per
+    direction evaluates the block.  A ``nor2`` block goes to the
+    closed form as it is; for a wider gate every record is widened
+    via :func:`repro.core.multi_input.paper_generalized`, and every Δ
+    becomes the Δ-vector with every later input at that same offset.
 
     Parameters
     ----------
@@ -130,11 +130,14 @@ def evaluate_block(engine, gate: str, direction: str,
         Raw delays, shape ``(N, M)``.
     """
     width = gate_width(gate)
+    if width == 2:
+        return delays_for_direction(engine, direction, block, deltas,
+                                    vn_init)
     rows = np.repeat(np.asarray(deltas, dtype=float)[..., None],
                      width - 1, axis=-1)
-    return np.asarray(delays_for_direction(
+    return delays_for_direction(
         engine, direction, paper_generalized(width, block), rows,
-        vn_init))
+        vn_init)
 
 
 def sample_delays(distribution, deltas, *, samples: int,

@@ -4,8 +4,12 @@ The module-level experiment registry gave way to the session facade
 (:mod:`repro.api`), the STA JSON alias to :func:`repro.sta.sta_payload`,
 the hand-stamped cell builders to :func:`repro.spice.stamp_gate` /
 :func:`repro.spice.build_gate`, and the per-gate analog MIS
-measurements to :func:`repro.analysis.mis_delay`; no old name resolves
-any more.
+measurements to :func:`repro.analysis.mis_delay`.  The engine registry
+gave way to the two fixed backends, the per-kind block packers and
+readers to :func:`repro.core.multi_input.block_from_parameters` /
+:func:`~repro.core.multi_input.parameters_at`, and the n-input model's
+batch and sweep methods to its kernel and the engine seam; no old name
+resolves any more.
 """
 
 import pytest
@@ -38,11 +42,62 @@ class TestRemovedNames:
                        "nand_mis_delay")),
         ("repro.library.tables", "GATE_TYPES"),
         ("repro.timing.circuit", "MIS_CHANNEL_TYPES"),
+        *((module, "register_engine")
+          for module in ("repro", "repro.engine", "repro.engine.base")),
+        ("repro.engine.base", "_FACTORIES"),
+        ("repro.engine.base", "_INSTANCES"),
+        ("repro.engine.base", "_two_input"),
+        ("repro.engine.blocks", "block_from_parameters"),
+        ("repro.sta.arcs", "_as_block"),
+        *(("repro.core.multi_input", name)
+          for name in ("generalized_block", "generalized_record",
+                       "compiled_nor_kernel")),
+        ("repro.core.multi_input.GeneralizedNorParameters",
+         "from_two_input"),
+        *(("repro.core.multi_input.GeneralizedNorModel", name)
+          for name in ("delays_falling_batch", "delays_rising_batch",
+                       "_sweep", "delays_falling_sweep",
+                       "delays_rising_sweep")),
+        ("repro.obs.metrics.MetricsRegistry", "describe"),
     ])
     def test_name_is_gone(self, module, name):
         import importlib
+        try:
+            owner = importlib.import_module(module)
+        except ImportError:
+            module, attribute = module.rsplit(".", 1)
+            owner = getattr(importlib.import_module(module), attribute)
         with pytest.raises(AttributeError):
-            getattr(importlib.import_module(module), name)
+            getattr(owner, name)
+
+    @pytest.mark.parametrize("module,function,keywords", [
+        ("repro.server", "serve", ("quiet",)),
+        ("repro.core.multi_input", "delta_vector_grid", ("span_taus",)),
+        ("repro.core.multi_input", "GeneralizedNorModel.resting_state",
+         ("floating_value",)),
+        ("repro.analysis.characterization", "toggle_sis_delays",
+         ("dwell",)),
+        ("repro.analysis.faithfulness", "short_pulse_filtration",
+         ("base_time",)),
+        ("repro.core.parametrization",
+         "falling_feasible_without_pure_delay", ("tolerance",)),
+        ("repro.spice.dc", "newton_solve", ("vtol", "itol")),
+    ])
+    def test_keyword_is_gone(self, module, function, keywords):
+        """Options no caller set are constants now."""
+        import importlib
+        import inspect
+        target = importlib.import_module(module)
+        for part in function.split("."):
+            target = getattr(target, part)
+        parameters = inspect.signature(target).parameters
+        assert not set(keywords) & set(parameters)
+
+    def test_engine_names_resolve_from_one_fixed_table(self):
+        from repro.engine import available_engines, get_engine
+        assert available_engines() == ("reference", "vectorized")
+        with pytest.raises(ValueError, match="unknown delay engine"):
+            get_engine("chunked")
 
     def test_sta_exports_only_the_payload(self):
         import repro.sta

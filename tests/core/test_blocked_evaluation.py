@@ -188,7 +188,7 @@ def test_blocks_of_whole_rows(direction, state, size_index):
 def test_pair_call_is_a_one_record_block():
     """Blocked sweeps keep returning a one-record block's bytes."""
     d = _deltas(2 * TILES["rising"] + 3, TILES["rising"], seed=30)
-    block = blocks.block_from_parameters(PAPER_TABLE_I)
+    block = multi_input.block_from_parameters(PAPER_TABLE_I)
     assert _same_bytes(VECTORIZED.delays_rising(PAPER_TABLE_I, d, 0.4),
                        VECTORIZED.delays_rising_block(block, d[None],
                                                       0.4)[0])

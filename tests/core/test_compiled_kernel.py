@@ -23,8 +23,7 @@ from repro.core import solutions
 from repro.core.multi_input import (CompiledNorKernel,
                                     GeneralizedNorModel,
                                     GeneralizedNorParameters,
-                                    compiled_nor_kernel,
-                                    generalized_block,
+                                    block_from_parameters,
                                     generalized_model,
                                     paper_generalized)
 from repro.core.parameters import NorGateParameters
@@ -124,8 +123,8 @@ class TestKernelVsScalarReference:
         """The kernel matches the reference *engine* seam too."""
         deltas = data.draw(delta_rows(params.num_inputs - 1))
         reference = get_engine("reference")
-        batched = compiled_nor_kernel(params).evaluate(deltas,
-                                                       "falling")
+        batched = generalized_model(params).kernel().evaluate(
+            deltas, "falling")
         expected = reference.delays_falling_n(params, deltas)
         assert float(np.max(np.abs(batched - expected))) <= PARITY_TOL
 
@@ -170,7 +169,7 @@ class TestParameterAxis:
         finite = st.floats(min_value=-400.0 * PS, max_value=400.0 * PS)
         deltas = np.array([[data.draw(finite) for _ in range(n - 1)]
                            for _ in range(lanes)])
-        block = generalized_block([sets[i] for i in index])
+        block = block_from_parameters([sets[i] for i in index])
         method = f"delays_{direction}_n"
         extra = (init,) if direction == "rising" else ()
         got = getattr(get_engine("vectorized"), method)(block, deltas,
@@ -182,7 +181,7 @@ class TestParameterAxis:
         for i, params in enumerate(sets):
             rows = index == i
             if rows.any():
-                single = compiled_nor_kernel(params).evaluate(
+                single = generalized_model(params).kernel().evaluate(
                     deltas[rows], direction, init)
                 assert float(np.max(np.abs(got[rows] - single))) \
                     <= 1e-18
@@ -193,9 +192,10 @@ class TestParameterAxis:
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig",
                             lambda m: calls.append(m.shape) or eig(m))
-        block = generalized_block([paper_generalized(4),
-                                   paper_generalized(4).replace(co=1e-15),
-                                   paper_generalized(4).replace(co=2e-15)])
+        block = block_from_parameters([
+            paper_generalized(4),
+            paper_generalized(4).replace(co=1e-15),
+            paper_generalized(4).replace(co=2e-15)])
         CompiledNorKernel(block)
         assert calls == [(3, 16, 5, 5)]
 
@@ -206,7 +206,8 @@ class TestParameterAxis:
         rows = np.random.default_rng(4).uniform(-50 * PS, 50 * PS,
                                                 (6, 2))
         engine = get_engine("vectorized")
-        got = engine.delays_falling_n(generalized_block([p3] * 6), rows)
+        got = engine.delays_falling_n(block_from_parameters([p3] * 6),
+                                      rows)
         assert got.tobytes() == engine.delays_falling_n(p3,
                                                         rows).tobytes()
 
@@ -219,13 +220,14 @@ class TestGridShapes:
         params = paper_generalized(3)
         rng = np.random.default_rng(3)
         deltas = rng.uniform(-200 * PS, 200 * PS, size=shape + (2,))
-        out = compiled_nor_kernel(params).evaluate(deltas, "falling")
+        out = generalized_model(params).kernel().evaluate(deltas,
+                                                          "falling")
         assert out.shape == shape
         assert np.all(np.isfinite(out))
 
     def test_single_vector(self):
         params = paper_generalized(4)
-        out = compiled_nor_kernel(params).evaluate(
+        out = generalized_model(params).kernel().evaluate(
             np.zeros(3), "falling")
         assert out.shape == ()
 
@@ -235,21 +237,22 @@ class TestGridShapes:
         deltas = np.array([[math.inf, math.inf],
                            [-math.inf, -math.inf],
                            [math.inf, -math.inf]])
-        out = compiled_nor_kernel(params).evaluate(deltas, "falling")
+        out = generalized_model(params).kernel().evaluate(deltas,
+                                                          "falling")
         assert np.all(np.isfinite(out))
 
 
 class TestKernelObject:
     def test_memoized_per_model(self):
         params = paper_generalized(3)
-        assert compiled_nor_kernel(params) is compiled_nor_kernel(
-            params)
-        assert isinstance(compiled_nor_kernel(params),
+        assert generalized_model(params).kernel() is generalized_model(
+            params).kernel()
+        assert isinstance(generalized_model(params).kernel(),
                           CompiledNorKernel)
 
     def test_covers_every_mode(self):
         params = paper_generalized(3)
-        kernel = compiled_nor_kernel(params)
+        kernel = generalized_model(params).kernel()
         n = params.num_inputs
         assert kernel._rates.shape == (1 << n, n + 1)
         assert kernel._vectors.shape == (1 << n, n + 1, n + 1)
@@ -260,8 +263,8 @@ class TestKernelObject:
         from repro.errors import ParameterError
         params = paper_generalized(3)
         with pytest.raises(ParameterError):
-            compiled_nor_kernel(params).evaluate(np.zeros((1, 2)),
-                                                 "sideways")
+            generalized_model(params).kernel().evaluate(
+                np.zeros((1, 2)), "sideways")
 
     def test_dropped_model_is_freed(self):
         """Building a kernel leaves no process-wide reference to the

@@ -20,8 +20,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import solutions
-from repro.core.multi_input import (CompiledNorKernel, compiled_nor_kernel,
-                                    generalized_block, paper_generalized)
+from repro.core.multi_input import (CompiledNorKernel,
+                                    block_from_parameters,
+                                    generalized_model, paper_generalized)
 from repro.core.parameters import PAPER_TABLE_I
 from repro.core.solutions import (_canonical, _solve, _stationary, _values,
                                   exp_sum_crossing)
@@ -499,12 +500,13 @@ class TestKernelBytes:
     @pytest.mark.parametrize("rows", [1, 64, 5000, 20000])
     @pytest.mark.parametrize("gate", [3, 4, 5])
     def test_one_set(self, gate, rows):
-        self._assert_same_bytes(compiled_nor_kernel(paper_generalized(gate)),
-                                self._deltas(gate, rows))
+        self._assert_same_bytes(
+            generalized_model(paper_generalized(gate)).kernel(),
+            self._deltas(gate, rows))
 
     @pytest.mark.parametrize("gate", [3, 4, 5])
     def test_per_lane_block(self, gate):
-        lanes = generalized_block([
+        lanes = block_from_parameters([
             paper_generalized(gate, PAPER_TABLE_I.replace(
                 r1=PAPER_TABLE_I.r1 * scale, co=PAPER_TABLE_I.co / scale))
             for scale in (0.9, 1.0, 1.15)])
@@ -522,6 +524,6 @@ class TestKernelBytes:
         monkeypatch.setattr(solutions, "_stationary",
                             lambda *args: calls.append(args[0].shape[1])
                             or stationary(*args))
-        compiled_nor_kernel(paper_generalized(4)).evaluate(
+        generalized_model(paper_generalized(4)).kernel().evaluate(
             self._deltas(4, 20000), "rising", state)
         assert calls == []

@@ -18,12 +18,12 @@ import pytest
 
 from repro.core.hybrid_model import HybridNorModel
 from repro.core.multi_input import (GeneralizedNorModel,
-                                    compiled_nor_kernel,
-                                    paper_generalized)
+                                    block_from_parameters,
+                                    generalized_model, paper_generalized)
 from repro.core.parameters import PAPER_TABLE_I
 from repro.engine import (available_engines, delays_for_direction,
                           get_engine)
-from repro.engine.blocks import block_from_parameters, rising_delays_block
+from repro.engine.blocks import rising_delays_block
 from repro.errors import ParameterError
 from repro.units import PS
 
@@ -69,7 +69,7 @@ class TestKernelsAndModels:
             model.delay_rising([0.0, 0.0, 0.0], [0.0, value])
 
     def test_compiled_kernel(self, value):
-        kernel = compiled_nor_kernel(paper_generalized(4))
+        kernel = generalized_model(paper_generalized(4)).kernel()
         with pytest.raises(ParameterError, match="internal_init"):
             kernel.evaluate(np.zeros((1, 3)), "rising", value)
 
@@ -77,7 +77,7 @@ class TestKernelsAndModels:
 def test_falling_ignores_the_rising_state():
     """``internal_init`` is a rising-only input: the falling direction
     does not look at it."""
-    kernel = compiled_nor_kernel(paper_generalized(3))
+    kernel = generalized_model(paper_generalized(3)).kernel()
     assert np.array_equal(kernel.evaluate(np.zeros((1, 2)), "falling",
                                           math.nan),
                           kernel.evaluate(np.zeros((1, 2)), "falling"))

@@ -13,15 +13,15 @@ from repro.core.parameters import NorGateParameters
 from repro.core import HybridNorModel, PAPER_TABLE_I
 from repro.core.multi_input import (GeneralizedNorModel,
                                     GeneralizedNorParameters,
-                                    generalized_model)
+                                    generalized_model, paper_generalized)
+from repro.engine import delays_for_direction, get_engine
 from repro.errors import NoCrossingError, ParameterError
 from repro.units import PS
 
 
 @pytest.fixture(scope="module")
 def gen2():
-    return GeneralizedNorModel(
-        GeneralizedNorParameters.from_two_input(PAPER_TABLE_I))
+    return GeneralizedNorModel(paper_generalized(2, PAPER_TABLE_I))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def gen3():
 
 class TestParameters:
     def test_two_input_mapping(self):
-        params = GeneralizedNorParameters.from_two_input(PAPER_TABLE_I)
+        params = paper_generalized(2, PAPER_TABLE_I)
         assert params.num_inputs == 2
         assert params.r_pullup == (PAPER_TABLE_I.r1, PAPER_TABLE_I.r2)
         assert params.r_pulldown == (PAPER_TABLE_I.r3,
@@ -218,17 +218,28 @@ class TestDeltaMinDeferral:
         assert d1 - d0 == pytest.approx(18 * PS, rel=1e-9)
 
 
+def _pairwise(model, direction, deltas):
+    """Engine delays over ``Δ = t₁ − t₀`` of inputs 0 and 1, every
+    further input switching with the earlier of the pair."""
+    d = np.asarray(deltas, dtype=float)
+    rest = np.minimum(0.0, d)
+    matrix = np.stack([d] + [rest] * (model.params.num_inputs - 2),
+                      axis=-1)
+    return delays_for_direction(get_engine(), direction, model.params,
+                                matrix)
+
+
 class TestPairwiseSweeps:
     def test_three_input_sweep_matches_scalar_calls(self, gen3):
         deltas = np.array([-20 * PS, 0.0, 20 * PS])
-        swept = gen3.delays_falling_sweep(deltas)
+        swept = _pairwise(gen3, "falling", deltas)
         for delta, value in zip(deltas, swept):
             pair = [max(0.0, -float(delta)), max(0.0, float(delta))]
             assert value == pytest.approx(
                 gen3.delay_falling(pair + [0.0]), abs=1e-18)
 
     def test_three_input_rising_sweep(self, gen3):
-        swept = gen3.delays_rising_sweep(np.array([0.0, 10 * PS]))
+        swept = _pairwise(gen3, "rising", np.array([0.0, 10 * PS]))
         assert swept[0] == pytest.approx(
             gen3.delay_rising([0.0, 0.0, 0.0]), abs=1e-18)
 
@@ -236,13 +247,13 @@ class TestPairwiseSweeps:
         # ±inf separations are the SIS plateaus: they agree with any
         # separation beyond the settling region.
         far = 2.0 * generalized_model(gen3.params).settle_time()
-        swept = gen3.delays_falling_sweep([math.inf, -math.inf])
-        plateau = gen3.delays_falling_sweep([far, -far])
+        swept = _pairwise(gen3, "falling", [math.inf, -math.inf])
+        plateau = _pairwise(gen3, "falling", [far, -far])
         assert swept == pytest.approx(plateau, abs=1e-18)
 
     def test_two_input_sweep_tracks_hybrid_model(self, gen2, ref2):
         deltas = np.array([-30 * PS, -5 * PS, 0.0, 5 * PS, 30 * PS])
-        swept = gen2.delays_falling_sweep(deltas)
+        swept = _pairwise(gen2, "falling", deltas)
         for delta, value in zip(deltas, swept):
             assert value == pytest.approx(
                 ref2.delay_falling(float(delta)), rel=1e-9)
@@ -269,25 +280,24 @@ def _two_input_params(draw):
 
 
 class TestRoundTripProperties:
-    """Hypothesis: from_two_input / to_two_input are exact inverses."""
+    """Hypothesis: ``paper_generalized(2, ·)`` and ``to_two_input``
+    are exact inverses."""
 
     @given(params=_two_input_params())
     def test_two_input_round_trip(self, params):
-        widened = GeneralizedNorParameters.from_two_input(params)
+        widened = paper_generalized(2, params)
         assert widened.num_inputs == 2
         assert widened.to_two_input() == params
 
     @given(params=_two_input_params())
     def test_generalized_round_trip(self, params):
-        widened = GeneralizedNorParameters.from_two_input(params)
-        again = GeneralizedNorParameters.from_two_input(
-            widened.to_two_input())
+        widened = paper_generalized(2, params)
+        again = paper_generalized(2, widened.to_two_input())
         assert again == widened
 
     @given(params=_two_input_params(),
            num_inputs=st.integers(min_value=3, max_value=6))
     def test_wider_gates_cannot_reduce(self, params, num_inputs):
-        from repro.core.multi_input import paper_generalized
         wide = paper_generalized(num_inputs, params)
         with pytest.raises(ParameterError):
             wide.to_two_input()

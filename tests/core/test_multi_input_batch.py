@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import PAPER_TABLE_I
-from repro.core.multi_input import (GeneralizedNorModel,
-                                    GeneralizedNorParameters,
-                                    generalized_model,
+from repro.core.multi_input import (generalized_model,
                                     paper_generalized,
                                     sibling_offsets)
 from repro.engine import get_engine
@@ -42,16 +40,14 @@ class TestTwoInputParity:
         return np.concatenate([core, [math.inf, -math.inf]])
 
     def test_falling(self, vectorized, sweep):
-        narrow = GeneralizedNorParameters.from_two_input(
-            PAPER_TABLE_I)
+        narrow = paper_generalized(2, PAPER_TABLE_I)
         closed = vectorized.delays_falling(PAPER_TABLE_I, sweep)
         seam = vectorized.delays_falling_n(narrow, sweep[:, None])
         assert float(np.max(np.abs(seam - closed))) <= N2_PARITY
 
     @pytest.mark.parametrize("vn_init", [0.0, 0.4, 0.8])
     def test_rising(self, vectorized, sweep, vn_init):
-        narrow = GeneralizedNorParameters.from_two_input(
-            PAPER_TABLE_I)
+        narrow = paper_generalized(2, PAPER_TABLE_I)
         closed = vectorized.delays_rising(PAPER_TABLE_I, sweep,
                                           vn_init)
         seam = vectorized.delays_rising_n(narrow, sweep[:, None],
@@ -60,8 +56,7 @@ class TestTwoInputParity:
 
     def test_reference_backend_agrees(self, sweep):
         reference = get_engine("reference")
-        narrow = GeneralizedNorParameters.from_two_input(
-            PAPER_TABLE_I)
+        narrow = paper_generalized(2, PAPER_TABLE_I)
         probe = sweep[::40]
         closed = reference.delays_falling(PAPER_TABLE_I, probe)
         seam = reference.delays_falling_n(narrow, probe[:, None])
@@ -74,7 +69,7 @@ class TestBatchedVsScalar:
     def test_falling_random_vectors(self, gen3):
         rng = np.random.default_rng(7)
         grid = rng.uniform(-300 * PS, 300 * PS, size=(48, 2))
-        batched = gen3.delays_falling_batch(grid)
+        batched = gen3.kernel().evaluate(grid, "falling")
         for row, value in zip(grid, batched):
             times = np.concatenate([[0.0], row])
             scalar = gen3.delay_falling(times - times.min())
@@ -83,7 +78,7 @@ class TestBatchedVsScalar:
     def test_rising_random_vectors(self, gen3):
         rng = np.random.default_rng(11)
         grid = rng.uniform(-300 * PS, 300 * PS, size=(32, 2))
-        batched = gen3.delays_rising_batch(grid, 0.3)
+        batched = gen3.kernel().evaluate(grid, "rising", 0.3)
         for row, value in zip(grid, batched):
             times = np.concatenate([[0.0], row])
             scalar = gen3.delay_rising(times - times.min(),
@@ -94,7 +89,7 @@ class TestBatchedVsScalar:
         """Every event-permutation group agrees with the scalar path."""
         offsets = [-40 * PS, -5 * PS, 5 * PS, 40 * PS]
         grid = np.array([[a, b] for a in offsets for b in offsets])
-        batched = gen3.delays_falling_batch(grid)
+        batched = gen3.kernel().evaluate(grid, "falling")
         for row, value in zip(grid, batched):
             times = np.concatenate([[0.0], row])
             scalar = gen3.delay_falling(times - times.min())
@@ -102,42 +97,43 @@ class TestBatchedVsScalar:
 
     def test_shape_preserved(self, gen3):
         grid = np.zeros((3, 4, 2))
-        assert gen3.delays_falling_batch(grid).shape == (3, 4)
+        assert gen3.kernel().evaluate(grid, "falling").shape == (3, 4)
 
     def test_simultaneous_matches_closed_form(self, gen3):
         parallel = 1.0 / sum(1.0 / r for r in
                              gen3.params.r_pulldown)
         expected = (math.log(2.0) * gen3.params.co * parallel
                     + gen3.params.delta_min)
-        value = float(gen3.delays_falling_batch(
-            np.zeros((1, 2)))[0])
+        value = float(gen3.kernel().evaluate(np.zeros((1, 2)),
+                                             "falling")[0])
         assert value == pytest.approx(expected, rel=1e-9)
 
 
 class TestEdgeEncodings:
     def test_infinite_offsets_clip_to_sis(self, gen3):
         settle = gen3.settle_time()
-        far = gen3.delays_falling_batch(
-            np.array([[2.0 * settle, -2.0 * settle]]))
-        inf = gen3.delays_falling_batch(
-            np.array([[math.inf, -math.inf]]))
+        far = gen3.kernel().evaluate(
+            np.array([[2.0 * settle, -2.0 * settle]]), "falling")
+        inf = gen3.kernel().evaluate(
+            np.array([[math.inf, -math.inf]]), "falling")
         assert float(inf[0]) == pytest.approx(float(far[0]),
                                               abs=1e-18)
 
     def test_nan_rejected(self, gen3):
         with pytest.raises(ParameterError):
-            gen3.delays_falling_batch(np.array([[math.nan, 0.0]]))
+            gen3.kernel().evaluate(np.array([[math.nan, 0.0]]),
+                                   "falling")
 
     def test_wrong_vector_width_rejected(self, gen3):
         with pytest.raises(ParameterError):
-            gen3.delays_falling_batch(np.zeros((4, 3)))
+            gen3.kernel().evaluate(np.zeros((4, 3)), "falling")
         with pytest.raises(ParameterError):
-            gen3.delays_rising_batch(np.zeros(()))
+            gen3.kernel().evaluate(np.zeros(()), "rising")
 
     def test_internal_init_speeds_rising(self, gen3):
         grid = np.zeros((1, 2))
-        worst = float(gen3.delays_rising_batch(grid)[0])
-        charged = float(gen3.delays_rising_batch(grid, 0.8)[0])
+        worst = float(gen3.kernel().evaluate(grid, "rising")[0])
+        charged = float(gen3.kernel().evaluate(grid, "rising", 0.8)[0])
         assert charged < worst
 
     def test_settle_time_positive(self, gen3):
@@ -158,7 +154,7 @@ class TestEdgeEncodings:
         # And the batch must stay fast at full-settle offsets.
         grid = np.array([[settle, -settle]
                          + [0.0] * (num_inputs - 3)])
-        assert np.isfinite(model.delays_falling_batch(grid)).all()
+        assert np.isfinite(model.kernel().evaluate(grid, "falling")).all()
 
 
 class TestSiblingOffsets:
@@ -188,9 +184,11 @@ class TestSiblingOffsets:
 
 class TestPaperGeneralized:
     def test_two_input_round_trip(self):
-        assert (paper_generalized(2)
-                == GeneralizedNorParameters.from_two_input(
-                    PAPER_TABLE_I))
+        narrow = paper_generalized(2)
+        assert narrow.r_pullup == (PAPER_TABLE_I.r1, PAPER_TABLE_I.r2)
+        assert narrow.r_pulldown == (PAPER_TABLE_I.r3, PAPER_TABLE_I.r4)
+        assert narrow.c_internal == (PAPER_TABLE_I.cn,)
+        assert narrow.to_two_input() == PAPER_TABLE_I
 
     def test_widening_repeats_stages(self):
         wide = paper_generalized(4)

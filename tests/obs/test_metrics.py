@@ -143,13 +143,6 @@ class TestRendering:
         validate_exposition(text)
         assert r'p="a\"b\\c\nd"' in text
 
-    def test_described_family_renders_before_first_increment(self):
-        reg = MetricsRegistry()
-        reg.describe("repro_future_total", "counter", "not yet used")
-        text = reg.render()
-        assert "# TYPE repro_future_total counter" in text
-        validate_exposition(text)
-
     def test_render_prometheus_merges_registries(self):
         first, second = MetricsRegistry(), MetricsRegistry()
         first.counter("one_total").inc()

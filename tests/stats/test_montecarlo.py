@@ -15,6 +15,7 @@ from repro.engine.blocks import block_delays_loop
 from repro.errors import ParameterError
 from repro.stats import (QUANT_STEP, ParameterDistribution,
                          monte_carlo, quantize, sample_delays)
+from repro.stats.montecarlo import evaluate_block
 from repro.units import PS
 
 DIST = ParameterDistribution(
@@ -43,6 +44,24 @@ class TestQuantize:
 
 class TestBlockParity:
     """Vectorized sampling == scalar reference loop, byte-for-byte."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("direction,vn_init", [
+        ("falling", 0.0), ("rising", 0.0), ("rising", 0.35),
+    ])
+    def test_nor2_blocks_go_straight_to_the_closed_form(
+            self, engine, direction, vn_init):
+        """A nor2 block reaches the engine's block entry point as it
+        is, without a detour through the n-input kind."""
+        backend = get_engine(engine)
+        block = DIST.sample_block(24, seed=5)
+        grid = np.broadcast_to(np.asarray(DELTAS), (24, len(DELTAS)))
+        got = evaluate_block(backend, "nor2", direction, block, grid,
+                             vn_init)
+        entry = getattr(backend, f"delays_{direction}_block")
+        expected = (entry(block, grid) if direction == "falling"
+                    else entry(block, grid, vn_init))
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("direction,vn_init", [
         ("falling", 0.0), ("rising", 0.0), ("rising", 0.35),

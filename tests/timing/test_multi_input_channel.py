@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PAPER_TABLE_I
-from repro.core.multi_input import (GeneralizedNorParameters,
-                                    generalized_model,
-                                    paper_generalized)
+from repro.core.multi_input import generalized_model, paper_generalized
 from repro.errors import NetlistError, SimulationError, TraceError
 from repro.library import CharacterizationJob, characterize_gate
 from repro.timing.channels import (GeneralizedNorChannel,
@@ -38,8 +36,7 @@ def nor3_table(p3):
 
 class TestGeneralizedNorChannel:
     def test_two_input_matches_hybrid_channel(self):
-        narrow = GeneralizedNorParameters.from_two_input(
-            PAPER_TABLE_I)
+        narrow = paper_generalized(2, PAPER_TABLE_I)
         general = GeneralizedNorChannel(narrow)
         hybrid = HybridNorChannel(PAPER_TABLE_I)
         a = DigitalTrace(0, [(100 * PS, 1), (700 * PS, 0)])
@@ -204,7 +201,7 @@ class TestCircuitInstances:
         """Only the hybrid NOR channel runs the incremental automaton;
         a 2-input generalized channel also carries ``params`` but is
         still served by the feed-forward simulator only."""
-        narrow = GeneralizedNorParameters.from_two_input(PAPER_TABLE_I)
+        narrow = paper_generalized(2, PAPER_TABLE_I)
         circuit = TimingCircuit(["a", "b"])
         circuit.add_mis_gate("g0", ("a", "b"), "y",
                              GeneralizedNorChannel(narrow))

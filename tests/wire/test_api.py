@@ -78,6 +78,23 @@ class TestHandler:
         described = Session().run(DescribeRequest())
         assert "wire" in described.workflows
 
+    def test_fanout_reads_every_sink_in_one_pass(self, monkeypatch):
+        """A by-name sink lookup scans every sink, so one per sink made
+        the handler quadratic in its fanout."""
+        from repro.wire.model import WireTiming
+
+        calls = []
+        lookup = WireTiming.timing
+        monkeypatch.setattr(WireTiming, "timing",
+                            lambda self, sink: calls.append(sink)
+                            or lookup(self, sink))
+        result = Session().run(WireRequest(
+            topology="fanout", branches=2000, stages=1, model="elmore"))
+        assert calls == []
+        assert len(result.elmore) == len(result.sinks) == 2000
+        # Elmore is the selected model, so its delay is the Elmore one.
+        assert result.elmore == result.delays
+
 
 class TestCli:
     def test_parser_defaults(self):
